@@ -8,15 +8,31 @@
 // slow-mixing bench analogue, verifies all modes produce bitwise identical
 // curves, locates the auto-mode crossover step, and prints one JSON object.
 //
+// A second table times the lane-block step behind measure_mixing
+// (markov/lane_block.hpp) on the largest Figure 1(b) analogue: ns per
+// lane-edge and resident set at 1, 2, 4, 8, 10 and 16 lanes, serial and at
+// the pool's thread count, after checking every width bitwise against
+// per-lane step_distribution. kLaneBlockWidth is read off this table.
+//
 // Run with SNTRUST_REPORT=<path> to emit the unified run report (the
 // committed bench/baselines comparisons are produced this way).
+#include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "markov/frontier.hpp"
+#include "markov/lane_block.hpp"
 #include "markov/mixing.hpp"
+#include "parallel/thread_pool.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -53,6 +69,103 @@ ModeTiming time_mode(const Graph& g, KernelMode mode, std::uint32_t sources,
 
 bool bitwise_equal(const MixingCurves& a, const MixingCurves& b) {
   return a.sources == b.sources && a.tvd == b.tvd;
+}
+
+constexpr std::uint32_t kLaneWidths[] = {1, 2, 4, 8, 10, 16};
+constexpr std::uint32_t kLaneSteps = 20;
+constexpr int kLaneReps = 5;
+constexpr std::uint32_t kIdentitySteps = 3;
+
+struct LaneRow {
+  std::uint32_t width = 0;
+  std::uint32_t threads = 0;
+  double ns_per_lane_edge = 0.0;
+  double rss_mib = 0.0;  ///< resident-set growth while the block is live
+};
+
+/// Current resident set from /proc/self/statm; 0 where unavailable. Free
+/// heap memory is handed back first (glibc), so the next sample's growth
+/// is what was allocated and touched in between.
+double current_rss_mib() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+  std::ifstream statm{"/proc/self/statm"};
+  std::uint64_t size = 0, resident = 0;
+  if (!(statm >> size >> resident)) return 0.0;
+  return static_cast<double>(resident) *
+         static_cast<double>(sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
+}
+
+/// Dense start vectors for the lanes: point masses from distinct sources
+/// walked a few steps, so every lane is a realistic spread distribution.
+std::vector<Distribution> lane_starts(const Graph& g) {
+  Rng rng{bench::kBenchSeed};
+  std::vector<Distribution> starts;
+  for (const VertexId source : rng.sample_without_replacement(
+           g.num_vertices(), kLaneWidths[std::size(kLaneWidths) - 1])) {
+    Distribution p = dirac(g.num_vertices(), source), next;
+    for (int t = 0; t < 6; ++t) {
+      step_distribution(g, p, next);
+      p.swap(next);
+    }
+    starts.push_back(std::move(p));
+  }
+  return starts;
+}
+
+/// Every lane of a `width`-lane block must equal step_distribution on its
+/// own column, entry for entry, and its TVD must equal total_variation.
+bool lane_identity(const Graph& g, const std::vector<Distribution>& starts,
+                   std::uint32_t width) {
+  const Distribution pi = stationary_distribution(g);
+  LaneBlock block{g, width, StepKind::kPlain};
+  for (std::uint32_t l = 0; l < width; ++l) block.assign(l, starts[l]);
+  for (std::uint32_t s = 0; s < kIdentitySteps; ++s) block.step(0);
+  std::vector<double> tvd;
+  block.tvd(0, pi, tvd);
+  for (std::uint32_t l = 0; l < width; ++l) {
+    Distribution p = starts[l], next;
+    for (std::uint32_t s = 0; s < kIdentitySteps; ++s) {
+      step_distribution(g, p, next);
+      p.swap(next);
+    }
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      if (block.at(v, l) != p[v]) return false;
+    if (tvd[l] != total_variation(p, pi)) return false;
+  }
+  return true;
+}
+
+/// One row per width at `threads` workers. Widths take turns within each
+/// repetition, so host drift hits them alike; each keeps its fastest rep.
+std::vector<LaneRow> lane_rows_at(const Graph& g,
+                                  const std::vector<Distribution>& starts,
+                                  std::uint32_t threads) {
+  const parallel::ScopedThreadCount scope{threads};
+  std::vector<LaneRow> rows;
+  for (const std::uint32_t width : kLaneWidths) {
+    LaneRow row;
+    row.width = width;
+    row.threads = threads;
+    rows.push_back(row);
+  }
+  for (int rep = 0; rep < kLaneReps; ++rep) {
+    for (LaneRow& row : rows) {
+      const double rss_before = current_rss_mib();
+      LaneBlock block{g, row.width, StepKind::kPlain};
+      for (std::uint32_t l = 0; l < row.width; ++l) block.assign(l, starts[l]);
+      block.step(0);  // allocates the step output; untimed
+      const obs::Stopwatch clock;
+      for (std::uint32_t s = 0; s < kLaneSteps; ++s) block.step(0);
+      const double ns = clock.elapsed_ms() * 1e6 /
+                        (static_cast<double>(kLaneSteps) * row.width *
+                         static_cast<double>(g.targets().size()));
+      if (rep == 0 || ns < row.ns_per_lane_edge) row.ns_per_lane_edge = ns;
+      row.rss_mib = std::max(row.rss_mib, current_rss_mib() - rss_before);
+    }
+  }
+  return rows;
 }
 
 }  // namespace
@@ -130,6 +243,27 @@ int main() {
     }
   }
 
+  // Lane table on the largest Figure 1(b) analogue (facebook_a has the
+  // most edges of the five at every scale).
+  std::vector<LaneRow> lane_rows;
+  bool lanes_identical = true;
+  Graph lane_graph;
+  {
+    const bench::Section section{"lane-block table"};
+    lane_graph = bench::dataset_graph(dataset_by_id("facebook_a"));
+    const std::vector<Distribution> starts = lane_starts(lane_graph);
+    for (const std::uint32_t width : kLaneWidths)
+      lanes_identical = lanes_identical &&
+                        lane_identity(lane_graph, starts, width);
+    std::vector<std::uint32_t> thread_counts{1};
+    if (parallel::thread_count() > 1)
+      thread_counts.push_back(parallel::thread_count());
+    if (lanes_identical)
+      for (const std::uint32_t threads : thread_counts)
+        for (const LaneRow& row : lane_rows_at(lane_graph, starts, threads))
+          lane_rows.push_back(row);
+  }
+
   obs::RunReporter& reporter = obs::RunReporter::instance();
   reporter.set_config("bench", "micro_kernels");
   reporter.set_config("graph_n", g.num_vertices());
@@ -142,6 +276,15 @@ int main() {
   reporter.set_config("speedup_sparse", speedup_sparse);
   reporter.set_config("speedup_auto", speedup_auto);
   reporter.set_config("identical", identical);
+  reporter.set_config("lanes_identical", lanes_identical);
+  reporter.set_config("lane_graph_n", lane_graph.num_vertices());
+  reporter.set_config("lane_graph_m", lane_graph.num_edges());
+  for (const LaneRow& row : lane_rows) {
+    const std::string key = "lanes_w" + std::to_string(row.width) + "_t" +
+                            std::to_string(row.threads);
+    reporter.set_config(key + "_ns_per_lane_edge", row.ns_per_lane_edge);
+    reporter.set_config(key + "_rss_mib", row.rss_mib);
+  }
   std::printf("{\n  \"bench\": \"micro_kernels\",\n");
   std::printf("  \"n\": %u, \"m\": %llu,\n", g.num_vertices(),
               static_cast<unsigned long long>(g.num_edges()));
@@ -164,6 +307,18 @@ int main() {
   std::printf("],\n");
   std::printf("  \"crossover\": {\"step\": %u, \"frontier_fraction\": %.4f},\n",
               crossover, crossover_fraction);
+  std::printf("  \"lane_table\": {\"graph\": \"facebook_a\", \"n\": %u, "
+              "\"m\": %llu, \"steps\": %u, \"reps\": %d, \"identical\": %s, "
+              "\"rows\": [",
+              lane_graph.num_vertices(),
+              static_cast<unsigned long long>(lane_graph.num_edges()),
+              kLaneSteps, kLaneReps, lanes_identical ? "true" : "false");
+  for (std::size_t i = 0; i < lane_rows.size(); ++i)
+    std::printf("%s\n    {\"width\": %u, \"threads\": %u, "
+                "\"ns_per_lane_edge\": %.3f, \"rss_mib\": %.1f}",
+                i == 0 ? "" : ",", lane_rows[i].width, lane_rows[i].threads,
+                lane_rows[i].ns_per_lane_edge, lane_rows[i].rss_mib);
+  std::printf("]},\n");
   std::printf("  \"identical\": %s\n}\n", identical ? "true" : "false");
-  return identical ? 0 : 1;
+  return identical && lanes_identical ? 0 : 1;
 }

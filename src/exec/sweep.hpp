@@ -90,14 +90,39 @@ SweepResult run_sweep(std::size_t items, const SweepOptions& options,
                       const std::function<std::string(std::size_t,
                                                       std::uint32_t)>& compute);
 
+/// Block form of run_sweep, for sweeps whose sources share one pass over
+/// the data (the lane-blocked mixing sweep). Pending sources — those not
+/// restored from the checkpoint — are grouped in index order into balanced
+/// blocks of at most `width`, and the blocks run one after another on the
+/// calling thread; `compute_block(indices)` may use the pool inside and
+/// returns one payload per index, in order. Everything else stays per
+/// source:
+///
+///   * fault points fire per source before its block runs; a faulted
+///     source is recorded as a failure and dropped from the block,
+///   * cancellation is polled before every block; a block interrupted by a
+///     nested CancelledError leaves its sources unfinished, not failed,
+///   * a block that throws fails each of its sources with that reason,
+///   * each source's latency sample and its SNTRUST_SOURCE_BUDGET_MS charge
+///     are its share of the block, block wall time / sources in the block;
+///     a block over budget therefore fails all of its sources,
+///   * payloads, checkpoints, failure accounting and the closing
+///     CancelledError / PartialFailureError are exactly run_sweep's.
+SweepResult run_sweep_blocks(
+    std::size_t items, std::size_t width, const SweepOptions& options,
+    const std::function<std::vector<std::string>(
+        const std::vector<std::size_t>&)>& compute_block);
+
 /// Process-wide override for SweepOptions::max_failed_frac resolution
 /// (the CLI's --max-failed-frac). Negative clears the override.
 void set_max_failed_frac(double frac);
 
 /// Per-source wall-clock budget in ms from SNTRUST_SOURCE_BUDGET_MS; 0 =
 /// unlimited. A source exceeding it is recorded as a failure ("source
-/// budget exceeded"). Opt-in and *non-deterministic by nature* — budgets
-/// depend on machine speed, so resumable/comparable runs should not set it.
+/// budget exceeded"); in the block form a source's time is its share of
+/// the block (see run_sweep_blocks). Opt-in and *non-deterministic by
+/// nature* — budgets depend on machine speed, so resumable/comparable runs
+/// should not set it.
 std::int64_t source_budget_ms();
 
 }  // namespace sntrust::exec

@@ -1,11 +1,13 @@
 #include "markov/mixing.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "exec/checkpoint.hpp"
 #include "exec/sweep.hpp"
 #include "graph/components.hpp"
+#include "markov/lane_block.hpp"
 #include "markov/walker.hpp"
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
@@ -101,6 +103,103 @@ void record_mixing_diag(const std::string& kind, const MixingCurves& curves) {
         kind + ".time_to_eps", obs::mean_ci95(cross_sum, cross_sumsq, crossed));
 }
 
+/// Lane groups a block of `lanes` sources is stepped in by `workers`
+/// threads: one group when a single thread runs the block, so every step
+/// is one CSR pass for all lanes; otherwise workers + 1 (at most one per
+/// lane), so a worker that finishes a step always finds a group it can
+/// advance while the others are busy.
+std::uint32_t lane_groups(std::uint32_t lanes, std::uint32_t workers) {
+  return workers <= 1 ? 1 : std::min(lanes, workers + 1);
+}
+
+/// TVD curves (steps 0..length) for one lane block of sources
+/// (markov/lane_block.hpp), whose lanes are split in index order into
+/// balanced groups. The curves come in two parallel_chains calls:
+///
+///   1. Every lane walks its own FrontierWalk until its support saturates:
+///      the sparse pull and the pre-saturation dense steps. Workers take
+///      lanes in index order. A saturated lane's distribution moves into
+///      its block column. A lane that never saturates within the walk (any
+///      lane of a bipartite graph under the plain chain) stays on its
+///      FrontierWalk throughout.
+///   2. The groups step, each a chain: one step of one group, its gather
+///      and its TVD, runs on one worker, with no barrier between steps.
+std::vector<std::vector<double>> block_curves(
+    const Graph& g, const std::vector<VertexId>& sources, StepKind kind,
+    std::uint32_t length, const FrontierWalk::Options& kernel,
+    const Distribution& pi, const StationaryPrefix& prefix) {
+  const auto lanes = static_cast<std::uint32_t>(sources.size());
+  const std::uint32_t groups =
+      lane_groups(lanes, parallel::plan_workers(lanes));
+  // Group k holds lanes [first[k], first[k + 1]).
+  std::vector<std::uint32_t> first(groups + 1);
+  std::vector<std::uint32_t> sizes(groups);
+  for (std::uint32_t k = 0; k <= groups; ++k) {
+    first[k] = static_cast<std::uint32_t>(std::uint64_t{k} * lanes / groups);
+    if (k > 0) sizes[k - 1] = first[k] - first[k - 1];
+  }
+  LaneBlock block{g, sizes, kind};
+  std::vector<std::vector<double>> curves(lanes);
+  // joined[l]: steps lane l took on its FrontierWalk; its column holds
+  // that step's distribution unless joined[l] == length (nothing left).
+  std::vector<std::uint32_t> joined(lanes, length);
+  {
+    std::vector<std::optional<FrontierWalk>> walks(
+        parallel::plan_workers(lanes));
+    parallel::parallel_chains(
+        std::vector<std::uint32_t>(lanes, 1),
+        [&](std::size_t l, std::uint32_t, std::uint32_t w) {
+          if (!walks[w]) walks[w].emplace(g, kernel);
+          FrontierWalk& walk = *walks[w];
+          walk.reset(sources[l]);
+          std::vector<double>& curve = curves[l];
+          curve.reserve(length + 1);
+          curve.push_back(walk.tvd(pi, prefix));
+          std::uint32_t t = 0;
+          while (t < length && !walk.saturated()) {
+            walk.step(kind);
+            ++t;
+            curve.push_back(walk.tvd(pi, prefix));
+          }
+          joined[l] = t;
+          // No group steps yet, and lanes own disjoint columns.
+          if (t < length)
+            block.assign(static_cast<std::uint32_t>(l), walk.distribution());
+        });
+  }  // the walks' buffers go before the block allocates its step output
+  block.reserve_step();
+
+  // After s steps of its group lane l is at step joined[l] + s. A group
+  // steps until its earliest-joined lane reaches the walk length, and later
+  // lanes ride along past their own end, unrecorded and uncounted.
+  std::vector<std::uint32_t> steps(groups, 0);
+  for (std::uint32_t k = 0; k < groups; ++k)
+    for (std::uint32_t l = first[k]; l < first[k + 1]; ++l)
+      steps[k] = std::max(steps[k], length - joined[l]);
+  obs::Counter& dense_steps = obs::metrics_counter("kernel.dense_steps");
+  obs::QuantileHistogram& step_latency =
+      obs::metrics_quantile("kernel.step_ms");
+  std::vector<std::vector<double>> tvd(parallel::plan_workers(groups));
+  parallel::parallel_chains(
+      steps, [&](std::size_t k, std::uint32_t s, std::uint32_t w) {
+        const obs::Stopwatch step_clock;
+        const auto group = static_cast<std::uint32_t>(k);
+        block.step(group);
+        block.tvd(group, pi, tvd[w]);
+        std::uint32_t live = 0;
+        for (std::uint32_t l = first[k]; l < first[k + 1]; ++l) {
+          if (joined[l] + s > length) continue;
+          curves[l].push_back(tvd[w][l - first[k]]);
+          ++live;
+        }
+        // Per live lane, as FrontierWalk counts its saturated steps.
+        dense_steps.add(live);
+        const double lane_ms = step_clock.elapsed_ms() / live;
+        for (std::uint32_t j = 0; j < live; ++j) step_latency.record(lane_ms);
+      });
+  return curves;
+}
+
 }  // namespace
 
 std::vector<double> MixingCurves::mean_curve() const {
@@ -144,16 +243,23 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
       options.kernel_dense_fraction.value_or(kernel_dense_fraction()),
       options.layout.value_or(graph_layout())};
   const StepKind kind = options.lazy ? StepKind::kLazy : StepKind::kPlain;
-  // One curve slot per source position: workers write disjoint slots, so
-  // the result is bitwise identical for any thread count. The kernel mode
-  // never changes the values either (see markov/frontier.hpp), only how
-  // much of the graph each step touches — which is also why it stays out of
-  // the checkpoint fingerprint.
   obs::ProgressMeter progress{"mixing sources", k};
-  struct Scratch {
-    std::vector<FrontierWalk> walk;  // 0 or 1 entries; lazily constructed
+  // Lanes are independent and each lane's sums keep the single-vector
+  // order, so curves are bitwise identical for any block width, kernel
+  // mode, layout and thread count, which is also why none of them enters
+  // the checkpoint fingerprint.
+  const auto run_block = [&](const std::vector<std::size_t>& indices) {
+    std::vector<VertexId> sources;
+    for (const std::size_t i : indices) sources.push_back(out.sources[i]);
+    std::vector<std::string> payloads;
+    for (const std::vector<double>& curve :
+         block_curves(g, sources, kind, options.max_walk_length, kernel, pi,
+                      prefix)) {
+      payloads.push_back(encode_curve(curve));
+      progress.tick();
+    }
+    return payloads;
   };
-  std::vector<Scratch> scratch(parallel::plan_workers(k));
 
   exec::SweepOptions sweep;
   sweep.kind = "measure_mixing";
@@ -162,22 +268,8 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
   sweep.fingerprint = exec::fingerprint(
       {n, g.num_edges(), k, options.max_walk_length,
        options.lazy ? 1ULL : 0ULL, options.seed, exec::graph_fingerprint(g)});
-  const exec::SweepResult swept = exec::run_sweep(
-      k, sweep, [&](std::size_t i, std::uint32_t worker) {
-        Scratch& s = scratch[worker];
-        if (s.walk.empty()) s.walk.emplace_back(g, kernel);
-        FrontierWalk& walk = s.walk.front();
-        walk.reset(out.sources[i]);
-        std::vector<double> curve;
-        curve.reserve(options.max_walk_length + 1);
-        curve.push_back(walk.tvd(pi, prefix));
-        for (std::uint32_t t = 1; t <= options.max_walk_length; ++t) {
-          walk.step(kind);
-          curve.push_back(walk.tvd(pi, prefix));
-        }
-        progress.tick();
-        return encode_curve(curve);
-      });
+  const exec::SweepResult swept =
+      exec::run_sweep_blocks(k, kLaneBlockWidth, sweep, run_block);
   collect_curves(swept, out);
   record_mixing_diag("mixing.tvd", out);
   obs::count("mixing.sources", out.sources.size());

@@ -16,8 +16,10 @@ namespace sntrust {
 
 struct MixingOptions {
   /// Number of source vertices sampled uniformly at random (the paper uses
-  /// 100; the cost is one matvec per source per step — frontier-sparse for
-  /// short walks, O(m) once the support saturates).
+  /// 100). Each source walks its own frontier-sparse kernel until its
+  /// support saturates; from then on the sources of a lane group share one
+  /// O(m) CSR pass per step. A lane block of up to kLaneBlockWidth sources
+  /// holds one group per pool worker plus one.
   std::uint32_t num_sources = 100;
   /// Maximum walk length to evolve.
   std::uint32_t max_walk_length = 100;

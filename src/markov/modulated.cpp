@@ -4,36 +4,24 @@
 
 #include "graph/components.hpp"
 #include "markov/frontier.hpp"
+#include "markov/lane_block.hpp"
 #include "markov/transition.hpp"
-#include "parallel/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace sntrust {
 
 namespace {
 
-/// Rows per worker chunk, matching the transition.cpp matvecs.
-constexpr std::size_t kMatvecGrain = 2048;
-
-/// One parallel gather pass with the write expression fused in, so the
-/// trust-modulated steps no longer pay a second serial O(n) blend pass.
+/// One pre-divided 1-lane gather (markov/lane_block.hpp) with the write
+/// expression fused in, so the trust-modulated steps pay no second serial
+/// O(n) blend pass.
 template <typename Write>
 void gather_rows(const Graph& g, const Distribution& p, Distribution& out,
                  const Write& write) {
-  const auto& offsets = g.offsets();
-  const auto& targets = g.targets();
-  parallel::parallel_for(
-      0, g.num_vertices(),
-      [&](std::size_t v, std::uint32_t) {
-        double acc = 0.0;
-        for (EdgeIndex i = offsets[v]; i < offsets[v + 1]; ++i) {
-          const VertexId w = targets[i];
-          if (p[w] == 0.0) continue;
-          acc += p[w] / static_cast<double>(offsets[w + 1] - offsets[w]);
-        }
-        out[v] = write(v, acc);
-      },
-      kMatvecGrain);
+  double* const dst = out.data();
+  lanes::step_single(g, p.data(), [&](std::size_t v, const double* acc) {
+    dst[v] = write(v, acc[0]);
+  });
 }
 
 void check_step_args(const Graph& g, const Distribution& p,

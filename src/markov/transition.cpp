@@ -2,17 +2,15 @@
 
 #include <stdexcept>
 
-#include "parallel/parallel.hpp"
+#include "markov/lane_block.hpp"
 
 namespace sntrust {
 
-namespace {
-
-/// Rows per worker chunk for the O(m) matvecs: row work is a short gather,
-/// so only large graphs benefit from fanning out.
-constexpr std::size_t kMatvecGrain = 2048;
-
-}  // namespace
+// Both steps are the 1-lane instantiation of the lane-block kernel
+// (markov/lane_block.hpp): one pre-divide per vertex, then a row-partitioned
+// gather in CSR order, so out[v] sums the shares arriving from v's
+// neighbours in adjacency order and the result does not depend on the
+// chunking.
 
 void step_distribution(const Graph& g, const Distribution& p,
                        Distribution& out) {
@@ -22,23 +20,10 @@ void step_distribution(const Graph& g, const Distribution& p,
   if (&p == &out)
     throw std::invalid_argument("step_distribution: out must not alias p");
   out.resize(n);
-  const auto& offsets = g.offsets();
-  const auto& targets = g.targets();
-  // Row-partitioned gather: out[v] sums the shares arriving from v's
-  // neighbours in adjacency order, so each row is independent (safe to
-  // parallelize) and the result does not depend on the chunking.
-  parallel::parallel_for(
-      0, n,
-      [&](std::size_t v, std::uint32_t) {
-        double acc = 0.0;
-        for (EdgeIndex i = offsets[v]; i < offsets[v + 1]; ++i) {
-          const VertexId w = targets[i];
-          if (p[w] == 0.0) continue;
-          acc += p[w] / static_cast<double>(offsets[w + 1] - offsets[w]);
-        }
-        out[v] = acc;
-      },
-      kMatvecGrain);
+  double* const dst = out.data();
+  lanes::step_single(g, p.data(), [dst](std::size_t v, const double* acc) {
+    dst[v] = acc[0];
+  });
 }
 
 void step_distribution_lazy(const Graph& g, const Distribution& p,
@@ -49,23 +34,13 @@ void step_distribution_lazy(const Graph& g, const Distribution& p,
   if (&p == &out)
     throw std::invalid_argument("step_distribution_lazy: out must not alias p");
   out.resize(n);
-  const auto& offsets = g.offsets();
-  const auto& targets = g.targets();
   // Lazy blend folded into the gather: one parallel row pass instead of a
-  // gather followed by a second serial O(n) blend. The expression matches
-  // the old two-pass result bitwise (0.5 * acc + 0.5 * p[v]).
-  parallel::parallel_for(
-      0, n,
-      [&](std::size_t v, std::uint32_t) {
-        double acc = 0.0;
-        for (EdgeIndex i = offsets[v]; i < offsets[v + 1]; ++i) {
-          const VertexId w = targets[i];
-          if (p[w] == 0.0) continue;
-          acc += p[w] / static_cast<double>(offsets[w + 1] - offsets[w]);
-        }
-        out[v] = 0.5 * acc + 0.5 * p[v];
-      },
-      kMatvecGrain);
+  // gather followed by a second serial O(n) blend.
+  const double* const src = p.data();
+  double* const dst = out.data();
+  lanes::step_single(g, src, [src, dst](std::size_t v, const double* acc) {
+    dst[v] = 0.5 * acc[0] + 0.5 * src[v];
+  });
 }
 
 void evolve(const Graph& g, Distribution& p, std::uint32_t steps, bool lazy) {

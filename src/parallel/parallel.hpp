@@ -2,6 +2,8 @@
 //
 //   parallel_for(0, n, [&](std::size_t i, std::uint32_t worker) { ... });
 //   sum = parallel_map_reduce<T>(0, n, init, map, reduce);
+//   parallel_chains(steps, [&](std::size_t c, std::uint32_t s,
+//                              std::uint32_t worker) { ... });
 //
 // `worker` is the static chunk slot in [0, plan_workers(n, grain)); use it
 // to index per-worker scratch buffers (each slot is executed by exactly one
@@ -13,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -61,5 +64,23 @@ T parallel_map_reduce(std::size_t begin, std::size_t end, T init, Map&& map,
     result = reduce(std::move(result), std::move(partials[w]));
   return result;
 }
+
+/// step(chain, s, worker) for one step of a chain.
+using ChainStepFn =
+    std::function<void(std::size_t, std::uint32_t, std::uint32_t)>;
+
+/// Runs steps[c] steps of each of steps.size() independent chains: step(c,
+/// s, worker) for s = 1..steps[c], where step s of chain c starts only
+/// after step s - 1 of chain c returned, and sees what it wrote. No barrier
+/// separates steps: a free worker takes the free chain with the most steps
+/// left (the lowest index on ties), so a worker that stalls holds up only
+/// the chain it is stepping. `worker` is a slot in
+/// [0, plan_workers(steps.size())) for per-worker scratch. A cancellation
+/// request (exec/cancel.hpp) stops the next step with CancelledError. If a
+/// step throws, no further step starts, and once the running steps return
+/// the exception is rethrown (the lowest slot's, if several threw). Nested
+/// calls run inline on the calling worker.
+void parallel_chains(const std::vector<std::uint32_t>& steps,
+                     const ChainStepFn& step);
 
 }  // namespace sntrust::parallel

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/cancel.hpp"
@@ -403,6 +404,195 @@ TEST(ExecSweep, ForcedStallFiresWatchdogAndCancelsDraining) {
   EXPECT_NE(exec::process_cancel_reason().find("stalled"), std::string::npos);
 }
 
+// ---------------------------------------------------------------------------
+// Block form: sources grouped into lane blocks, semantics still per source.
+
+using Blocks = std::vector<std::vector<std::size_t>>;
+
+/// compute_block that records the blocks it sees and returns each index
+/// as its payload.
+auto recording_block(Blocks& seen) {
+  return [&seen](const std::vector<std::size_t>& indices) {
+    seen.push_back(indices);
+    std::vector<std::string> payloads;
+    for (const std::size_t i : indices)
+      payloads.push_back(json::Value::integer(static_cast<std::int64_t>(i))
+                             .dump());
+    return payloads;
+  };
+}
+
+TEST(ExecSweepBlocks, BalancedBlocksInIndexOrder) {
+  ExecStateGuard guard;
+  exec::SweepOptions options;
+  options.kind = "unit_blocks";
+  Blocks seen;
+  const exec::SweepResult result =
+      exec::run_sweep_blocks(23, 10, options, recording_block(seen));
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].size(), 7u);
+  EXPECT_EQ(seen[1].size(), 8u);
+  EXPECT_EQ(seen[2].size(), 8u);
+  std::size_t next = 0;
+  for (const std::vector<std::size_t>& block : seen)
+    for (const std::size_t i : block) EXPECT_EQ(i, next++);
+  for (std::size_t i = 0; i < 23; ++i)
+    EXPECT_EQ(result.payloads[i], std::to_string(i));
+  EXPECT_EQ(result.computed, 23u);
+}
+
+TEST(ExecSweepBlocks, FaultedSourcesFailAloneAndLeaveTheirBlock) {
+  ExecStateGuard guard;
+  exec::FaultPlan plan;
+  plan.site = "unit.blocks";
+  plan.seed = 4;
+  plan.prob = 0.4;
+  exec::set_fault_plan(plan);
+  exec::SweepOptions options;
+  options.kind = "unit_blocks_faults";
+  options.fault_site = "unit.blocks";
+  options.max_failed_frac = 1.0;
+
+  // The per-source harness under the same plan names the same failures.
+  const exec::SweepResult per_source = exec::run_sweep(
+      23, options, [](std::size_t i, std::uint32_t) {
+        return json::Value::integer(static_cast<std::int64_t>(i)).dump();
+      });
+  Blocks seen;
+  const exec::SweepResult blocked =
+      exec::run_sweep_blocks(23, 10, options, recording_block(seen));
+  ASSERT_FALSE(blocked.failures.empty());
+  ASSERT_EQ(blocked.failures.size(), per_source.failures.size());
+  for (std::size_t f = 0; f < blocked.failures.size(); ++f) {
+    EXPECT_EQ(blocked.failures[f].index, per_source.failures[f].index);
+    EXPECT_EQ(blocked.failures[f].phase, "unit_blocks_faults");
+  }
+  EXPECT_EQ(blocked.payloads, per_source.payloads);
+  std::size_t lanes = 0;
+  for (const std::vector<std::size_t>& block : seen)
+    for (const std::size_t i : block) {
+      EXPECT_FALSE(blocked.payloads[i].empty()) << "faulted " << i;
+      ++lanes;
+    }
+  EXPECT_EQ(lanes, blocked.computed);
+  EXPECT_EQ(lanes + blocked.failures.size(), 23u);
+}
+
+TEST(ExecSweepBlocks, ThrowingBlockFailsEachOfItsSources) {
+  ExecStateGuard guard;
+  exec::SweepOptions options;
+  options.kind = "unit_blocks_throw";
+  options.max_failed_frac = 1.0;
+  const exec::SweepResult result = exec::run_sweep_blocks(
+      12, 4, options, [](const std::vector<std::size_t>& indices) {
+        if (indices.front() == 4) throw std::runtime_error("block boom");
+        return std::vector<std::string>(indices.size(), "[]");
+      });
+  ASSERT_EQ(result.failures.size(), 4u);
+  for (std::size_t f = 0; f < 4; ++f) {
+    EXPECT_EQ(result.failures[f].index, 4 + f);
+    EXPECT_EQ(result.failures[f].reason, "block boom");
+  }
+  EXPECT_EQ(result.computed, 8u);
+}
+
+TEST(ExecSweepBlocks, EachSourceIsChargedItsShareOfTheBlock) {
+  ExecStateGuard guard;
+  exec::SweepOptions options;
+  options.kind = "unit_blocks_share";
+  options.max_failed_frac = 1.0;
+  const auto sleepy = [](const std::vector<std::size_t>& indices) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    return std::vector<std::string>(indices.size(), "[]");
+  };
+  obs::QuantileHistogram& latency =
+      obs::metrics_quantile("sweep.unit_blocks_share.source_ms");
+  const std::uint64_t samples_before = latency.snapshot().count;
+
+  // One sample per source, each a quarter of the 80 ms block.
+  setenv("SNTRUST_SOURCE_BUDGET_MS", "1000", 1);
+  const exec::SweepResult within =
+      exec::run_sweep_blocks(4, 4, options, sleepy);
+  EXPECT_TRUE(within.failures.empty());
+  const obs::QuantileSnapshot shares = latency.snapshot();
+  EXPECT_EQ(shares.count - samples_before, 4u);
+  EXPECT_GE(shares.min, 19.0);
+
+  // A budget below the share fails every source of the block.
+  setenv("SNTRUST_SOURCE_BUDGET_MS", "10", 1);
+  const exec::SweepResult over =
+      exec::run_sweep_blocks(4, 4, options, sleepy);
+  unsetenv("SNTRUST_SOURCE_BUDGET_MS");
+  ASSERT_EQ(over.failures.size(), 4u);
+  EXPECT_NE(over.failures[0].reason.find("source budget exceeded"),
+            std::string::npos);
+  EXPECT_EQ(over.computed, 0u);
+}
+
+TEST(ExecSweepBlocks, RestoredSourcesNeverJoinABlock) {
+  ExecStateGuard guard;
+  const std::string path = temp_path("sntrust_exec_blocks_restore.json");
+  std::remove(path.c_str());
+  exec::CheckpointStore& store = exec::CheckpointStore::instance();
+  store.set_path(path);
+  exec::SweepOptions options;
+  options.kind = "unit_blocks_restore";
+  options.fingerprint = 11;
+  options.max_failed_frac = 1.0;
+  // First pass: source 3's block throws, so only it is left to recompute.
+  const exec::SweepResult first = exec::run_sweep_blocks(
+      6, 1, options, [](const std::vector<std::size_t>& indices) {
+        if (indices.front() == 3) throw std::runtime_error("boom");
+        return std::vector<std::string>(1, "[]");
+      });
+  EXPECT_EQ(first.computed, 5u);
+
+  store.set_path(path);  // reload from disk
+  Blocks seen;
+  const exec::SweepResult second =
+      exec::run_sweep_blocks(6, 10, options, recording_block(seen));
+  EXPECT_EQ(second.restored, 5u);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], std::vector<std::size_t>{3});
+  std::remove(path.c_str());
+}
+
+TEST(ExecSweepBlocks, CancellationStopsBeforeTheNextBlock) {
+  ExecStateGuard guard;
+  exec::CancelSource source;
+  exec::SweepOptions options;
+  options.kind = "unit_blocks_cancel";
+  options.token = source.token();
+  Blocks seen;
+  const auto record = recording_block(seen);
+  EXPECT_THROW(exec::run_sweep_blocks(
+                   30, 10, options,
+                   [&](const std::vector<std::size_t>& indices) {
+                     source.cancel();  // lands after the first block
+                     return record(indices);
+                   }),
+               exec::CancelledError);
+  EXPECT_EQ(seen.size(), 1u);
+
+  // An injected SIGTERM at a block's fault points keeps that block from
+  // starting at all.
+  exec::reset_process_cancel();
+  exec::FaultPlan plan;
+  plan.site = "unit.blocks.sigterm";
+  plan.seed = 1;
+  plan.prob = 1.0;
+  plan.action = exec::FaultPlan::Action::kSigterm;
+  exec::set_fault_plan(plan);
+  exec::SweepOptions signalled;
+  signalled.kind = "unit_blocks_sigterm";
+  signalled.fault_site = "unit.blocks.sigterm";
+  signalled.token = exec::process_token();
+  seen.clear();
+  EXPECT_THROW(exec::run_sweep_blocks(30, 10, signalled, recording_block(seen)),
+               exec::CancelledError);
+  EXPECT_TRUE(seen.empty());
+}
+
 TEST(ExecReport, BuildEmitsExecSectionAfterFailures) {
   obs::RunReporter& reporter = obs::RunReporter::instance();
   reporter.record_failure("unit_phase", 7, "unit reason");
@@ -520,6 +710,50 @@ TEST(ExecResume, MixingPartialFailureThenResumeIsBitwiseIdentical) {
   EXPECT_EQ(healed.sources, baseline.sources);
   EXPECT_EQ(healed.tvd, baseline.tvd);
   std::remove(path.c_str());
+}
+
+TEST(ExecResume, MixingFaultPlanFailsSameSourcesAtAnyThreadCount) {
+  ExecStateGuard guard;
+  const Graph g = acceptance_graph();
+  MixingOptions options = acceptance_mixing_options();
+  options.num_sources = 23;  // three lane blocks
+
+  MixingCurves clean;
+  {
+    parallel::ScopedThreadCount serial{1};
+    clean = measure_mixing(g, options);
+  }
+
+  exec::FaultPlan plan;
+  plan.site = "markov";
+  plan.seed = 5;
+  plan.prob = 0.3;
+  exec::set_fault_plan(plan);
+  exec::set_max_failed_frac(1.0);
+  obs::Counter& failures = obs::metrics_counter("exec.source_failures");
+  const auto degraded = [&](std::uint32_t threads) {
+    parallel::ScopedThreadCount scope{threads};
+    const std::uint64_t before = failures.value();
+    MixingCurves curves = measure_mixing(g, options);
+    EXPECT_EQ(failures.value() - before,
+              clean.sources.size() - curves.sources.size());
+    return curves;
+  };
+  const MixingCurves serial = degraded(1);
+  const MixingCurves wide = degraded(4);
+  ASSERT_LT(serial.sources.size(), clean.sources.size());
+  ASSERT_GT(serial.sources.size(), 0u);
+  EXPECT_EQ(serial.sources, wide.sources);
+  EXPECT_EQ(serial.tvd, wide.tvd);
+  // Survivors keep exactly the curves of the unfaulted run.
+  std::size_t s = 0;
+  for (std::size_t c = 0; c < clean.sources.size() && s < serial.sources.size();
+       ++c) {
+    if (clean.sources[c] != serial.sources[s]) continue;
+    EXPECT_EQ(clean.tvd[c], serial.tvd[s]) << "source " << serial.sources[s];
+    ++s;
+  }
+  EXPECT_EQ(s, serial.sources.size());
 }
 
 TEST(ExecResume, GatekeeperResumeIsBitwiseIdentical) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "exec/cancel.hpp"
 #include "expansion/expansion_profile.hpp"
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
@@ -142,6 +145,88 @@ TEST(ThreadPool, EmptyRangeIsANoop) {
                 3, 3, 42, [](std::size_t) { return 1; },
                 [](int a, int b) { return a + b; }),
             42);
+}
+
+TEST(ParallelChains, RunsEveryStepOnceInChainOrder) {
+  const std::vector<std::uint32_t> steps{5, 0, 3, 40, 1, 7, 2};
+  for (const std::uint32_t threads : {1u, 3u, 4u}) {
+    ScopedThreadCount scope{threads};
+    // A chain's vector is touched only by the worker running its step.
+    std::vector<std::vector<std::uint32_t>> seen(steps.size());
+    std::atomic<std::uint32_t> bad_worker{0};
+    parallel::parallel_chains(
+        steps, [&](std::size_t c, std::uint32_t s, std::uint32_t worker) {
+          if (worker >= parallel::plan_workers(steps.size()))
+            bad_worker.fetch_add(1, std::memory_order_relaxed);
+          seen[c].push_back(s);
+        });
+    EXPECT_EQ(bad_worker.load(), 0u);
+    for (std::size_t c = 0; c < steps.size(); ++c) {
+      std::vector<std::uint32_t> expected(steps[c]);
+      std::iota(expected.begin(), expected.end(), 1u);
+      EXPECT_EQ(seen[c], expected) << "chain " << c << " threads " << threads;
+    }
+  }
+}
+
+TEST(ParallelChains, ThrowingStepStopsTheRestAndPropagates) {
+  ScopedThreadCount scope{4};
+  const std::vector<std::uint32_t> steps(6, 50);
+  std::vector<std::uint32_t> last(steps.size(), 0);
+  try {
+    parallel::parallel_chains(
+        steps, [&](std::size_t c, std::uint32_t s, std::uint32_t) {
+          last[c] = s;
+          if (c == 2 && s == 3) throw std::runtime_error("boom in chain 2");
+          // Steps long enough that the scheduler's lock is free most of
+          // the time, as it is for real steps.
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "boom in chain 2");
+  }
+  EXPECT_EQ(last[2], 3u);
+  // Workers only finish the steps they had started, so the other chains
+  // stop far short of their ends.
+  for (std::size_t c = 0; c < steps.size(); ++c) EXPECT_LT(last[c], 50u);
+  // The pool stays usable.
+  std::atomic<std::uint32_t> runs{0};
+  parallel::parallel_chains(steps, [&](std::size_t, std::uint32_t,
+                                       std::uint32_t) {
+    runs.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(runs.load(), 300u);
+}
+
+TEST(ParallelChains, CancellationStopsTheNextStep) {
+  ScopedThreadCount scope{4};
+  std::atomic<std::uint32_t> runs{0};
+  EXPECT_THROW(parallel::parallel_chains(
+                   std::vector<std::uint32_t>(5, 100),
+                   [&](std::size_t, std::uint32_t, std::uint32_t) {
+                     if (runs.fetch_add(1) == 10)
+                       exec::request_process_cancel("test");
+                   }),
+               exec::CancelledError);
+  exec::reset_process_cancel();
+  EXPECT_LT(runs.load(), 500u);
+}
+
+TEST(ParallelChains, NestedCallsRunInlineOnTheCallingWorker) {
+  ScopedThreadCount scope{4};
+  std::vector<std::atomic<int>> hits(8 * 10);
+  parallel::parallel_for(0, 8, [&](std::size_t i, std::uint32_t) {
+    const std::thread::id caller = std::this_thread::get_id();
+    parallel::parallel_chains(
+        std::vector<std::uint32_t>(10, 1),
+        [&](std::size_t c, std::uint32_t, std::uint32_t worker) {
+          EXPECT_EQ(worker, 0u);
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          hits[i * 10 + c].fetch_add(1, std::memory_order_relaxed);
+        });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(StreamSeed, IsDeterministicAndIndexSensitive) {
