@@ -1,28 +1,27 @@
 // Closed-loop trust-query serving bench (the north star's "Sybil-resistance
 // as a service" workload, DESIGN.md §15).
 //
-// A TrustService precomputes the per-defense artifacts for one seed set on
-// a Table-I analogue, then C closed-loop client threads replay a
-// heavy-traffic query mix — Zipf-skewed targets (hot suspects attract most
-// of the lookups), a configurable admission/read blend — through the
-// batched, pipelined query engine. Reported: warm-path QPS, per-query
-// latency quantiles (p50/p99/p999 via the serve.query_ms histograms, which
-// also land in the run report's telemetry section), cache hit rate, batch
-// occupancy, cold-cache warm-up cost, and the naive recompute-per-query
-// baseline the artifact cache is measured against.
+// A TrustService builds its serving snapshot — the per-defense artifacts
+// for one seed set on a Table-I analogue — and then C closed-loop client
+// threads replay a heavy-traffic query mix — Zipf-skewed targets (hot
+// suspects attract most of the lookups), a configurable admission/read
+// blend — through ask_batch. Reported: warm-path QPS, per-call latency
+// quantiles (p50/p99/p999 via the serve.query_ms histograms, which also
+// land in the run report's telemetry section), the cold snapshot build
+// cost, and the naive recompute-per-query baseline the snapshot is
+// measured against.
 //
 // Every query trace is a pure function of kBenchSeed, so answers replay
-// identically run-to-run; the bench hard-fails (exit 1) if the batched
-// pipelined answers diverge bytewise from the unbatched recompute
-// reference. Graph loading goes through bench::dataset_graph, so
-// SNTRUST_SNAPSHOT serves the CSR from the zero-copy mmap cache.
+// identically run-to-run; the bench hard-fails (exit 1) if ask_batch or
+// answer() diverge bytewise from the uncached recompute reference. Graph
+// loading goes through bench::dataset_graph, so SNTRUST_SNAPSHOT serves
+// the CSR from the zero-copy mmap cache.
 //
 // Knobs: SNTRUST_SCALE (dataset + query-count scale),
 // SNTRUST_SERVE_QUERIES (total, default 1,000,000 * scale),
 // SNTRUST_SERVE_CLIENTS (closed-loop threads, default 4),
 // SNTRUST_SERVE_ZIPF (skew s, default 0.99), SNTRUST_SERVE_ADMIT_FRAC
-// (admission share of the mix, default 0.5), SNTRUST_SERVE_BATCH /
-// SNTRUST_SERVE_QUEUE_CAP (engine shape).
+// (admission share of the mix, default 0.5).
 #include <cstring>
 #include <iostream>
 #include <thread>
@@ -71,7 +70,7 @@ Query next_query(Rng& rng, const serve::ZipfGenerator& zipf,
 
 bool answers_equal(const Answer& a, const Answer& b) {
   // Bitwise comparison (not operator==): the acceptance criterion is byte
-  // identity between the batched and unbatched paths.
+  // identity between the snapshot and uncached paths.
   return std::memcmp(&a, &b, sizeof(Answer)) == 0;
 }
 
@@ -105,8 +104,6 @@ int main() {
     options.config.gatekeeper.seed = bench::kBenchSeed;
     options.precompute = false;
     serve::TrustService service{graph, std::move(options)};
-    obs::RunReporter::instance().set_config("serve_batch",
-                                            service.batch_size());
     obs::RunReporter::instance().set_config("serve_queries", total_queries);
     obs::RunReporter::instance().set_config("serve_clients", clients);
     obs::RunReporter::instance().set_config("serve_zipf", zipf_s);
@@ -131,49 +128,48 @@ int main() {
                 << " qps\n";
     }
 
-    // --- Cold cache: the one-time artifact precomputation cost.
-    double cold_warm_ms = 0.0;
+    // --- Cold build: the one-time snapshot (artifact) build cost.
+    double cold_build_ms = 0.0;
     {
-      bench::Section cold{"cold-cache warm-up (artifact precompute)"};
+      bench::Section cold{"cold snapshot build (artifact precompute)"};
       obs::Stopwatch timer;
-      service.warm();
-      cold_warm_ms = timer.elapsed_ms();
-      std::cout << "artifacts precomputed in " << fixed(cold_warm_ms, 1)
+      service.start();
+      cold_build_ms = timer.elapsed_ms();
+      std::cout << "snapshot built in " << fixed(cold_build_ms, 1)
                 << " ms\n";
     }
-    obs::RunReporter::instance().set_config("cold_warm_ms", cold_warm_ms);
+    obs::RunReporter::instance().set_config("cold_build_ms", cold_build_ms);
 
-    // --- Identity: pipelined batched answers must byte-match the unbatched
-    // recompute reference (and the direct cached path).
+    // --- Identity: ask_batch and answer() must byte-match the uncached
+    // recompute reference.
     bool identical = true;
     {
-      bench::Section check{"batched vs unbatched identity"};
-      service.start();
+      bench::Section check{"snapshot vs uncached identity"};
       Rng rng{stream_seed(bench::kBenchSeed, 4242)};
       std::vector<Query> queries;
       for (std::uint32_t i = 0; i < 12; ++i)
         queries.push_back(next_query(rng, zipf, admit_frac));
-      std::vector<Answer> batched(queries.size());
-      service.ask_batch(queries, batched);
+      std::vector<Answer> asked(queries.size());
+      service.ask_batch(queries, asked);
       for (std::size_t i = 0; i < queries.size(); ++i) {
         const Answer reference = service.answer_uncached(queries[i]);
         const Answer direct = service.answer(queries[i]);
-        if (!answers_equal(batched[i], reference) ||
+        if (!answers_equal(asked[i], reference) ||
             !answers_equal(direct, reference))
           identical = false;
       }
-      std::cout << "batched == unbatched reference: "
+      std::cout << "snapshot == uncached reference: "
                 << (identical ? "yes" : "NO — DIVERGED") << "\n";
     }
     obs::RunReporter::instance().set_config("identical", identical);
     if (!identical) {
-      std::cerr << "error: batched answers diverged from the unbatched "
+      std::cerr << "error: snapshot answers diverged from the uncached "
                    "reference\n";
       return 1;
     }
 
-    // --- Closed-loop warm-cache drive: C clients, Zipf targets, blocking
-    // batched submission through the pipelined engine.
+    // --- Closed-loop warm drive: C clients, Zipf targets, 64-query
+    // ask_batch calls back to back.
     double warm_qps = 0.0;
     {
       bench::Section drive{"closed-loop warm drive"};
@@ -204,63 +200,34 @@ int main() {
       warm_qps = 1000.0 * static_cast<double>(total_queries) / ms;
       const obs::QuantileSnapshot lat =
           obs::metrics_quantile("serve.query_ms").snapshot();
-      // Queue sojourn and fan-out service time reported separately, so a
-      // latency regression (or a shed decision under SNTRUST_SERVE_SHED_MS)
-      // is attributable to queueing vs compute at a glance.
-      const obs::QuantileSnapshot sojourn =
-          obs::metrics_quantile("serve.queue_ms").snapshot();
-      const obs::QuantileSnapshot svc =
-          obs::metrics_quantile("serve.service_ms").snapshot();
       std::cout << with_thousands(total_queries) << " queries in "
                 << fixed(ms, 1) << " ms = " << fixed(warm_qps, 0)
                 << " qps\n"
-                << "latency p50=" << fixed(lat.value_at_quantile(0.5), 3)
+                << "ask_batch latency p50="
+                << fixed(lat.value_at_quantile(0.5), 3)
                 << " ms  p99=" << fixed(lat.value_at_quantile(0.99), 3)
                 << " ms  p999=" << fixed(lat.value_at_quantile(0.999), 3)
-                << " ms\n"
-                << "queue sojourn p50="
-                << fixed(sojourn.value_at_quantile(0.5), 3)
-                << " ms  p99=" << fixed(sojourn.value_at_quantile(0.99), 3)
-                << " ms | batch service p50="
-                << fixed(svc.value_at_quantile(0.5), 3)
-                << " ms  p99=" << fixed(svc.value_at_quantile(0.99), 3)
                 << " ms\n";
-      obs::RunReporter::instance().set_config(
-          "queue_sojourn_p99_ms", sojourn.value_at_quantile(0.99));
-      obs::RunReporter::instance().set_config(
-          "batch_service_p99_ms", svc.value_at_quantile(0.99));
     }
-    service.stop();
 
     const obs::MetricsSnapshot metrics = obs::Metrics::instance().snapshot();
-    const std::uint64_t hits = metrics.counters.at("serve.cache_hits");
-    const std::uint64_t misses = metrics.counters.at("serve.cache_misses");
-    const double hit_rate =
-        hits + misses == 0
-            ? 0.0
-            : static_cast<double>(hits) / static_cast<double>(hits + misses);
     const double speedup = naive_qps == 0.0 ? 0.0 : warm_qps / naive_qps;
 
     obs::RunReporter::instance().set_config("qps_warm", warm_qps);
     obs::RunReporter::instance().set_config("qps_naive", naive_qps);
     obs::RunReporter::instance().set_config("warm_speedup_vs_naive", speedup);
-    obs::RunReporter::instance().set_config("cache_hit_rate", hit_rate);
 
     Table table{{"metric", "value"}};
     table.add_row({"warm qps", fixed(warm_qps, 0)});
     table.add_row({"naive qps", fixed(naive_qps, 1)});
     table.add_row({"speedup (warm/naive)", fixed(speedup, 1) + "x"});
-    table.add_row({"cache hit rate", fixed(100 * hit_rate, 1) + "%"});
-    table.add_row({"batches",
-                   with_thousands(metrics.counters.at("serve.batches"))});
     table.add_row({"queries served",
                    with_thousands(metrics.counters.at("serve.queries"))});
     table.print(std::cout);
     std::cout << "Expected shape: the warm path answers from precomputed "
                  "per-seed artifacts (array reads), so throughput sits "
                  "orders of magnitude above the naive recompute-per-query "
-                 "baseline; Zipf skew keeps the artifact working set hot, "
-                 "so the hit rate approaches 100%.\n";
+                 "baseline.\n";
     return 0;
   });
 }

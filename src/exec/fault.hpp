@@ -16,10 +16,8 @@
 // Instrumented sites: `io` (edge-list lines, binary loads), `markov` (mixing
 // sources), `expansion` (expansion sources), `sybil` (GateKeeper
 // distributers), `cores` (core-profile levels), `pool` (thread-pool chunks),
-// `serve.artifact` (serving-layer artifact recomputation — drives the
-// circuit breaker / stale-serving path), `serve.queue` (serving drain-loop
-// batches — `sleepN` parks the drain worker, `throw` sheds the batch).
-// Site `all` matches every instrumented point. Unarmed cost is one relaxed
+// `telemetry` (the telemetry exporter's write path). Site `all` matches
+// every instrumented point. Unarmed cost is one relaxed
 // atomic load per call.
 #pragma once
 

@@ -4,42 +4,36 @@
 #include <stdexcept>
 
 #include "dynamic/evolution.hpp"
-#include "exec/fault.hpp"
-#include "graph/io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/parallel.hpp"
-#include "util/env.hpp"
 
 namespace sntrust::serve {
 
-/// Per-submission completion latch shared by every request of one
-/// ask/ask_batch call; lives on the client's stack.
-struct Ticket {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::size_t remaining = 0;
+/// Immutable once built; each call holds the one it answers from by
+/// shared_ptr.
+struct ServingSnapshot {
+  Graph graph;
+  std::uint64_t epoch = 0;
+  SybilRankArtifact sybilrank;
+  GateKeeperArtifact gatekeeper;
+  CorenessArtifact coreness;
+  LandmarkArtifact landmark;
+  std::uint64_t built_ns = 0;  ///< steady clock when the build finished
 };
 
 namespace {
 
-std::uint32_t resolve_batch_size(std::uint32_t requested) {
-  if (requested != 0) return requested;
-  const std::int64_t value = env_int("SNTRUST_SERVE_BATCH", 256);
-  return value < 1 ? 1 : static_cast<std::uint32_t>(value);
-}
-
-std::uint32_t resolve_queue_capacity(std::uint32_t requested) {
-  if (requested != 0) return requested;
-  const std::int64_t value = env_int("SNTRUST_SERVE_QUEUE_CAP", 4096);
-  return value < 1 ? 1 : static_cast<std::uint32_t>(value);
+std::uint64_t steady_now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 // The four per-artifact answer kernels. answer_uncached feeds them freshly
-// computed artifacts and the cached/batched paths feed them cache-resident
-// ones, so all serving paths are bitwise identical by construction. Each
-// kernel derives n from the artifact itself, so a stale artifact computed
-// against an earlier (smaller) graph epoch stays self-consistent.
+// computed artifacts and the snapshot paths feed them the snapshot's, so
+// all serving paths are bitwise identical by construction. Each kernel
+// derives n from the artifact itself.
 
 Answer answer_sybilrank(const SybilRankArtifact& a, VertexId v) {
   Answer answer;
@@ -88,69 +82,18 @@ Answer answer_landmark(const LandmarkArtifact& a, const Graph& g, VertexId v) {
   return answer;
 }
 
-constexpr AnswerSource to_source(ArtifactKind kind) {
-  return static_cast<AnswerSource>(static_cast<std::uint8_t>(kind));
-}
-
-/// Degradation ladders: the order of artifact kinds a query's answer may
-/// fall through when its primary kind is unavailable (DESIGN.md §16). The
-/// two admission defenses back each other up before falling to coreness
-/// (the paper's trust-vs-core-position correlation is exactly what makes
-/// coreness a usable last-resort admission signal); landmark has no
-/// admission peer, only coreness.
-constexpr ArtifactKind kSybilLadder[] = {ArtifactKind::kSybilRank,
-                                         ArtifactKind::kGateKeeper,
-                                         ArtifactKind::kCoreness};
-constexpr ArtifactKind kGateLadder[] = {ArtifactKind::kGateKeeper,
-                                        ArtifactKind::kSybilRank,
-                                        ArtifactKind::kCoreness};
-constexpr ArtifactKind kCoreLadder[] = {ArtifactKind::kCoreness};
-constexpr ArtifactKind kLandmarkLadder[] = {ArtifactKind::kLandmark,
-                                            ArtifactKind::kCoreness};
-
-std::span<const ArtifactKind> ladder_for(ArtifactKind primary) {
-  switch (primary) {
-    case ArtifactKind::kSybilRank:
-      return kSybilLadder;
-    case ArtifactKind::kGateKeeper:
-      return kGateLadder;
-    case ArtifactKind::kCoreness:
-      return kCoreLadder;
-    case ArtifactKind::kLandmark:
-      return kLandmarkLadder;
-  }
-  return kCoreLadder;
-}
-
 }  // namespace
 
 TrustService::TrustService(Graph graph, Options options)
     : graph_(std::move(graph)),
       options_(std::move(options)),
-      batch_size_(resolve_batch_size(options_.batch_size)),
-      queue_capacity_(resolve_queue_capacity(options_.queue_capacity)),
-      cache_(options_.cache_capacity),
-      breakers_{{CircuitBreaker{"sybilrank", options_.resilience.breaker},
-                 CircuitBreaker{"gatekeeper", options_.resilience.breaker},
-                 CircuitBreaker{"coreness", options_.resilience.breaker},
-                 CircuitBreaker{"landmark", options_.resilience.breaker}}},
-      retry_policy_{options_.resilience.retries, 500},
-      shed_(options_.resilience.shed_ms),
       query_ms_(obs::metrics_quantile("serve.query_ms")),
       query_ms_window_(obs::metrics_windowed("serve.query_ms")),
-      queue_ms_(obs::metrics_quantile("serve.queue_ms")),
-      service_ms_(obs::metrics_quantile("serve.service_ms")),
-      batch_occupancy_(obs::metrics_histogram("serve.batch_occupancy")),
       queries_served_(obs::metrics_counter("serve.queries")),
       queries_cancelled_(obs::metrics_counter("serve.cancelled")),
-      queries_shed_(obs::metrics_counter("serve.shed")),
       queries_degraded_(obs::metrics_counter("serve.degraded")),
-      queries_deadline_(obs::metrics_counter("serve.deadline_exceeded")),
       queries_unavailable_(obs::metrics_counter("serve.unavailable")),
-      retries_(obs::metrics_counter("serve.retries")),
-      batches_(obs::metrics_counter("serve.batches")),
-      queue_depth_(obs::Metrics::instance().gauge("serve.queue_depth")),
-      artifact_hits_(obs::metrics_counter("serve.cache_hits")) {
+      rebuild_failures_(obs::metrics_counter("serve.rebuild_failures")) {
   if (graph_.num_vertices() == 0 || graph_.num_edges() == 0)
     throw std::invalid_argument("TrustService: graph must have edges");
   if (options_.config.seeds.empty())
@@ -160,294 +103,128 @@ TrustService::TrustService(Graph graph, Options options)
       throw std::invalid_argument("TrustService: seed out of range");
   if (options_.config.controller >= graph_.num_vertices())
     throw std::invalid_argument("TrustService: controller out of range");
-  graph_fp_ = graph_.fingerprint();
-  ring_.resize(queue_capacity_);
-  if (options_.precompute) warm();
-}
-
-TrustService TrustService::open(const std::string& path, Options options) {
-  return TrustService{read_graph_auto(path), std::move(options)};
+  latest_vertices_.store(graph_.num_vertices(), std::memory_order_relaxed);
+  if (options_.precompute) publish(build_snapshot(graph_, 0));
 }
 
 TrustService::~TrustService() {
-  stop();
   wait_for_refresh();
-  if (refresh_thread_.joinable()) refresh_thread_.join();
+  if (rebuild_thread_.joinable()) rebuild_thread_.join();
 }
 
-void TrustService::warm() { ensure_resolved(); }
-
-bool TrustService::resolved_ready() const {
-  if (!resolved_.attempted) return false;
-  const bool version_ok = resolved_.cache_version == cache_.version();
-  // Fast path: fully fresh at the current version — no clock, no flags.
-  if (version_ok && resolved_.complete) return true;
-  // A background refresh owns re-resolution after churn; keep serving the
-  // demoted snapshot instead of re-warming inline under the write lock.
-  if (refresh_running_.load(std::memory_order_acquire)) return true;
-  if (!version_ok) return false;
-  // Degraded steady state (breaker open): hold the current stale snapshot
-  // until the earliest breaker probe is due; 0 means re-resolve now.
-  const std::uint64_t probe = next_probe_ns_.load(std::memory_order_relaxed);
-  return probe != 0 && steady_now_ns() < probe;
+std::shared_ptr<const ServingSnapshot> TrustService::build_snapshot(
+    Graph graph, std::uint64_t epoch) const {
+  obs::Span span{"serve.build_snapshot", "serve"};
+  auto snapshot = std::make_shared<ServingSnapshot>();
+  snapshot->sybilrank = compute_sybilrank_artifact(graph, options_.config);
+  snapshot->gatekeeper = compute_gatekeeper_artifact(graph, options_.config);
+  snapshot->coreness = compute_coreness_artifact(graph);
+  snapshot->landmark = compute_landmark_artifact(graph, options_.config);
+  snapshot->graph = std::move(graph);
+  snapshot->epoch = epoch;
+  snapshot->built_ns = steady_now_ns();
+  return snapshot;
 }
 
-void TrustService::ensure_resolved() {
+void TrustService::start() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (view().snapshot) return;
+  publish(build_snapshot(graph_, epoch_.load()));
+}
+
+void TrustService::publish(std::shared_ptr<const ServingSnapshot> snapshot) {
+  // The previous snapshot, now in `snapshot`, is released after the lock.
+  std::lock_guard<std::shared_mutex> lock(snapshot_mutex_);
+  snapshot_.swap(snapshot);
+}
+
+TrustService::View TrustService::view() const {
+  View view;
   {
-    std::shared_lock<std::shared_mutex> lock(resolved_mutex_);
-    if (resolved_ready()) {
-      artifact_hits_.add();
-      return;
-    }
+    std::shared_lock<std::shared_mutex> lock(snapshot_mutex_);
+    view.snapshot = snapshot_;
   }
-  std::unique_lock<std::shared_mutex> lock(resolved_mutex_);
-  resolve_locked();
+  // Epoch before vertex count: apply_edges stores them in the other order,
+  // so a reader that sees an epoch also sees that epoch's vertex count.
+  const std::uint64_t latest = epoch_.load(std::memory_order_acquire);
+  view.latest_vertices = latest_vertices_.load(std::memory_order_acquire);
+  if (view.snapshot && view.snapshot->epoch < latest) {
+    view.degraded = true;
+    view.staleness_ms =
+        static_cast<double>(steady_now_ns() - view.snapshot->built_ns) * 1e-6;
+  }
+  return view;
 }
 
-template <typename T, typename Compute>
-TrustService::ArtifactSlot<T> TrustService::resolve_slot(
-    ArtifactKind kind, std::uint64_t config_fp, std::uint64_t graph_fp,
-    Compute&& compute) {
-  CircuitBreaker& brk = breaker(kind);
-  const ArtifactKey key{kind, config_fp, graph_fp};
-  const std::uint32_t attempts = options_.resilience.retries + 1;
-  for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt != 0) {
-      retries_.add();
-      std::this_thread::sleep_for(std::chrono::nanoseconds(
-          retry_policy_.backoff_ns(attempt,
-                                   static_cast<std::uint64_t>(kind))));
-    }
-    // A resident artifact needs no breaker consultation — the lookup runs
-    // no computation that could fail; the breaker gates computes only.
-    const bool cached = cache_.contains(key);
-    if (!cached && !brk.allow(steady_now_ns())) break;
-    try {
-      std::shared_ptr<const T> value = cache_.get_or_compute<T>(key, [&] {
-        exec::fault_point("serve.artifact", artifact_fault_seq_.fetch_add(
-                                                1, std::memory_order_relaxed));
-        return compute();
-      });
-      const std::uint64_t now = steady_now_ns();
-      if (!cached) brk.record_success(now);
-      return ArtifactSlot<T>{std::move(value), true, now, graph_fp};
-    } catch (const std::exception&) {
-      brk.record_failure(steady_now_ns());
-    }
-  }
-  // Compute unavailable: fall back to the last-good stale artifact for this
-  // (kind, config) — possibly from an earlier graph epoch — if permitted.
-  if (options_.resilience.stale_ms > 0.0) {
-    if (auto stale = cache_.lookup_stale(kind, config_fp)) {
-      return ArtifactSlot<T>{std::static_pointer_cast<const T>(stale->value),
-                             false, stale->stored_ns, stale->graph_fp};
-    }
-  }
-  return ArtifactSlot<T>{};
-}
-
-void TrustService::resolve_locked() {
-  if (resolved_ready()) return;
-  obs::Span span{"serve.resolve_artifacts", "serve"};
-  // Snapshot the version *before* resolving: an invalidation racing with
-  // the computation leaves the stored version stale, so the next query
-  // re-resolves instead of serving dropped artifacts.
-  const std::uint64_t version = cache_.version();
-  const std::uint64_t config_fp = options_.config.fingerprint();
-  const std::uint64_t graph_fp = graph_fp_;
-  resolved_.sybilrank = resolve_slot<SybilRankArtifact>(
-      ArtifactKind::kSybilRank, config_fp, graph_fp,
-      [&] { return compute_sybilrank_artifact(graph_, options_.config); });
-  resolved_.gatekeeper = resolve_slot<GateKeeperArtifact>(
-      ArtifactKind::kGateKeeper, config_fp, graph_fp,
-      [&] { return compute_gatekeeper_artifact(graph_, options_.config); });
-  resolved_.coreness = resolve_slot<CorenessArtifact>(
-      ArtifactKind::kCoreness, config_fp, graph_fp,
-      [&] { return compute_coreness_artifact(graph_); });
-  resolved_.landmark = resolve_slot<LandmarkArtifact>(
-      ArtifactKind::kLandmark, config_fp, graph_fp,
-      [&] { return compute_landmark_artifact(graph_, options_.config); });
-  resolved_.cache_version = version;
-  resolved_.attempted = true;
-  resolved_.complete = resolved_.sybilrank.fresh && resolved_.gatekeeper.fresh &&
-                       resolved_.coreness.fresh && resolved_.landmark.fresh;
-  if (resolved_.complete) {
-    next_probe_ns_.store(0, std::memory_order_relaxed);
-  } else {
-    // Hold this (partially) degraded snapshot until the earliest open
-    // breaker admits its half-open probe; with no breaker open (failures
-    // still under the threshold) retry on the next query.
-    std::uint64_t probe = 0;
-    for (CircuitBreaker& brk : breakers_) {
-      const std::uint64_t p = brk.probe_at_ns();
-      if (p != 0 && (probe == 0 || p < probe)) probe = p;
-    }
-    next_probe_ns_.store(probe, std::memory_order_relaxed);
-  }
-}
-
-Answer TrustService::answer_degradable(const Resolved& resolved,
-                                       const Query& query,
-                                       ArtifactKind primary) const {
-  // Fresh-primary fast path: no clock read, no ladder walk — this is every
-  // answer of a healthy service, and it must stay allocation-free and
-  // bitwise deterministic.
-  const VertexId v = query.vertex;
-  switch (primary) {
-    case ArtifactKind::kSybilRank:
-      if (resolved.sybilrank.fresh) return answer_sybilrank(*resolved.sybilrank.artifact, v);
-      break;
-    case ArtifactKind::kGateKeeper:
-      if (resolved.gatekeeper.fresh) return answer_gatekeeper(*resolved.gatekeeper.artifact, v);
-      break;
-    case ArtifactKind::kCoreness:
-      if (resolved.coreness.fresh) return answer_coreness(*resolved.coreness.artifact, v);
-      break;
-    case ArtifactKind::kLandmark:
-      if (resolved.landmark.fresh) return answer_landmark(*resolved.landmark.artifact, graph_, v);
-      break;
-  }
-
-  // Degraded path: walk the ladder, taking the first usable slot. A slot is
-  // usable when it holds an artifact that covers this vertex and is either
-  // fresh or within the configured staleness budget.
-  const double stale_ms = options_.resilience.stale_ms;
-  const std::uint64_t now = steady_now_ns();
-  const auto age_ok = [&](bool fresh, std::uint64_t stored_ns) {
-    if (fresh) return true;
-    if (stale_ms <= 0.0) return false;
-    return static_cast<double>(now - stored_ns) * 1e-6 <= stale_ms;
-  };
-  for (const ArtifactKind kind : ladder_for(primary)) {
-    Answer answer;
-    bool fresh = false;
-    std::uint64_t stored_ns = 0;
-    switch (kind) {
-      case ArtifactKind::kSybilRank: {
-        const auto& slot = resolved.sybilrank;
-        if (!slot.artifact || v >= slot.artifact->scores.size() ||
-            !age_ok(slot.fresh, slot.stored_ns))
-          continue;
-        answer = answer_sybilrank(*slot.artifact, v);
-        fresh = slot.fresh;
-        stored_ns = slot.stored_ns;
-        break;
-      }
-      case ArtifactKind::kGateKeeper: {
-        const auto& slot = resolved.gatekeeper;
-        if (!slot.artifact || v >= slot.artifact->admissions.size() ||
-            !age_ok(slot.fresh, slot.stored_ns))
-          continue;
-        answer = answer_gatekeeper(*slot.artifact, v);
-        fresh = slot.fresh;
-        stored_ns = slot.stored_ns;
-        break;
-      }
-      case ArtifactKind::kCoreness: {
-        const auto& slot = resolved.coreness;
-        if (!slot.artifact || v >= slot.artifact->coreness.size() ||
-            !age_ok(slot.fresh, slot.stored_ns))
-          continue;
-        answer = answer_coreness(*slot.artifact, v);
-        // Standing in for an admission defense, coreness admits the top
-        // accept_fraction of its ECDF (the trust/core-position correlation).
-        if (query.kind == QueryKind::kAdmission ||
-            query.kind == QueryKind::kTrustScore)
-          answer.admitted =
-              answer.percentile >= 1.0 - options_.config.accept_fraction;
-        fresh = slot.fresh;
-        stored_ns = slot.stored_ns;
-        break;
-      }
-      case ArtifactKind::kLandmark: {
-        const auto& slot = resolved.landmark;
-        // A stale landmark artifact mixes its walk mass with the *current*
-        // graph's degrees, which is incoherent — only serve it when it was
-        // computed against the graph being served.
-        if (!slot.artifact || v >= slot.artifact->distribution.size() ||
-            slot.graph_fp != graph_fp_ || !age_ok(slot.fresh, slot.stored_ns))
-          continue;
-        answer = answer_landmark(*slot.artifact, graph_, v);
-        fresh = slot.fresh;
-        stored_ns = slot.stored_ns;
-        break;
-      }
-    }
-    answer.degraded = true;
-    answer.staleness_ms =
-        fresh ? 0.0 : static_cast<double>(now - stored_ns) * 1e-6;
-    queries_degraded_.add();
-    return answer;
-  }
-
-  // Ladder exhausted: nothing fresh, nothing stale-enough. Refuse honestly.
+Answer TrustService::answer_from(const View& view, const Query& query) {
   Answer answer;
-  answer.status = QueryStatus::kOverloaded;
-  answer.source = to_source(primary);
-  queries_unavailable_.add();
-  return answer;
-}
-
-Answer TrustService::answer_resolved(const Resolved& resolved,
-                                     const Query& query) const {
-  if (query.vertex >= graph_.num_vertices()) {
-    Answer answer;
+  const VertexId v = query.vertex;
+  if (v >= view.latest_vertices) {
     answer.status = QueryStatus::kInvalidVertex;
-    answer.admitted = false;
-    answer.value = 0.0;
-    answer.percentile = 0.0;
     return answer;
   }
-  ArtifactKind primary = ArtifactKind::kCoreness;
+  const ServingSnapshot* snapshot = view.snapshot.get();
+  if (snapshot == nullptr || v >= snapshot->graph.num_vertices()) {
+    answer.status = QueryStatus::kUnavailable;
+    return answer;
+  }
   switch (query.kind) {
     case QueryKind::kAdmission:
     case QueryKind::kTrustScore:
-      primary = query.defense == Defense::kGateKeeper
-                    ? ArtifactKind::kGateKeeper
-                    : ArtifactKind::kSybilRank;
+      answer = query.defense == Defense::kGateKeeper
+                   ? answer_gatekeeper(snapshot->gatekeeper, v)
+                   : answer_sybilrank(snapshot->sybilrank, v);
       break;
     case QueryKind::kCoreness:
-      primary = ArtifactKind::kCoreness;
+      answer = answer_coreness(snapshot->coreness, v);
       break;
     case QueryKind::kLandmark:
-      primary = ArtifactKind::kLandmark;
+      answer = answer_landmark(snapshot->landmark, snapshot->graph, v);
       break;
+    default:
+      answer.status = QueryStatus::kInvalidVertex;
+      return answer;
   }
-  return answer_degradable(resolved, query, primary);
+  answer.degraded = view.degraded;
+  answer.staleness_ms = view.staleness_ms;
+  return answer;
+}
+
+std::size_t TrustService::answer_all(std::span<const Query> queries,
+                                     std::span<Answer> answers) {
+  if (queries.size() != answers.size())
+    throw std::invalid_argument("answer_batch: span sizes differ");
+  const View current = view();
+  std::size_t unavailable = 0;
+  std::size_t degraded = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    answers[i] = answer_from(current, queries[i]);
+    unavailable += answers[i].status == QueryStatus::kUnavailable;
+    degraded += answers[i].degraded;
+  }
+  queries_served_.add(queries.size());
+  if (unavailable != 0) queries_unavailable_.add(unavailable);
+  if (degraded != 0) queries_degraded_.add(degraded);
+  return queries.size() - unavailable;
+}
+
+void TrustService::record_latency(std::uint64_t start_ns) {
+  const double ms = static_cast<double>(steady_now_ns() - start_ns) * 1e-6;
+  query_ms_.record(ms);
+  query_ms_window_.record(ms);
 }
 
 Answer TrustService::answer(const Query& query) {
   const std::uint64_t start = steady_now_ns();
   Answer answer;
-  for (;;) {
-    ensure_resolved();
-    std::shared_lock<std::shared_mutex> lock(resolved_mutex_);
-    // replace_graph can clear resolved_ between ensure_resolved and this
-    // lock; retry instead of answering from the cleared snapshot.
-    if (!resolved_.attempted) continue;
-    answer = answer_resolved(resolved_, query);
-    break;
-  }
-  const double ms = static_cast<double>(steady_now_ns() - start) * 1e-6;
-  query_ms_.record(ms);
-  query_ms_window_.record(ms);
-  queries_served_.add();
+  answer_all(std::span<const Query>{&query, 1}, std::span<Answer>{&answer, 1});
+  record_latency(start);
   return answer;
 }
 
 void TrustService::answer_batch(std::span<const Query> queries,
                                 std::span<Answer> answers) {
-  if (queries.size() != answers.size())
-    throw std::invalid_argument("answer_batch: span sizes differ");
-  for (;;) {
-    ensure_resolved();
-    std::shared_lock<std::shared_mutex> lock(resolved_mutex_);
-    if (!resolved_.attempted) continue;  // raced with replace_graph
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      answers[i] = answer_resolved(resolved_, queries[i]);
-    break;
-  }
-  queries_served_.add(queries.size());
+  answer_all(queries, answers);
 }
 
 Answer TrustService::answer_uncached(const Query& query) const {
@@ -478,59 +255,6 @@ Answer TrustService::answer_uncached(const Query& query) const {
   return answer;
 }
 
-bool TrustService::cancelled() const {
-  return cancelled_.load(std::memory_order_relaxed) ||
-         options_.token.cancelled();
-}
-
-void TrustService::start() {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  if (running_) return;
-  stopping_ = false;
-  running_ = true;
-  drain_thread_ = std::thread([this] { drain_loop(); });
-}
-
-void TrustService::stop() {
-  {
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    if (!running_) return;
-    stopping_ = true;
-  }
-  queue_not_empty_.notify_all();
-  queue_not_full_.notify_all();
-  drain_thread_.join();
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  running_ = false;
-  stopping_ = false;
-}
-
-bool TrustService::running() const {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  return running_;
-}
-
-namespace {
-
-/// Goodput count: answers actually computed (any status except the three
-/// refusal/partial statuses).
-std::size_t count_served(std::span<const Answer> answers) {
-  std::size_t served = 0;
-  for (const Answer& answer : answers) {
-    switch (answer.status) {
-      case QueryStatus::kCancelled:
-      case QueryStatus::kOverloaded:
-      case QueryStatus::kDeadlineExceeded:
-        break;
-      default:
-        ++served;
-    }
-  }
-  return served;
-}
-
-}  // namespace
-
 Answer TrustService::ask(const Query& query) {
   Answer answer;
   ask_batch(std::span<const Query>{&query, 1}, std::span<Answer>{&answer, 1});
@@ -541,9 +265,8 @@ std::size_t TrustService::ask_batch(std::span<const Query> queries,
                                     std::span<Answer> answers) {
   if (queries.size() != answers.size())
     throw std::invalid_argument("ask_batch: span sizes differ");
-  if (queries.empty()) return 0;
-
-  if (cancelled()) {
+  if (options_.token.cancelled()) {
+    // Exit-75-style partials: explicit kCancelled answers, never a block.
     for (Answer& answer : answers) {
       answer = Answer{};
       answer.status = QueryStatus::kCancelled;
@@ -551,356 +274,58 @@ std::size_t TrustService::ask_batch(std::span<const Query> queries,
     queries_cancelled_.add(queries.size());
     return 0;
   }
-
-  // Admission control: while the shed controller is engaged, refuse the
-  // whole submission up front — one relaxed load, no lock, no blocking.
-  if (shed_.enabled() && shed_.shedding()) {
-    for (Answer& answer : answers) {
-      answer = Answer{};
-      answer.status = QueryStatus::kOverloaded;
-    }
-    queries_shed_.add(queries.size());
-    return 0;
-  }
-
-  Ticket ticket;
-  ticket.remaining = queries.size();
-  std::size_t refused_cancelled = 0;
-  std::size_t refused_shed = 0;
-  {
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    if (!running_) {
-      lock.unlock();
-      answer_batch(queries, answers);
-      return count_served(answers);
-    }
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (shed_.enabled()) {
-        // Never block the client on a full ring when shedding is on — the
-        // drain worker may be wedged, and waiting on it is how latency
-        // collapses spread. Shed the remainder immediately.
-        if (ring_size_ >= queue_capacity_) {
-          shed_.force_shed();
-          for (std::size_t j = i; j < queries.size(); ++j) {
-            answers[j] = Answer{};
-            answers[j].status = QueryStatus::kOverloaded;
-            ++refused_shed;
-          }
-          break;
-        }
-      } else {
-        queue_not_full_.wait(lock, [&] {
-          return ring_size_ < queue_capacity_ || stopping_ ||
-                 cancelled_.load(std::memory_order_relaxed);
-        });
-      }
-      if (stopping_ || cancelled_.load(std::memory_order_relaxed)) {
-        // Exit-75-style partials: everything not yet enqueued completes
-        // with an explicit kCancelled answer instead of blocking forever.
-        for (std::size_t j = i; j < queries.size(); ++j) {
-          answers[j] = Answer{};
-          answers[j].status = QueryStatus::kCancelled;
-          ++refused_cancelled;
-        }
-        break;
-      }
-      Request& slot = ring_[(ring_head_ + ring_size_) % queue_capacity_];
-      slot.query = queries[i];
-      slot.answer = &answers[i];
-      slot.ticket = &ticket;
-      slot.enqueue_ns = steady_now_ns();
-      ++ring_size_;
-      queue_not_empty_.notify_one();
-    }
-  }
-  const std::size_t refused = refused_cancelled + refused_shed;
-  if (refused_cancelled != 0) queries_cancelled_.add(refused_cancelled);
-  if (refused_shed != 0) queries_shed_.add(refused_shed);
-  if (refused != 0) {
-    std::unique_lock<std::mutex> tlock(ticket.mutex);
-    ticket.remaining -= refused;
-    if (ticket.remaining == 0) ticket.cv.notify_all();
-  }
-  {
-    std::unique_lock<std::mutex> tlock(ticket.mutex);
-    ticket.cv.wait(tlock, [&] { return ticket.remaining == 0; });
-  }
-  return count_served(answers);
-}
-
-void TrustService::drain_loop() {
-  std::vector<Request> batch;
-  batch.reserve(batch_size_);
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      // Bounded waits so the loop notices a deadline/cancel even while the
-      // queue is idle (cancellation is poll-based).
-      queue_not_empty_.wait_for(lock, std::chrono::milliseconds(10), [&] {
-        return ring_size_ > 0 || stopping_ ||
-               cancelled_.load(std::memory_order_relaxed);
-      });
-      if (!cancelled_.load(std::memory_order_relaxed) &&
-          options_.token.cancelled()) {
-        cancelled_.store(true, std::memory_order_relaxed);
-        // Blocked pushers must wake to refuse their remaining queries.
-        queue_not_full_.notify_all();
-      }
-      if (ring_size_ == 0) {
-        if (stopping_) return;  // draining shutdown: queue fully served
-        // An empty ring is proof the standing queue drained: feed the
-        // controller a zero sojourn so shedding disengages even when the
-        // refusals leave it nothing to observe.
-        if (shed_.enabled() && shed_.shedding()) {
-          lock.unlock();
-          shed_.observe_sojourn(0.0, steady_now_ns());
-        }
-        continue;
-      }
-      const std::size_t take =
-          ring_size_ < batch_size_ ? ring_size_ : batch_size_;
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(ring_[ring_head_]);
-        ring_head_ = (ring_head_ + 1) % queue_capacity_;
-        --ring_size_;
-      }
-      queue_depth_.set(static_cast<double>(ring_size_));
-      queue_not_full_.notify_all();
-    }
-    // Queue sojourn, recorded separately from service time so shed
-    // decisions are attributable in telemetry: the controller watches the
-    // *oldest* sojourn in the batch — the standing-queue signal CoDel keys
-    // on — while every request's own sojourn lands in serve.queue_ms.
-    const std::uint64_t popped = steady_now_ns();
-    double oldest_ms = 0.0;
-    for (const Request& request : batch) {
-      const double ms =
-          static_cast<double>(popped - request.enqueue_ns) * 1e-6;
-      queue_ms_.record(ms);
-      if (ms > oldest_ms) oldest_ms = ms;
-    }
-    shed_.observe_sojourn(oldest_ms, popped);
-    serve_batch(batch);
-    batch.clear();
-  }
-}
-
-void TrustService::serve_batch(std::vector<Request>& batch) {
-  batches_.add();
-  batch_occupancy_.observe(static_cast<double>(batch.size()));
-  if (cancelled_.load(std::memory_order_relaxed)) {
-    // The cancellation arrived before this batch was popped: refuse it
-    // explicitly (the batch already in flight when the deadline hit was
-    // completed by the previous iteration — draining, never abandoning).
-    for (Request& request : batch) {
-      *request.answer = Answer{};
-      request.answer->status = QueryStatus::kCancelled;
-    }
-    queries_cancelled_.add(batch.size());
-  } else {
-    // The serve.queue fault site models a failing/stalling drain stage:
-    // `throw` sheds the batch after bounded retries, `sleepN` parks this
-    // worker (the stall the watchdog and the shed overflow path absorb).
-    bool stage_ok = false;
-    const std::uint32_t attempts = options_.resilience.retries + 1;
-    for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
-      if (attempt != 0) {
-        if (cancelled_.load(std::memory_order_relaxed)) break;
-        retries_.add();
-        std::this_thread::sleep_for(std::chrono::nanoseconds(
-            retry_policy_.backoff_ns(attempt, /*salt=*/0x51EDu)));
-      }
-      try {
-        exec::fault_point("serve.queue", queue_fault_seq_.fetch_add(
-                                             1, std::memory_order_relaxed));
-        stage_ok = true;
-        break;
-      } catch (const std::exception&) {
-      }
-    }
-    if (!stage_ok) {
-      for (Request& request : batch) {
-        *request.answer = Answer{};
-        request.answer->status = QueryStatus::kOverloaded;
-      }
-      queries_shed_.add(batch.size());
-    } else {
-      std::shared_lock<std::shared_mutex> lock(resolved_mutex_,
-                                               std::defer_lock);
-      for (;;) {
-        ensure_resolved();
-        lock.lock();
-        if (resolved_.attempted) break;  // raced with replace_graph
-        lock.unlock();
-      }
-      const std::uint64_t completed = steady_now_ns();
-      // Fan the batch out on the process pool; answers are independent pure
-      // reads, so any grain/thread count serves bitwise-identical answers.
-      parallel::parallel_for(
-          0, batch.size(),
-          [&](std::size_t i, std::uint32_t) {
-            Request& request = batch[i];
-            const std::uint64_t waited = completed - request.enqueue_ns;
-            if (request.query.deadline_ms != 0 &&
-                waited > static_cast<std::uint64_t>(request.query.deadline_ms) *
-                             1'000'000ULL) {
-              // Queued past its deadline: the client stopped caring; don't
-              // spend artifact reads on it.
-              *request.answer = Answer{};
-              request.answer->status = QueryStatus::kDeadlineExceeded;
-              return;
-            }
-            *request.answer = answer_resolved(resolved_, request.query);
-            const double ms =
-                static_cast<double>(completed - request.enqueue_ns) * 1e-6;
-            query_ms_.record(ms);
-            query_ms_window_.record(ms);
-          },
-          /*grain=*/64);
-      lock.unlock();
-      service_ms_.record(static_cast<double>(steady_now_ns() - completed) *
-                         1e-6);
-      std::size_t served = 0;
-      std::size_t deadline = 0;
-      for (const Request& request : batch) {
-        if (request.answer->status == QueryStatus::kDeadlineExceeded)
-          ++deadline;
-        else
-          ++served;
-      }
-      if (deadline != 0) queries_deadline_.add(deadline);
-      if (served != 0) queries_served_.add(served);
-    }
-  }
-  for (Request& request : batch) {
-    std::unique_lock<std::mutex> tlock(request.ticket->mutex);
-    if (--request.ticket->remaining == 0) request.ticket->cv.notify_all();
-  }
-}
-
-void TrustService::replace_graph(Graph graph) {
-  if (graph.num_vertices() == 0 || graph.num_edges() == 0)
-    throw std::invalid_argument("replace_graph: graph must have edges");
-  std::unique_lock<std::shared_mutex> lock(resolved_mutex_);
-  const std::uint64_t old_fp = graph_fp_;
-  graph_ = std::move(graph);
-  graph_fp_ = graph_.fingerprint();
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  cache_.invalidate_graph(old_fp);
-  resolved_ = Resolved{};
-  next_probe_ns_.store(0, std::memory_order_relaxed);
+  const std::uint64_t start = steady_now_ns();
+  const std::size_t served = answer_all(queries, answers);
+  record_latency(start);
+  return served;
 }
 
 void TrustService::apply_edges(const EdgeBatch& batch) {
-  // Build the successor graph outside every lock — Graph copies are
-  // shallow, and the rebuild is the expensive part of churn.
-  Graph base;
-  {
-    std::shared_lock<std::shared_mutex> lock(resolved_mutex_);
-    base = graph_;
-  }
-  Graph updated = apply_edge_batch(base, batch);
+  std::lock_guard<std::mutex> lock(mutex_);
+  Graph updated = apply_edge_batch(graph_, batch);
   if (updated.num_vertices() == 0 || updated.num_edges() == 0)
     throw std::invalid_argument("apply_edges: result must have edges");
-  std::uint64_t old_fp = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(resolved_mutex_);
-    old_fp = graph_fp_;
-    graph_ = std::move(updated);
-    graph_fp_ = graph_.fingerprint();
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
-    // Demote, don't drop: in-flight and subsequent queries keep answering
-    // from the pre-churn snapshot — flagged stale/degraded — while the
-    // background refresh recomputes against the new epoch.
-    resolved_.sybilrank.fresh = false;
-    resolved_.gatekeeper.fresh = false;
-    resolved_.coreness.fresh = false;
-    resolved_.landmark.fresh = false;
-    resolved_.complete = false;
+  graph_ = std::move(updated);
+  latest_vertices_.store(graph_.num_vertices(), std::memory_order_release);
+  epoch_.fetch_add(1, std::memory_order_acq_rel);
+  if (rebuild_running_) {
+    rebuild_again_ = true;  // coalesce: one more pass covers this batch
+    return;
   }
-  // Flag the refresh *before* invalidating: a query that sees the bumped
-  // cache version must also see the refresh in flight, or it would re-warm
-  // inline and defeat the point of backgrounding the recompute.
-  {
-    std::lock_guard<std::mutex> rlock(refresh_mutex_);
-    if (refresh_running_.load(std::memory_order_relaxed)) {
-      refresh_again_ = true;  // coalesce: one refresh covers both batches
-    } else {
-      refresh_running_.store(true, std::memory_order_release);
-      if (refresh_thread_.joinable()) refresh_thread_.join();
-      refresh_thread_ = std::thread([this] { refresh_worker(); });
-    }
-  }
-  cache_.invalidate_graph(old_fp);
+  if (rebuild_thread_.joinable()) rebuild_thread_.join();
+  // The worker starts by taking mutex_, so it sees the flag set below.
+  rebuild_thread_ = std::thread([this] { rebuild_worker(); });
+  rebuild_running_ = true;
 }
 
-void TrustService::refresh_worker() {
-  for (;;) {
-    Graph g;
-    std::uint64_t graph_fp = 0;
-    std::uint64_t epoch_snapshot = 0;
-    {
-      std::shared_lock<std::shared_mutex> lock(resolved_mutex_);
-      g = graph_;
-      graph_fp = graph_fp_;
-      epoch_snapshot = epoch_.load(std::memory_order_acquire);
+void TrustService::rebuild_worker() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  do {
+    rebuild_again_ = false;
+    Graph graph = graph_;  // shallow: shares the CSR
+    const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
+    lock.unlock();
+    // Build without the lock: queries never take it, and apply_edges only
+    // waits to publish the next graph.
+    std::shared_ptr<const ServingSnapshot> built;
+    try {
+      built = build_snapshot(std::move(graph), epoch);
+    } catch (...) {
+      rebuild_failures_.add();
     }
-    const std::uint64_t config_fp = options_.config.fingerprint();
-    const std::uint64_t version = cache_.version();
-    // Compute everything without holding the resolved lock: queries keep
-    // flowing (degraded) the whole time.
-    auto sybilrank = resolve_slot<SybilRankArtifact>(
-        ArtifactKind::kSybilRank, config_fp, graph_fp,
-        [&] { return compute_sybilrank_artifact(g, options_.config); });
-    auto gatekeeper = resolve_slot<GateKeeperArtifact>(
-        ArtifactKind::kGateKeeper, config_fp, graph_fp,
-        [&] { return compute_gatekeeper_artifact(g, options_.config); });
-    auto coreness = resolve_slot<CorenessArtifact>(
-        ArtifactKind::kCoreness, config_fp, graph_fp,
-        [&] { return compute_coreness_artifact(g); });
-    auto landmark = resolve_slot<LandmarkArtifact>(
-        ArtifactKind::kLandmark, config_fp, graph_fp,
-        [&] { return compute_landmark_artifact(g, options_.config); });
-    {
-      std::unique_lock<std::shared_mutex> lock(resolved_mutex_);
-      if (epoch_.load(std::memory_order_acquire) == epoch_snapshot) {
-        resolved_.sybilrank = std::move(sybilrank);
-        resolved_.gatekeeper = std::move(gatekeeper);
-        resolved_.coreness = std::move(coreness);
-        resolved_.landmark = std::move(landmark);
-        resolved_.cache_version = version;
-        resolved_.attempted = true;
-        resolved_.complete =
-            resolved_.sybilrank.fresh && resolved_.gatekeeper.fresh &&
-            resolved_.coreness.fresh && resolved_.landmark.fresh;
-        if (resolved_.complete)
-          next_probe_ns_.store(0, std::memory_order_relaxed);
-      }
-      // Epoch moved mid-compute: discard — the apply_edges that moved it
-      // set refresh_again_, so the loop below recomputes from scratch.
-    }
-    {
-      std::unique_lock<std::mutex> rlock(refresh_mutex_);
-      if (refresh_again_) {
-        refresh_again_ = false;
-        continue;
-      }
-      refresh_running_.store(false, std::memory_order_release);
-      refresh_cv_.notify_all();
-      return;
-    }
-  }
-}
-
-bool TrustService::refresh_in_flight() const {
-  return refresh_running_.load(std::memory_order_acquire);
+    lock.lock();
+    // A batch that moved the epoch meanwhile set rebuild_again_; this
+    // snapshot would be stale on arrival, so only the next pass swaps in.
+    if (built && epoch_.load(std::memory_order_relaxed) == epoch)
+      publish(std::move(built));
+  } while (rebuild_again_);
+  rebuild_running_ = false;
+  rebuild_done_.notify_all();
 }
 
 void TrustService::wait_for_refresh() {
-  std::unique_lock<std::mutex> lock(refresh_mutex_);
-  refresh_cv_.wait(lock, [&] {
-    return !refresh_running_.load(std::memory_order_acquire);
-  });
+  std::unique_lock<std::mutex> lock(mutex_);
+  rebuild_done_.wait(lock, [this] { return !rebuild_running_; });
 }
 
 }  // namespace sntrust::serve

@@ -1,67 +1,38 @@
 // Long-lived in-process trust-query service (DESIGN.md §15, §16).
 //
-// A `TrustService` loads a graph once (any format `read_graph_auto`
-// sniffs, including zero-copy mmap snapshots), precomputes the per-defense
-// serving artifacts into the process's `ArtifactCache`, and then answers
-// point queries — "is v admissible under SybilRank/GateKeeper?", "trust
-// score of v from the seed set", "coreness/percentile of v", "landmark walk
-// probability at v" — through three paths with *bitwise identical* answers:
+// A `TrustService` serves one graph and answers point queries — "is v
+// admissible under SybilRank/GateKeeper?", "trust score of v from the seed
+// set", "coreness/percentile of v", "landmark walk probability at v" — from
+// one immutable `ServingSnapshot`: the graph, its epoch, the four per-defense
+// artifacts and the time the build finished. Each call copies the current
+// `shared_ptr<const ServingSnapshot>` once, on the caller's thread, and
+// answers from that copy; a rebuild swaps in a new one. The copy keeps the
+// snapshot alive until the call returns, so a swap never frees memory under
+// a query.
 //
-//   * `answer()` / `answer_batch()`: caller-thread reads against the
-//     resolved artifacts. The warm path performs **no heap allocation** per
-//     query (fixed-size Answer, stack keys, cached metric handles) — pinned
-//     by ServeAllocStats in tests.
-//   * `ask()` / `ask_batch()`: the pipelined path. Requests enqueue into a
-//     bounded MPMC ring (SNTRUST_SERVE_QUEUE_CAP) and a drain thread serves
-//     them in configurable batches (SNTRUST_SERVE_BATCH) fanned out on the
-//     src/parallel pool; clients block on a per-batch ticket. Per-query
-//     latency (enqueue -> completion) lands in the `serve.query_ms`
-//     quantile histograms, queue sojourn separately in `serve.queue_ms`,
-//     per-batch fan-out time in `serve.service_ms`, batch occupancy in
-//     `serve.batch_occupancy`.
+//   * `answer()` / `answer_batch()`: caller-thread reads. The warm path
+//     performs **no heap allocation** per query (fixed-size Answer, cached
+//     metric handles) — pinned by ServeAllocStats in tests.
+//   * `ask()` / `ask_batch()`: the same read, preceded by the cancellation
+//     check; each call's latency lands in the `serve.query_ms` quantile
+//     histograms.
 //   * `answer_uncached()`: the naive recompute-per-query reference the
-//     serving bench measures the cache against (and the identity oracle the
-//     tests and the chaos harness pin non-degraded answers to).
+//     serving bench measures the snapshot against, and the identity oracle
+//     the tests pin fresh answers to.
 //
-// Answers are pure functions of (artifacts, query) and artifacts are built
-// by the library's deterministic kernels, so every path agrees bitwise at
-// any thread count, batch size, and arrival order — for answers that are
-// not *degraded* (below).
+// Answers are pure functions of (snapshot, query) and snapshots are built by
+// the library's deterministic kernels, so every path agrees bitwise at any
+// thread count and arrival order — for answers that are not *degraded*.
 //
-// Serving under fire (DESIGN.md §16). Three failure regimes are handled
-// explicitly instead of by blocking or crashing:
-//
-//   * **Overload.** With `SNTRUST_SERVE_SHED_MS` set, a CoDel-style
-//     controller watches queue sojourn; sustained overload (or a full ring)
-//     flips the submit path from blocking backpressure to immediate refusal
-//     with `QueryStatus::kOverloaded`. Queries may carry a `deadline_ms`
-//     bound on queue wait; a request popped too late completes with
-//     `kDeadlineExceeded` without being computed.
-//   * **Recompute failure.** Artifact recomputation runs behind a per-kind
-//     circuit breaker with bounded jittered retries (`serve.artifact` fault
-//     site). While a kind is unavailable the service answers from the
-//     last-good *stale* artifact (age-bounded by `SNTRUST_SERVE_STALE_MS`)
-//     or falls down a degradation ladder (SybilRank <-> GateKeeper ->
-//     coreness; landmark -> coreness). Such answers carry `degraded = true`,
-//     the `source` actually used, and a `staleness_ms` bound — degraded
-//     answers are honest about their provenance and are the only answers
-//     exempt from the bitwise-identity contract.
-//   * **Churn.** `apply_edges()` applies a batched edge insert/delete to the
-//     served graph. In-flight queries keep answering against the previous
-//     epoch's artifacts (demoted to stale) while a single-flight background
-//     refresh recomputes against the new graph and installs atomically —
-//     the epoch counter guarantees a refresh never installs over a newer
-//     graph.
-//
-// Shutdown drains: `stop()` serves everything already queued before the
-// drain thread exits. Cancellation (process signal/deadline or the token in
-// Options) is the exit-75-style partial path — the in-flight batch
-// completes, queued-but-unserved requests complete with
-// `QueryStatus::kCancelled`, and new `ask()`s are refused with the same
-// status, so closed-loop clients always unblock with explicit partials.
+// Churn (DESIGN.md §16). `apply_edges()` applies an edge batch to the latest
+// graph, bumps the epoch and starts a single-flight background rebuild;
+// batches that land mid-rebuild coalesce into one more pass. Until the new
+// snapshot swaps in — and for good if the rebuild throws — the old snapshot
+// keeps answering, flagged `degraded` with `staleness_ms` = now minus its
+// build time. A rebuild swaps in only if the epoch has not moved since it
+// read the graph.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -69,15 +40,11 @@
 #include <mutex>
 #include <shared_mutex>
 #include <span>
-#include <string>
 #include <thread>
-#include <vector>
 
 #include "exec/cancel.hpp"
 #include "graph/graph.hpp"
-#include "serve/artifact_cache.hpp"
 #include "serve/artifacts.hpp"
-#include "serve/resilience.hpp"
 
 namespace sntrust {
 struct EdgeBatch;  // dynamic/evolution.hpp
@@ -85,8 +52,6 @@ struct EdgeBatch;  // dynamic/evolution.hpp
 
 namespace sntrust::obs {
 class Counter;
-class Gauge;
-class Histogram;
 class QuantileHistogram;
 class WindowedQuantileHistogram;
 }  // namespace sntrust::obs
@@ -104,14 +69,12 @@ enum class QueryKind : std::uint8_t {
 
 enum class QueryStatus : std::uint8_t {
   kOk = 0,
-  kInvalidVertex = 1,      ///< vertex >= n
-  kCancelled = 2,          ///< refused/unserved due to cancellation
-  kOverloaded = 3,         ///< shed at admission, or no artifact available
-  kDeadlineExceeded = 4,   ///< queue wait exceeded the query's deadline_ms
+  kInvalidVertex = 1,  ///< vertex not in the latest graph
+  kCancelled = 2,      ///< refused due to cancellation
+  kUnavailable = 3,    ///< no snapshot covers this vertex yet
 };
 
-/// The artifact kind an answer was actually computed from. Equal to the
-/// query's primary kind unless the answer is degraded (ladder fallback).
+/// The artifact kind an answer was computed from: the query's primary kind.
 enum class AnswerSource : std::uint8_t {
   kSybilRank = 0,
   kGateKeeper = 1,
@@ -119,17 +82,15 @@ enum class AnswerSource : std::uint8_t {
   kLandmark = 3,
 };
 
-/// Fixed-size request. Trivially copyable so the request ring never touches
-/// the heap.
+/// Fixed-size request with no implicit padding, so its bytes are defined
+/// wherever a trace or digest hashes them.
 struct Query {
   QueryKind kind = QueryKind::kTrustScore;
   Defense defense = Defense::kSybilRank;
+  std::uint8_t reserved[2] = {};
   VertexId vertex = 0;
-  /// Max queue wait (ms) on the pipelined path; 0 = no deadline. A request
-  /// still queued past its deadline completes with kDeadlineExceeded
-  /// instead of being computed. The direct path ignores it (no queue).
-  std::uint32_t deadline_ms = 0;
 };
+static_assert(sizeof(Query) == 8, "Query must carry no implicit padding");
 
 /// Fixed-size answer — the admission hot path allocates nothing per query.
 /// Field meaning by source:
@@ -137,17 +98,14 @@ struct Query {
 ///     (1 = most trusted), admitted = rank cutoff;
 ///   kGateKeeper: value = admitting distributers, percentile =
 ///     value / num_distributers, admitted = vote threshold;
-///   kCoreness: value = coreness, percentile = coreness ECDF at v
-///     (admitted = top-accept_fraction of the ECDF when standing in for an
-///     admission defense);
+///   kCoreness: value = coreness, percentile = coreness ECDF at v;
 ///   kLandmark: value = walk probability at v, percentile = value relative
 ///     to the stationary mass deg(v)/2m (>1 = walk favours v).
 ///
-/// `degraded` marks answers served from a stale artifact or a ladder
-/// fallback; only then is `staleness_ms` nonzero (an upper bound on the
-/// artifact's age) or `source` different from the query's primary kind.
-/// Non-degraded answers always have staleness_ms == 0 and source == primary,
-/// so the memcmp bitwise-identity contract covers every non-degraded answer.
+/// `degraded` marks answers served from a snapshot older than the latest
+/// graph epoch; only then is `staleness_ms` nonzero (the snapshot's age).
+/// Fresh answers have staleness_ms == 0, so the memcmp bitwise-identity
+/// contract covers every non-degraded answer.
 struct Answer {
   QueryStatus status = QueryStatus::kCancelled;
   bool admitted = false;
@@ -158,220 +116,126 @@ struct Answer {
   std::uint8_t reserved[4] = {};
   double value = 0.0;
   double percentile = 0.0;
-  /// Upper bound on the age (ms) of the artifact behind a degraded answer;
-  /// 0 for fresh (non-degraded) answers.
+  /// Age (ms) of the snapshot behind a degraded answer; 0 when fresh.
   double staleness_ms = 0.0;
 
   friend bool operator==(const Answer&, const Answer&) = default;
 };
 static_assert(sizeof(Answer) == 32, "Answer must carry no implicit padding");
 
+/// Everything one graph epoch is answered from (trust_service.cpp).
+struct ServingSnapshot;
+
 class TrustService {
  public:
   struct Options {
     ServiceConfig config;
-    /// Max queries served per drain batch; 0 = SNTRUST_SERVE_BATCH (256).
-    std::uint32_t batch_size = 0;
-    /// Request-ring capacity; 0 = SNTRUST_SERVE_QUEUE_CAP (4096).
-    std::uint32_t queue_capacity = 0;
-    /// Artifact-cache capacity; 0 = SNTRUST_SERVE_CACHE_CAP (8).
-    std::size_t cache_capacity = 0;
-    /// Warm every artifact during construction (a cold service warms lazily
-    /// on first touch instead).
+    /// Build the first snapshot in the constructor; otherwise start() does,
+    /// and queries answer kUnavailable until then.
     bool precompute = true;
-    /// Overload/degradation knobs; defaults read SNTRUST_SERVE_SHED_MS,
-    /// SNTRUST_SERVE_STALE_MS, SNTRUST_SERVE_RETRIES.
-    ResilienceOptions resilience = ResilienceOptions::from_env();
-    /// Cancellation observed by the drain loop *in addition to* the process
+    /// Cancellation observed by ask/ask_batch *in addition to* the process
     /// state (signals, SNTRUST_DEADLINE_MS).
     exec::CancelToken token;
   };
 
   /// Serves `graph`. Throws std::invalid_argument for empty/edgeless graphs
-  /// or out-of-range config vertices.
+  /// or out-of-range config vertices, and whatever the first snapshot build
+  /// throws when `precompute` is set.
   TrustService(Graph graph, Options options);
-  /// Loads any supported on-disk format (text/binary/mmap snapshot).
-  static TrustService open(const std::string& path, Options options);
   ~TrustService();
 
   TrustService(const TrustService&) = delete;
   TrustService& operator=(const TrustService&) = delete;
 
+  /// The latest graph. Not safe to call concurrently with apply_edges.
   const Graph& graph() const noexcept { return graph_; }
   const ServiceConfig& config() const noexcept { return options_.config; }
-  ArtifactCache& cache() noexcept { return cache_; }
-  std::uint32_t batch_size() const noexcept { return batch_size_; }
-  const ResilienceOptions& resilience() const noexcept {
-    return options_.resilience;
-  }
 
-  /// Ensures all four artifacts are resident (the constructor does this
-  /// unless Options::precompute was false).
-  void warm();
+  /// Builds the first snapshot unless one exists (idempotent); throws what
+  /// the build throws.
+  void start();
 
-  /// Caller-thread cached read; no per-query heap allocation once warm.
+  /// Caller-thread read; no per-query heap allocation.
   Answer answer(const Query& query);
   void answer_batch(std::span<const Query> queries, std::span<Answer> answers);
 
   /// Naive recompute-per-query reference: rebuilds the artifact the query
-  /// needs from scratch, bypassing the cache. The serving bench's "before"
-  /// and the chaos harness's identity oracle.
+  /// needs from scratch against the latest graph. The serving bench's
+  /// "before" and the tests' identity oracle.
   Answer answer_uncached(const Query& query) const;
 
-  /// Starts the drain thread (idempotent).
-  void start();
-  /// Draining shutdown: everything already queued is served, then the drain
-  /// thread exits (idempotent). Never blocks on clients: shedding/refusal
-  /// paths complete their tickets without the drain thread's help.
-  void stop();
-  bool running() const;
-
-  /// Blocking pipelined query. Falls back to the direct path when the
-  /// service is not running; returns kCancelled after cancellation and
-  /// kOverloaded while the shed controller refuses admission.
+  /// answer()/answer_batch() after the cancellation check: once cancelled,
+  /// every answer is kCancelled. ask_batch returns the number of answers
+  /// whose status is neither kCancelled nor kUnavailable.
   Answer ask(const Query& query);
-  /// Enqueues the whole span under one completion ticket; returns the
-  /// number of answers whose status is none of kCancelled / kOverloaded /
-  /// kDeadlineExceeded (the goodput under overload or a deadline).
   std::size_t ask_batch(std::span<const Query> queries,
                         std::span<Answer> answers);
 
-  /// Swaps the served graph wholesale. Artifacts keyed by the old graph
-  /// fingerprint are dropped from the cache; the next query warms against
-  /// `graph` inline (no stale serving — this is the cold-swap path).
-  void replace_graph(Graph graph);
-
-  /// Applies a batched edge insert/delete to the served graph (churn-safe
-  /// path). Bumps the graph epoch, demotes the resolved artifacts to stale
-  /// — in-flight and subsequent queries keep answering (degraded) against
-  /// the pre-churn snapshot — and kicks a single-flight background refresh
-  /// that recomputes against the new graph and installs fresh artifacts
-  /// unless the epoch moved again. Throws std::invalid_argument when the
-  /// result would have no edges.
+  /// Applies a batched edge insert/delete to the latest graph, bumps the
+  /// epoch and starts (or extends) the background rebuild; queries keep
+  /// answering, degraded, from the previous snapshot meanwhile. A rebuild
+  /// that throws counts in `serve.rebuild_failures` and leaves the previous
+  /// snapshot answering until the next apply_edges. Throws
+  /// std::invalid_argument when the result would have no edges.
   void apply_edges(const EdgeBatch& batch);
 
-  /// Monotonic graph epoch; bumped by apply_edges and replace_graph.
+  /// Monotonic graph epoch; bumped by apply_edges.
   std::uint64_t epoch() const noexcept {
     return epoch_.load(std::memory_order_acquire);
   }
-  bool refresh_in_flight() const;
-  /// Blocks until no background refresh is running (tests, benches).
+  /// Blocks until no background rebuild is running (tests, benches).
   void wait_for_refresh();
 
  private:
-  /// One resolved artifact: the pointer plus its provenance. `fresh` means
-  /// computed against the current graph under a breaker-closed resolve;
-  /// stale slots (breaker open, or demoted by churn) still answer, degraded.
-  template <typename T>
-  struct ArtifactSlot {
-    std::shared_ptr<const T> artifact;
-    bool fresh = false;
-    std::uint64_t stored_ns = 0;
-    std::uint64_t graph_fp = 0;
+  /// One call's view of the service: the snapshot it answers from and how
+  /// it relates to the latest graph.
+  struct View {
+    std::shared_ptr<const ServingSnapshot> snapshot;
+    VertexId latest_vertices = 0;
+    bool degraded = false;
+    double staleness_ms = 0.0;
   };
 
-  /// Artifact pointers resolved against one (config, graph, cache-version)
-  /// snapshot; refreshed when the cache version moves.
-  struct Resolved {
-    ArtifactSlot<SybilRankArtifact> sybilrank;
-    ArtifactSlot<GateKeeperArtifact> gatekeeper;
-    ArtifactSlot<CorenessArtifact> coreness;
-    ArtifactSlot<LandmarkArtifact> landmark;
-    std::uint64_t cache_version = 0;
-    /// A resolve ran to completion (possibly yielding only stale/empty
-    /// slots): the sentinel the answer paths loop on, so a service whose
-    /// every kind is unavailable answers kOverloaded instead of spinning.
-    bool attempted = false;
-    /// All four slots fresh — the common case, checked first on the hot
-    /// path so complete services never read the clock.
-    bool complete = false;
-  };
+  View view() const;
+  void publish(std::shared_ptr<const ServingSnapshot> snapshot);
+  static Answer answer_from(const View& view, const Query& query);
+  /// Answers every query from one view; returns how many are not
+  /// kUnavailable.
+  std::size_t answer_all(std::span<const Query> queries,
+                         std::span<Answer> answers);
+  void record_latency(std::uint64_t start_ns);
+  std::shared_ptr<const ServingSnapshot> build_snapshot(
+      Graph graph, std::uint64_t epoch) const;
+  void rebuild_worker();
 
-  struct Request {
-    Query query;
-    Answer* answer = nullptr;
-    struct Ticket* ticket = nullptr;
-    std::uint64_t enqueue_ns = 0;
-  };
-
-  void ensure_resolved();
-  bool resolved_ready() const;  ///< under resolved_mutex_ (either mode)
-  void resolve_locked();
-  template <typename T, typename Compute>
-  ArtifactSlot<T> resolve_slot(ArtifactKind kind, std::uint64_t config_fp,
-                               std::uint64_t graph_fp, Compute&& compute);
-  Answer answer_resolved(const Resolved& resolved, const Query& query) const;
-  Answer answer_degradable(const Resolved& resolved, const Query& query,
-                           ArtifactKind primary) const;
-  void drain_loop();
-  void serve_batch(std::vector<Request>& batch);
-  bool cancelled() const;
-  CircuitBreaker& breaker(ArtifactKind kind) {
-    return breakers_[static_cast<std::size_t>(kind)];
-  }
-  void start_refresh_locked();  ///< under refresh_mutex_
-  void refresh_worker();
-
-  Graph graph_;
+  Graph graph_;  ///< latest graph; written under mutex_
   Options options_;
-  std::uint32_t batch_size_;
-  std::uint32_t queue_capacity_;
-  ArtifactCache cache_;
-  std::uint64_t graph_fp_ = 0;  ///< cached graph_.fingerprint()
-
-  mutable std::shared_mutex resolved_mutex_;
-  Resolved resolved_;
-  /// Steady-clock ns before which an incomplete resolve should not be
-  /// retried (the earliest open breaker probe); 0 = retry on next query.
-  std::atomic<std::uint64_t> next_probe_ns_{0};
-
-  // Resilience: per-kind breakers share the transition counters; retry
-  // jitter is deterministic per (kind, attempt).
-  std::array<CircuitBreaker, 4> breakers_;
-  RetryPolicy retry_policy_;
-  LoadShedController shed_;
-  std::atomic<std::uint64_t> artifact_fault_seq_{0};
-  std::atomic<std::uint64_t> queue_fault_seq_{0};
-
-  // Churn: epoch-versioned graph with single-flight background refresh.
+  /// Held only to copy (shared) or swap (exclusive) the pointer, so readers
+  /// never wait on each other. Not std::atomic<shared_ptr>: GCC 12's load()
+  /// drops its internal lock with relaxed ordering, a data race
+  /// ThreadSanitizer reports.
+  mutable std::shared_mutex snapshot_mutex_;
+  std::shared_ptr<const ServingSnapshot> snapshot_;
   std::atomic<std::uint64_t> epoch_{0};
-  mutable std::mutex refresh_mutex_;
-  std::condition_variable refresh_cv_;
-  std::atomic<bool> refresh_running_{false};  ///< writes under refresh_mutex_
-  bool refresh_again_ = false;                ///< under refresh_mutex_
-  std::thread refresh_thread_;
-
-  // Bounded MPMC request ring.
-  mutable std::mutex queue_mutex_;
-  std::condition_variable queue_not_empty_;
-  std::condition_variable queue_not_full_;
-  std::vector<Request> ring_;
-  std::size_t ring_head_ = 0;  ///< next pop position
-  std::size_t ring_size_ = 0;
-  bool stopping_ = false;
-  bool running_ = false;
-  std::atomic<bool> cancelled_{false};
-  std::thread drain_thread_;
+  /// graph_'s vertex count, readable without mutex_.
+  std::atomic<VertexId> latest_vertices_{0};
 
   // Cached metric handles: the per-query hot path must not look up names.
   obs::QuantileHistogram& query_ms_;
   obs::WindowedQuantileHistogram& query_ms_window_;
-  obs::QuantileHistogram& queue_ms_;
-  obs::QuantileHistogram& service_ms_;
-  obs::Histogram& batch_occupancy_;
   obs::Counter& queries_served_;
   obs::Counter& queries_cancelled_;
-  obs::Counter& queries_shed_;
   obs::Counter& queries_degraded_;
-  obs::Counter& queries_deadline_;
   obs::Counter& queries_unavailable_;
-  obs::Counter& retries_;
-  obs::Counter& batches_;
-  obs::Gauge& queue_depth_;
-  /// Same registry counter the ArtifactCache bumps on lookup hits: a
-  /// resolution served from the resolved snapshot (no recompute, no LRU
-  /// round-trip) is still a cache hit at the artifact layer.
-  obs::Counter& artifact_hits_;
+  obs::Counter& rebuild_failures_;
+
+  // Single-flight background rebuild; all under mutex_. The thread comes
+  // last: it uses every member above.
+  std::mutex mutex_;
+  std::condition_variable rebuild_done_;
+  bool rebuild_running_ = false;
+  bool rebuild_again_ = false;
+  std::thread rebuild_thread_;
 };
 
 }  // namespace sntrust::serve

@@ -1,27 +1,21 @@
-// Serving-under-fire tests (DESIGN.md §16): breaker state machine, retry
-// jitter, the CoDel shed controller, stale-while-revalidate backups, the
-// degradation ladder, queue deadlines, churn-safe refresh, and the
-// shed/drain/stop interaction regressions. Fixture names carry "Resilience"
-// so the CI tsan pass picks the whole file up by filter.
-#include "serve/resilience.hpp"
-
+// Churn and failed-rebuild tests for the serving layer (DESIGN.md §16):
+// edge-batch semantics, background rebuilds to fresh answers, a rebuild
+// that really fails, and readers racing the snapshot swap. The race suite
+// is named SnapshotSwapTest so the CI tsan pass picks it up by filter.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
 
 #include "dynamic/evolution.hpp"
-#include "exec/fault.hpp"
 #include "gen/generators.hpp"
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "obs/metrics.hpp"
-#include "serve/artifact_cache.hpp"
 #include "serve/trust_service.hpp"
+#include "serve/zipf.hpp"
 #include "util/rng.hpp"
 
 namespace sntrust::serve {
@@ -37,254 +31,10 @@ Graph expander(VertexId n, std::uint64_t seed) {
   return largest_component(barabasi_albert(n, 4, seed)).graph;
 }
 
-class ResilienceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    exec::clear_fault_plan();
-    obs::metrics_reset_all();
-  }
-  void TearDown() override {
-    exec::clear_fault_plan();
-    obs::metrics_reset_all();
-  }
-};
-
-constexpr std::uint64_t kMs = 1'000'000ULL;  // manual-clock ns per ms
-
-// ---------------------------------------------------------- circuit breaker ---
-
-TEST_F(ResilienceTest, BreakerOpensAtThresholdAndCoolsDownToHalfOpen) {
-  CircuitBreaker breaker{"test", BreakerOptions{3, 100}};
-  const std::uint64_t now = 1;
-  EXPECT_EQ(breaker.state(now), BreakerState::kClosed);
-  EXPECT_TRUE(breaker.allow(now));
-  EXPECT_EQ(breaker.probe_at_ns(), 0u);
-  breaker.record_failure(now);
-  breaker.record_failure(now);
-  EXPECT_EQ(breaker.state(now), BreakerState::kClosed);  // below threshold
-  EXPECT_EQ(counter_value("serve.breaker_opens"), 0u);
-  breaker.record_failure(now);  // third consecutive: trips
-  EXPECT_EQ(breaker.state(now), BreakerState::kOpen);
-  EXPECT_EQ(counter_value("serve.breaker_opens"), 1u);
-  EXPECT_FALSE(breaker.allow(now + 50 * kMs));  // cooling down
-  EXPECT_EQ(breaker.probe_at_ns(), now + 100 * kMs);
-  EXPECT_EQ(breaker.state(now + 100 * kMs), BreakerState::kHalfOpen);
-}
-
-TEST_F(ResilienceTest, BreakerHalfOpenAdmitsExactlyOneProbe) {
-  CircuitBreaker breaker{"probe", BreakerOptions{1, 100}};
-  breaker.record_failure(1);  // threshold 1: open immediately
-  const std::uint64_t probe_time = 1 + 100 * kMs;
-  EXPECT_TRUE(breaker.allow(probe_time));   // first caller claims the probe
-  EXPECT_FALSE(breaker.allow(probe_time));  // everyone else keeps waiting
-  breaker.record_success(probe_time + 1);
-  EXPECT_EQ(breaker.state(probe_time + 1), BreakerState::kClosed);
-  EXPECT_EQ(counter_value("serve.breaker_closes"), 1u);
-  EXPECT_TRUE(breaker.allow(probe_time + 2));  // closed again
-}
-
-TEST_F(ResilienceTest, BreakerFailedProbeReopensWithFreshCooldown) {
-  CircuitBreaker breaker{"reopen", BreakerOptions{1, 100}};
-  breaker.record_failure(1);
-  EXPECT_EQ(counter_value("serve.breaker_opens"), 1u);
-  const std::uint64_t probe_time = 1 + 100 * kMs;
-  EXPECT_TRUE(breaker.allow(probe_time));
-  breaker.record_failure(probe_time + 1);  // the probe itself failed
-  EXPECT_EQ(breaker.state(probe_time + 2), BreakerState::kOpen);
-  // Cooldown re-armed from the probe failure, not the original trip; a
-  // failed probe is a continuation of the same outage, not a new open.
-  EXPECT_EQ(breaker.probe_at_ns(), probe_time + 1 + 100 * kMs);
-  EXPECT_EQ(counter_value("serve.breaker_opens"), 1u);
-  EXPECT_EQ(counter_value("serve.breaker_closes"), 0u);
-  const std::uint64_t second = probe_time + 1 + 100 * kMs;
-  EXPECT_TRUE(breaker.allow(second));
-  breaker.record_success(second);
-  EXPECT_EQ(counter_value("serve.breaker_closes"), 1u);  // pairs balance
-}
-
-TEST_F(ResilienceTest, BreakerSuccessResetsConsecutiveFailureCount) {
-  CircuitBreaker breaker{"reset", BreakerOptions{2, 100}};
-  breaker.record_failure(1);
-  breaker.record_success(2);  // streak broken
-  breaker.record_failure(3);
-  EXPECT_EQ(breaker.state(3), BreakerState::kClosed);  // 1 < threshold again
-  breaker.record_failure(4);
-  EXPECT_EQ(breaker.state(4), BreakerState::kOpen);
-}
-
-// --------------------------------------------------------------- retry policy ---
-
-TEST_F(ResilienceTest, RetryBackoffIsDeterministicJitteredExponential) {
-  const RetryPolicy policy{4, 500};
-  EXPECT_EQ(policy.backoff_ns(0, 7), 0u);
-  for (std::uint32_t retry = 1; retry <= 4; ++retry) {
-    const std::uint64_t a = policy.backoff_ns(retry, 7);
-    const std::uint64_t b = policy.backoff_ns(retry, 7);
-    EXPECT_EQ(a, b);  // pure function of (salt, retry)
-    const std::uint64_t base = 500'000ULL << (retry - 1);
-    EXPECT_GE(a, base / 2);             // jitter floor 0.5x
-    EXPECT_LT(a, base + base / 2 + 1);  // jitter ceiling 1.5x
-  }
-  // Different salts decorrelate concurrent resolvers.
-  EXPECT_NE(policy.backoff_ns(1, 7), policy.backoff_ns(1, 8));
-}
-
-// ------------------------------------------------------------ shed controller ---
-
-TEST_F(ResilienceTest, ShedEngagesAfterSustainedOverloadAndExitsAtOnce) {
-  LoadShedController shed{2.0};  // target 2 ms => interval 8 ms
-  ASSERT_TRUE(shed.enabled());
-  const std::uint64_t now = 1;
-  shed.observe_sojourn(5.0, now);  // above: starts the trend clock
-  EXPECT_FALSE(shed.shedding());
-  shed.observe_sojourn(5.0, now + 4 * kMs);  // above, interval not yet full
-  EXPECT_FALSE(shed.shedding());
-  shed.observe_sojourn(5.0, now + 9 * kMs);  // above for a full interval
-  EXPECT_TRUE(shed.shedding());
-  shed.observe_sojourn(1.0, now + 10 * kMs);  // first below-target: exit
-  EXPECT_FALSE(shed.shedding());
-  // The trend restarts from scratch after an exit.
-  shed.observe_sojourn(5.0, now + 11 * kMs);
-  EXPECT_FALSE(shed.shedding());
-}
-
-TEST_F(ResilienceTest, ShedForceEngagesImmediatelyAndZeroTargetDisables) {
-  LoadShedController shed{1.0};
-  shed.force_shed();
-  EXPECT_TRUE(shed.shedding());
-  shed.observe_sojourn(0.1, 99 * kMs);  // below target releases it
-  EXPECT_FALSE(shed.shedding());
-
-  LoadShedController disabled{0.0};
-  EXPECT_FALSE(disabled.enabled());
-  disabled.force_shed();
-  EXPECT_FALSE(disabled.shedding());  // never sheds when disabled
-}
-
-TEST_F(ResilienceTest, OptionsFromEnvClampAndDefault) {
-  ::setenv("SNTRUST_SERVE_SHED_MS", "2.5", 1);
-  ::setenv("SNTRUST_SERVE_STALE_MS", "-4", 1);
-  ::setenv("SNTRUST_SERVE_RETRIES", "99", 1);
-  const ResilienceOptions options = ResilienceOptions::from_env();
-  EXPECT_DOUBLE_EQ(options.shed_ms, 2.5);
-  EXPECT_DOUBLE_EQ(options.stale_ms, 0.0);  // negative clamps to disabled
-  EXPECT_EQ(options.retries, 16u);          // capped
-  ::unsetenv("SNTRUST_SERVE_SHED_MS");
-  ::unsetenv("SNTRUST_SERVE_STALE_MS");
-  ::unsetenv("SNTRUST_SERVE_RETRIES");
-  const ResilienceOptions defaults = ResilienceOptions::from_env();
-  EXPECT_DOUBLE_EQ(defaults.shed_ms, 0.0);        // shedding is opt-in
-  EXPECT_DOUBLE_EQ(defaults.stale_ms, 60'000.0);  // stale serving opt-out
-  EXPECT_EQ(defaults.retries, 2u);
-}
-
-// ------------------------------------------------------- stale-artifact cache ---
-
-TEST_F(ResilienceTest, StaleBackupSurvivesInvalidationAndEviction) {
-  ArtifactCache cache{1};  // capacity 1: every second insert evicts
-  const ArtifactKey a{ArtifactKind::kCoreness, 5, 10};
-  const ArtifactKey b{ArtifactKind::kCoreness, 5, 20};
-  cache.get_or_compute<CorenessArtifact>(a, [] {
-    CorenessArtifact artifact;
-    artifact.degeneracy = 7;
-    return artifact;
-  });
-  cache.get_or_compute<CorenessArtifact>(b, [] {
-    CorenessArtifact artifact;
-    artifact.degeneracy = 9;
-    return artifact;
-  });  // evicts a
-  EXPECT_EQ(counter_value("serve.cache_evictions"), 1u);
-  cache.invalidate_all();  // drops b too
-  EXPECT_EQ(cache.size(), 0u);
-  // Flow conservation at quiescence.
-  EXPECT_EQ(counter_value("serve.cache_inserts"),
-            counter_value("serve.cache_evictions") +
-                counter_value("serve.cache_invalidations") + cache.size());
-
-  // The last-good backup for (kCoreness, 5) is b's artifact — the most
-  // recent successful insert — and it outlived both eviction and
-  // invalidation.
-  const auto stale = cache.lookup_stale(ArtifactKind::kCoreness, 5);
-  ASSERT_TRUE(stale.has_value());
-  EXPECT_EQ(stale->graph_fp, 20u);
-  EXPECT_EQ(
-      static_cast<const CorenessArtifact*>(stale->value.get())->degeneracy,
-      9u);
-  EXPECT_GT(stale->stored_ns, 0u);
-  EXPECT_EQ(counter_value("serve.cache_stale_hits"), 1u);
-
-  EXPECT_FALSE(cache.lookup_stale(ArtifactKind::kSybilRank, 5).has_value());
-  cache.clear_stale();
-  EXPECT_FALSE(cache.lookup_stale(ArtifactKind::kCoreness, 5).has_value());
-}
-
-TEST_F(ResilienceTest, InvalidationStormKeepsCountersBalanced) {
-  // N threads invalidating while M threads query: no use-after-evict (the
-  // shared_ptr keeps served artifacts alive), and the flow conservation
-  // inserts == evictions + invalidations + size() holds exactly once the
-  // storm quiesces.
-  ArtifactCache cache{4};
-  constexpr int kInvalidators = 3;
-  constexpr int kQueriers = 4;
-  constexpr int kRounds = 400;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kQueriers; ++t) {
-    threads.emplace_back([&cache, &go, t] {
-      while (!go.load()) std::this_thread::yield();
-      Rng rng{static_cast<std::uint64_t>(t) + 1};
-      for (int i = 0; i < kRounds; ++i) {
-        const ArtifactKey key{ArtifactKind::kCoreness, rng.uniform(3),
-                              rng.uniform(5)};
-        const auto artifact =
-            cache.get_or_compute<CorenessArtifact>(key, [&key] {
-              CorenessArtifact made;
-              made.degeneracy = static_cast<std::uint32_t>(key.graph_fp);
-              return made;
-            });
-        // Touch the artifact after the cache may have dropped it: the
-        // shared_ptr contract is what makes the eviction storm safe.
-        EXPECT_EQ(artifact->degeneracy, key.graph_fp);
-      }
-    });
-  }
-  for (int t = 0; t < kInvalidators; ++t) {
-    threads.emplace_back([&cache, &go, t] {
-      while (!go.load()) std::this_thread::yield();
-      Rng rng{static_cast<std::uint64_t>(t) + 100};
-      for (int i = 0; i < kRounds; ++i) {
-        if (rng.bernoulli(0.2))
-          cache.invalidate_all();
-        else
-          cache.invalidate_graph(rng.uniform(5));
-      }
-    });
-  }
-  go.store(true);
-  for (std::thread& t : threads) t.join();
-
-  const std::uint64_t inserts = counter_value("serve.cache_inserts");
-  EXPECT_GT(inserts, 0u);
-  EXPECT_EQ(inserts, counter_value("serve.cache_evictions") +
-                         counter_value("serve.cache_invalidations") +
-                         cache.size());
-  // Every get_or_compute either hit or missed, exactly once.
-  EXPECT_EQ(counter_value("serve.cache_hits") +
-                counter_value("serve.cache_misses"),
-            static_cast<std::uint64_t>(kQueriers) * kRounds);
-}
-
-// ----------------------------------------------- degraded-mode trust service ---
-
-TrustService::Options resilient_options() {
+TrustService::Options service_options() {
   TrustService::Options options;
   options.config.seeds = {0, 1, 2};
   options.config.gatekeeper.seed = 7;
-  options.resilience.shed_ms = 0.0;  // shedding off unless a test opts in
-  options.resilience.stale_ms = 60'000.0;
-  options.resilience.retries = 1;
-  options.resilience.breaker = BreakerOptions{2, 150};
   return options;
 }
 
@@ -303,97 +53,29 @@ std::vector<Query> all_kind_queries(VertexId vertex) {
   return queries;
 }
 
-TEST_F(ResilienceTest, BreakerTripsServesStaleThenProbesAndRecovers) {
-  TrustService service{expander(200, 21), resilient_options()};
-  const std::vector<Query> queries = all_kind_queries(5);
-  std::vector<Answer> fresh(queries.size());
-  service.answer_batch(queries, fresh);
-  for (const Answer& a : fresh) {
-    ASSERT_EQ(a.status, QueryStatus::kOk);
-    ASSERT_FALSE(a.degraded);
-    ASSERT_DOUBLE_EQ(a.staleness_ms, 0.0);
-  }
-
-  // Break recomputation and force a re-resolve: every kind fails (retries
-  // exhausted), every breaker opens, and answers come from the last-good
-  // stale backups — same values, flagged degraded with a staleness bound.
-  exec::set_fault_plan({"serve.artifact", 1, 1.0});
-  service.cache().invalidate_all();
-  std::vector<Answer> degraded(queries.size());
-  service.answer_batch(queries, degraded);
-  EXPECT_GE(counter_value("serve.breaker_opens"), 1u);
-  EXPECT_GT(counter_value("serve.retries"), 0u);
-  EXPECT_GT(counter_value("serve.cache_stale_hits"), 0u);
-  EXPECT_GT(counter_value("serve.degraded"), 0u);
+/// Every answer is fresh and byte-equal to the uncached recompute against
+/// the service's latest graph.
+void expect_fresh_and_identical(TrustService& service,
+                                const std::vector<Query>& queries) {
+  std::vector<Answer> answers(queries.size());
+  service.answer_batch(queries, answers);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(degraded[i].status, QueryStatus::kOk);
-    EXPECT_TRUE(degraded[i].degraded);
-    EXPECT_GT(degraded[i].staleness_ms, 0.0);
-    // The stale answer is the pre-break answer (same artifacts), honestly
-    // labelled: value/percentile/admitted/source all match.
-    EXPECT_EQ(degraded[i].value, fresh[i].value);
-    EXPECT_EQ(degraded[i].percentile, fresh[i].percentile);
-    EXPECT_EQ(degraded[i].admitted, fresh[i].admitted);
-    EXPECT_EQ(degraded[i].source, fresh[i].source);
+    ASSERT_EQ(answers[i].status, QueryStatus::kOk);
+    ASSERT_FALSE(answers[i].degraded);
+    const Answer reference = service.answer_uncached(queries[i]);
+    ASSERT_EQ(std::memcmp(&answers[i], &reference, sizeof(Answer)), 0)
+        << "query " << i;
   }
-
-  // Heal the fault and let the cooldown elapse: the half-open probes
-  // succeed, the breakers close, and answers are bitwise-fresh again.
-  exec::clear_fault_plan();
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  std::vector<Answer> recovered(queries.size());
-  service.answer_batch(queries, recovered);
-  EXPECT_GE(counter_value("serve.breaker_closes"), 1u);
-  EXPECT_EQ(std::memcmp(recovered.data(), fresh.data(),
-                        queries.size() * sizeof(Answer)),
-            0);
 }
 
-TEST_F(ResilienceTest, LadderEmptyWithoutStaleRefusesAsOverloaded) {
-  TrustService::Options options = resilient_options();
-  options.precompute = false;
-  options.resilience.stale_ms = 0.0;  // stale serving disabled
-  TrustService service{expander(200, 22), std::move(options)};
-  exec::set_fault_plan({"serve.artifact", 3, 1.0});
-  Query q;
-  q.kind = QueryKind::kCoreness;
-  q.vertex = 3;
-  const Answer refused = service.answer(q);
-  EXPECT_EQ(refused.status, QueryStatus::kOverloaded);
-  EXPECT_FALSE(refused.degraded);
-  EXPECT_GT(counter_value("serve.unavailable"), 0u);
-  EXPECT_EQ(counter_value("serve.degraded"), 0u);
-  exec::clear_fault_plan();
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // cooldown
-  const Answer healed = service.answer(q);
-  EXPECT_EQ(healed.status, QueryStatus::kOk);
-  EXPECT_FALSE(healed.degraded);
-}
-
-TEST_F(ResilienceTest, ChurnDemotesLandmarkToCorenessFallback) {
-  TrustService service{expander(200, 23), resilient_options()};
-  Query q;
-  q.kind = QueryKind::kLandmark;
-  q.vertex = 4;
-  ASSERT_EQ(service.answer(q).status, QueryStatus::kOk);
-
-  // Churn the graph while recomputation is broken: the refresh can only
-  // install stale slots. A stale landmark artifact is tied to the *old*
-  // graph's degrees, so the ladder must fall through to coreness.
-  exec::set_fault_plan({"serve.artifact", 5, 1.0});
-  EdgeBatch batch;
-  batch.insertions = {{0, 300}, {1, 301}, {2, 302}};  // guaranteed-new edges
-  service.apply_edges(batch);
-  service.wait_for_refresh();
-  const Answer fallback = service.answer(q);
-  EXPECT_EQ(fallback.status, QueryStatus::kOk);
-  EXPECT_TRUE(fallback.degraded);
-  EXPECT_EQ(fallback.source, AnswerSource::kCoreness);
-  EXPECT_GT(fallback.staleness_ms, 0.0);
-}
+class ResilienceTest : public ::testing::Test {
+ protected:
+  void SetUp() override { obs::metrics_reset_all(); }
+  void TearDown() override { obs::metrics_reset_all(); }
+};
 
 TEST_F(ResilienceTest, ApplyEdgesRefreshesInBackgroundToFreshAnswers) {
-  TrustService service{expander(200, 24), resilient_options()};
+  TrustService service{expander(200, 24), service_options()};
   const std::uint64_t epoch0 = service.epoch();
   const std::vector<Query> queries = all_kind_queries(6);
   std::vector<Answer> before(queries.size());
@@ -408,31 +90,74 @@ TEST_F(ResilienceTest, ApplyEdgesRefreshesInBackgroundToFreshAnswers) {
 
   // Post-refresh answers are fresh (non-degraded) and bitwise identical to
   // an uncached recompute against the post-churn graph.
-  std::vector<Answer> after(queries.size());
-  service.answer_batch(queries, after);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(after[i].status, QueryStatus::kOk);
-    ASSERT_FALSE(after[i].degraded);
-    const Answer reference = service.answer_uncached(queries[i]);
-    ASSERT_EQ(std::memcmp(&after[i], &reference, sizeof(Answer)), 0);
-  }
+  expect_fresh_and_identical(service, queries);
 
   // Back-to-back churn coalesces into the single-flight refresh and still
-  // converges to one consistent, fresh epoch.
+  // converges to one consistent, fresh epoch. New vertices attach to the
+  // graph: a second component would fail the SybilRank rebuild.
+  const VertexId n = service.graph().num_vertices();
   EdgeBatch more;
-  more.insertions = {{10, 310}, {11, 311}};
+  more.insertions = {{10, n}, {11, n + 1}};
   service.apply_edges(more);
   EdgeBatch again;
-  again.insertions = {{12, 312}};
+  again.insertions = {{12, n + 2}};
   service.apply_edges(again);
   service.wait_for_refresh();
   EXPECT_EQ(service.epoch(), epoch0 + 3);
   Query probe;
   probe.kind = QueryKind::kCoreness;
-  probe.vertex = 312;
+  probe.vertex = n + 2;
   const Answer fresh = service.answer(probe);
   EXPECT_EQ(fresh.status, QueryStatus::kOk);
   EXPECT_FALSE(fresh.degraded);
+  EXPECT_EQ(counter_value("serve.rebuild_failures"), 0u);
+}
+
+TEST_F(ResilienceTest, FailedRebuildKeepsOldSnapshotAnswering) {
+  TrustService service{expander(200, 21), service_options()};
+  const VertexId n = service.graph().num_vertices();
+  std::vector<Query> queries = all_kind_queries(5);
+  for (const Query& q : all_kind_queries(n - 1)) queries.push_back(q);
+  std::vector<Answer> before(queries.size());
+  service.answer_batch(queries, before);
+
+  // {n, n+1} is a second component: SybilRank needs a connected graph, so
+  // the rebuild throws and the pre-churn snapshot keeps answering.
+  EdgeBatch split;
+  split.insertions = {{n, n + 1}};
+  service.apply_edges(split);
+  service.wait_for_refresh();
+  EXPECT_EQ(counter_value("serve.rebuild_failures"), 1u);
+
+  std::vector<Answer> stale(queries.size());
+  service.answer_batch(queries, stale);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(stale[i].status, QueryStatus::kOk);
+    EXPECT_TRUE(stale[i].degraded);
+    EXPECT_GT(stale[i].staleness_ms, 0.0);
+    EXPECT_EQ(stale[i].value, before[i].value);
+    EXPECT_EQ(stale[i].percentile, before[i].percentile);
+    EXPECT_EQ(stale[i].admitted, before[i].admitted);
+    EXPECT_EQ(stale[i].source, before[i].source);
+  }
+  EXPECT_GE(counter_value("serve.degraded"), queries.size());
+
+  // The new vertices are in the latest graph but in no snapshot yet.
+  Query fresh_vertex;
+  fresh_vertex.kind = QueryKind::kCoreness;
+  fresh_vertex.vertex = n;
+  EXPECT_EQ(service.answer(fresh_vertex).status, QueryStatus::kUnavailable);
+  fresh_vertex.vertex = n + 2;
+  EXPECT_EQ(service.answer(fresh_vertex).status, QueryStatus::kInvalidVertex);
+
+  // Joining the component makes the next rebuild succeed.
+  EdgeBatch join;
+  join.insertions = {{0, n}};
+  service.apply_edges(join);
+  service.wait_for_refresh();
+  EXPECT_EQ(counter_value("serve.rebuild_failures"), 1u);
+  expect_fresh_and_identical(service, queries);
+  expect_fresh_and_identical(service, all_kind_queries(n + 1));
 }
 
 TEST_F(ResilienceTest, ApplyEdgeBatchSemantics) {
@@ -458,136 +183,56 @@ TEST_F(ResilienceTest, ApplyEdgeBatchSemantics) {
   EXPECT_FALSE(apply_edge_batch(g, conflicted).has_edge(0, 2));
 }
 
-// ------------------------------------------------- overload: shed + deadline ---
-
-TEST_F(ResilienceTest, QueueDeadlineExpiresWhileWorkerIsParked) {
-  TrustService::Options options = resilient_options();
-  options.batch_size = 8;
-  TrustService service{expander(200, 25), std::move(options)};
-  service.start();
-  // Park the drain worker 80 ms per batch (the serve.queue stall fault);
-  // queries carrying a 1 ms queue-wait deadline must complete as
-  // kDeadlineExceeded instead of being computed late.
-  exec::set_fault_plan(
-      {"serve.queue", 9, 1.0, exec::FaultPlan::Action::kSleep, 80});
-  std::vector<Query> queries(4);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    queries[i].kind = QueryKind::kCoreness;
-    queries[i].vertex = static_cast<VertexId>(i);
-    queries[i].deadline_ms = 1;
+TEST(SnapshotSwapTest, ReadersRacingTheSwapSeeFreshOrHonestlyStaleAnswers) {
+  obs::metrics_reset_all();
+  TrustService service{expander(300, 31), service_options()};
+  const VertexId n = service.graph().num_vertices();
+  // Targets exist in every epoch: batches only add vertices.
+  const ZipfGenerator zipf{n, 0.99};
+  Rng rng{5};
+  std::vector<Query> queries(64);
+  for (Query& q : queries) {
+    q.vertex = static_cast<VertexId>(zipf(rng));
+    q.kind = static_cast<QueryKind>(rng.uniform(4));
+    q.defense = rng.bernoulli(0.5) ? Defense::kSybilRank : Defense::kGateKeeper;
   }
-  std::vector<Answer> answers(queries.size());
-  EXPECT_EQ(service.ask_batch(queries, answers), 0u);
-  for (const Answer& a : answers)
-    EXPECT_EQ(a.status, QueryStatus::kDeadlineExceeded);
-  EXPECT_EQ(counter_value("serve.deadline_exceeded"), queries.size());
-  exec::clear_fault_plan();
-  // Without a deadline the same pipeline answers normally again.
-  for (Query& q : queries) q.deadline_ms = 0;
-  EXPECT_EQ(service.ask_batch(queries, answers), queries.size());
-  service.stop();
-}
 
-TEST_F(ResilienceTest, FullRingForceShedsInsteadOfBlockingAndRecovers) {
-  TrustService::Options options = resilient_options();
-  options.resilience.shed_ms = 1.0;
-  options.batch_size = 1;
-  options.queue_capacity = 4;
-  TrustService service{expander(200, 26), std::move(options)};
-  service.start();
-  // Park the worker so the 4-slot ring fills; the overflow must shed
-  // immediately (kOverloaded) rather than block on the parked worker.
-  exec::set_fault_plan(
-      {"serve.queue", 11, 1.0, exec::FaultPlan::Action::kSleep, 60});
-  std::vector<Query> queries(12);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    queries[i].kind = QueryKind::kCoreness;
-    queries[i].vertex = static_cast<VertexId>(i);
-  }
-  std::vector<Answer> answers(queries.size());
-  const std::size_t served = service.ask_batch(queries, answers);
-  EXPECT_LT(served, queries.size());
-  EXPECT_GT(counter_value("serve.shed"), 0u);
-  bool saw_overloaded = false;
-  for (const Answer& a : answers)
-    if (a.status == QueryStatus::kOverloaded) saw_overloaded = true;
-  EXPECT_TRUE(saw_overloaded);
-  // Heal the stall: the controller exits shed (idle ring counts as a zero
-  // sojourn) and service resumes with fresh answers.
-  exec::clear_fault_plan();
-  Query q;
-  q.kind = QueryKind::kCoreness;
-  q.vertex = 1;
-  Answer ok;
-  for (int i = 0; i < 500; ++i) {
-    ok = service.ask(q);
-    if (ok.status == QueryStatus::kOk) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(ok.status, QueryStatus::kOk);
-  EXPECT_FALSE(ok.degraded);
-  service.stop();
-}
-
-TEST_F(ResilienceTest, StopNeverDeadlocksWhileSheddingAndDrainingRace) {
-  // Regression: stop() while (a) the drain worker is parked mid-batch on a
-  // serve.queue stall, (b) the ring is full, and (c) clients keep
-  // submitting under shed. Every ticket must complete and stop() must
-  // return — the shed path never leaves a client blocked on the ring.
-  // (The ctest timeout is the watchdog for this test.)
-  TrustService::Options options = resilient_options();
-  options.resilience.shed_ms = 0.5;
-  options.batch_size = 2;
-  options.queue_capacity = 8;
-  TrustService service{expander(200, 27), std::move(options)};
-  service.start();
-  exec::set_fault_plan(
-      {"serve.queue", 13, 1.0, exec::FaultPlan::Action::kSleep, 30});
-  std::atomic<bool> stop_submitting{false};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 4; ++c) {
-    clients.emplace_back([&service, &stop_submitting, c] {
-      std::vector<Query> queries(16);
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        queries[i].kind = QueryKind::kCoreness;
-        queries[i].vertex = static_cast<VertexId>((c * 16 + i) % 100);
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> rounds{0};
+  std::atomic<std::uint64_t> bad{0};
+  const auto reader = [&] {
+    std::vector<Answer> answers(queries.size());
+    do {
+      service.ask_batch(queries, answers);
+      for (const Answer& a : answers) {
+        const bool honest =
+            a.status == QueryStatus::kOk &&
+            (a.degraded ? a.staleness_ms > 0.0 : a.staleness_ms == 0.0);
+        if (!honest) bad.fetch_add(1);
       }
-      std::vector<Answer> answers(queries.size());
-      while (!stop_submitting.load()) {
-        service.ask_batch(queries, answers);
-        // Every ticket completes with an explicit terminal status.
-        for (const Answer& a : answers)
-          EXPECT_NE(a.status, QueryStatus::kInvalidVertex);
-      }
-    });
+      rounds.fetch_add(1);
+    } while (!done.load());
+  };
+  std::thread first{reader};
+  std::thread second{reader};
+  for (VertexId b = 0; b < 3; ++b) {
+    EdgeBatch batch;
+    batch.insertions = {{b, n + b}, {n + b, 7 * b + 3}, {4 * b + 1, 9 * b + 2}};
+    service.apply_edges(batch);
+    service.wait_for_refresh();
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  service.stop();  // must return despite the parked worker + full ring
-  stop_submitting.store(true);
-  for (std::thread& t : clients) t.join();
-  EXPECT_FALSE(service.running());
-}
+  const std::uint64_t seen = rounds.load();
+  while (rounds.load() < seen + 2) std::this_thread::yield();
+  done.store(true);
+  first.join();
+  second.join();
 
-TEST_F(ResilienceTest, QueueFaultThrowShedsBatchAsOverloaded) {
-  TrustService::Options options = resilient_options();
-  options.resilience.retries = 0;  // no second chance: batch sheds at once
-  options.batch_size = 4;
-  TrustService service{expander(200, 28), std::move(options)};
-  service.start();
-  exec::set_fault_plan({"serve.queue", 17, 1.0});  // default action: throw
-  std::vector<Query> queries(4);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    queries[i].kind = QueryKind::kCoreness;
-    queries[i].vertex = static_cast<VertexId>(i);
-  }
-  std::vector<Answer> answers(queries.size());
-  EXPECT_EQ(service.ask_batch(queries, answers), 0u);
-  for (const Answer& a : answers)
-    EXPECT_EQ(a.status, QueryStatus::kOverloaded);
-  EXPECT_GE(counter_value("serve.shed"), queries.size());
-  exec::clear_fault_plan();
-  EXPECT_EQ(service.ask_batch(queries, answers), queries.size());
-  service.stop();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(service.epoch(), 3u);
+  EXPECT_EQ(counter_value("serve.rebuild_failures"), 0u);
+  service.wait_for_refresh();
+  expect_fresh_and_identical(service, queries);
+  obs::metrics_reset_all();
 }
 
 }  // namespace

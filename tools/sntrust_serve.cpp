@@ -3,7 +3,7 @@
 //
 //   sntrust_serve query <graph> <seeds> <command...>
 //       One-shot: loads the graph (any format read_graph_auto sniffs,
-//       including mmap snapshots), warms the per-defense artifacts, runs the
+//       including mmap snapshots), builds the serving snapshot, runs the
 //       commands, exits. <seeds> is a comma-separated vertex list.
 //   sntrust_serve repl <graph> <seeds>
 //       Reads one command per line from stdin until EOF ("quit" also exits).
@@ -17,22 +17,17 @@
 //   trust <defense> <v>   trust value + percentile under <defense>
 //   coreness <v>          coreness + ECDF percentile
 //   landmark <v>          landmark-walk probability at v (rel. stationary)
-//   stats                 cache + service counters
+//   stats                 epoch + service counters
 //
-// The service runs the same batched pipelined engine the serving bench
-// drives (SNTRUST_SERVE_BATCH / SNTRUST_SERVE_QUEUE_CAP /
-// SNTRUST_SERVE_CACHE_CAP apply); answers are bitwise identical to the
-// direct and uncached paths. SNTRUST_DEADLINE_MS and SIGINT cancel
-// cooperatively: unserved queries report status=cancelled and the process
-// exits 75 with whatever completed. The same partial taxonomy covers the
-// resilience layer: answers shed under overload print status=overloaded,
-// queue-deadline misses print status=deadline_exceeded (both exit 75), and
-// degraded answers carry ` degraded=yes source=<kind> staleness_ms=<age>`
-// (see SNTRUST_SERVE_SHED_MS / SNTRUST_SERVE_STALE_MS / README).
+// Queries run through ask(), the cancellation-checked read of the service's
+// snapshot; answers are bitwise identical to the direct and uncached paths.
+// SNTRUST_DEADLINE_MS and SIGINT cancel cooperatively: queries after the
+// cancellation report status=cancelled and the process exits 75 with
+// whatever completed.
 //
 // Exit codes: 0 success, 64 usage error, 65 bad input (unreadable graph,
-// out-of-range vertex/seed, unknown command), 75 cancelled/overloaded/
-// deadline partial, 1 internal error.
+// out-of-range vertex/seed, unknown command), 75 cancelled partial,
+// 1 internal error.
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -91,33 +86,18 @@ Defense parse_defense(const std::string& name) {
                               " (want sybilrank|gatekeeper)");
 }
 
-const char* source_name(serve::AnswerSource source) {
-  switch (source) {
-    case serve::AnswerSource::kSybilRank:
-      return "sybilrank";
-    case serve::AnswerSource::kGateKeeper:
-      return "gatekeeper";
-    case serve::AnswerSource::kCoreness:
-      return "coreness";
-    case serve::AnswerSource::kLandmark:
-      return "landmark";
-  }
-  return "?";
-}
-
-/// Prints one answer line; returns false for a refused (unserved) answer —
-/// cancelled, shed, or past its deadline — which maps to exit 75.
+/// Prints one answer line; returns false for a cancelled answer, which
+/// maps to exit 75.
 bool print_answer(const Query& query, const Answer& answer) {
   switch (answer.status) {
     case QueryStatus::kCancelled:
       std::cout << "v=" << query.vertex << " status=cancelled\n";
       return false;
-    case QueryStatus::kOverloaded:
-      std::cout << "v=" << query.vertex << " status=overloaded\n";
-      return false;
-    case QueryStatus::kDeadlineExceeded:
-      std::cout << "v=" << query.vertex << " status=deadline_exceeded\n";
-      return false;
+    case QueryStatus::kUnavailable:
+      // The service builds its snapshot before the first query, so this is
+      // an internal error rather than a partial.
+      throw std::logic_error("no snapshot covers vertex " +
+                             std::to_string(query.vertex));
     case QueryStatus::kInvalidVertex:
       throw std::invalid_argument("vertex out of range: " +
                                   std::to_string(query.vertex));
@@ -148,14 +128,11 @@ bool print_answer(const Query& query, const Answer& answer) {
                 << " vs_stationary=" << fixed(answer.percentile, 3) << "x";
       break;
   }
-  if (answer.degraded)
-    std::cout << " degraded=yes source=" << source_name(answer.source)
-              << " staleness_ms=" << fixed(answer.staleness_ms, 1);
   std::cout << "\n";
   return true;
 }
 
-void print_stats(serve::TrustService& service) {
+void print_stats(const serve::TrustService& service) {
   const obs::MetricsSnapshot snap = obs::Metrics::instance().snapshot();
   const auto counter = [&snap](const char* name) -> std::uint64_t {
     const auto it = snap.counters.find(name);
@@ -165,23 +142,13 @@ void print_stats(serve::TrustService& service) {
             << " m=" << with_thousands(service.graph().num_edges())
             << " fingerprint=" << to_hex(service.graph().fingerprint())
             << "\n"
-            << "cache: entries=" << service.cache().size()
-            << " hits=" << counter("serve.cache_hits")
-            << " misses=" << counter("serve.cache_misses")
-            << " evictions=" << counter("serve.cache_evictions")
-            << " invalidations=" << counter("serve.cache_invalidations")
+            << "epoch: " << service.epoch()
+            << " rebuild_failures=" << counter("serve.rebuild_failures")
             << "\n"
             << "served: queries=" << counter("serve.queries")
             << " cancelled=" << counter("serve.cancelled")
-            << " shed=" << counter("serve.shed")
             << " degraded=" << counter("serve.degraded")
-            << " deadline_exceeded=" << counter("serve.deadline_exceeded")
-            << " batches=" << counter("serve.batches")
-            << " batch_size=" << service.batch_size() << "\n"
-            << "resilience: breaker_opens=" << counter("serve.breaker_opens")
-            << " breaker_closes=" << counter("serve.breaker_closes")
-            << " retries=" << counter("serve.retries")
-            << " stale_hits=" << counter("serve.cache_stale_hits") << "\n";
+            << " unavailable=" << counter("serve.unavailable") << "\n";
 }
 
 /// Executes one command (a token list); returns false once cancelled.
@@ -214,7 +181,6 @@ int serve_commands(Graph graph, const std::vector<VertexId>& seeds,
   options.config.seeds = seeds;
   options.config.gatekeeper.seed = kBenchSeed;
   serve::TrustService service{std::move(graph), std::move(options)};
-  service.start();
 
   bool cancelled = false;
   const auto run = [&](const std::vector<std::string>& words) {
@@ -237,10 +203,8 @@ int serve_commands(Graph graph, const std::vector<VertexId>& seeds,
       }
     }
   }
-  service.stop();
   if (cancelled) {
-    std::cerr << "partial: some queries were refused "
-                 "(cancelled/overloaded/deadline)\n";
+    std::cerr << "partial: some queries were cancelled\n";
     return 75;  // EX_TEMPFAIL-style partial, matching the bench taxonomy
   }
   return 0;
