@@ -4,9 +4,11 @@
 // tiny for the first many steps; the frontier-sparse kernel only touches
 // support-adjacent rows while the dense kernel gathers all n rows every
 // step. This bench times the short-walk mixing sweep (the paper's regime:
-// TVD curves are read off at small t) under each kernel mode on the largest
-// slow-mixing bench analogue, verifies all modes produce bitwise identical
-// curves, locates the auto-mode crossover step, and prints one JSON object.
+// TVD curves are read off at small t) on the largest slow-mixing bench
+// analogue at three dense crossover fractions — 0 (dense from the first
+// step), +infinity (sparse until saturation) and the default 0.5 (auto) —
+// verifies all three produce bitwise identical curves, locates the auto
+// crossover step, and prints one JSON object.
 //
 // A second table times the lane-block step behind measure_mixing
 // (markov/lane_block.hpp) on the largest Figure 1(b) analogue: ns per
@@ -25,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -38,13 +41,18 @@ namespace {
 
 using namespace sntrust;
 
-MixingOptions sweep_options(KernelMode mode, std::uint32_t sources,
+// The three legs as dense crossover fractions (FrontierWalk::Options).
+constexpr double kDense = 0.0;
+constexpr double kAuto = FrontierWalk::Options{}.dense_fraction;
+constexpr double kSparse = std::numeric_limits<double>::infinity();
+
+MixingOptions sweep_options(double fraction, std::uint32_t sources,
                             std::uint32_t length) {
   MixingOptions options;
   options.num_sources = sources;
   options.max_walk_length = length;
   options.seed = bench::kBenchSeed;
-  options.kernel = mode;
+  options.kernel_dense_fraction = fraction;
   return options;
 }
 
@@ -53,14 +61,15 @@ struct ModeTiming {
   MixingCurves curves;
 };
 
-ModeTiming time_mode(const Graph& g, KernelMode mode, std::uint32_t sources,
+ModeTiming time_mode(const Graph& g, double fraction, std::uint32_t sources,
                      std::uint32_t length, int reps = 1) {
   // Repetitions take the minimum wall time: the sweep is deterministic, so
   // the fastest rep is the least-perturbed one on a noisy host.
   ModeTiming timing;
   for (int rep = 0; rep < reps; ++rep) {
     obs::Stopwatch clock;
-    timing.curves = measure_mixing(g, sweep_options(mode, sources, length));
+    timing.curves =
+        measure_mixing(g, sweep_options(fraction, sources, length));
     const double ms = clock.elapsed_ms();
     if (rep == 0 || ms < timing.ms) timing.ms = ms;
   }
@@ -190,22 +199,22 @@ int main() {
 
   // Warm the graph and stationary-distribution caches so leg order does not
   // bias the comparison.
-  (void)time_mode(g, KernelMode::kAuto, 2, 2);
+  (void)time_mode(g, kAuto, 2, 2);
 
   // One report span per kernel leg: the emitted run report then carries the
   // dense-vs-sparse short-walk comparison on its own (see bench/baselines).
   ModeTiming dense, sparse, automatic;
   {
     const bench::Section section{"short-walk sweep [dense]"};
-    dense = time_mode(g, KernelMode::kDense, kSources, kShortWalk, 3);
+    dense = time_mode(g, kDense, kSources, kShortWalk, 3);
   }
   {
     const bench::Section section{"short-walk sweep [sparse]"};
-    sparse = time_mode(g, KernelMode::kSparse, kSources, kShortWalk, 3);
+    sparse = time_mode(g, kSparse, kSources, kShortWalk, 3);
   }
   {
     const bench::Section section{"short-walk sweep [auto]"};
-    automatic = time_mode(g, KernelMode::kAuto, kSources, kShortWalk, 3);
+    automatic = time_mode(g, kAuto, kSources, kShortWalk, 3);
   }
   const bool identical = bitwise_equal(dense.curves, sparse.curves) &&
                          bitwise_equal(dense.curves, automatic.curves);
@@ -217,9 +226,8 @@ int main() {
   {
     const bench::Section section{"speedup by walk length (dense vs auto)"};
     for (const std::uint32_t length : lengths) {
-      by_length_dense.push_back(
-          time_mode(g, KernelMode::kDense, 8, length, 2).ms);
-      by_length_auto.push_back(time_mode(g, KernelMode::kAuto, 8, length, 2).ms);
+      by_length_dense.push_back(time_mode(g, kDense, 8, length, 2).ms);
+      by_length_auto.push_back(time_mode(g, kAuto, 8, length, 2).ms);
     }
   }
 
@@ -229,7 +237,7 @@ int main() {
   double crossover_fraction = 0.0;
   {
     const bench::Section section{"crossover point"};
-    FrontierWalk walk{g, {KernelMode::kAuto, kernel_dense_fraction()}};
+    FrontierWalk walk{g, {kAuto}};
     walk.reset(dense.curves.sources.front());
     for (std::uint32_t t = 1; t <= 64; ++t) {
       walk.step(StepKind::kPlain);
@@ -268,7 +276,7 @@ int main() {
   reporter.set_config("bench", "micro_kernels");
   reporter.set_config("graph_n", g.num_vertices());
   reporter.set_config("graph_m", g.num_edges());
-  reporter.set_config("kernel_threshold", kernel_dense_fraction());
+  reporter.set_config("kernel_threshold", kAuto);
 
   const double speedup_sparse = sparse.ms > 0.0 ? dense.ms / sparse.ms : 0.0;
   const double speedup_auto =

@@ -61,10 +61,7 @@ PropertyReport measure_properties(const Graph& g,
     mixing_options.num_sources = options.mixing_sources;
     mixing_options.max_walk_length = options.mixing_max_walk;
     mixing_options.seed = options.seed;
-    mixing_options.kernel = options.kernel;
     report.mixing = measure_mixing(g, mixing_options);
-    obs::set_gauge("suite.kernel_mode", static_cast<double>(static_cast<int>(
-        mixing_options.kernel.value_or(kernel_mode()))));
     report.mixing_time = mixing_time_estimate(report.mixing, report.epsilon);
   }
 

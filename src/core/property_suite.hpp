@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,9 +31,6 @@ struct PropertySuiteOptions {
   /// spectral matvecs. 0 inherits the process default (SNTRUST_THREADS /
   /// hardware_concurrency); results are identical for any value.
   std::uint32_t threads = 0;
-  /// Distribution-evolution kernel for the mixing sweep; unset inherits the
-  /// process mode (SNTRUST_KERNEL). All modes give bitwise-identical curves.
-  std::optional<KernelMode> kernel;
 };
 
 /// Everything the paper measures about one graph.

@@ -8,14 +8,10 @@
 namespace sntrust {
 
 FrontierBfs::FrontierBfs(const Graph& g)
-    : FrontierBfs(g, Options{14, 24, graph_layout()}) {}
+    : FrontierBfs(g, Options{}) {}
 
 FrontierBfs::FrontierBfs(const Graph& g, const Options& options)
     : graph_(g), options_(options), epoch_seen_(g.num_vertices(), 0) {
-  if (options.layout != GraphLayout::kPlain) {
-    layout_ = g.layout(options.layout);
-    dist_int_.assign(g.num_vertices(), kUnreachable);
-  }
   frontier_.reserve(g.num_vertices());
   next_frontier_.reserve(g.num_vertices());
   result_.distances.assign(g.num_vertices(), kUnreachable);
@@ -40,22 +36,6 @@ void FrontierBfs::ensure_unvisited_list() {
 void FrontierBfs::top_down_level(std::uint32_t depth) {
   next_frontier_.clear();
   frontier_degree_ = 0;
-  if (layout_) {
-    const LayoutData& layout = *layout_;
-    for (const VertexId u : frontier_) {
-      layout.for_each_target(u, [&](VertexId w) {
-        if (epoch_seen_[w] != epoch_) {
-          epoch_seen_[w] = epoch_;
-          dist_int_[w] = depth + 1;
-          next_frontier_.push_back(w);
-          const EdgeIndex degree = layout.int_degree(w);
-          frontier_degree_ += degree;
-          unexplored_degree_ -= degree;
-        }
-      });
-    }
-    return;
-  }
   const auto offsets = graph_.offsets();
   const auto targets = graph_.targets();
   for (const VertexId u : frontier_) {
@@ -77,30 +57,6 @@ void FrontierBfs::bottom_up_level(std::uint32_t depth) {
   next_frontier_.clear();
   frontier_degree_ = 0;
   std::size_t keep = 0;
-  if (layout_) {
-    // Internal ids are degree-descending, so unvisited tail vertices probe
-    // hub-first — the frontier neighbour most likely to exist sits in the
-    // cache-resident prefix, and any_target stops decoding at the hit.
-    const LayoutData& layout = *layout_;
-    for (const VertexId v : unvisited_) {
-      if (epoch_seen_[v] == epoch_) continue;  // claimed earlier: drop
-      const bool adjacent = layout.any_target(v, [&](VertexId w) {
-        return epoch_seen_[w] == epoch_ && dist_int_[w] == depth;
-      });
-      if (adjacent) {
-        epoch_seen_[v] = epoch_;
-        dist_int_[v] = depth + 1;
-        next_frontier_.push_back(v);
-        const EdgeIndex degree = layout.int_degree(v);
-        frontier_degree_ += degree;
-        unexplored_degree_ -= degree;
-      } else {
-        unvisited_[keep++] = v;
-      }
-    }
-    unvisited_.resize(keep);
-    return;
-  }
   const auto offsets = graph_.offsets();
   const auto targets = graph_.targets();
   for (const VertexId v : unvisited_) {
@@ -142,19 +98,10 @@ const BfsResult& FrontierBfs::run(VertexId source) {
   result_.level_sizes.clear();
   result_.reached = 0;
 
-  // Layout mode runs the whole search in internal id space: the source maps
-  // in here, distances map back out at the end.
-  const VertexId start =
-      layout_ ? layout_->map().to_internal[source] : source;
-  frontier_.assign(1, start);
-  epoch_seen_[start] = epoch_;
-  if (layout_) {
-    dist_int_[start] = 0;
-    frontier_degree_ = layout_->int_degree(start);
-  } else {
-    result_.distances[start] = 0;
-    frontier_degree_ = graph_.degree_unchecked(start);
-  }
+  frontier_.assign(1, source);
+  epoch_seen_[source] = epoch_;
+  result_.distances[source] = 0;
+  frontier_degree_ = graph_.degree_unchecked(source);
   unexplored_degree_ = graph_.targets().size() - frontier_degree_;
   unvisited_valid_ = false;
 
@@ -185,17 +132,9 @@ const BfsResult& FrontierBfs::run(VertexId source) {
   result_.eccentricity =
       static_cast<std::uint32_t>(result_.level_sizes.size() - 1);
   // Mark unreached vertices lazily: distances[] still holds stale values
-  // from previous runs for them, so fix them up only once per run. Layout
-  // mode folds the external remap into the same O(n) pass.
-  if (layout_) {
-    const auto& to_external = layout_->map().to_external;
-    for (VertexId iv = 0; iv < graph_.num_vertices(); ++iv)
-      result_.distances[to_external[iv]] =
-          epoch_seen_[iv] == epoch_ ? dist_int_[iv] : kUnreachable;
-  } else {
-    for (VertexId v = 0; v < graph_.num_vertices(); ++v)
-      if (epoch_seen_[v] != epoch_) result_.distances[v] = kUnreachable;
-  }
+  // from previous runs for them, so fix them up only once per run.
+  for (VertexId v = 0; v < graph_.num_vertices(); ++v)
+    if (epoch_seen_[v] != epoch_) result_.distances[v] = kUnreachable;
   return result_;
 }
 

@@ -14,11 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/layout.hpp"
 #include "graph/traversal.hpp"
 
 namespace sntrust {
@@ -36,12 +34,6 @@ class FrontierBfs {
     /// Switch back to top-down when the frontier shrinks below n / beta.
     /// Beamer's beta = 24; large values keep bottom-up until exhaustion.
     std::uint64_t beta = 24;
-    /// Adjacency substrate (graph/layout.hpp): plain sweeps the CSR in
-    /// external id space; the degree-ordered layouts run the whole BFS in
-    /// internal id space (hub-first bottom-up scans, compressed rows) and
-    /// remap distances on the way out. Results are identical — distances,
-    /// level sizes, and reach are level-synchronous invariants.
-    GraphLayout layout = GraphLayout::kPlain;
   };
 
   explicit FrontierBfs(const Graph& g);
@@ -59,10 +51,6 @@ class FrontierBfs {
 
   const Graph& graph_;
   Options options_;
-  std::shared_ptr<const LayoutData> layout_;  // engaged when layout != plain
-  /// Distances by internal id (layout mode); remapped into result_ at the
-  /// end of run(). Plain mode writes result_.distances directly.
-  std::vector<std::uint32_t> dist_int_;
   std::vector<std::uint32_t> epoch_seen_;  // epoch marking instead of reset
   std::uint32_t epoch_ = 0;
   std::vector<VertexId> frontier_, next_frontier_;

@@ -1,8 +1,6 @@
 #include "markov/frontier.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel.hpp"
-#include "util/env.hpp"
 
 namespace sntrust {
 
@@ -21,68 +18,7 @@ namespace {
 /// gather, so small frontiers stay inline.
 constexpr std::size_t kSparseGrain = 1024;
 
-/// Runtime override of the process-wide kernel mode; -1 = none.
-std::atomic<int> g_kernel_override{-1};
-
-int env_kernel_mode() {
-  static const int mode = [] {
-    const std::optional<KernelMode> parsed =
-        parse_kernel_mode(env_string("SNTRUST_KERNEL", "auto"));
-    return static_cast<int>(parsed.value_or(KernelMode::kAuto));
-  }();
-  return mode;
-}
-
 }  // namespace
-
-std::string to_string(KernelMode mode) {
-  switch (mode) {
-    case KernelMode::kAuto: return "auto";
-    case KernelMode::kDense: return "dense";
-    case KernelMode::kSparse: return "sparse";
-  }
-  return "?";
-}
-
-std::optional<KernelMode> parse_kernel_mode(const std::string& text) {
-  std::string value{text};
-  std::transform(value.begin(), value.end(), value.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (value == "auto") return KernelMode::kAuto;
-  if (value == "dense") return KernelMode::kDense;
-  if (value == "sparse") return KernelMode::kSparse;
-  return std::nullopt;
-}
-
-KernelMode kernel_mode() {
-  const int override_mode =
-      g_kernel_override.load(std::memory_order_relaxed);
-  if (override_mode >= 0) return static_cast<KernelMode>(override_mode);
-  return static_cast<KernelMode>(env_kernel_mode());
-}
-
-void set_kernel_mode(KernelMode mode) {
-  g_kernel_override.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-void clear_kernel_mode_override() {
-  g_kernel_override.store(-1, std::memory_order_relaxed);
-}
-
-ScopedKernelMode::ScopedKernelMode(KernelMode mode)
-    : previous_(g_kernel_override.load(std::memory_order_relaxed)) {
-  set_kernel_mode(mode);
-}
-
-ScopedKernelMode::~ScopedKernelMode() {
-  g_kernel_override.store(previous_, std::memory_order_relaxed);
-}
-
-double kernel_dense_fraction() {
-  static const double fraction =
-      std::max(0.0, env_double("SNTRUST_KERNEL_THRESHOLD", 0.5));
-  return fraction;
-}
 
 StationaryPrefix::StationaryPrefix(const Distribution& pi)
     : prefix_(pi.size() + 1, 0.0) {
@@ -106,13 +42,10 @@ double support_tvd(const Distribution& p, const std::vector<VertexId>& support,
   return 0.5 * (diff + tail);
 }
 
-FrontierWalk::FrontierWalk(const Graph& g)
-    : FrontierWalk(
-          g, Options{kernel_mode(), kernel_dense_fraction(), graph_layout()}) {}
+FrontierWalk::FrontierWalk(const Graph& g) : FrontierWalk(g, Options{}) {}
 
 FrontierWalk::FrontierWalk(const Graph& g, const Options& options)
     : graph_(g),
-      mode_(options.mode),
       dense_fraction_(options.dense_fraction),
       p_(g.num_vertices(), 0.0),
       buffer_(g.num_vertices(), 0.0),
@@ -120,10 +53,7 @@ FrontierWalk::FrontierWalk(const Graph& g, const Options& options)
       sparse_steps_(obs::metrics_counter("kernel.sparse_steps")),
       dense_steps_(obs::metrics_counter("kernel.dense_steps")),
       frontier_edges_(obs::metrics_counter("kernel.frontier_edges")),
-      step_latency_(obs::metrics_quantile("kernel.step_ms")) {
-  if (options.layout != GraphLayout::kPlain)
-    matvec_.emplace(g, g.layout(options.layout));
-}
+      step_latency_(obs::metrics_quantile("kernel.step_ms")) {}
 
 void FrontierWalk::reset(VertexId source) {
   const VertexId n = graph_.num_vertices();
@@ -191,10 +121,6 @@ void FrontierWalk::clear_buffer() {
 }
 
 void FrontierWalk::dense_step(StepKind kind, double alpha) {
-  if (matvec_) {  // degree-ordered substrate; bitwise equal to the CSR path
-    matvec_->step(kind, alpha, p_, buffer_);
-    return;
-  }
   switch (kind) {
     case StepKind::kPlain:
       step_distribution(graph_, p_, buffer_);
@@ -282,23 +208,13 @@ void FrontierWalk::step(StepKind kind, double alpha) {
   }
 
   // Structural support evolution: the next support is exactly the candidate
-  // row set, computed identically in every kernel mode so TVD grouping (and
-  // thus every curve value) never depends on the mode.
+  // row set, computed identically for either kernel so TVD grouping (and
+  // thus every curve value) never depends on the crossover.
   build_candidates(/*include_support=*/kind != StepKind::kPlain);
 
-  bool dense = false;
-  switch (mode_) {
-    case KernelMode::kDense:
-      dense = true;
-      break;
-    case KernelMode::kSparse:
-      dense = false;
-      break;
-    case KernelMode::kAuto:
-      dense = static_cast<double>(last_frontier_degree_) >=
-              dense_fraction_ * static_cast<double>(graph_.targets().size());
-      break;
-  }
+  const bool dense =
+      static_cast<double>(last_frontier_degree_) >=
+      dense_fraction_ * static_cast<double>(graph_.targets().size());
 
   if (dense) {
     dense_step(kind, alpha);  // overwrites every row; no pre-clear needed

@@ -9,20 +9,17 @@
 //
 // Exactness contract: a candidate row gathers over its *full adjacency* in
 // CSR order skipping zero entries — the identical summation the dense kernel
-// performs for that row — so every kernel mode (dense, sparse, auto) produces
-// bitwise identical distributions and TVD curves. The modes differ only in
-// how much work they do, never in what they compute; `SNTRUST_KERNEL`
-// selects the process-wide default and tests pin the identity.
+// performs for that row — so every dense crossover fraction produces bitwise
+// identical distributions and TVD curves. The fraction changes only how much
+// work a step does, never what it computes; tests pin the identity at 0
+// (always dense), 0.5 (the default) and +infinity (sparse until saturation).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "markov/distribution.hpp"
-#include "markov/layout_matvec.hpp"
 #include "markov/transition.hpp"  // StepKind
 
 namespace sntrust {
@@ -30,45 +27,6 @@ namespace obs {
 class Counter;
 class QuantileHistogram;
 }  // namespace obs
-
-/// Kernel selection for distribution evolution. All modes are bitwise
-/// identical; they trade bookkeeping for touched-edge savings.
-enum class KernelMode {
-  kAuto,    ///< sparse pull until the frontier degree crosses the dense
-            ///< threshold, then dense gathers (the default)
-  kDense,   ///< always the full parallel row gather
-  kSparse,  ///< sparse pull until the support saturates to all vertices
-};
-
-std::string to_string(KernelMode mode);
-/// Parses "auto" / "dense" / "sparse" (case-insensitive); nullopt otherwise.
-std::optional<KernelMode> parse_kernel_mode(const std::string& text);
-
-/// Process-wide kernel mode: the runtime override if set, else
-/// SNTRUST_KERNEL (default auto).
-KernelMode kernel_mode();
-/// Runtime override of the process-wide mode (tests, --kernel).
-void set_kernel_mode(KernelMode mode);
-/// Drops the runtime override, restoring the SNTRUST_KERNEL default.
-void clear_kernel_mode_override();
-
-/// RAII kernel-mode override; restores the previous state on destruction.
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(KernelMode mode);
-  ~ScopedKernelMode();
-  ScopedKernelMode(const ScopedKernelMode&) = delete;
-  ScopedKernelMode& operator=(const ScopedKernelMode&) = delete;
-
- private:
-  int previous_;  // encoded previous override (-1 = none)
-};
-
-/// Auto-mode crossover threshold: a step uses the dense gather when the
-/// summed degree of the frontier-adjacent candidate rows reaches
-/// `fraction * 2m`. SNTRUST_KERNEL_THRESHOLD (default 0.5); 0 forces dense
-/// from the first step, +inf keeps the sparse pull until saturation.
-double kernel_dense_fraction();
 
 /// Prefix sums of the stationary distribution: prefix(v) = sum_{u < v} pi_u.
 /// The support-aware TVD charges the mass of every gap between consecutive
@@ -102,24 +60,21 @@ double support_tvd(const Distribution& p, const std::vector<VertexId>& support,
 ///
 /// Support evolution is structural (next support = candidate rows =
 /// neighbours of the support, plus the support itself for self-weighted
-/// kinds) and runs identically in every kernel mode, so TVD grouping — and
-/// therefore every curve value — is mode-independent. Once the support
-/// saturates to all n vertices (a fixed point of the expansion on any graph
-/// without isolated vertices) the walk drops the bookkeeping and runs pure
-/// dense steps.
+/// kinds) and runs identically whichever kernel a step uses, so TVD
+/// grouping — and therefore every curve value — never depends on the
+/// crossover. Once the support saturates to all n vertices (a fixed point of
+/// the expansion on any graph without isolated vertices) the walk drops the
+/// bookkeeping and runs pure dense steps.
 class FrontierWalk {
  public:
   struct Options {
-    KernelMode mode = KernelMode::kAuto;
-    /// Dense crossover as a fraction of 2m (see kernel_dense_fraction()).
+    /// Dense crossover: a step uses the dense gather when the summed degree
+    /// of its candidate rows reaches dense_fraction * 2m, and the sparse
+    /// pull otherwise. 0 forces dense from the first step; +infinity keeps
+    /// the sparse pull until the support saturates.
     double dense_fraction = 0.5;
-    /// Adjacency substrate for the dense gathers (graph/layout.hpp). Plain
-    /// runs the CSR kernels directly; the degree-ordered layouts route
-    /// through LayoutMatvec. Bitwise identical either way.
-    GraphLayout layout = GraphLayout::kPlain;
   };
 
-  /// Resolves mode / threshold from the process-wide defaults.
   explicit FrontierWalk(const Graph& g);
   FrontierWalk(const Graph& g, const Options& options);
 
@@ -154,9 +109,7 @@ class FrontierWalk {
   void commit_step();
 
   const Graph& graph_;
-  KernelMode mode_;
   double dense_fraction_;
-  std::optional<LayoutMatvec> matvec_;  // engaged when layout != plain
 
   Distribution p_, buffer_;
   std::vector<VertexId> support_;         // sorted support of p_

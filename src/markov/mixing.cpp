@@ -238,16 +238,13 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
 
   const Distribution pi = stationary_distribution(g);
   const StationaryPrefix prefix{pi};
-  const FrontierWalk::Options kernel{
-      options.kernel.value_or(kernel_mode()),
-      options.kernel_dense_fraction.value_or(kernel_dense_fraction()),
-      options.layout.value_or(graph_layout())};
+  const FrontierWalk::Options kernel{options.kernel_dense_fraction};
   const StepKind kind = options.lazy ? StepKind::kLazy : StepKind::kPlain;
   obs::ProgressMeter progress{"mixing sources", k};
   // Lanes are independent and each lane's sums keep the single-vector
-  // order, so curves are bitwise identical for any block width, kernel
-  // mode, layout and thread count, which is also why none of them enters
-  // the checkpoint fingerprint.
+  // order, so curves are bitwise identical for any block width, dense
+  // crossover and thread count, which is also why none of them enters the
+  // checkpoint fingerprint.
   const auto run_block = [&](const std::vector<std::size_t>& indices) {
     std::vector<VertexId> sources;
     for (const std::size_t i : indices) sources.push_back(out.sources[i]);

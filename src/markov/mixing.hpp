@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -27,19 +26,12 @@ struct MixingOptions {
   /// near-bipartite graphs. The paper's plots use the plain chain.
   bool lazy = false;
   std::uint64_t seed = 1;
-  /// Kernel selection for the distribution evolution; unset inherits the
-  /// process-wide mode (SNTRUST_KERNEL / set_kernel_mode). Every mode is
-  /// bitwise identical — this only trades bookkeeping for touched edges.
-  std::optional<KernelMode> kernel;
-  /// Auto-mode dense crossover as a fraction of 2m; unset inherits
-  /// SNTRUST_KERNEL_THRESHOLD. 0 forces dense gathers from the first step,
-  /// +infinity keeps the sparse pull until the support saturates.
-  std::optional<double> kernel_dense_fraction;
-  /// Adjacency layout for the dense gathers; unset inherits the
-  /// process-wide layout (SNTRUST_LAYOUT / set_graph_layout). Like the
-  /// kernel mode, every layout is bitwise identical — it only changes the
-  /// memory substrate the gathers run on.
-  std::optional<GraphLayout> layout;
+  /// Dense crossover of the pre-saturation steps as a fraction of 2m
+  /// (FrontierWalk::Options::dense_fraction). 0 forces dense gathers from
+  /// the first step, +infinity keeps the sparse pull until the support
+  /// saturates. Every value gives bitwise-identical curves; it only trades
+  /// bookkeeping for touched edges.
+  double kernel_dense_fraction = 0.5;
 };
 
 /// TVD-vs-walk-length curves for a set of sources.

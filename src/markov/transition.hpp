@@ -9,7 +9,7 @@ namespace sntrust {
 
 /// The chain variant a step applies; the write expressions mirror the dense
 /// kernels in transition.cpp / modulated.cpp verbatim. (Consumed by the
-/// frontier-sparse kernels and the layout matvec engine alike.)
+/// frontier-sparse kernels and the lane blocks alike.)
 enum class StepKind {
   kPlain,      ///< out_v = (pP)_v
   kLazy,       ///< out_v = 0.5 (pP)_v + 0.5 p_v

@@ -138,11 +138,11 @@ const char* to_string(DiffRow::Status status);
 
 /// Checks whether two reports measured the same thing: graph fingerprints
 /// (config keys starting with "graph.") and the workload scale must match
-/// when both sides recorded them — kernel/layout/thread knobs are allowed
-/// to differ (comparing those is the whole point of a perf diff). Returns
-/// an empty string when compatible, otherwise a human-readable explanation
-/// of the first mismatch. Reports without provenance (pre-provenance
-/// baselines) always compare as compatible.
+/// when both sides recorded them — the thread count and other knobs are
+/// allowed to differ (comparing those is the whole point of a perf diff).
+/// Returns an empty string when compatible, otherwise a human-readable
+/// explanation of the first mismatch. Reports without provenance
+/// (pre-provenance baselines) always compare as compatible.
 std::string provenance_mismatch(const RunReportData& baseline,
                                 const RunReportData& candidate);
 

@@ -2,16 +2,34 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace sntrust {
+
+namespace {
+
+/// True when strto* consumed a number from `raw` and only whitespace
+/// follows it: "12abc" and "0.5x" are not numbers.
+bool parsed_whole(const char* raw, const char* end) {
+  if (end == raw) return false;
+  while (std::isspace(static_cast<unsigned char>(*end))) ++end;
+  return *end == '\0';
+}
+
+}  // namespace
 
 double env_double(const std::string& name, double fallback) {
   const char* raw = std::getenv(name.c_str());
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const double value = std::strtod(raw, &end);
-  if (end == raw) return fallback;
+  if (!parsed_whole(raw, end)) return fallback;
+  // Overflow: strtod returns +-HUGE_VAL with ERANGE. Underflow also sets
+  // ERANGE but yields a usable tiny value.
+  if (errno == ERANGE && std::isinf(value)) return fallback;
   return value;
 }
 
@@ -19,8 +37,9 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   const char* raw = std::getenv(name.c_str());
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(raw, &end, 10);
-  if (end == raw) return fallback;
+  if (!parsed_whole(raw, end) || errno == ERANGE) return fallback;
   return static_cast<std::int64_t>(value);
 }
 

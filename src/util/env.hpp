@@ -11,10 +11,13 @@
 namespace sntrust {
 
 /// Returns the value of `name` parsed as a double, or `fallback` when the
-/// variable is unset or unparsable.
+/// variable is unset or unparsable: empty, not a number, followed by
+/// anything but whitespace ("0.5x"), or overflowing a double ("1e999").
 double env_double(const std::string& name, double fallback);
 
-/// Returns the value of `name` parsed as a 64-bit integer, or `fallback`.
+/// Returns the value of `name` parsed as a base-10 64-bit integer, or
+/// `fallback` when it is unset or unparsable: empty, not a number, followed
+/// by anything but whitespace ("12abc"), or out of range.
 std::int64_t env_int(const std::string& name, std::int64_t fallback);
 
 /// Returns the value of `name` parsed as a boolean, or `fallback` when the

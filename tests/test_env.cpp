@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 namespace sntrust {
 namespace {
@@ -62,6 +64,42 @@ TEST_F(EnvTest, IntAndDoubleStillParse) {
   EXPECT_EQ(env_int(kVar, 0), 42);
   setenv(kVar, "2.5", 1);
   EXPECT_DOUBLE_EQ(env_double(kVar, 0.0), 2.5);
+}
+
+TEST_F(EnvTest, IntRejectsTrailingCharacters) {
+  setenv(kVar, "12abc", 1);
+  EXPECT_EQ(env_int(kVar, 7), 7);
+  setenv(kVar, "12.5", 1);
+  EXPECT_EQ(env_int(kVar, 7), 7);
+  setenv(kVar, " -12 \t", 1);  // surrounding whitespace is fine
+  EXPECT_EQ(env_int(kVar, 7), -12);
+}
+
+TEST_F(EnvTest, IntRejectsOverflow) {
+  setenv(kVar, "9223372036854775808", 1);  // INT64_MAX + 1
+  EXPECT_EQ(env_int(kVar, 7), 7);
+  setenv(kVar, "-9223372036854775809", 1);
+  EXPECT_EQ(env_int(kVar, 7), 7);
+  setenv(kVar, "9223372036854775807", 1);
+  EXPECT_EQ(env_int(kVar, 7), INT64_MAX);
+}
+
+TEST_F(EnvTest, DoubleRejectsTrailingCharacters) {
+  setenv(kVar, "0.5x", 1);
+  EXPECT_EQ(env_double(kVar, 3.0), 3.0);
+  setenv(kVar, "1e", 1);  // strtod reads "1" and stops at the 'e'
+  EXPECT_EQ(env_double(kVar, 3.0), 3.0);
+  setenv(kVar, "0.25 \n", 1);
+  EXPECT_EQ(env_double(kVar, 3.0), 0.25);
+}
+
+TEST_F(EnvTest, DoubleRejectsOverflow) {
+  setenv(kVar, "1e999", 1);
+  EXPECT_EQ(env_double(kVar, 3.0), 3.0);
+  setenv(kVar, "-1e999", 1);
+  EXPECT_EQ(env_double(kVar, 3.0), 3.0);
+  setenv(kVar, "inf", 1);  // spelled out, infinity is a value
+  EXPECT_EQ(env_double(kVar, 3.0), std::numeric_limits<double>::infinity());
 }
 
 }  // namespace

@@ -35,14 +35,18 @@ std::vector<Graph> seed_graphs() {
   return graphs;
 }
 
-MixingCurves run_with_kernel(const Graph& g, KernelMode mode, bool lazy,
-                             double fraction = 0.5) {
+// The dense crossover fractions that force each kernel: dense from the first
+// step, the default auto crossover, and sparse until saturation.
+constexpr double kDense = 0.0;
+constexpr double kAuto = 0.5;
+constexpr double kSparse = std::numeric_limits<double>::infinity();
+
+MixingCurves run_with_fraction(const Graph& g, double fraction, bool lazy) {
   MixingOptions options;
   options.num_sources = 6;
   options.max_walk_length = 25;
   options.seed = 7;
   options.lazy = lazy;
-  options.kernel = mode;
   options.kernel_dense_fraction = fraction;
   return measure_mixing(g, options);
 }
@@ -59,32 +63,6 @@ void expect_bitwise_equal(const MixingCurves& a, const MixingCurves& b) {
   }
 }
 
-TEST(KernelMode, ParseAndPrint) {
-  EXPECT_EQ(parse_kernel_mode("auto"), KernelMode::kAuto);
-  EXPECT_EQ(parse_kernel_mode("DENSE"), KernelMode::kDense);
-  EXPECT_EQ(parse_kernel_mode("Sparse"), KernelMode::kSparse);
-  EXPECT_FALSE(parse_kernel_mode("fast").has_value());
-  EXPECT_FALSE(parse_kernel_mode("").has_value());
-  for (const KernelMode mode :
-       {KernelMode::kAuto, KernelMode::kDense, KernelMode::kSparse})
-    EXPECT_EQ(parse_kernel_mode(to_string(mode)), mode);
-}
-
-TEST(KernelMode, ScopedOverrideRestores) {
-  clear_kernel_mode_override();
-  const KernelMode ambient = kernel_mode();
-  {
-    ScopedKernelMode scope{KernelMode::kSparse};
-    EXPECT_EQ(kernel_mode(), KernelMode::kSparse);
-    {
-      ScopedKernelMode inner{KernelMode::kDense};
-      EXPECT_EQ(kernel_mode(), KernelMode::kDense);
-    }
-    EXPECT_EQ(kernel_mode(), KernelMode::kSparse);
-  }
-  EXPECT_EQ(kernel_mode(), ambient);
-}
-
 TEST(SupportTvd, MatchesDenseTotalVariation) {
   for (const Graph& g : seed_graphs()) {
     const Distribution pi = stationary_distribution(g);
@@ -92,7 +70,7 @@ TEST(SupportTvd, MatchesDenseTotalVariation) {
     // Evolve a point mass densely and compare the support-aware TVD (with
     // the structural support tracked by a FrontierWalk) against the plain
     // full-range total variation at every step.
-    FrontierWalk walk{g, {KernelMode::kSparse, 0.5}};
+    FrontierWalk walk{g, {kSparse}};
     walk.reset(0);
     for (std::uint32_t t = 0; t <= 12; ++t) {
       if (t > 0) walk.step(StepKind::kPlain);
@@ -116,11 +94,9 @@ TEST(SupportTvd, FullSupportMatchesExactly) {
 TEST(FrontierKernels, CurvesBitwiseIdenticalAcrossModes) {
   for (const Graph& g : seed_graphs()) {
     for (const bool lazy : {false, true}) {
-      const MixingCurves dense = run_with_kernel(g, KernelMode::kDense, lazy);
-      const MixingCurves sparse =
-          run_with_kernel(g, KernelMode::kSparse, lazy);
-      const MixingCurves automatic =
-          run_with_kernel(g, KernelMode::kAuto, lazy);
+      const MixingCurves dense = run_with_fraction(g, kDense, lazy);
+      const MixingCurves sparse = run_with_fraction(g, kSparse, lazy);
+      const MixingCurves automatic = run_with_fraction(g, kAuto, lazy);
       expect_bitwise_equal(dense, sparse);
       expect_bitwise_equal(dense, automatic);
     }
@@ -128,17 +104,20 @@ TEST(FrontierKernels, CurvesBitwiseIdenticalAcrossModes) {
 }
 
 TEST(FrontierKernels, CurvesBitwiseIdenticalOnGeneratedGraph) {
-  const Graph g = largest_component(barabasi_albert(400, 3, 11)).graph;
-  const MixingCurves dense = run_with_kernel(g, KernelMode::kDense, false);
-  const MixingCurves sparse = run_with_kernel(g, KernelMode::kSparse, false);
-  const MixingCurves automatic = run_with_kernel(g, KernelMode::kAuto, false);
-  expect_bitwise_equal(dense, sparse);
-  expect_bitwise_equal(dense, automatic);
+  for (const Graph& g :
+       {largest_component(barabasi_albert(400, 3, 11)).graph,
+        largest_component(barabasi_albert(300, 2, 5)).graph}) {
+    const MixingCurves dense = run_with_fraction(g, kDense, false);
+    const MixingCurves sparse = run_with_fraction(g, kSparse, false);
+    const MixingCurves automatic = run_with_fraction(g, kAuto, false);
+    expect_bitwise_equal(dense, sparse);
+    expect_bitwise_equal(dense, automatic);
+  }
 }
 
 TEST(FrontierKernels, ZeroThresholdForcesDenseFromFirstStep) {
   const Graph g = two_cliques(6);
-  FrontierWalk walk{g, {KernelMode::kAuto, 0.0}};
+  FrontierWalk walk{g, {kDense}};
   walk.reset(0);
   for (std::uint32_t t = 0; t < 5; ++t) {
     walk.step(StepKind::kPlain);
@@ -148,8 +127,7 @@ TEST(FrontierKernels, ZeroThresholdForcesDenseFromFirstStep) {
 
 TEST(FrontierKernels, InfiniteThresholdStaysSparseUntilSaturation) {
   const Graph g = path_graph(16);
-  FrontierWalk walk{
-      g, {KernelMode::kAuto, std::numeric_limits<double>::infinity()}};
+  FrontierWalk walk{g, {kSparse}};
   walk.reset(0);
   // The lazy chain's support is the ball of radius t around the source (the
   // path's endpoint), so it saturates exactly at t = eccentricity = 15; every
@@ -164,32 +142,25 @@ TEST(FrontierKernels, InfiniteThresholdStaysSparseUntilSaturation) {
   EXPECT_TRUE(walk.last_step_dense());  // saturated fast path
 }
 
-TEST(FrontierKernels, ForcedCrossoverModesAgree) {
-  const Graph g = largest_component(barabasi_albert(300, 2, 5)).graph;
-  const MixingCurves always_dense =
-      run_with_kernel(g, KernelMode::kAuto, false, 0.0);
-  const MixingCurves never_dense = run_with_kernel(
-      g, KernelMode::kAuto, false, std::numeric_limits<double>::infinity());
-  expect_bitwise_equal(always_dense, never_dense);
-}
-
 TEST(FrontierKernels, SparseSweepThreadCountInvariant) {
   const Graph g = largest_component(powerlaw_cluster(350, 3, 0.4, 17)).graph;
-  MixingCurves serial, threaded;
-  {
-    parallel::ScopedThreadCount scope{1};
-    serial = run_with_kernel(g, KernelMode::kSparse, false);
+  for (const double fraction : {kSparse, kDense, kAuto}) {
+    MixingCurves serial, threaded;
+    {
+      parallel::ScopedThreadCount scope{1};
+      serial = run_with_fraction(g, fraction, false);
+    }
+    {
+      parallel::ScopedThreadCount scope{4};
+      threaded = run_with_fraction(g, fraction, false);
+    }
+    expect_bitwise_equal(serial, threaded);
   }
-  {
-    parallel::ScopedThreadCount scope{4};
-    threaded = run_with_kernel(g, KernelMode::kSparse, false);
-  }
-  expect_bitwise_equal(serial, threaded);
 }
 
 TEST(FrontierWalk, SaturatedWalksSkipBookkeeping) {
   const Graph g = complete_graph(10);
-  FrontierWalk walk{g, {KernelMode::kAuto, 0.5}};
+  FrontierWalk walk{g, {kAuto}};
   walk.reset(0);
   // Lazy support = closed neighbourhood, so one step saturates K_10. (The
   // plain chain would need two: a point mass's first support excludes the
@@ -205,7 +176,7 @@ TEST(FrontierWalk, ResetReusesWorkspaceAcrossSources) {
   const Graph g = two_cliques(4);
   const Distribution pi = stationary_distribution(g);
   const StationaryPrefix prefix{pi};
-  FrontierWalk walk{g, {KernelMode::kSparse, 0.5}};
+  FrontierWalk walk{g, {kSparse}};
   for (const VertexId source : {VertexId{0}, VertexId{7}, VertexId{3}}) {
     walk.reset(source);
     EXPECT_EQ(walk.support().size(), 1u);

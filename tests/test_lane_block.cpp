@@ -1,14 +1,15 @@
 // Lane blocks (markov/lane_block.hpp) and the lane-blocked mixing sweep:
 // every lane must equal the single-vector kernels bitwise, and
 // measure_mixing must reproduce a per-source FrontierWalk loop — curves and
-// kernel counters alike — for any source count, thread count, kernel mode,
-// layout and walk length.
+// kernel counters alike — for any source count, thread count, dense
+// crossover and walk length.
 #include "markov/lane_block.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -90,11 +91,7 @@ Measured reference_mixing(const Graph& g, const MixingOptions& options) {
   out.curves.sources = rng.sample_without_replacement(g.num_vertices(), k);
   const Distribution pi = stationary_distribution(g);
   const StationaryPrefix prefix{pi};
-  FrontierWalk walk{g,
-                    {options.kernel.value_or(kernel_mode()),
-                     options.kernel_dense_fraction.value_or(
-                         kernel_dense_fraction()),
-                     options.layout.value_or(graph_layout())}};
+  FrontierWalk walk{g, {options.kernel_dense_fraction}};
   const StepKind kind = options.lazy ? StepKind::kLazy : StepKind::kPlain;
   for (const VertexId source : out.curves.sources) {
     walk.reset(source);
@@ -141,9 +138,6 @@ MixingOptions options_for(std::uint32_t sources, std::uint32_t length,
   options.max_walk_length = length;
   options.lazy = lazy;
   options.seed = 41;
-  options.kernel = KernelMode::kAuto;
-  options.kernel_dense_fraction = 0.5;
-  options.layout = GraphLayout::kPlain;
   return options;
 }
 
@@ -293,23 +287,20 @@ TEST(LaneMixing, MatchesPerSourceReferenceAcrossSourceCountsAndThreads) {
   }
 }
 
-TEST(LaneMixing, MatchesReferenceForEveryKernelModeAndLayout) {
+TEST(LaneMixing, MatchesReferenceForEveryCrossover) {
+  // 0 forces dense steps from the first one, +infinity keeps the sparse
+  // pull until saturation, and 0.5 is the default.
   for (const Case& c : identity_cases()) {
     for (const bool lazy : {false, true}) {
-      for (const KernelMode mode :
-           {KernelMode::kAuto, KernelMode::kDense, KernelMode::kSparse}) {
-        for (const GraphLayout layout :
-             {GraphLayout::kPlain, GraphLayout::kHilo,
-              GraphLayout::kCompressed}) {
-          MixingOptions options = options_for(kW + 1, c.length, lazy);
-          options.kernel = mode;
-          options.layout = layout;
-          const Measured expected = reference_mixing(c.graph, options);
-          parallel::ScopedThreadCount scope{4};
-          expect_same(expected, blocked_mixing(c.graph, options),
-                      std::string{c.name} + (lazy ? " lazy " : " plain ") +
-                          to_string(mode) + " " + to_string(layout));
-        }
+      for (const double fraction :
+           {0.5, 0.0, std::numeric_limits<double>::infinity()}) {
+        MixingOptions options = options_for(kW + 1, c.length, lazy);
+        options.kernel_dense_fraction = fraction;
+        const Measured expected = reference_mixing(c.graph, options);
+        parallel::ScopedThreadCount scope{4};
+        expect_same(expected, blocked_mixing(c.graph, options),
+                    std::string{c.name} + (lazy ? " lazy " : " plain ") +
+                        "fraction " + std::to_string(fraction));
       }
     }
   }
@@ -341,7 +332,7 @@ TEST(LaneMixing, TailFixtureJoinsLanesUnevenly) {
   Rng rng{options.seed};
   std::vector<std::uint32_t> joined;
   std::uint32_t never = 0;
-  FrontierWalk walk{g, {KernelMode::kSparse, 0.5, GraphLayout::kPlain}};
+  FrontierWalk walk{g, {std::numeric_limits<double>::infinity()}};
   for (const VertexId source :
        rng.sample_without_replacement(g.num_vertices(), kW)) {
     walk.reset(source);

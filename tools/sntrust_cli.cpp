@@ -22,17 +22,6 @@
 //   --threads <n>        Worker threads for the per-source sweeps (same as
 //                        SNTRUST_THREADS; 1 = serial). Results are
 //                        identical for any value.
-//   --kernel <mode>      Distribution-evolution kernel: auto | dense |
-//                        sparse (same as SNTRUST_KERNEL). All modes give
-//                        bitwise-identical results; auto starts with the
-//                        frontier-sparse pull and switches to dense gathers
-//                        once the frontier covers most of the graph.
-//   --layout <layout>    Adjacency layout for the hot loops: plain | hilo |
-//                        compressed (same as SNTRUST_LAYOUT). The
-//                        degree-ordered layouts relabel vertices hub-first
-//                        and (hilo: tail-only, compressed: everywhere)
-//                        varint-pack the adjacency; results are bitwise
-//                        identical to plain.
 //   --report <out.json>  Write the unified JSON run report (config, metrics
 //                        snapshot, per-span wall/cpu/alloc table, totals) at
 //                        exit. SNTRUST_REPORT=<path> does the same for any
@@ -55,6 +44,9 @@
 //                        while the run executes. Same as
 //                        SNTRUST_TELEMETRY; SNTRUST_TELEMETRY_PROM=<path>
 //                        adds a Prometheus text sink.
+//   --diag               Record estimator diagnostics (convergence traces,
+//                        CI95s) in the run report (same as SNTRUST_DIAG=1).
+// Any other argument starting with "--" is a usage error.
 // Progress lines for long sweeps appear on stderr with SNTRUST_PROGRESS=1.
 //
 // Exit codes: 0 success, 64 usage error, 65 bad input (unreadable or
@@ -74,7 +66,6 @@
 #include "graph/components.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
-#include "markov/frontier.hpp"
 #include "obs/diag.hpp"
 #include "obs/run_report.hpp"
 #include "obs/telemetry.hpp"
@@ -102,10 +93,6 @@ int usage() {
                "the run\n"
                "  --threads <n>        worker threads for the measurement "
                "sweeps (1 = serial)\n"
-               "  --kernel <mode>      distribution kernel: auto | dense | "
-               "sparse (bitwise identical)\n"
-               "  --layout <layout>    adjacency layout: plain | hilo | "
-               "compressed (bitwise identical)\n"
                "  --report <out.json>  write the unified JSON run report "
                "at exit\n"
                "  --deadline <ms>      cooperative wall-clock budget; "
@@ -285,22 +272,6 @@ int main(int argc, char** argv) {
         parallel::set_thread_count(static_cast<std::uint32_t>(threads));
         continue;
       }
-      if (arg == "--kernel") {
-        if (i + 1 >= argc) return usage();
-        const auto mode = parse_kernel_mode(argv[++i]);
-        if (!mode) return usage();
-        set_kernel_mode(*mode);
-        obs::RunReporter::instance().set_config("kernel", to_string(*mode));
-        continue;
-      }
-      if (arg == "--layout") {
-        if (i + 1 >= argc) return usage();
-        const auto layout = parse_graph_layout(argv[++i]);
-        if (!layout) return usage();
-        set_graph_layout(*layout);
-        obs::RunReporter::instance().set_config("layout", to_string(*layout));
-        continue;
-      }
       if (arg == "--report") {
         if (i + 1 >= argc) return usage();
         // Arms the atexit export (and enables the tracer so the report's
@@ -353,6 +324,9 @@ int main(int argc, char** argv) {
                                                 options.jsonl_path);
         continue;
       }
+      // An unknown flag would otherwise land among the positionals, where
+      // `measure g.txt --flag` reads it as the source count.
+      if (arg.starts_with("--")) return usage();
       args.push_back(arg);
     }
     if (!trace_path.empty()) obs::Tracer::instance().enable();
