@@ -261,8 +261,19 @@ SweepResult run_sweep(std::size_t items, const SweepOptions& options,
     }
   };
 
+  // Sources differ in cost, so each worker slot takes the next source in
+  // index order as it frees up, rather than a fixed contiguous chunk: a
+  // costly source or a descheduled worker then delays only the sources it
+  // holds. A slot still runs on one thread, so per-worker scratch is safe.
+  std::atomic<std::size_t> next{0};
   try {
-    parallel::parallel_for(0, items, body);
+    parallel::parallel_for(
+        0, parallel::plan_workers(items),
+        [&](std::size_t, std::uint32_t worker) {
+          for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+               i < items; i = next.fetch_add(1, std::memory_order_relaxed))
+            body(i, worker);
+        });
   } catch (const CancelledError&) {
     // The pool's own chunk-boundary check fired before any source of some
     // chunk ran; everything completed so far is still valid.

@@ -81,7 +81,11 @@ struct SweepResult {
 };
 
 /// Runs compute(index, worker) for every source in [0, items), parallelized
-/// over the pool with the determinism rules of src/parallel/. `compute`
+/// over the pool with the determinism rules of src/parallel/. Each worker
+/// slot in [0, plan_workers(items)) takes the next source as it frees up,
+/// so which slot runs a source varies from run to run: per-worker state may
+/// only be scratch, or be merged with an exactly associative and
+/// commutative operation (an integer sum). `compute`
 /// returns the source's dumped JSON payload. Throws CancelledError (after
 /// draining + checkpointing) on cancellation and PartialFailureError when
 /// too many sources failed; InjectedFault/std::exception from compute are

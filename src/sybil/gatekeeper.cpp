@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "exec/checkpoint.hpp"
@@ -19,118 +21,211 @@
 
 namespace sntrust {
 
-TicketRun distribute_tickets(const Graph& g, VertexId source,
-                             std::uint64_t tickets) {
-  return distribute_tickets(g, source, tickets, bfs(g, source));
+namespace {
+
+/// One distributer's BFS level DAG, which is all a ticket flood reads.
+/// Reachable vertices sit at positions in level order (ascending id within
+/// a level), and each vertex's forward children, its next-level neighbours
+/// in adjacency order, are stored as positions. A flood is then one forward
+/// pass over a position-indexed holding array. The buffers are reused
+/// across builds, so a worker allocates only while its DAGs still grow.
+class LevelDag {
+ public:
+  explicit LevelDag(const Graph& g)
+      : graph_(g),
+        position_(g.num_vertices()),
+        ticket_runs_(obs::metrics_counter("gatekeeper.ticket_runs")),
+        tickets_sent_(obs::metrics_counter("gatekeeper.tickets_sent")) {}
+
+  /// Rebuilds the DAG from a BFS of the same graph.
+  void build(const BfsResult& levels) {
+    const std::size_t depth = levels.level_sizes.size();
+    level_start_.assign(depth + 1, 0);
+    for (std::size_t d = 0; d < depth; ++d)
+      level_start_[d + 1] = level_start_[d] + levels.level_sizes[d];
+    const std::size_t reachable = level_start_[depth];
+
+    cursor_.assign(level_start_.begin(), level_start_.end() - 1);
+    order_.resize(reachable);
+    for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
+      const std::uint32_t d = levels.distances[v];
+      if (d == kUnreachable) continue;
+      const auto p = static_cast<std::uint32_t>(cursor_[d]++);
+      order_[p] = v;
+      position_[v] = p;
+    }
+
+    // Every neighbour of a reachable vertex is reachable, so position_ is
+    // current for every neighbour read here.
+    child_begin_.resize(reachable + 1);
+    child_begin_[0] = 0;
+    children_.clear();
+    for (std::size_t d = 0; d < depth; ++d) {
+      const std::uint64_t next_begin = level_start_[d + 1];
+      const std::uint64_t next_size =
+          d + 1 < depth ? levels.level_sizes[d + 1] : 0;
+      for (std::uint64_t p = level_start_[d]; p < level_start_[d + 1]; ++p) {
+        for (const VertexId w : graph_.neighbors_unchecked(order_[p])) {
+          const std::uint32_t q = position_[w];
+          if (q - next_begin < next_size) children_.push_back(q);
+        }
+        child_begin_[p + 1] = children_.size();
+      }
+    }
+    holding_.assign(reachable, 0);
+  }
+
+  VertexId vertex(std::uint32_t position) const { return order_[position]; }
+
+  /// Floods `tickets` from the source at position 0. A vertex holding h
+  /// tickets consumes one and splits the other h - 1 evenly over its
+  /// children, the first (h - 1) mod k of its k children getting one more;
+  /// tickets that reach a vertex without children are lost. Calls
+  /// on_reached(position, tickets_received) for every vertex that consumes
+  /// a ticket, in position order, and stops once `stop_at` vertices have.
+  /// Returns the number reached.
+  template <typename OnReached>
+  std::uint64_t flood(std::uint64_t tickets, std::uint64_t stop_at,
+                      OnReached&& on_reached) {
+    ticket_runs_.add(1);
+    tickets_sent_.add(tickets);
+    std::uint64_t* const holding = holding_.data();
+    holding[0] = tickets;
+    std::uint64_t reached = 0;
+    std::size_t last = 0;  // furthest position that holds tickets
+    std::size_t p = 0;
+    for (; p <= last; ++p) {
+      std::uint64_t budget = holding[p];
+      if (budget == 0) continue;
+      holding[p] = 0;
+      on_reached(static_cast<std::uint32_t>(p), budget);
+      if (++reached == stop_at) break;
+      --budget;
+      const EdgeIndex begin = child_begin_[p];
+      const std::uint64_t k = child_begin_[p + 1] - begin;
+      if (budget == 0 || k == 0) continue;
+      const std::uint64_t share = budget / k;
+      const std::uint64_t extra = budget % k;
+      const std::uint64_t granted = share == 0 ? extra : k;
+      for (std::uint64_t i = 0; i < granted; ++i) {
+        const std::uint32_t child = children_[begin + i];
+        holding[child] += share + (i < extra ? 1 : 0);
+        last = std::max<std::size_t>(last, child);
+      }
+    }
+    // Holdings are all zero between floods; an early stop leaves some
+    // ahead of p.
+    if (p < last) std::fill(holding + p + 1, holding + last + 1, 0);
+    return reached;
+  }
+
+ private:
+  const Graph& graph_;
+  std::vector<std::uint32_t> position_;  // vertex -> position
+  std::vector<VertexId> order_;          // position -> vertex
+  std::vector<std::uint64_t> level_start_, cursor_;
+  std::vector<EdgeIndex> child_begin_;   // p's children: [p] to [p + 1]
+  std::vector<std::uint32_t> children_;  // child positions
+  std::vector<std::uint64_t> holding_;   // tickets held, per position
+  obs::Counter& ticket_runs_;
+  obs::Counter& tickets_sent_;
+};
+
+/// Throws unless `value` is in (0,1]; NaN fails too.
+void check_fraction(double value, const char* what) {
+  if (!(value > 0.0 && value <= 1.0))
+    throw std::invalid_argument(std::string(what) + " must be in (0,1]");
 }
 
-TicketRun distribute_tickets(const Graph& g, VertexId source,
-                             std::uint64_t tickets, const BfsResult& levels) {
-  if (source >= g.num_vertices())
-    throw std::out_of_range("distribute_tickets: source out of range");
-  if (tickets == 0)
-    throw std::invalid_argument("distribute_tickets: need >= 1 ticket");
-  if (levels.source != source ||
-      levels.distances.size() != g.num_vertices())
-    throw std::invalid_argument(
-        "distribute_tickets: BFS result does not match source/graph");
+std::uint32_t admission_threshold(double f_admit,
+                                  std::uint32_t num_distributers) {
+  return static_cast<std::uint32_t>(std::ceil(f_admit * num_distributers));
+}
 
-  // Local (non-static) handles: ticket runs execute on pool workers, so
-  // avoid hidden function-local-static init coupling on first use.
-  obs::metrics_counter("gatekeeper.ticket_runs").add(1);
-  obs::metrics_counter("gatekeeper.tickets_sent").add(tickets);
-
+/// Floods `tickets` over a built DAG and records every reached vertex.
+TicketRun full_run(LevelDag& dag, const Graph& g, VertexId source,
+                   std::uint64_t tickets) {
   TicketRun run;
   run.distributer = source;
   run.tickets_sent = tickets;
   run.reached.assign(g.num_vertices(), 0);
   run.tickets_received.assign(g.num_vertices(), 0);
-  run.tickets_received[source] = tickets;
-
-  // Level-synchronous flood over the BFS DAG: a node consumes one ticket and
-  // forwards the remainder evenly to next-level neighbours. Ticket counts are
-  // tracked per vertex for the current level only.
-  std::vector<std::uint64_t> holding(g.num_vertices(), 0);
-  std::vector<VertexId> frontier{source};
-  holding[source] = tickets;
-
-  std::vector<VertexId> next_frontier;
-  std::vector<VertexId> forward;
-  std::uint32_t depth = 0;
-  while (!frontier.empty()) {
-    next_frontier.clear();
-    for (const VertexId v : frontier) {
-      std::uint64_t budget = holding[v];
-      holding[v] = 0;
-      if (budget == 0) continue;
-      // Consume one ticket: v is reached.
-      if (!run.reached[v]) {
-        run.reached[v] = 1;
-        ++run.vertices_reached;
-      }
-      --budget;
-      if (budget == 0) continue;
-      forward.clear();
-      for (const VertexId w : g.neighbors_unchecked(v))
-        if (levels.distances[w] == depth + 1) forward.push_back(w);
-      if (forward.empty()) continue;  // dead end: tickets are lost
-      const std::uint64_t share = budget / forward.size();
-      std::uint64_t remainder = budget % forward.size();
-      for (const VertexId w : forward) {
-        std::uint64_t grant = share;
-        if (remainder > 0) { ++grant; --remainder; }
-        if (grant == 0) continue;
-        if (holding[w] == 0) next_frontier.push_back(w);
-        holding[w] += grant;
-        run.tickets_received[w] += grant;
-      }
-    }
-    frontier.swap(next_frontier);
-    ++depth;
-  }
+  run.vertices_reached =
+      dag.flood(tickets, std::numeric_limits<std::uint64_t>::max(),
+                [&](std::uint32_t p, std::uint64_t received) {
+                  const VertexId v = dag.vertex(p);
+                  run.reached[v] = 1;
+                  run.tickets_received[v] = received;
+                });
   return run;
 }
 
-TicketRun adaptive_distribute(const Graph& g, VertexId source,
-                              double reach_fraction) {
-  FrontierBfs runner{g};
-  return adaptive_distribute(g, source, reach_fraction, runner);
-}
-
-TicketRun adaptive_distribute(const Graph& g, VertexId source,
-                              double reach_fraction, FrontierBfs& runner) {
-  if (reach_fraction <= 0.0 || reach_fraction > 1.0)
-    throw std::invalid_argument(
-        "adaptive_distribute: reach_fraction must be in (0,1]");
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(reach_fraction * g.num_vertices()));
-  const std::uint64_t cap = 64ull * g.num_vertices() + 64;
-  // The level DAG is all the ticket flood needs; one direction-optimizing
-  // BFS serves every doubling attempt. The reference stays valid because
-  // distribute_tickets never touches the runner.
-  const BfsResult& levels = runner.run(source);
+/// The smallest budget whose flood reaches ceil(reach_fraction * n)
+/// vertices of an n-vertex graph, searched as GateKeeper's adaptive
+/// bootstrap does: double from 2 until a flood reaches the target, then
+/// bisect between the last two doublings. When the doubling passes
+/// 64 n + 64 first, the last doubling is returned. The probes only count,
+/// and stop once the target is reached.
+std::uint64_t minimal_budget(LevelDag& dag, VertexId n,
+                             double reach_fraction) {
+  const auto target =
+      static_cast<std::uint64_t>(std::ceil(reach_fraction * n));
+  const std::uint64_t cap = 64ull * n + 64;
+  const auto hits = [&](std::uint64_t tickets) {
+    return dag.flood(tickets, target, [](std::uint32_t, std::uint64_t) {}) >=
+           target;
+  };
   std::uint64_t tickets = 2;
-  TicketRun run = distribute_tickets(g, source, tickets, levels);
-  while (run.vertices_reached < target && tickets < cap) {
+  bool hit = hits(tickets);
+  while (!hit && tickets < cap) {
     tickets *= 2;
-    run = distribute_tickets(g, source, tickets, levels);
+    hit = hits(tickets);
   }
-  if (run.vertices_reached < target) return run;  // cap hit: best effort
-  // Binary-refine down to the minimal budget that still reaches the target —
-  // excess tickets only leak across attack edges without admitting more
+  if (!hit) return tickets;  // cap hit: best effort
+  // Excess tickets only leak across attack edges without admitting more
   // honest vertices.
   std::uint64_t lo = tickets / 2, hi = tickets;
   while (lo + 1 < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    TicketRun attempt = distribute_tickets(g, source, mid, levels);
-    if (attempt.vertices_reached >= target) {
-      hi = mid;
-      run = std::move(attempt);
-    } else {
-      lo = mid;
-    }
+    if (hits(mid)) hi = mid;
+    else lo = mid;
   }
-  return run;
+  return hi;
+}
+
+/// A distributer's minimal budget as stored in the checkpoint.
+std::uint64_t checkpointed_budget(const std::string& payload) {
+  const json::Value value = json::Value::parse(payload);
+  if (!value.is_integer() || value.as_int() < 1)
+    throw std::runtime_error(
+        "run_gatekeeper: checkpointed ticket budget is not a positive "
+        "integer: " +
+        payload);
+  return static_cast<std::uint64_t>(value.as_int());
+}
+
+}  // namespace
+
+TicketRun distribute_tickets(const Graph& g, VertexId source,
+                             std::uint64_t tickets) {
+  if (source >= g.num_vertices())
+    throw std::out_of_range("distribute_tickets: source out of range");
+  if (tickets == 0)
+    throw std::invalid_argument("distribute_tickets: need >= 1 ticket");
+  FrontierBfs runner{g};
+  LevelDag dag{g};
+  dag.build(runner.run(source));
+  return full_run(dag, g, source, tickets);
+}
+
+TicketRun adaptive_distribute(const Graph& g, VertexId source,
+                              double reach_fraction) {
+  check_fraction(reach_fraction, "adaptive_distribute: reach_fraction");
+  FrontierBfs runner{g};
+  LevelDag dag{g};
+  dag.build(runner.run(source));
+  return full_run(dag, g, source,
+                  minimal_budget(dag, g.num_vertices(), reach_fraction));
 }
 
 GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
@@ -139,8 +234,8 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
     throw std::out_of_range("run_gatekeeper: controller out of range");
   if (params.num_distributers == 0)
     throw std::invalid_argument("run_gatekeeper: need >= 1 distributer");
-  if (params.f_admit <= 0.0 || params.f_admit > 1.0)
-    throw std::invalid_argument("run_gatekeeper: f_admit must be in (0,1]");
+  check_fraction(params.f_admit, "run_gatekeeper: f_admit");
+  check_fraction(params.reach_fraction, "run_gatekeeper: reach_fraction");
 
   std::uint32_t walk_length = params.sample_walk_length;
   if (walk_length == 0) {
@@ -155,8 +250,7 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
   const obs::Stopwatch query_clock;
 
   GateKeeperResult out;
-  out.threshold = static_cast<std::uint32_t>(
-      std::ceil(params.f_admit * params.num_distributers));
+  out.threshold = admission_threshold(params.f_admit, params.num_distributers);
   out.admissions.assign(g.num_vertices(), 0);
 
   RandomWalker walker{g, params.seed};
@@ -166,64 +260,99 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
 
   obs::ProgressMeter progress{"gatekeeper distributers",
                               params.num_distributers};
-  // One adaptive ticket distribution per distributer across the pool. Each
-  // distributer's payload is its sorted reached-vertex list; the admission
-  // tallies fold serially afterwards by integer addition in index order, so
-  // the final counts are identical for any thread count — and for resumed
-  // runs, which restore payloads instead of re-flooding.
+  // One budget search per distributer across the pool. Each worker folds
+  // the vertices its distributers reach into its own integer tally, and
+  // the tallies add up afterwards, so the admissions are identical for any
+  // thread count. A distributer's payload is its minimal budget: a resumed
+  // run restores the budget and floods once.
   const VertexId n = g.num_vertices();
-  const std::uint32_t workers =
-      parallel::plan_workers(out.distributers.size());
-  struct WorkerState {
-    std::vector<FrontierBfs> runner;  // 0 or 1 entries; lazily constructed
+  struct Worker {
+    explicit Worker(const Graph& g)
+        : bfs(g), dag(g), tally(g.num_vertices()) {}
+    FrontierBfs bfs;
+    LevelDag dag;
+    std::vector<std::uint32_t> tally;  // distributers that reached each vertex
   };
-  std::vector<WorkerState> partial(workers);
+  std::vector<std::optional<Worker>> workers(
+      parallel::plan_workers(out.distributers.size()));
+  // Builds distributer i's DAG in the worker's scratch.
+  const auto build_dag = [&](std::uint32_t slot, std::size_t i) -> Worker& {
+    if (!workers[slot]) workers[slot].emplace(g);
+    Worker& w = *workers[slot];
+    w.dag.build(w.bfs.run(out.distributers[i]));
+    return w;
+  };
+  // Adds `weight` (modulo 2^32, so a -1 exactly undoes a +1) to the tally
+  // of every vertex the built DAG's distributer reaches with `budget`.
+  const auto tally_reach = [](Worker& w, std::uint64_t budget,
+                              std::uint32_t weight) {
+    w.dag.flood(budget, std::numeric_limits<std::uint64_t>::max(),
+                [&](std::uint32_t p, std::uint64_t) {
+                  w.tally[w.dag.vertex(p)] += weight;
+                });
+  };
 
+  // budgets[i] = the budget distributer i was tallied with in this run.
+  std::vector<std::uint64_t> budgets(out.distributers.size(), 0);
   exec::SweepOptions sweep;
-  sweep.kind = "gatekeeper_run";
+  sweep.kind = "gatekeeper_budget";
   sweep.fault_site = "sybil";
   sweep.token = exec::process_token();
+  // Budgets do not depend on f_admit, so a checkpoint serves every f.
   sweep.fingerprint = exec::fingerprint(
       {n, g.num_edges(), params.num_distributers,
-       std::bit_cast<std::uint64_t>(params.f_admit),
        std::bit_cast<std::uint64_t>(params.reach_fraction), params.seed,
        walk_length, controller, exec::graph_fingerprint(g)});
   const exec::SweepResult swept = exec::run_sweep(
       out.distributers.size(), sweep,
-      [&](std::size_t i, std::uint32_t worker) {
-        WorkerState& state = partial[worker];
-        if (state.runner.empty()) state.runner.emplace_back(g);
-        const TicketRun run =
-            adaptive_distribute(g, out.distributers[i],
-                                params.reach_fraction, state.runner.front());
+      [&](std::size_t i, std::uint32_t slot) {
+        Worker& w = build_dag(slot, i);
+        const std::uint64_t budget =
+            minimal_budget(w.dag, n, params.reach_fraction);
+        tally_reach(w, budget, 1);
+        budgets[i] = budget;
         progress.tick();
-        json::Array reached;
-        for (VertexId v = 0; v < n; ++v)
-          if (run.reached[v])
-            reached.push_back(
-                json::Value::integer(static_cast<std::int64_t>(v)));
-        return json::Value::array(std::move(reached)).dump();
+        return json::Value::integer(static_cast<std::int64_t>(budget)).dump();
       });
-  for (const std::string& payload : swept.payloads) {
-    if (payload.empty()) continue;  // failed distributer: degraded run
-    const json::Value reached = json::Value::parse(payload);
-    for (const json::Value& v : reached.as_array())
-      ++out.admissions[static_cast<VertexId>(v.as_int())];
+
+  // A distributer counts when its payload is in the result. Restored ones
+  // were not flooded in this run, and one the sweep failed after it
+  // returned (over SNTRUST_SOURCE_BUDGET_MS) was tallied anyway: flood each
+  // once more, with weight +1 or -1.
+  struct Correction {
+    std::size_t index;
+    std::uint64_t budget;
+    std::uint32_t weight;
+  };
+  std::vector<Correction> corrections;
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    const bool counted = !swept.payloads[i].empty();
+    if (counted && budgets[i] == 0)
+      corrections.push_back({i, checkpointed_budget(swept.payloads[i]), 1});
+    else if (!counted && budgets[i] != 0)
+      corrections.push_back({i, budgets[i], ~std::uint32_t{0}});
   }
+  parallel::parallel_for(
+      0, corrections.size(), [&](std::size_t j, std::uint32_t slot) {
+        const Correction& c = corrections[j];
+        tally_reach(build_dag(slot, c.index), c.budget, c.weight);
+      });
+
+  for (const std::optional<Worker>& w : workers)
+    if (w)
+      for (VertexId v = 0; v < n; ++v) out.admissions[v] += w->tally[v];
   obs::record_latency("gatekeeper.query_ms", query_clock.elapsed_ms());
   return out;
 }
 
-GateKeeperEvaluation evaluate_gatekeeper(const AttackedGraph& attacked,
-                                         VertexId controller,
-                                         const GateKeeperParams& params) {
-  if (controller >= attacked.num_honest())
-    throw std::invalid_argument(
-        "evaluate_gatekeeper: controller must be honest");
-  const obs::Span span{"gatekeeper.evaluate", "sybil"};
-  const obs::Stopwatch eval_clock;
+namespace {
+
+/// Table-II scores of a finished run at its threshold: fraction of honest
+/// vertices admitted and Sybils admitted per attack edge.
+GateKeeperEvaluation score(const AttackedGraph& attacked,
+                           GateKeeperResult result) {
   GateKeeperEvaluation eval;
-  eval.result = run_gatekeeper(attacked.graph(), controller, params);
+  eval.result = std::move(result);
 
   // Ranking-eval tally over all vertices: integer pair sums are exactly
   // associative, so the map-reduce is thread-count invariant.
@@ -269,8 +398,54 @@ GateKeeperEvaluation evaluate_gatekeeper(const AttackedGraph& attacked,
           "gatekeeper.sybil_accept",
           obs::wilson_ci95(sybil_admitted, num_sybils));
   }
+  return eval;
+}
+
+void check_honest_controller(const AttackedGraph& attacked,
+                             VertexId controller) {
+  if (controller >= attacked.num_honest())
+    throw std::invalid_argument(
+        "evaluate_gatekeeper: controller must be honest");
+}
+
+}  // namespace
+
+GateKeeperEvaluation evaluate_gatekeeper(const AttackedGraph& attacked,
+                                         VertexId controller,
+                                         const GateKeeperParams& params) {
+  check_honest_controller(attacked, controller);
+  const obs::Span span{"gatekeeper.evaluate", "sybil"};
+  const obs::Stopwatch eval_clock;
+  GateKeeperEvaluation eval =
+      score(attacked, run_gatekeeper(attacked.graph(), controller, params));
   obs::record_latency("gatekeeper.eval_ms", eval_clock.elapsed_ms());
   return eval;
+}
+
+std::vector<GateKeeperEvaluation> evaluate_gatekeeper(
+    const AttackedGraph& attacked, VertexId controller,
+    const GateKeeperParams& params, const std::vector<double>& f_admits) {
+  check_honest_controller(attacked, controller);
+  if (f_admits.empty())
+    throw std::invalid_argument(
+        "evaluate_gatekeeper: need >= 1 admission fraction");
+  for (const double f : f_admits)
+    check_fraction(f, "evaluate_gatekeeper: f_admit");
+  const obs::Span span{"gatekeeper.evaluate", "sybil"};
+  const obs::Stopwatch eval_clock;
+  GateKeeperParams run_params = params;
+  run_params.f_admit = f_admits.front();
+  const GateKeeperResult run =
+      run_gatekeeper(attacked.graph(), controller, run_params);
+  std::vector<GateKeeperEvaluation> evals;
+  evals.reserve(f_admits.size());
+  for (const double f : f_admits) {
+    GateKeeperResult at_f = run;
+    at_f.threshold = admission_threshold(f, params.num_distributers);
+    evals.push_back(score(attacked, std::move(at_f)));
+  }
+  obs::record_latency("gatekeeper.eval_ms", eval_clock.elapsed_ms());
+  return evals;
 }
 
 }  // namespace sntrust

@@ -9,7 +9,8 @@
 //      a node keeps one ticket and splits the remainder evenly among its
 //      next-level neighbours; a node is *reached* if it consumed a ticket.
 //      The distributer doubles the initial ticket count until at least half
-//      the reachable vertices are reached (adaptive O(n) bootstrap).
+//      the vertices are reached (adaptive O(n) bootstrap), then bisects
+//      down to the smallest count that still does.
 //   3. A suspect is admitted when at least f_admit * num_distributers
 //      distributers reached it.
 #pragma once
@@ -18,20 +19,18 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/traversal.hpp"
 #include "sybil/attack.hpp"
 
 namespace sntrust {
 
-class FrontierBfs;
-
 struct GateKeeperParams {
   std::uint32_t num_distributers = 99;  ///< Table II samples 99
-  double f_admit = 0.1;                 ///< admission fraction f
+  double f_admit = 0.1;                 ///< admission fraction f, in (0,1]
   /// Length of the random walks used to sample distributers; O(log n) on a
   /// fast-mixing graph. 0 means "use ceil(log2 n) + 5".
   std::uint32_t sample_walk_length = 0;
-  /// Adaptive doubling stops once this fraction of vertices is reached.
+  /// Each distributer's budget is the smallest that reaches this fraction
+  /// of the vertices, in (0,1].
   double reach_fraction = 0.5;
   std::uint64_t seed = 1;
 };
@@ -47,29 +46,19 @@ struct TicketRun {
   std::vector<std::uint64_t> tickets_received;
 };
 
-/// One level-synchronous ticket distribution with `tickets` initial tickets
-/// from `source`. Exposed separately for tests and for SumUp, which reuses
+/// One ticket distribution with `tickets` initial tickets from `source`
+/// over its BFS level DAG. Exposed for tests and for SumUp, which reuses
 /// the same primitive for its vote envelope.
 TicketRun distribute_tickets(const Graph& g, VertexId source,
                              std::uint64_t tickets);
 
-/// As above with a precomputed BFS from `source` (distances define the
-/// level DAG); adaptive_distribute uses this to avoid re-running the BFS on
-/// every ticket doubling.
-TicketRun distribute_tickets(const Graph& g, VertexId source,
-                             std::uint64_t tickets,
-                             const BfsResult& levels);
-
-/// Runs distribute_tickets with doubling until `reach_fraction` of the
-/// graph is reached (or the budget exceeds 64 * n, whichever first). The
-/// level DAG comes from one direction-optimizing BFS per call.
+/// The distribution at the smallest budget that reaches
+/// ceil(reach_fraction * n) vertices: budgets double from 2 until one does,
+/// then bisect between the last two doublings. When the doubling passes
+/// 64 * n + 64 first, the last doubling's distribution is returned. One
+/// BFS and one level-DAG build serve every attempt.
 TicketRun adaptive_distribute(const Graph& g, VertexId source,
                               double reach_fraction);
-
-/// As above, reusing a caller-owned BFS workspace; run_gatekeeper keeps one
-/// per pool worker so the distributer sweep never re-allocates BFS state.
-TicketRun adaptive_distribute(const Graph& g, VertexId source,
-                              double reach_fraction, FrontierBfs& runner);
 
 /// Full GateKeeper admission decision for every vertex.
 struct GateKeeperResult {
@@ -95,5 +84,12 @@ struct GateKeeperEvaluation {
 GateKeeperEvaluation evaluate_gatekeeper(const AttackedGraph& attacked,
                                          VertexId controller,
                                          const GateKeeperParams& params);
+
+/// One evaluation per entry of `f_admits`, in order, from a single run: the
+/// distributers and their floods do not depend on f, which sets only the
+/// admission threshold. `params.f_admit` is replaced by each entry in turn.
+std::vector<GateKeeperEvaluation> evaluate_gatekeeper(
+    const AttackedGraph& attacked, VertexId controller,
+    const GateKeeperParams& params, const std::vector<double>& f_admits);
 
 }  // namespace sntrust

@@ -53,6 +53,8 @@ class Value {
   bool is_null() const { return kind_ == Kind::Null; }
   bool is_bool() const { return kind_ == Kind::Bool; }
   bool is_number() const { return kind_ == Kind::Number; }
+  /// A number written without fraction or exponent, within int64 range.
+  bool is_integer() const { return kind_ == Kind::Number && int_valued_; }
   bool is_string() const { return kind_ == Kind::String; }
   bool is_array() const { return kind_ == Kind::Array; }
   bool is_object() const { return kind_ == Kind::Object; }

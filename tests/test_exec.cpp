@@ -280,6 +280,31 @@ TEST(ExecSweep, ComputesEveryPayload) {
   EXPECT_TRUE(result.failures.empty());
 }
 
+TEST(ExecSweep, FreeWorkersTakeTheRemainingSources) {
+  ExecStateGuard guard;
+  parallel::ScopedThreadCount two{2};
+  exec::SweepOptions options;
+  options.kind = "unit_sweep_dynamic";
+  // Source 0 waits until the other seven finished. Split into two fixed
+  // halves, sources 1-3 would queue behind it and it would time out.
+  std::atomic<int> others{0};
+  const exec::SweepResult result = exec::run_sweep(
+      8, options, [&](std::size_t i, std::uint32_t) {
+        if (i == 0) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (others.load() < 7 &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        } else {
+          others.fetch_add(1);
+        }
+        return json::Value::integer(others.load()).dump();
+      });
+  EXPECT_EQ(result.payloads[0], "7");
+  EXPECT_EQ(result.computed, 8u);
+}
+
 TEST(ExecSweep, StrictModeAbortsOnAnyFailure) {
   ExecStateGuard guard;
   exec::SweepOptions options;
@@ -770,28 +795,123 @@ TEST(ExecResume, GatekeeperResumeIsBitwiseIdentical) {
   }
 
   const std::string path = temp_path("sntrust_exec_gatekeeper_resume.json");
-  std::remove(path.c_str());
-  exec::CheckpointStore::instance().set_path(path);
+  obs::Counter& restored = obs::metrics_counter("exec.sources_restored");
+  obs::Counter& completed = obs::metrics_counter("exec.sources_completed");
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("resumed at " + std::to_string(threads) + " threads");
+    std::remove(path.c_str());
+    exec::CheckpointStore::instance().set_path(path);
 
+    // A serial pass whose first distributer raises SIGTERM: that
+    // distributer still finishes and is checkpointed, the rest drain.
+    exec::FaultPlan plan;
+    plan.site = "sybil";
+    plan.seed = 3;
+    plan.prob = 1.0;
+    plan.action = exec::FaultPlan::Action::kSigterm;
+    exec::set_fault_plan(plan);
+    {
+      parallel::ScopedThreadCount serial{1};
+      EXPECT_THROW(run_gatekeeper(g, 0, params), exec::CancelledError);
+    }
+
+    exec::clear_fault_plan();
+    exec::reset_process_cancel();
+    exec::CheckpointStore::instance().set_path(path);
+    const std::uint64_t restored_before = restored.value();
+    const std::uint64_t completed_before = completed.value();
+    GateKeeperResult resumed;
+    {
+      parallel::ScopedThreadCount scope{threads};
+      resumed = run_gatekeeper(g, 0, params);
+    }
+    EXPECT_GE(restored.value() - restored_before, 1u);
+    EXPECT_GE(completed.value() - completed_before, 1u);
+    EXPECT_EQ(resumed.distributers, baseline.distributers);
+    EXPECT_EQ(resumed.admissions, baseline.admissions);
+    EXPECT_EQ(resumed.threshold, baseline.threshold);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ExecResume, GatekeeperDropsSourcesFailedAfterTheyRan) {
+  ExecStateGuard guard;
+  const Graph g = acceptance_graph();
+  GateKeeperParams params;
+  params.seed = 2026;
+  params.num_distributers = 12;
+  exec::set_max_failed_frac(1.0);
   exec::FaultPlan plan;
   plan.site = "sybil";
-  plan.seed = 3;
-  plan.prob = 1.0;
-  plan.action = exec::FaultPlan::Action::kSigterm;
-  exec::set_fault_plan(plan);
-  EXPECT_THROW(run_gatekeeper(g, 0, params), exec::CancelledError);
+  plan.seed = 9;
+  plan.prob = 0.4;
 
-  exec::clear_fault_plan();
-  exec::reset_process_cancel();
-  exec::CheckpointStore::instance().set_path(path);
-  GateKeeperResult resumed;
+  // A thrown fault fails its distributers before they run.
+  exec::set_fault_plan(plan);
+  const GateKeeperResult before = run_gatekeeper(g, 0, params);
+
+  // The same distributers, now stalled past the source budget: each runs
+  // and is tallied, then fails, so its tally must come off again.
+  plan.action = exec::FaultPlan::Action::kSleep;
+  plan.sleep_ms = 120;
+  exec::set_fault_plan(plan);
+  setenv("SNTRUST_SOURCE_BUDGET_MS", "50", 1);
+  obs::Counter& failures = obs::metrics_counter("exec.source_failures");
+  const std::uint64_t failures_before = failures.value();
+  GateKeeperResult after;
   {
     parallel::ScopedThreadCount wide{4};
-    resumed = run_gatekeeper(g, 0, params);
+    after = run_gatekeeper(g, 0, params);
   }
-  EXPECT_EQ(resumed.distributers, baseline.distributers);
-  EXPECT_EQ(resumed.admissions, baseline.admissions);
-  EXPECT_EQ(resumed.threshold, baseline.threshold);
+  unsetenv("SNTRUST_SOURCE_BUDGET_MS");
+  EXPECT_GT(failures.value() - failures_before, 0u);
+  EXPECT_LT(failures.value() - failures_before, params.num_distributers);
+  EXPECT_EQ(after.admissions, before.admissions);
+}
+
+TEST(ExecResume, GatekeeperCheckpointsIntegerBudgets) {
+  ExecStateGuard guard;
+  const Graph g = acceptance_graph();
+  GateKeeperParams params;
+  params.seed = 2026;
+  params.num_distributers = 4;
+
+  const std::string path = temp_path("sntrust_exec_gatekeeper_budgets.json");
+  std::remove(path.c_str());
+  exec::CheckpointStore::instance().set_path(path);
+  const GateKeeperResult fresh = run_gatekeeper(g, 0, params);
+
+  // One entry, keyed by the budget kind, holding one integer per source.
+  std::ifstream in(path);
+  const json::Value doc = json::Value::parse(
+      std::string(std::istreambuf_iterator<char>(in), {}));
+  const json::Member& entry = doc.find("sweeps")->as_object().at(0);
+  ASSERT_EQ(entry.first.rfind("gatekeeper_budget:", 0), 0u);
+  const std::uint64_t fingerprint =
+      std::stoull(entry.first.substr(entry.first.find(':') + 1), nullptr, 16);
+  std::vector<std::string> budgets;
+  for (const json::Member& source :
+       entry.second.find("completed")->as_object()) {
+    ASSERT_TRUE(source.second.is_integer()) << source.second.dump();
+    budgets.push_back(source.second.dump());
+  }
+  ASSERT_EQ(budgets.size(), params.num_distributers);
+
+  // Every source restored: one flood each, the same admissions.
+  obs::Counter& floods = obs::metrics_counter("gatekeeper.ticket_runs");
+  const std::uint64_t floods_before = floods.value();
+  EXPECT_EQ(run_gatekeeper(g, 0, params).admissions, fresh.admissions);
+  EXPECT_EQ(floods.value() - floods_before, params.num_distributers);
+
+  // A budget that is not a positive integer is rejected.
+  for (const char* bad : {"2.5", "1e3", "\"7\"", "[1,2]", "0", "-4"}) {
+    SCOPED_TRACE(bad);
+    std::vector<std::string> payloads = budgets;
+    payloads[1] = bad;
+    exec::CheckpointStore::instance().save("gatekeeper_budget", fingerprint,
+                                           params.num_distributers, payloads);
+    EXPECT_THROW(run_gatekeeper(g, 0, params), std::runtime_error);
+  }
   std::remove(path.c_str());
 }
 

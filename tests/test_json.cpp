@@ -20,6 +20,11 @@ TEST(Json, ParsesScalars) {
   EXPECT_EQ(Value::parse("42").as_int(), 42);
   EXPECT_EQ(Value::parse("-9007199254740993").as_int(), -9007199254740993ll);
   EXPECT_EQ(Value::parse("\"hi\"").as_string(), "hi");
+  EXPECT_TRUE(Value::parse("42").is_integer());
+  EXPECT_TRUE(Value::integer(-7).is_integer());
+  for (const char* text : {"3.25", "-1e3", "4.0", "1e300", "\"7\"", "null",
+                           "99999999999999999999"})
+    EXPECT_FALSE(Value::parse(text).is_integer()) << text;
 }
 
 TEST(Json, ParsesNestedStructures) {
