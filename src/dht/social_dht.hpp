@@ -29,7 +29,7 @@ namespace sntrust {
 struct SocialDhtParams {
   /// Finger entries per node (Whānau uses O(sqrt(m) log m); we scale down).
   std::uint32_t table_size = 64;
-  /// Random-walk length used to sample fingers; 0 = ceil(log2 n) + 3.
+  /// Random-walk length used to sample fingers; 0 = floor(log2 n) + 3.
   std::uint32_t walk_length = 0;
   /// Fingers consulted per lookup.
   std::uint32_t lookup_fanout = 8;

@@ -1,6 +1,7 @@
 #include "dynamic/evolution.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "cores/core_profile.hpp"
@@ -155,27 +156,66 @@ Graph apply_edge_batch(const Graph& g, const EdgeBatch& batch) {
     const VertexId top = e.u > e.v ? e.u : e.v;
     if (top >= n) n = top + 1;
   }
+  // Each pair as its two directed entries (row u, neighbour v), sorted and
+  // deduplicated, so a row's removed and inserted neighbours are contiguous
+  // and ascending. Self loops are dropped.
   const auto less = [](const Edge& a, const Edge& b) {
     return a.u != b.u ? a.u < b.u : a.v < b.v;
   };
-  std::vector<Edge> removals;
-  removals.reserve(batch.removals.size());
-  for (const Edge& e : batch.removals)
-    removals.push_back(e.u <= e.v ? e : Edge{e.v, e.u});
-  std::sort(removals.begin(), removals.end(), less);
-  const auto removed = [&](VertexId u, VertexId v) {
-    if (u > v) std::swap(u, v);
-    return std::binary_search(removals.begin(), removals.end(), Edge{u, v},
-                              less);
+  const auto directed = [&](const std::vector<Edge>& pairs) {
+    std::vector<Edge> entries;
+    entries.reserve(2 * pairs.size());
+    for (const Edge& e : pairs) {
+      if (e.u == e.v) continue;
+      entries.push_back(e);
+      entries.push_back({e.v, e.u});
+    }
+    std::sort(entries.begin(), entries.end(), less);
+    entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+    return entries;
   };
-  GraphBuilder builder{n};
-  builder.reserve(static_cast<std::size_t>(g.num_edges()) +
-                  batch.insertions.size());
-  for (const Edge& e : g.edges())
-    if (!removed(e.u, e.v)) builder.add_edge(e.u, e.v);
-  for (const Edge& e : batch.insertions)
-    if (e.u != e.v && !removed(e.u, e.v)) builder.add_edge(e.u, e.v);
-  return builder.build();
+  const std::vector<Edge> removals = directed(batch.removals);
+  const std::vector<Edge> insertions = directed(batch.insertions);
+
+  // Each new row in one pass: the old row merged with its inserted
+  // neighbours, minus its removed ones, which beat an insertion of the same
+  // pair and match nothing when absent.
+  std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<VertexId> targets;
+  targets.reserve(g.targets().size() + insertions.size());
+  auto removal = removals.begin();
+  auto insertion = insertions.begin();
+  for (VertexId u = 0; u < n; ++u) {
+    const std::span<const VertexId> row =
+        u < g.num_vertices() ? g.neighbors_unchecked(u)
+                             : std::span<const VertexId>{};
+    auto removal_end = removal;
+    while (removal_end != removals.end() && removal_end->u == u) ++removal_end;
+    auto insertion_end = insertion;
+    while (insertion_end != insertions.end() && insertion_end->u == u)
+      ++insertion_end;
+    if (removal == removal_end && insertion == insertion_end) {
+      targets.insert(targets.end(), row.begin(), row.end());
+    } else {
+      auto kept = row.begin();
+      while (kept != row.end() || insertion != insertion_end) {
+        VertexId v;
+        if (insertion == insertion_end ||
+            (kept != row.end() && *kept < insertion->v)) {
+          v = *kept++;
+        } else {
+          if (kept != row.end() && *kept == insertion->v) ++kept;
+          v = (insertion++)->v;
+        }
+        while (removal != removal_end && removal->v < v) ++removal;
+        if (removal == removal_end || removal->v != v) targets.push_back(v);
+      }
+    }
+    removal = removal_end;
+    insertion = insertion_end;
+    offsets[u + 1] = targets.size();
+  }
+  return Graph{std::move(offsets), std::move(targets)};
 }
 
 }  // namespace sntrust

@@ -58,7 +58,9 @@ struct EdgeBatch {
 /// cover every inserted endpoint, removals drop matching existing edges
 /// (absent edges are ignored), and insertions dedup against the survivors.
 /// A removal listed in the same batch as an insertion of the same pair wins.
-/// Self loops are ignored. Returns a freshly built simple CSR graph; `g`
+/// Self loops are ignored. Each new row is merged in one pass from the old
+/// row and the batch's sorted entries for it, so the cost is a copy of the
+/// CSR plus Graph's validation. Returns a fresh simple CSR graph; `g`
 /// itself is untouched (Graph is immutable).
 Graph apply_edge_batch(const Graph& g, const EdgeBatch& batch);
 

@@ -51,15 +51,19 @@ std::uint32_t resolve_log_iterations(std::uint32_t requested, VertexId n) {
   return iterations;
 }
 
-SybilRankArtifact compute_sybilrank_artifact(const Graph& g,
-                                             const ServiceConfig& config) {
-  obs::Span span{"serve.compute_sybilrank", "serve"};
+namespace {
+
+SybilRankResult sybilrank_run(const Graph& g, const ServiceConfig& config) {
   SybilRankParams params;
   params.iterations = config.sybilrank_iterations;
-  const SybilRankResult result = run_sybilrank(g, config.seeds, params);
+  return run_sybilrank(g, config.seeds, params);
+}
 
+SybilRankArtifact sybilrank_artifact(const Graph& g,
+                                     const ServiceConfig& config,
+                                     SybilRankResult result) {
   SybilRankArtifact artifact;
-  artifact.scores = result.scores;
+  artifact.scores = std::move(result.scores);
   artifact.iterations_used = result.iterations_used;
   artifact.rank_of.assign(g.num_vertices(), 0);
   for (std::uint32_t pos = 0; pos < result.ranking.size(); ++pos)
@@ -68,6 +72,14 @@ SybilRankArtifact compute_sybilrank_artifact(const Graph& g,
       config.accept_fraction * static_cast<double>(g.num_vertices());
   artifact.admit_rank = static_cast<std::uint32_t>(cutoff);
   return artifact;
+}
+
+}  // namespace
+
+SybilRankArtifact compute_sybilrank_artifact(const Graph& g,
+                                             const ServiceConfig& config) {
+  obs::Span span{"serve.compute_sybilrank", "serve"};
+  return sybilrank_artifact(g, config, sybilrank_run(g, config));
 }
 
 GateKeeperArtifact compute_gatekeeper_artifact(const Graph& g,
@@ -121,6 +133,28 @@ LandmarkArtifact compute_landmark_artifact(const Graph& g,
   evolve(g, p, artifact.walk_length);
   artifact.distribution = std::move(p);
   return artifact;
+}
+
+WalkArtifacts compute_walk_artifacts(const Graph& g,
+                                     const ServiceConfig& config) {
+  WalkArtifacts out;
+  std::vector<double> trust;
+  {
+    obs::Span span{"serve.compute_sybilrank", "serve"};
+    SybilRankResult result = sybilrank_run(g, config);
+    trust = std::move(result.trust);
+    out.sybilrank = sybilrank_artifact(g, config, std::move(result));
+  }
+  const std::uint32_t walk_length =
+      resolve_log_iterations(config.landmark_walk_length, g.num_vertices());
+  if (walk_length != out.sybilrank.iterations_used) {
+    out.landmark = compute_landmark_artifact(g, config);
+    return out;
+  }
+  obs::Span span{"serve.compute_landmark", "serve"};
+  out.landmark.walk_length = walk_length;
+  out.landmark.distribution = std::move(trust);
+  return out;
 }
 
 }  // namespace sntrust::serve

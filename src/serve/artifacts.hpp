@@ -31,14 +31,16 @@ struct ServiceConfig {
   /// Known-honest seed set: SybilRank trust sources and landmark-walk
   /// origins. Must be non-empty and in range.
   std::vector<VertexId> seeds;
-  /// SybilRank power-iteration count; 0 = ceil(log2 n) (the protocol).
+  /// SybilRank power-iteration count; 0 = floor(log2 n) + 1 (the
+  /// protocol's O(log n)).
   std::uint32_t sybilrank_iterations = 0;
   /// SybilRank admission: accept the top `accept_fraction` of the ranking.
   double accept_fraction = 0.8;
   /// GateKeeper admission controller (the paper uses a random honest vertex).
   VertexId controller = 0;
   GateKeeperParams gatekeeper;
-  /// Landmark walk length; 0 = ceil(log2 n) (the mixing-time horizon).
+  /// Landmark walk length; 0 = floor(log2 n) + 1 (the mixing-time
+  /// horizon).
   std::uint32_t landmark_walk_length = 0;
 
   /// Order-sensitive fold of every field; artifact-cache keys combine this
@@ -79,7 +81,8 @@ struct LandmarkArtifact {
   std::uint32_t walk_length = 0;
 };
 
-/// Resolved per-graph iteration counts (the `0 = ceil(log2 n)` defaults).
+/// Resolved per-graph iteration counts (the `0 = floor(log2 n) + 1`
+/// defaults).
 std::uint32_t resolve_log_iterations(std::uint32_t requested, VertexId n);
 
 SybilRankArtifact compute_sybilrank_artifact(const Graph& g,
@@ -89,5 +92,18 @@ GateKeeperArtifact compute_gatekeeper_artifact(const Graph& g,
 CorenessArtifact compute_coreness_artifact(const Graph& g);
 LandmarkArtifact compute_landmark_artifact(const Graph& g,
                                            const ServiceConfig& config);
+
+/// The SybilRank and landmark artifacts of one snapshot. SybilRank's trust
+/// before the degree division is the seed walk's distribution after its
+/// iteration count, so when that count equals the resolved landmark walk
+/// length, as with both at their 0 default, it is the landmark distribution
+/// bit for bit, and one power iteration serves both. Otherwise the landmark
+/// walk runs on its own. compute_landmark_artifact stays the reference.
+struct WalkArtifacts {
+  SybilRankArtifact sybilrank;
+  LandmarkArtifact landmark;
+};
+WalkArtifacts compute_walk_artifacts(const Graph& g,
+                                     const ServiceConfig& config);
 
 }  // namespace sntrust::serve

@@ -116,10 +116,11 @@ std::shared_ptr<const ServingSnapshot> TrustService::build_snapshot(
     Graph graph, std::uint64_t epoch) const {
   obs::Span span{"serve.build_snapshot", "serve"};
   auto snapshot = std::make_shared<ServingSnapshot>();
-  snapshot->sybilrank = compute_sybilrank_artifact(graph, options_.config);
+  WalkArtifacts walks = compute_walk_artifacts(graph, options_.config);
+  snapshot->sybilrank = std::move(walks.sybilrank);
+  snapshot->landmark = std::move(walks.landmark);
   snapshot->gatekeeper = compute_gatekeeper_artifact(graph, options_.config);
   snapshot->coreness = compute_coreness_artifact(graph);
-  snapshot->landmark = compute_landmark_artifact(graph, options_.config);
   snapshot->graph = std::move(graph);
   snapshot->epoch = epoch;
   snapshot->built_ns = steady_now_ns();

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 
 #include "exec/checkpoint.hpp"
 #include "exec/sweep.hpp"
-#include "graph/frontier_bfs.hpp"
 #include "markov/walker.hpp"
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
@@ -24,69 +25,142 @@ namespace sntrust {
 namespace {
 
 /// One distributer's BFS level DAG, which is all a ticket flood reads.
-/// Reachable vertices sit at positions in level order (ascending id within
-/// a level), and each vertex's forward children, its next-level neighbours
-/// in adjacency order, are stored as positions. A flood is then one forward
-/// pass over a position-indexed holding array. The buffers are reused
-/// across builds, so a worker allocates only while its DAGs still grow.
+/// Reachable vertices sit at positions in the discovery order of a top-down
+/// BFS, so each level is a contiguous range of positions, and each vertex's
+/// forward children, its next-level neighbours in adjacency order, are
+/// stored as positions. Order within a level cannot change a flood: a
+/// level's holdings are integer sums of grants from the level above. A flood
+/// is one forward pass over a position-indexed holding array. The buffers
+/// are sized once for any DAG of the graph and reused across builds; they
+/// are left uninitialized, so a worker's memory grows only with the DAGs it
+/// builds.
 class LevelDag {
  public:
   explicit LevelDag(const Graph& g)
       : graph_(g),
-        position_(g.num_vertices()),
+        position_(g.num_vertices(), kUnseen),
+        order_(std::make_unique_for_overwrite<VertexId[]>(g.num_vertices())),
+        child_begin_(std::make_unique_for_overwrite<EdgeIndex[]>(
+            g.num_vertices() + std::size_t{1})),
+        children_(std::make_unique_for_overwrite<std::uint32_t[]>(
+            g.targets().size())),
         ticket_runs_(obs::metrics_counter("gatekeeper.ticket_runs")),
-        tickets_sent_(obs::metrics_counter("gatekeeper.tickets_sent")) {}
+        tickets_sent_(obs::metrics_counter("gatekeeper.tickets_sent")),
+        ticket_walks_(obs::metrics_counter("gatekeeper.ticket_walks")) {}
 
-  /// Rebuilds the DAG from a BFS of the same graph.
-  void build(const BfsResult& levels) {
-    const std::size_t depth = levels.level_sizes.size();
-    level_start_.assign(depth + 1, 0);
-    for (std::size_t d = 0; d < depth; ++d)
-      level_start_[d + 1] = level_start_[d] + levels.level_sizes[d];
-    const std::size_t reachable = level_start_[depth];
-
-    cursor_.assign(level_start_.begin(), level_start_.end() - 1);
-    order_.resize(reachable);
-    for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-      const std::uint32_t d = levels.distances[v];
-      if (d == kUnreachable) continue;
-      const auto p = static_cast<std::uint32_t>(cursor_[d]++);
-      order_[p] = v;
-      position_[v] = p;
-    }
-
-    // Every neighbour of a reachable vertex is reachable, so position_ is
-    // current for every neighbour read here.
-    child_begin_.resize(reachable + 1);
+  /// Rebuilds the DAG from `source` in one top-down pass over its reachable
+  /// adjacency. Vertices take positions as they are first seen, so a
+  /// neighbour is a child exactly when its position is at or past the end
+  /// of the current level.
+  void build(VertexId source) {
+    for (std::size_t p = 0; p < reachable_; ++p) position_[order_[p]] = kUnseen;
+    const EdgeIndex* const offsets = graph_.offsets().data();
+    const VertexId* const targets = graph_.targets().data();
+    std::uint32_t* const position = position_.data();
+    VertexId* const order = order_.get();
+    std::uint32_t* const children = children_.get();
+    order[0] = source;
+    position[source] = 0;
     child_begin_[0] = 0;
-    children_.clear();
-    for (std::size_t d = 0; d < depth; ++d) {
-      const std::uint64_t next_begin = level_start_[d + 1];
-      const std::uint64_t next_size =
-          d + 1 < depth ? levels.level_sizes[d + 1] : 0;
-      for (std::uint64_t p = level_start_[d]; p < level_start_[d + 1]; ++p) {
-        for (const VertexId w : graph_.neighbors_unchecked(order_[p])) {
-          const std::uint32_t q = position_[w];
-          if (q - next_begin < next_size) children_.push_back(q);
+    std::size_t reachable = 1;
+    EdgeIndex num_children = 0;
+    levels_ = 0;
+    for (std::size_t begin = 0; begin < reachable; ++levels_) {
+      const auto next = static_cast<std::uint32_t>(reachable);
+      for (std::size_t p = begin; p < next; ++p) {
+        const VertexId u = order[p];
+        for (EdgeIndex e = offsets[u]; e < offsets[u + 1]; ++e) {
+          const VertexId w = targets[e];
+          std::uint32_t q = position[w];
+          if (q == kUnseen) {
+            q = static_cast<std::uint32_t>(reachable++);
+            position[w] = q;
+            order[q] = w;
+          }
+          // Fewer child entries than half-edges read so far: in bounds.
+          children[num_children] = q;
+          num_children += q >= next;
         }
-        child_begin_[p + 1] = children_.size();
+        child_begin_[p + 1] = num_children;
       }
+      begin = next;
     }
+    reachable_ = reachable;
+    num_children_ = num_children;
     holding_.assign(reachable, 0);
+    held_ = false;
   }
 
-  VertexId vertex(std::uint32_t position) const { return order_[position]; }
+  /// Positions plus child entries: the most one flood reads.
+  std::uint64_t size() const { return reachable_ + num_children_; }
+  std::uint64_t levels() const { return levels_; }
+
+  /// True when a flood of `tickets` reaches `target` vertices. The probe
+  /// stops there and leaves nothing held.
+  bool reaches(std::uint64_t tickets, std::uint64_t target) {
+    return flood<false>(tickets, target) >= target;
+  }
+
+  /// Floods `tickets` and keeps every vertex's holding, the tickets it
+  /// received, for add_tickets and for_each_reached. Returns the number
+  /// reached.
+  std::uint64_t hold(std::uint64_t tickets) {
+    return flood<true>(tickets, std::numeric_limits<std::uint64_t>::max());
+  }
+
+  /// Adds tickets at the source of a held flood that reached `reached`
+  /// vertices, one at a time, until `target` are reached, and returns how
+  /// many were added; some larger budget must reach `target`. A vertex holding h passes the (h + 1)-th ticket it
+  /// receives to child (h - 1) mod k, the one whose share of its forwarded
+  /// tickets grows, so each added ticket changes exactly one path, one level
+  /// per step. The path ends at the first vertex that held no tickets,
+  /// which is newly reached, or at a vertex without children, where the
+  /// ticket is lost.
+  std::uint64_t add_tickets(std::uint64_t reached, std::uint64_t target) {
+    assert(held_);
+    std::uint64_t* const holding = holding_.data();
+    std::uint64_t added = 0;
+    for (; reached < target; ++added) {
+      for (std::uint32_t p = 0;;) {
+        const std::uint64_t h = holding[p]++;
+        if (h == 0) {
+          ++reached;
+          break;
+        }
+        const EdgeIndex begin = child_begin_[p];
+        const std::uint64_t k = child_begin_[p + 1] - begin;
+        if (k == 0) break;
+        p = children_[begin + (h - 1) % k];
+      }
+    }
+    ticket_walks_.add(added);
+    return added;
+  }
+
+  /// Calls on_reached(vertex, tickets received) for every vertex the held
+  /// flood reached, in position order.
+  template <typename OnReached>
+  void for_each_reached(OnReached&& on_reached) const {
+    assert(held_);
+    for (std::size_t p = 0; p < reachable_; ++p)
+      if (holding_[p] != 0) on_reached(order_[p], holding_[p]);
+  }
+
+ private:
+  static constexpr std::uint32_t kUnseen =
+      std::numeric_limits<std::uint32_t>::max();
 
   /// Floods `tickets` from the source at position 0. A vertex holding h
   /// tickets consumes one and splits the other h - 1 evenly over its
   /// children, the first (h - 1) mod k of its k children getting one more;
-  /// tickets that reach a vertex without children are lost. Calls
-  /// on_reached(position, tickets_received) for every vertex that consumes
-  /// a ticket, in position order, and stops once `stop_at` vertices have.
-  /// Returns the number reached.
-  template <typename OnReached>
-  std::uint64_t flood(std::uint64_t tickets, std::uint64_t stop_at,
-                      OnReached&& on_reached) {
+  /// tickets that reach a vertex without children are lost. Returns the
+  /// number of vertices that consume a ticket. A probe (kHold false) clears
+  /// each holding as it passes and stops once `stop_at` vertices are
+  /// reached; a held flood keeps every holding.
+  template <bool kHold>
+  std::uint64_t flood(std::uint64_t tickets, std::uint64_t stop_at) {
+    if (held_) std::fill(holding_.begin(), holding_.end(), 0);
+    held_ = kHold;
     ticket_runs_.add(1);
     tickets_sent_.add(tickets);
     std::uint64_t* const holding = holding_.data();
@@ -97,8 +171,7 @@ class LevelDag {
     for (; p <= last; ++p) {
       std::uint64_t budget = holding[p];
       if (budget == 0) continue;
-      holding[p] = 0;
-      on_reached(static_cast<std::uint32_t>(p), budget);
+      if constexpr (!kHold) holding[p] = 0;
       if (++reached == stop_at) break;
       --budget;
       const EdgeIndex begin = child_begin_[p];
@@ -113,22 +186,25 @@ class LevelDag {
         last = std::max<std::size_t>(last, child);
       }
     }
-    // Holdings are all zero between floods; an early stop leaves some
+    // A probe's holdings are zero after it, but an early stop leaves some
     // ahead of p.
-    if (p < last) std::fill(holding + p + 1, holding + last + 1, 0);
+    if (!kHold && p < last) std::fill(holding + p + 1, holding + last + 1, 0);
     return reached;
   }
 
- private:
   const Graph& graph_;
-  std::vector<std::uint32_t> position_;  // vertex -> position
-  std::vector<VertexId> order_;          // position -> vertex
-  std::vector<std::uint64_t> level_start_, cursor_;
-  std::vector<EdgeIndex> child_begin_;   // p's children: [p] to [p + 1]
-  std::vector<std::uint32_t> children_;  // child positions
-  std::vector<std::uint64_t> holding_;   // tickets held, per position
+  std::vector<std::uint32_t> position_;      // vertex -> position, or kUnseen
+  std::unique_ptr<VertexId[]> order_;        // position -> vertex
+  std::unique_ptr<EdgeIndex[]> child_begin_; // p's children: [p] to [p + 1]
+  std::unique_ptr<std::uint32_t[]> children_;  // child positions
+  std::vector<std::uint64_t> holding_;       // tickets held, per position
+  std::size_t reachable_ = 0;                // positions of the built DAG
+  EdgeIndex num_children_ = 0;
+  std::uint64_t levels_ = 0;
+  bool held_ = false;  // a held flood's holdings remain
   obs::Counter& ticket_runs_;
   obs::Counter& tickets_sent_;
+  obs::Counter& ticket_walks_;
 };
 
 /// Throws unless `value` is in (0,1]; NaN fails too.
@@ -142,55 +218,65 @@ std::uint32_t admission_threshold(double f_admit,
   return static_cast<std::uint32_t>(std::ceil(f_admit * num_distributers));
 }
 
-/// Floods `tickets` over a built DAG and records every reached vertex.
-TicketRun full_run(LevelDag& dag, const Graph& g, VertexId source,
+/// The held flood of `tickets` from `source` as a TicketRun.
+TicketRun held_run(const LevelDag& dag, const Graph& g, VertexId source,
                    std::uint64_t tickets) {
   TicketRun run;
   run.distributer = source;
   run.tickets_sent = tickets;
   run.reached.assign(g.num_vertices(), 0);
   run.tickets_received.assign(g.num_vertices(), 0);
-  run.vertices_reached =
-      dag.flood(tickets, std::numeric_limits<std::uint64_t>::max(),
-                [&](std::uint32_t p, std::uint64_t received) {
-                  const VertexId v = dag.vertex(p);
-                  run.reached[v] = 1;
-                  run.tickets_received[v] = received;
-                });
+  dag.for_each_reached([&](VertexId v, std::uint64_t received) {
+    run.reached[v] = 1;
+    run.tickets_received[v] = received;
+    ++run.vertices_reached;
+  });
   return run;
 }
 
 /// The smallest budget whose flood reaches ceil(reach_fraction * n)
-/// vertices of an n-vertex graph, searched as GateKeeper's adaptive
-/// bootstrap does: double from 2 until a flood reaches the target, then
-/// bisect between the last two doublings. When the doubling passes
-/// 64 n + 64 first, the last doubling is returned. The probes only count,
-/// and stop once the target is reached.
-std::uint64_t minimal_budget(LevelDag& dag, VertexId n,
-                             double reach_fraction) {
+/// vertices of an n-vertex graph, as GateKeeper's adaptive bootstrap
+/// defines it: budgets double from 2 until a flood reaches the target, and
+/// the budget is the smallest that does, but not below 2. When the doubling
+/// passes 64 n + 64 first, it is the last doubling. Leaves the DAG holding
+/// the flood at that budget. The search takes three exact steps, using that
+/// reach never falls as the budget grows:
+///   1. Every reached vertex consumes a ticket, so doublings below the
+///      target miss and are not flooded.
+///   2. Count-only probes bisect the bracket while it is wider than the
+///      DAG's size over its level count.
+///   3. The bracket's lower end is held, and tickets are added one at a time
+///      until the target is reached. Each costs at most one step per level,
+///      so the bracket left by step 2 costs at most one flood's size.
+/// Excess tickets only leak across attack edges without admitting more
+/// honest vertices.
+std::uint64_t hold_minimal_budget(LevelDag& dag, VertexId n,
+                                  double reach_fraction) {
   const auto target =
       static_cast<std::uint64_t>(std::ceil(reach_fraction * n));
   const std::uint64_t cap = 64ull * n + 64;
-  const auto hits = [&](std::uint64_t tickets) {
-    return dag.flood(tickets, target, [](std::uint32_t, std::uint64_t) {}) >=
-           target;
-  };
-  std::uint64_t tickets = 2;
-  bool hit = hits(tickets);
-  while (!hit && tickets < cap) {
-    tickets *= 2;
-    hit = hits(tickets);
+  std::uint64_t hi = std::max<std::uint64_t>(2, std::bit_ceil(target));
+  while (!dag.reaches(hi, target)) {
+    if (hi >= cap) {  // cap hit: best effort
+      dag.hold(hi);
+      return hi;
+    }
+    hi *= 2;
   }
-  if (!hit) return tickets;  // cap hit: best effort
-  // Excess tickets only leak across attack edges without admitting more
-  // honest vertices.
-  std::uint64_t lo = tickets / 2, hi = tickets;
-  while (lo + 1 < hi) {
+  // lo is below the target or a doubling that missed, so it misses, except
+  // at the floor: when hi is 2, one ticket may do.
+  std::uint64_t lo = hi / 2;
+  const std::uint64_t width = dag.size() / dag.levels();
+  while (hi - lo > width) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (hits(mid)) hi = mid;
+    if (dag.reaches(mid, target)) hi = mid;
     else lo = mid;
   }
-  return hi;
+  if (hi - lo == 1) {  // hi is the budget, and the floor holds
+    dag.hold(hi);
+    return hi;
+  }
+  return lo + dag.add_tickets(dag.hold(lo), target);
 }
 
 /// A distributer's minimal budget as stored in the checkpoint.
@@ -212,20 +298,22 @@ TicketRun distribute_tickets(const Graph& g, VertexId source,
     throw std::out_of_range("distribute_tickets: source out of range");
   if (tickets == 0)
     throw std::invalid_argument("distribute_tickets: need >= 1 ticket");
-  FrontierBfs runner{g};
   LevelDag dag{g};
-  dag.build(runner.run(source));
-  return full_run(dag, g, source, tickets);
+  dag.build(source);
+  dag.hold(tickets);
+  return held_run(dag, g, source, tickets);
 }
 
 TicketRun adaptive_distribute(const Graph& g, VertexId source,
                               double reach_fraction) {
   check_fraction(reach_fraction, "adaptive_distribute: reach_fraction");
-  FrontierBfs runner{g};
+  if (source >= g.num_vertices())
+    throw std::out_of_range("adaptive_distribute: source out of range");
   LevelDag dag{g};
-  dag.build(runner.run(source));
-  return full_run(dag, g, source,
-                  minimal_budget(dag, g.num_vertices(), reach_fraction));
+  dag.build(source);
+  const std::uint64_t budget =
+      hold_minimal_budget(dag, g.num_vertices(), reach_fraction);
+  return held_run(dag, g, source, budget);
 }
 
 GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
@@ -267,9 +355,7 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
   // run restores the budget and floods once.
   const VertexId n = g.num_vertices();
   struct Worker {
-    explicit Worker(const Graph& g)
-        : bfs(g), dag(g), tally(g.num_vertices()) {}
-    FrontierBfs bfs;
+    explicit Worker(const Graph& g) : dag(g), tally(g.num_vertices()) {}
     LevelDag dag;
     std::vector<std::uint32_t> tally;  // distributers that reached each vertex
   };
@@ -279,17 +365,14 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
   const auto build_dag = [&](std::uint32_t slot, std::size_t i) -> Worker& {
     if (!workers[slot]) workers[slot].emplace(g);
     Worker& w = *workers[slot];
-    w.dag.build(w.bfs.run(out.distributers[i]));
+    w.dag.build(out.distributers[i]);
     return w;
   };
   // Adds `weight` (modulo 2^32, so a -1 exactly undoes a +1) to the tally
-  // of every vertex the built DAG's distributer reaches with `budget`.
-  const auto tally_reach = [](Worker& w, std::uint64_t budget,
-                              std::uint32_t weight) {
-    w.dag.flood(budget, std::numeric_limits<std::uint64_t>::max(),
-                [&](std::uint32_t p, std::uint64_t) {
-                  w.tally[w.dag.vertex(p)] += weight;
-                });
+  // of every vertex the DAG's held flood reached.
+  const auto tally_held = [](Worker& w, std::uint32_t weight) {
+    w.dag.for_each_reached(
+        [&](VertexId v, std::uint64_t) { w.tally[v] += weight; });
   };
 
   // budgets[i] = the budget distributer i was tallied with in this run.
@@ -308,8 +391,8 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
       [&](std::size_t i, std::uint32_t slot) {
         Worker& w = build_dag(slot, i);
         const std::uint64_t budget =
-            minimal_budget(w.dag, n, params.reach_fraction);
-        tally_reach(w, budget, 1);
+            hold_minimal_budget(w.dag, n, params.reach_fraction);
+        tally_held(w, 1);
         budgets[i] = budget;
         progress.tick();
         return json::Value::integer(static_cast<std::int64_t>(budget)).dump();
@@ -335,7 +418,9 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
   parallel::parallel_for(
       0, corrections.size(), [&](std::size_t j, std::uint32_t slot) {
         const Correction& c = corrections[j];
-        tally_reach(build_dag(slot, c.index), c.budget, c.weight);
+        Worker& w = build_dag(slot, c.index);
+        w.dag.hold(c.budget);
+        tally_held(w, c.weight);
       });
 
   for (const std::optional<Worker>& w : workers)

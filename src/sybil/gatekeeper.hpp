@@ -9,8 +9,8 @@
 //      a node keeps one ticket and splits the remainder evenly among its
 //      next-level neighbours; a node is *reached* if it consumed a ticket.
 //      The distributer doubles the initial ticket count until at least half
-//      the vertices are reached (adaptive O(n) bootstrap), then bisects
-//      down to the smallest count that still does.
+//      the vertices are reached (adaptive O(n) bootstrap) and uses the
+//      smallest count that does: its minimal budget.
 //   3. A suspect is admitted when at least f_admit * num_distributers
 //      distributers reached it.
 #pragma once
@@ -27,7 +27,7 @@ struct GateKeeperParams {
   std::uint32_t num_distributers = 99;  ///< Table II samples 99
   double f_admit = 0.1;                 ///< admission fraction f, in (0,1]
   /// Length of the random walks used to sample distributers; O(log n) on a
-  /// fast-mixing graph. 0 means "use ceil(log2 n) + 5".
+  /// fast-mixing graph. 0 means floor(log2 n) + 5.
   std::uint32_t sample_walk_length = 0;
   /// Each distributer's budget is the smallest that reaches this fraction
   /// of the vertices, in (0,1].
@@ -52,11 +52,12 @@ struct TicketRun {
 TicketRun distribute_tickets(const Graph& g, VertexId source,
                              std::uint64_t tickets);
 
-/// The distribution at the smallest budget that reaches
-/// ceil(reach_fraction * n) vertices: budgets double from 2 until one does,
-/// then bisect between the last two doublings. When the doubling passes
-/// 64 * n + 64 first, the last doubling's distribution is returned. One
-/// BFS and one level-DAG build serve every attempt.
+/// The distribution at the minimal budget: the smallest budget, but not
+/// below 2, that reaches ceil(reach_fraction * n) vertices. Reach never
+/// falls as the budget grows, so it lies between the first doubling from 2
+/// that reaches the target and the doubling before. When the doubling
+/// passes 64 * n + 64 first, the last doubling's distribution is returned.
+/// One level-DAG build serves the whole search.
 TicketRun adaptive_distribute(const Graph& g, VertexId source,
                               double reach_fraction);
 

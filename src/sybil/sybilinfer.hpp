@@ -20,7 +20,7 @@ namespace sntrust {
 struct SybilInferParams {
   /// Number of sampled walk traces. 0 means 20 * n.
   std::uint64_t num_traces = 0;
-  /// Walk length; 0 means ceil(log2 n) + 2.
+  /// Walk length; 0 means floor(log2 n) + 2.
   std::uint32_t walk_length = 0;
   std::uint64_t seed = 1;
 };

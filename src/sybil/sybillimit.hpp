@@ -16,7 +16,7 @@
 namespace sntrust {
 
 struct SybilLimitParams {
-  /// Route length w; on a fast-mixing graph O(log n). 0 means ceil(log2 n)+4.
+  /// Route length w; on a fast-mixing graph O(log n). 0 means floor(log2 n)+4.
   std::uint32_t route_length = 0;
   /// Route count multiplier: r = route_factor * sqrt(m). The protocol's r0;
   /// it must be large enough that two honest tail sets intersect w.h.p.

@@ -43,6 +43,7 @@ SybilRankResult run_sybilrank(const Graph& g,
     result.scores[v] =
         g.degree(v) == 0 ? 0.0 : trust[v] / static_cast<double>(g.degree(v));
   result.ranking = ranking_from_scores(result.scores);
+  result.trust = std::move(trust);
   return result;
 }
 

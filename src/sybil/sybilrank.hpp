@@ -20,12 +20,15 @@
 namespace sntrust {
 
 struct SybilRankParams {
-  /// Power-iteration steps; 0 = ceil(log2 n) (the protocol's choice).
+  /// Power-iteration steps; 0 = floor(log2 n) + 1, the protocol's O(log n).
   std::uint32_t iterations = 0;
   std::uint64_t seed = 1;  ///< unused (deterministic), kept for interface parity
 };
 
 struct SybilRankResult {
+  /// Trust per vertex before the degree normalization: the distribution of
+  /// a walk started at the seeds, after `iterations_used` steps.
+  std::vector<double> trust;
   /// Degree-normalized trust per vertex.
   std::vector<double> scores;
   /// Vertices by descending trust.

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+
+#include "gen/generators.hpp"
+#include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/stats.hpp"
+#include "util/rng.hpp"
 
 namespace sntrust {
 namespace {
@@ -88,6 +95,68 @@ TEST(MeasureEvolution, UnsortedSizesThrow) {
 TEST(MeasureEvolution, TinySnapshotThrows) {
   const GrowthTrace trace = preferential_attachment_trace(100, 2, 8);
   EXPECT_THROW(measure_evolution(trace, {8}), std::invalid_argument);
+}
+
+// The reference for apply_edge_batch: a whole rebuild through GraphBuilder,
+// which drops self loops and collapses duplicates, of every surviving edge
+// and every insertion not removed in the same batch.
+Graph rebuilt_with_batch(const Graph& g, const EdgeBatch& batch) {
+  VertexId n = g.num_vertices();
+  for (const Edge& e : batch.insertions) n = std::max({n, e.u + 1, e.v + 1});
+  std::set<std::pair<VertexId, VertexId>> removed;
+  for (const Edge& e : batch.removals) removed.insert(std::minmax(e.u, e.v));
+  const auto kept = [&](const Edge& e) {
+    return removed.count(std::minmax(e.u, e.v)) == 0;
+  };
+  GraphBuilder builder{n};
+  for (const Edge& e : g.edges())
+    if (kept(e)) builder.add_edge(e.u, e.v);
+  for (const Edge& e : batch.insertions)
+    if (kept(e)) builder.add_edge(e.u, e.v);
+  return builder.build();
+}
+
+TEST(ApplyEdgeBatch, MatchesBuilderRebuild) {
+  Graph g = barabasi_albert(300, 3, 17);
+  Rng rng{17};
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::vector<Edge> existing = g.edges();
+    const VertexId n = g.num_vertices();
+    const auto any_vertex = [&] {
+      return static_cast<VertexId>(rng.uniform(n));
+    };
+    EdgeBatch batch;
+    for (int i = 0; i < 24; ++i) {
+      const Edge e = existing[rng.uniform(existing.size())];
+      batch.removals.push_back(rng.bernoulli(0.5) ? e : Edge{e.v, e.u});
+    }
+    for (int i = 0; i < 8; ++i)  // absent, some past the universe
+      batch.removals.push_back(
+          {any_vertex(), rng.bernoulli(0.75) ? any_vertex() : n + 50});
+    for (int i = 0; i < 24; ++i)
+      batch.insertions.push_back({any_vertex(), any_vertex()});
+    for (int i = 0; i < 4; ++i) {
+      const VertexId v = any_vertex();
+      batch.insertions.push_back({v, v});  // self loop
+    }
+    for (int i = 0; i < 8; ++i)  // duplicate, possibly reversed
+      batch.insertions.push_back(
+          batch.insertions[rng.uniform(batch.insertions.size())]);
+    for (int i = 0; i < 4; ++i) {  // inserted and removed: the removal wins
+      const Edge e{any_vertex(), any_vertex()};
+      batch.insertions.push_back(e);
+      batch.removals.push_back({e.v, e.u});
+    }
+    for (int i = 0; i < 4; ++i)  // existing edges inserted again
+      batch.insertions.push_back(existing[rng.uniform(existing.size())]);
+    if (round % 4 == 0)  // new vertices past a gap
+      batch.insertions.push_back(
+          {any_vertex(), n + 3 + static_cast<VertexId>(rng.uniform(5))});
+    const Graph merged = apply_edge_batch(g, batch);
+    ASSERT_TRUE(merged == rebuilt_with_batch(g, batch));
+    g = merged;
+  }
 }
 
 }  // namespace

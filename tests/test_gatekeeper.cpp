@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -9,6 +10,7 @@
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
 #include "graph/traversal.hpp"
+#include "obs/metrics.hpp"
 #include "test_graphs.hpp"
 
 namespace sntrust {
@@ -116,6 +118,8 @@ std::vector<OracleCase> oracle_cases() {
   cases.push_back({"ba300", expander(300, 41), {0, 7, 150, 299}});
   cases.push_back({"ba2000", expander(2000, 42), {0, 1234}});
   cases.push_back({"path", path_graph(9), {0, 4, 8}});
+  // As deep as it is long: one level per vertex from an end.
+  cases.push_back({"path4096", path_graph(4096), {0, 1000, 2048, 4095}});
   cases.push_back({"star", star_graph(12), {0, 5}});
   cases.push_back({"disconnected", disconnected_graph(), {0, 3, 5}});
   return cases;
@@ -197,8 +201,11 @@ TEST(TicketDistribution, MatchesReferenceFlood) {
         SCOPED_TRACE(std::string(c.name) + " source " +
                      std::to_string(source) + " tickets " +
                      std::to_string(tickets));
-        expect_same_run(distribute_tickets(c.graph, source, tickets),
-                        reference_flood(c.graph, source, tickets));
+        const TicketRun run = distribute_tickets(c.graph, source, tickets);
+        expect_same_run(run, reference_flood(c.graph, source, tickets));
+        // Every reached vertex consumes a ticket: the budget search skips
+        // the doublings below its target on this bound.
+        EXPECT_LE(run.vertices_reached, tickets);
       }
     }
   }
@@ -231,20 +238,54 @@ TEST(AdaptiveDistribute, MatchesReferenceSearch) {
   // 1e-9 needs one vertex: the first flood, at the budget-2 floor, already
   // reaches it. 0.5 searches the middle. 1.0 on the disconnected graph is
   // never reached, so the search stops at the cap's last doubling.
+  // The work counters show each step of the search: doublings flood from
+  // the first power of two at or past the target up to the budget's, then
+  // bisection probes, then one held flood and the added tickets.
+  obs::Counter& floods = obs::metrics_counter("gatekeeper.ticket_runs");
+  obs::Counter& walks = obs::metrics_counter("gatekeeper.ticket_walks");
+  bool bisected_then_added = false;
+  bool added = false;
   for (const OracleCase& c : oracle_cases()) {
     for (const VertexId source : c.sources) {
       for (const double fraction : {1e-9, 0.05, 0.5, 0.9, 1.0}) {
         SCOPED_TRACE(std::string(c.name) + " source " +
                      std::to_string(source) + " fraction " +
                      std::to_string(fraction));
+        const std::uint64_t floods_before = floods.value();
+        const std::uint64_t walks_before = walks.value();
         const TicketRun got = adaptive_distribute(c.graph, source, fraction);
+        const std::uint64_t flooded = floods.value() - floods_before;
+        const std::uint64_t walked = walks.value() - walks_before;
         const TicketRun want = reference_adaptive(c.graph, source, fraction);
         EXPECT_EQ(got.tickets_sent, want.tickets_sent);
         EXPECT_EQ(got.vertices_reached, want.vertices_reached);
         EXPECT_EQ(got.reached, want.reached);
+        EXPECT_EQ(got.tickets_received, want.tickets_received);
+
+        const auto target = static_cast<std::uint64_t>(
+            std::ceil(fraction * c.graph.num_vertices()));
+        if (want.vertices_reached >= target) {
+          const std::uint64_t first =
+              std::max<std::uint64_t>(2, std::bit_ceil(target));
+          const std::uint64_t last =
+              std::max(first, std::bit_ceil(want.tickets_sent));
+          const std::uint64_t doublings =
+              std::countr_zero(last) - std::countr_zero(first) + 1;
+          ASSERT_GE(flooded, doublings + 1);
+          if (walked > 0 && flooded > doublings + 1) bisected_then_added = true;
+        }
+        if (walked > 0) added = true;
+        // Bisection leaves a bracket no wider than the DAG's size over its
+        // level count, at most 3 on the path, so a power-of-two bracket
+        // leaves at most 2 added tickets.
+        if (c.graph.num_vertices() == 4096) {
+          EXPECT_LE(walked, 2u);
+        }
       }
     }
   }
+  EXPECT_TRUE(bisected_then_added);
+  EXPECT_TRUE(added);
 }
 
 TEST(AdaptiveDistribute, EdgeCasesOfTheSearch) {
@@ -281,6 +322,28 @@ TEST(GateKeeper, AdmitsMostHonestOnExpander) {
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     if (result.admitted(v)) ++admitted;
   EXPECT_GT(static_cast<double>(admitted) / g.num_vertices(), 0.8);
+}
+
+TEST(GateKeeper, DefaultSampleWalkIsFloorLog2NPlus5) {
+  // 256 is a power of two, where floor and ceil agree; at 300 the ceil
+  // reading would walk one step further and sample other distributers.
+  for (const VertexId n : {VertexId{256}, VertexId{300}}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    const Graph g = expander(n, 13);
+    ASSERT_EQ(g.num_vertices(), n);
+    GateKeeperParams params;
+    params.num_distributers = 12;
+    params.seed = 13;
+    const std::vector<VertexId> by_default =
+        run_gatekeeper(g, 0, params).distributers;
+    const auto floor_log2 = static_cast<std::uint32_t>(std::bit_width(n) - 1);
+    params.sample_walk_length = floor_log2 + 5;
+    EXPECT_EQ(run_gatekeeper(g, 0, params).distributers, by_default);
+    if (!std::has_single_bit(n)) {
+      params.sample_walk_length = floor_log2 + 6;
+      EXPECT_NE(run_gatekeeper(g, 0, params).distributers, by_default);
+    }
+  }
 }
 
 TEST(GateKeeper, ThresholdScalesWithF) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/generators.hpp"
@@ -119,6 +121,38 @@ TEST_F(ServeTest, AnswersMatchUncachedReferenceBitwise) {
   Query out_of_range;
   out_of_range.vertex = service.graph().num_vertices();
   EXPECT_EQ(service.answer(out_of_range).status, QueryStatus::kInvalidVertex);
+}
+
+TEST_F(ServeTest, LandmarkFromSybilRankMatchesUncachedWalk) {
+  // Equal resolved lengths, the default and explicit, take the landmark from
+  // SybilRank's power iteration; unequal ones walk on their own. Either way
+  // the answers equal the uncached reference's own walk.
+  const std::pair<std::uint32_t, std::uint32_t> lengths[] = {
+      {0, 0}, {6, 6}, {0, 5}, {7, 0}};
+  for (const auto& [iterations, walk_length] : lengths) {
+    SCOPED_TRACE("sybilrank_iterations " + std::to_string(iterations) +
+                 " landmark_walk_length " + std::to_string(walk_length));
+    TrustService::Options options = small_options();
+    options.config.sybilrank_iterations = iterations;
+    options.config.landmark_walk_length = walk_length;
+    TrustService service{expander(300, 8), options};
+    for (VertexId v = 0; v < service.graph().num_vertices(); ++v) {
+      Query q;
+      q.vertex = v;
+      q.kind = QueryKind::kLandmark;
+      const Answer cached = service.answer(q);
+      const Answer uncached = service.answer_uncached(q);
+      ASSERT_EQ(std::memcmp(&cached, &uncached, sizeof(Answer)), 0)
+          << "vertex " << v;
+    }
+  }
+}
+
+TEST(ServeConfig, DefaultLengthsAreFloorLog2NPlusOne) {
+  EXPECT_EQ(resolve_log_iterations(0, 8), 4u);
+  EXPECT_EQ(resolve_log_iterations(0, 9), 4u);
+  EXPECT_EQ(resolve_log_iterations(0, 7), 3u);
+  EXPECT_EQ(resolve_log_iterations(3, 8), 3u);
 }
 
 TEST_F(ServeTest, BatchedPipelinedAnswersAreBitwiseIdentical) {
