@@ -9,11 +9,12 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "exec/cancel.hpp"
-#include "exec/sweep.hpp"
 #include "gen/datasets.hpp"
+#include "graph/io.hpp"
 #include "graph/snapshot.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -122,21 +123,24 @@ class DatasetTimer {
 
 /// Standard bench entry point: installs the cooperative SIGINT/SIGTERM
 /// handlers (and the SNTRUST_DEADLINE_MS deadline), runs `body`, and maps
-/// the exec-layer outcomes to sysexits-style codes — 75 for an interrupted
-/// or degraded run (the checkpoint, if armed, holds the completed sources
-/// and the SNTRUST_REPORT artifact still fires at exit), 1 for anything
-/// else. Wrap main as `return sntrust::bench::guarded_main([] { ...; return
-/// 0; });`.
+/// its outcome to sysexits-style codes — 75 for an interrupted run (the
+/// checkpoint, if armed, holds the completed sources, and the SNTRUST_REPORT
+/// artifact still fires at exit with `exec.interrupted` naming the cause),
+/// 65 for bad input (IoError, std::invalid_argument), 1 for anything else.
+/// Wrap main as `return sntrust::bench::guarded_main([] { ...; return 0;
+/// });`.
 inline int guarded_main(const std::function<int()>& body) {
   exec::install_signal_handlers();
   try {
     return body();
   } catch (const exec::CancelledError& error) {
-    std::cerr << "interrupted: " << error.what() << "\n";
-    return 75;
-  } catch (const exec::PartialFailureError& error) {
+    return exec::interrupted_exit(error.what());
+  } catch (const IoError& error) {
     std::cerr << "error: " << error.what() << "\n";
-    return 75;
+    return 65;
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 65;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

@@ -34,7 +34,6 @@ std::vector<CoreLevel> core_profile(const Graph& g,
 
   exec::SweepOptions sweep;
   sweep.kind = "core_profile";
-  sweep.fault_site = "cores";
   sweep.token = exec::process_token();
   sweep.fingerprint = exec::fingerprint(
       {n, g.num_edges(), d.degeneracy, exec::graph_fingerprint(g)});
@@ -100,7 +99,6 @@ std::vector<CoreLevel> core_profile(const Graph& g,
 
   levels.reserve(d.degeneracy);
   for (std::size_t idx = 0; idx < swept.payloads.size(); ++idx) {
-    if (swept.payloads[idx].empty()) continue;  // degraded: level skipped
     const json::Value row = json::Value::parse(swept.payloads[idx]);
     const json::Array& fields = row.as_array();
     CoreLevel level;

@@ -1,9 +1,11 @@
 #include "exec/cancel.hpp"
 
 #include <csignal>
+#include <iostream>
 #include <limits>
 #include <mutex>
 
+#include "obs/run_report.hpp"
 #include "util/env.hpp"
 
 namespace sntrust::exec {
@@ -158,5 +160,13 @@ void set_process_deadline(Deadline deadline) {
 }
 
 CancelToken process_token() { return CancelToken{}; }
+
+int interrupted_exit(const std::string& detail) {
+  std::cerr << "interrupted: " << detail << "\n";
+  const std::string reason = process_cancel_reason();
+  obs::RunReporter::instance().set_interrupted(reason.empty() ? detail
+                                                              : reason);
+  return 75;
+}
 
 }  // namespace sntrust::exec

@@ -9,13 +9,15 @@
 // `Deadline` for scoped work. Cancellation is *cooperative*: nothing is
 // interrupted mid-computation; sweeps drain the sources already in flight,
 // persist completed work (see exec/sweep.hpp), and then throw
-// `CancelledError`, which callers surface as a partial/degraded run (exit
-// code 75 in the CLI) while the run report still gets written at exit.
+// `CancelledError`. Each binary's main maps it through `interrupted_exit`,
+// which names the cause in the run report (`exec.interrupted`) and returns
+// exit code 75; the report is still written at exit. Exit 75 means
+// interrupted and nothing else.
 //
 // Signal handling installs once per binary entry point (`sntrust_cli`,
-// `bench::guarded_main`); the first SIGINT/SIGTERM flips the cancellation
-// flag and restores the default disposition, so a second signal force-kills
-// a stuck process the classic way.
+// `sntrust_serve`, `bench::guarded_main`); the first SIGINT/SIGTERM flips
+// the cancellation flag and restores the default disposition, so a second
+// signal force-kills a stuck process the classic way.
 #pragma once
 
 #include <atomic>
@@ -103,8 +105,7 @@ bool process_cancel_requested();
 /// Cause of the process-wide cancellation; empty while not cancelled.
 std::string process_cancel_reason();
 
-/// Programmatic process-wide cancellation (tests, embedders, the fault
-/// injector's sigterm action fallback).
+/// Programmatic process-wide cancellation (tests, embedders).
 void request_process_cancel(const std::string& reason);
 /// Clears signal/programmatic cancellation state (tests). Does not touch the
 /// process deadline; disarm that with `set_process_deadline(Deadline{})`.
@@ -117,5 +118,12 @@ void set_process_deadline(Deadline deadline);
 
 /// Token following the process-wide state; the default for sweeps.
 CancelToken process_token();
+
+/// Exit code of an interrupted run, 75 (EX_TEMPFAIL: re-run with --resume
+/// to continue). Prints "interrupted: <detail>" to stderr and records the
+/// cause — the process cancellation reason, else `detail` — as the run
+/// report's "exec.interrupted". Every exit 75 goes through here, so every
+/// one leaves a report naming its cause.
+int interrupted_exit(const std::string& detail);
 
 }  // namespace sntrust::exec

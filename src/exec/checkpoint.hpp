@@ -5,7 +5,8 @@
 // `SNTRUST_CHECKPOINT=<path>` (or `sntrust_cli --checkpoint/--resume`): every
 // checkpointed sweep then (a) restores completed sources from a matching
 // entry before computing anything, and (b) persists its completed payloads —
-// periodically, on cancellation, and on completion. Writes are atomic
+// periodically, when a cancellation or a throwing source stops the sweep,
+// and on completion. Writes are atomic
 // (temp file + fsync + rename), so a crash can lose at most the sources
 // completed since the last flush, never the file.
 //

@@ -1,22 +1,26 @@
-// Fault-tolerant per-source sweep harness.
+// Per-source sweep harness.
 //
 // `run_sweep` wraps the repo's standard pattern — parallel_for over N
-// independent sources, one JSON-serializable result each — with the three
-// robustness behaviours every measurement sweep needs:
+// independent sources, one JSON-serializable result each — with three jobs:
 //
-//   * cooperative cancellation: the cancel token (signals, deadlines,
-//     CancelSource) is polled before every source; on cancellation in-flight
-//     sources drain, completed payloads are checkpointed, and
-//     `CancelledError` propagates to the caller (CLI exit code 75),
-//   * graceful degradation: a source that throws is recorded as a
-//     `SourceFailure` (index, phase, reason) in the run report and skipped;
-//     when more than `max_failed_frac` of the sources fail the sweep aborts
-//     with `PartialFailureError` instead of returning a silently thin
-//     aggregate (the default 0.0 keeps today's fail-fast semantics —
-//     degradation is opt-in via SNTRUST_MAX_FAILED_FRAC),
-//   * checkpoint/resume: with the CheckpointStore armed, completed payloads
-//     are persisted periodically and restored on the next run, skipping
-//     their compute entirely.
+//   * handing out sources: each worker slot takes the next source as it
+//     frees up, skipping those restored from the checkpoint,
+//   * draining on cancellation: the cancel token (signals, deadlines,
+//     CancelSource) is polled before every source; on cancellation no
+//     further source starts, in-flight sources finish, completed payloads
+//     are checkpointed, and `CancelledError` propagates to the caller (CLI
+//     exit code 75),
+//   * checkpoint/restore: with the CheckpointStore armed, completed payloads
+//     are persisted every max(1, items / 8) sources and restored on the next
+//     run, skipping their compute entirely.
+//
+// The sweep fails fast. Every source is a deterministic function of its
+// index, so a source that throws would throw again on a retry, and an
+// aggregate without it is not the measurement asked for. The first
+// exception a source throws therefore stops the sweep the way a
+// cancellation does: no further source starts, in-flight sources finish,
+// completed payloads are checkpointed, and that exception reaches the
+// caller unchanged.
 //
 // Bitwise-identical resume falls out of the payload discipline: `compute`
 // returns each source's result as a dumped util/json document (doubles
@@ -29,7 +33,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,45 +40,19 @@
 
 namespace sntrust::exec {
 
-/// One degraded/skipped source of a sweep.
-struct SourceFailure {
-  std::uint64_t index = 0;
-  std::string phase;   ///< sweep kind, e.g. "measure_mixing"
-  std::string reason;  ///< exception message
-};
-
-/// Thrown when more than `max_failed_frac` of a sweep's sources failed.
-class PartialFailureError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 struct SweepOptions {
-  /// Stable sweep name; keys the checkpoint entry and labels failures.
+  /// Stable sweep name; keys the checkpoint entry and the latency metric.
   std::string kind;
   /// Configuration fingerprint (see exec::fingerprint); a checkpoint entry
   /// is only restored when kind, fingerprint, and item count all match.
   std::uint64_t fingerprint = 0;
-  /// Fault-injection site checked before each source; nullptr = none.
-  const char* fault_site = nullptr;
   /// Cancellation token polled at source boundaries.
   CancelToken token;
-  /// Maximum tolerated failed fraction before the sweep aborts with
-  /// PartialFailureError. Negative = resolve from the process override
-  /// (set_max_failed_frac / --max-failed-frac), then SNTRUST_MAX_FAILED_FRAC,
-  /// then 0.0 (strict).
-  double max_failed_frac = -1.0;
-  /// Checkpoint flush cadence in completed sources; 0 = resolve from
-  /// SNTRUST_CHECKPOINT_EVERY, default max(1, items / 8).
-  std::uint64_t checkpoint_every = 0;
 };
 
 struct SweepResult {
-  /// Per-source payloads in index order; empty string = source failed (or
-  /// the sweep was cancelled before reaching it — but then run_sweep threw).
+  /// Every source's payload, in index order.
   std::vector<std::string> payloads;
-  /// Failed sources, ascending by index.
-  std::vector<SourceFailure> failures;
   std::uint64_t restored = 0;  ///< sources skipped via checkpoint
   std::uint64_t computed = 0;  ///< sources computed this run
 };
@@ -85,11 +62,10 @@ struct SweepResult {
 /// slot in [0, plan_workers(items)) takes the next source as it frees up,
 /// so which slot runs a source varies from run to run: per-worker state may
 /// only be scratch, or be merged with an exactly associative and
-/// commutative operation (an integer sum). `compute`
-/// returns the source's dumped JSON payload. Throws CancelledError (after
-/// draining + checkpointing) on cancellation and PartialFailureError when
-/// too many sources failed; InjectedFault/std::exception from compute are
-/// per-source failures, not sweep failures.
+/// commutative operation (an integer sum). `compute` returns the source's
+/// dumped JSON payload. After draining and checkpointing, throws
+/// CancelledError on cancellation and rethrows the first exception a
+/// source threw.
 SweepResult run_sweep(std::size_t items, const SweepOptions& options,
                       const std::function<std::string(std::size_t,
                                                       std::uint32_t)>& compute);
@@ -99,35 +75,20 @@ SweepResult run_sweep(std::size_t items, const SweepOptions& options,
 /// restored from the checkpoint — are grouped in index order into balanced
 /// blocks of at most `width`, and the blocks run one after another on the
 /// calling thread; `compute_block(indices)` may use the pool inside and
-/// returns one payload per index, in order. Everything else stays per
-/// source:
+/// returns one payload per index, in order. Everything else is run_sweep's:
 ///
-///   * fault points fire per source before its block runs; a faulted
-///     source is recorded as a failure and dropped from the block,
 ///   * cancellation is polled before every block; a block interrupted by a
-///     nested CancelledError leaves its sources unfinished, not failed,
-///   * a block that throws fails each of its sources with that reason,
-///   * each source's latency sample and its SNTRUST_SOURCE_BUDGET_MS charge
-///     are its share of the block, block wall time / sources in the block;
-///     a block over budget therefore fails all of its sources,
-///   * payloads, checkpoints, failure accounting and the closing
-///     CancelledError / PartialFailureError are exactly run_sweep's.
+///     nested CancelledError leaves its sources unfinished,
+///   * a block that throws stops the sweep, and its exception reaches the
+///     caller once the blocks before it are checkpointed,
+///   * each source's latency sample is its share of the block, block wall
+///     time / sources in the block,
+///   * payloads, checkpoints and the closing CancelledError are exactly
+///     run_sweep's.
 SweepResult run_sweep_blocks(
     std::size_t items, std::size_t width, const SweepOptions& options,
     const std::function<std::vector<std::string>(
         const std::vector<std::size_t>&)>& compute_block);
-
-/// Process-wide override for SweepOptions::max_failed_frac resolution
-/// (the CLI's --max-failed-frac). Negative clears the override.
-void set_max_failed_frac(double frac);
-
-/// Per-source wall-clock budget in ms from SNTRUST_SOURCE_BUDGET_MS; 0 =
-/// unlimited. A source exceeding it is recorded as a failure ("source
-/// budget exceeded"); in the block form a source's time is its share of
-/// the block (see run_sweep_blocks). Opt-in and *non-deterministic by
-/// nature* — budgets depend on machine speed, so resumable/comparable runs
-/// should not set it.
-std::int64_t source_budget_ms();
 
 }  // namespace sntrust::exec
 

@@ -77,7 +77,6 @@ ExpansionProfile measure_expansion(const Graph& g,
 
   exec::SweepOptions sweep;
   sweep.kind = "measure_expansion";
-  sweep.fault_site = "expansion";
   sweep.token = exec::process_token();
   sweep.fingerprint = exec::fingerprint(
       {n, g.num_edges(), sources.size(), options.num_sources, options.seed,
@@ -101,7 +100,6 @@ ExpansionProfile measure_expansion(const Graph& g,
 
   ExpansionProfile out;
   std::map<std::uint64_t, Accumulator> by_size;
-  std::uint32_t sources_used = 0;
   // Diagnostics (SNTRUST_DIAG): per-source min-alpha samples give a CI over
   // the sampled-source estimate, and the running mean traced per source
   // shows how fast the estimate settles as the sample grows. Both fold in
@@ -111,8 +109,6 @@ ExpansionProfile measure_expansion(const Graph& g,
   double alpha_sum = 0.0, alpha_sumsq = 0.0;
   std::uint64_t alpha_count = 0;
   for (const std::string& payload : swept.payloads) {
-    if (payload.empty()) continue;  // failed source: dropped from aggregate
-    ++sources_used;
     const json::Value value = json::Value::parse(payload);
     std::vector<std::uint64_t> levels;
     levels.reserve(value.as_array().size());
@@ -157,7 +153,7 @@ ExpansionProfile measure_expansion(const Graph& g,
         obs::mean_ci95(alpha_sum, alpha_sumsq, alpha_count));
   }
 
-  out.sources_used = sources_used;
+  out.sources_used = static_cast<std::uint32_t>(swept.payloads.size());
   out.points.reserve(by_size.size());
   for (const auto& [size, acc] : by_size) {
     ExpansionPoint point;

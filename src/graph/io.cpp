@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/fault.hpp"
 #include "graph/builder.hpp"
 #include "graph/snapshot.hpp"
 #include "obs/metrics.hpp"
@@ -76,7 +75,6 @@ Graph read_edge_list(std::istream& in) {
     ++line_no;
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
-    exec::fault_point("io", line_no);
     std::istringstream fields{line};
     std::string a, b;
     if (!(fields >> a >> b))  // trailing fields beyond the pair are ignored
@@ -136,7 +134,6 @@ Graph read_binary_file(const std::string& path) {
   if (!in) throw IoError("cannot open binary graph: " + path);
   const std::streamoff file_size = in.tellg();
   in.seekg(0);
-  exec::fault_point("io", static_cast<std::uint64_t>(file_size));
   if (read_pod<std::uint64_t>(in, path) != kBinaryMagic)
     throw IoError("binary graph: bad magic in " + path);
   const auto n = read_pod<std::uint64_t>(in, path);

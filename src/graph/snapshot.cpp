@@ -9,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "exec/fault.hpp"
 #include "graph/io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -228,7 +227,6 @@ void write_snapshot(const Graph& g, const std::string& path) {
 Graph load_snapshot(const std::string& path, VerifyPayload verify) {
   const obs::Span span{"io.load_snapshot", "io"};
   auto mapping = std::make_shared<MappedFile>(path);
-  exec::fault_point("io", mapping->size());
   const ParsedHeader parsed =
       parse_header(mapping->data(), mapping->size(), path);
 

@@ -40,21 +40,11 @@ std::vector<double> decode_curve(const std::string& payload) {
   return curve;
 }
 
-// Rebuilds (sources, tvd) keeping only the sources whose payload exists;
-// failed sources are dropped from the curve set, matching their absence
-// from the aggregate a degraded run reports.
+// Decodes one TVD curve per source, in source order.
 void collect_curves(const exec::SweepResult& swept, MixingCurves& out) {
-  std::vector<VertexId> sources;
-  std::vector<std::vector<double>> tvd;
-  sources.reserve(out.sources.size());
-  tvd.reserve(out.sources.size());
-  for (std::size_t i = 0; i < swept.payloads.size(); ++i) {
-    if (swept.payloads[i].empty()) continue;
-    sources.push_back(out.sources[i]);
-    tvd.push_back(decode_curve(swept.payloads[i]));
-  }
-  out.sources = std::move(sources);
-  out.tvd = std::move(tvd);
+  out.tvd.reserve(swept.payloads.size());
+  for (const std::string& payload : swept.payloads)
+    out.tvd.push_back(decode_curve(payload));
 }
 
 // Estimator diagnostics over the collected curves (SNTRUST_DIAG). Runs on
@@ -260,7 +250,6 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
 
   exec::SweepOptions sweep;
   sweep.kind = "measure_mixing";
-  sweep.fault_site = "markov";
   sweep.token = exec::process_token();
   sweep.fingerprint = exec::fingerprint(
       {n, g.num_edges(), k, options.max_walk_length,
@@ -309,7 +298,6 @@ MixingCurves measure_mixing_monte_carlo(const Graph& g,
 
   exec::SweepOptions sweep;
   sweep.kind = "measure_mixing_monte_carlo";
-  sweep.fault_site = "markov";
   sweep.token = exec::process_token();
   sweep.fingerprint = exec::fingerprint(
       {n, g.num_edges(), k, options.max_walk_length, walks_per_point,

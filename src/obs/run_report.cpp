@@ -148,12 +148,6 @@ void RunReporter::set_config(const std::string& key, bool value) {
   set_config_value(key, json::Value::boolean(value));
 }
 
-void RunReporter::record_failure(const std::string& phase, std::uint64_t index,
-                                 const std::string& reason) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  failures_.push_back(Failure{phase, index, reason});
-}
-
 void RunReporter::set_interrupted(const std::string& reason) {
   std::lock_guard<std::mutex> lock(mutex_);
   interrupted_ = reason.empty() ? "interrupted" : reason;
@@ -166,14 +160,12 @@ json::Value RunReporter::build() const {
 
   std::string tool;
   std::vector<std::pair<std::string, json::Value>> config;
-  std::vector<Failure> failures;
   std::string interrupted;
   std::chrono::steady_clock::time_point wall_start;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tool = tool_;
     config = config_;
-    failures = failures_;
     interrupted = interrupted_;
     wall_start = wall_start_;
   }
@@ -217,25 +209,11 @@ json::Value RunReporter::build() const {
     config_object.emplace_back(entry.first, std::move(entry.second));
   root.emplace_back("config", json::Value::object(std::move(config_object)));
 
-  // Degradation state (additive: present only when a sweep recorded a
-  // skipped source or the run was interrupted, so schema 1 consumers that
-  // look up sections by key are unaffected).
-  if (!failures.empty() || !interrupted.empty()) {
+  // Interruption (additive: present only when the run was interrupted, so
+  // schema 1 consumers that look up sections by key are unaffected).
+  if (!interrupted.empty()) {
     json::Object exec;
-    exec.emplace_back("partial", json::Value::boolean(!failures.empty()));
-    if (!interrupted.empty())
-      exec.emplace_back("interrupted", json::Value::string(interrupted));
-    json::Array failure_rows;
-    failure_rows.reserve(failures.size());
-    for (const Failure& failure : failures) {
-      json::Object row;
-      row.emplace_back("phase", json::Value::string(failure.phase));
-      row.emplace_back("index", json::Value::integer(static_cast<std::int64_t>(
-                                    failure.index)));
-      row.emplace_back("reason", json::Value::string(failure.reason));
-      failure_rows.push_back(json::Value::object(std::move(row)));
-    }
-    exec.emplace_back("failures", json::Value::array(std::move(failure_rows)));
+    exec.emplace_back("interrupted", json::Value::string(interrupted));
     root.emplace_back("exec", json::Value::object(std::move(exec)));
   }
 

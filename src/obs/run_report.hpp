@@ -27,8 +27,9 @@
 //                                       [, "min", "max"]}}},
 //     "telemetry": {"frames_written": N,          // additive: present only
 //                   "quantiles": {name: {"count"  // when quantiles recorded
-//                     [, "p50", "p90", "p99", "p999", "min", "max"]}}}
-//   }
+//                     [, "p50", "p90", "p99", "p999", "min", "max"]}}},
+//     "exec": {"interrupted": "<reason>"}          // additive: present only
+//   }                                              // when interrupted
 // Histogram min/max (and quantile p*/min/max) are omitted when count == 0
 // (the empty-histogram contract's infinities/NaN have no JSON encoding).
 // CPU and RSS totals are process-cumulative; wall_ms counts from the
@@ -82,13 +83,10 @@ class RunReporter {
   }
   void set_config(const std::string& key, bool value);
 
-  /// Records one degraded/skipped work item (a source that failed or timed
-  /// out); reported under "exec.failures". Additive to schema version 1 —
-  /// the "exec" section only appears when something was recorded.
-  void record_failure(const std::string& phase, std::uint64_t index,
-                      const std::string& reason);
   /// Marks the run as interrupted (signal/deadline); reported under
-  /// "exec.interrupted".
+  /// "exec.interrupted". Additive to schema version 1 — the "exec" section
+  /// only appears in an interrupted run's report. exec::interrupted_exit is
+  /// the one caller.
   void set_interrupted(const std::string& reason);
 
   /// Assembles the report from the live tracer/metrics/resource state.
@@ -101,17 +99,10 @@ class RunReporter {
   RunReporter();
   void set_config_value(const std::string& key, json::Value value);
 
-  struct Failure {
-    std::string phase;
-    std::uint64_t index;
-    std::string reason;
-  };
-
   mutable std::mutex mutex_;
   std::string export_path_;
   std::string tool_;
   std::vector<std::pair<std::string, json::Value>> config_;
-  std::vector<Failure> failures_;
   std::string interrupted_;
   std::chrono::steady_clock::time_point wall_start_;
 };

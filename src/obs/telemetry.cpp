@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "exec/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "util/env.hpp"
@@ -149,10 +148,7 @@ void TelemetryExporter::flush() {
 }
 
 void TelemetryExporter::write_frame_locked() {
-  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  // Deterministic injection site for the truncated-frame / mid-export kill
-  // tests (SNTRUST_FAULT=telemetry:<seed>:<prob>[:sigterm]).
-  exec::fault_point("telemetry", seq);
+  seq_.fetch_add(1, std::memory_order_relaxed);
   if (jsonl_out_.is_open()) {
     build_frame().write(jsonl_out_);
     jsonl_out_ << '\n';

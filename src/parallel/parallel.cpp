@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "exec/cancel.hpp"
-#include "obs/watchdog.hpp"
 
 namespace sntrust::parallel {
 
@@ -58,7 +57,6 @@ void parallel_chains(const std::vector<std::uint32_t>& steps,
             changed.notify_all();
             throw;
           }
-          obs::watchdog_heartbeat();
           lock.lock();
           chain.busy = false;
           if (s == steps[c]) --unfinished;

@@ -8,10 +8,8 @@
 #include <vector>
 
 #include "exec/cancel.hpp"
-#include "exec/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "util/env.hpp"
 
 namespace sntrust::parallel {
@@ -47,7 +45,6 @@ struct Job {
   std::size_t begin = 0;
   std::size_t items = 0;
   std::uint32_t workers = 0;
-  std::uint64_t fault_base = 0;  ///< region id * kMaxThreads, for fault_point
   std::atomic<std::uint32_t> next_slot{0};
   std::atomic<std::uint32_t> completed{0};
   std::atomic<std::uint64_t> busy_ns{0};   ///< summed chunk wall-clock
@@ -135,16 +132,12 @@ class ThreadPool {
         // unclaimed work before it starts; chunks already running drain.
         if (exec::process_cancel_requested())
           throw exec::CancelledError(exec::process_cancel_reason());
-        exec::fault_point("pool", job.fault_base + slot);
         (*job.fn)(chunk_begin, chunk_end, slot);
       } catch (...) {
         job.errors[slot] = std::current_exception();
       }
       job.busy_ns.fetch_add(chunk_clock.elapsed_ns(),
                             std::memory_order_relaxed);
-      // A finished chunk is progress the stall watchdog can see even when
-      // the surrounding sweep's sources are long-running.
-      obs::watchdog_heartbeat();
       if (job.completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           job.workers) {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -202,17 +195,10 @@ void run_chunks(std::size_t begin, std::size_t end, const ChunkFn& fn,
   const std::size_t items = end - begin;
   const std::uint32_t workers =
       t_in_region ? 1 : plan_workers(items, grain);
-  // Region ids sequence the "pool" fault-injection site so nested serial
-  // regions present distinct indices instead of re-rolling index 0 forever.
-  static std::atomic<std::uint64_t> region_seq{0};
-  const std::uint64_t fault_base =
-      region_seq.fetch_add(1, std::memory_order_relaxed) * kMaxThreads;
   if (workers <= 1) {
     if (exec::process_cancel_requested())
       throw exec::CancelledError(exec::process_cancel_reason());
-    exec::fault_point("pool", fault_base);
     fn(begin, end, 0);
-    obs::watchdog_heartbeat();
     return;
   }
 
@@ -226,7 +212,6 @@ void run_chunks(std::size_t begin, std::size_t end, const ChunkFn& fn,
   job->begin = begin;
   job->items = items;
   job->workers = workers;
-  job->fault_base = fault_base;
   job->errors.assign(workers, nullptr);
   const obs::Stopwatch region_clock;
   ThreadPool::instance().run(job);

@@ -368,18 +368,15 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
     w.dag.build(out.distributers[i]);
     return w;
   };
-  // Adds `weight` (modulo 2^32, so a -1 exactly undoes a +1) to the tally
-  // of every vertex the DAG's held flood reached.
-  const auto tally_held = [](Worker& w, std::uint32_t weight) {
-    w.dag.for_each_reached(
-        [&](VertexId v, std::uint64_t) { w.tally[v] += weight; });
+  // Counts every vertex the DAG's held flood reached.
+  const auto tally_held = [](Worker& w) {
+    w.dag.for_each_reached([&](VertexId v, std::uint64_t) { ++w.tally[v]; });
   };
 
-  // budgets[i] = the budget distributer i was tallied with in this run.
-  std::vector<std::uint64_t> budgets(out.distributers.size(), 0);
+  // flooded[i] = 1 once distributer i was searched and tallied in this run.
+  std::vector<std::uint8_t> flooded(out.distributers.size(), 0);
   exec::SweepOptions sweep;
   sweep.kind = "gatekeeper_budget";
-  sweep.fault_site = "sybil";
   sweep.token = exec::process_token();
   // Budgets do not depend on f_admit, so a checkpoint serves every f.
   sweep.fingerprint = exec::fingerprint(
@@ -392,35 +389,24 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
         Worker& w = build_dag(slot, i);
         const std::uint64_t budget =
             hold_minimal_budget(w.dag, n, params.reach_fraction);
-        tally_held(w, 1);
-        budgets[i] = budget;
+        tally_held(w);
+        flooded[i] = 1;
         progress.tick();
         return json::Value::integer(static_cast<std::int64_t>(budget)).dump();
       });
 
-  // A distributer counts when its payload is in the result. Restored ones
-  // were not flooded in this run, and one the sweep failed after it
-  // returned (over SNTRUST_SOURCE_BUDGET_MS) was tallied anyway: flood each
-  // once more, with weight +1 or -1.
-  struct Correction {
-    std::size_t index;
-    std::uint64_t budget;
-    std::uint32_t weight;
-  };
-  std::vector<Correction> corrections;
-  for (std::size_t i = 0; i < budgets.size(); ++i) {
-    const bool counted = !swept.payloads[i].empty();
-    if (counted && budgets[i] == 0)
-      corrections.push_back({i, checkpointed_budget(swept.payloads[i]), 1});
-    else if (!counted && budgets[i] != 0)
-      corrections.push_back({i, budgets[i], ~std::uint32_t{0}});
-  }
+  // Restored distributers were not flooded in this run: flood each once,
+  // at its checkpointed budget.
+  std::vector<std::pair<std::size_t, std::uint64_t>> restored;
+  for (std::size_t i = 0; i < flooded.size(); ++i)
+    if (!flooded[i])
+      restored.emplace_back(i, checkpointed_budget(swept.payloads[i]));
   parallel::parallel_for(
-      0, corrections.size(), [&](std::size_t j, std::uint32_t slot) {
-        const Correction& c = corrections[j];
-        Worker& w = build_dag(slot, c.index);
-        w.dag.hold(c.budget);
-        tally_held(w, c.weight);
+      0, restored.size(), [&](std::size_t j, std::uint32_t slot) {
+        const auto [i, budget] = restored[j];
+        Worker& w = build_dag(slot, i);
+        w.dag.hold(budget);
+        tally_held(w);
       });
 
   for (const std::optional<Worker>& w : workers)

@@ -1,29 +1,29 @@
-// Tests for the exec fault-tolerance layer: cooperative cancellation,
-// deterministic fault injection, checkpoint/resume, and the sweep harness —
-// including the acceptance property that an interrupted measurement resumed
-// from its checkpoint is bitwise identical to an uninterrupted run at any
-// thread count.
+// Tests for the exec layer: cooperative cancellation, checkpoint/resume,
+// and the fail-fast sweep harness — including the acceptance property that
+// a measurement resumed from a partial checkpoint is bitwise identical to
+// an uninterrupted run at any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/cancel.hpp"
 #include "exec/checkpoint.hpp"
-#include "exec/fault.hpp"
 #include "exec/sweep.hpp"
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
 #include "markov/mixing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
-#include "obs/watchdog.hpp"
 #include "parallel/parallel.hpp"
 #include "sybil/gatekeeper.hpp"
 #include "test_graphs.hpp"
@@ -36,18 +36,34 @@ std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-/// Restores process-global exec state (fault plan, cancellation, checkpoint
+/// Restores process-global exec state (cancellation, deadline, checkpoint
 /// path) no matter how a test exits.
 struct ExecStateGuard {
   ~ExecStateGuard() {
-    exec::clear_fault_plan();
     exec::reset_process_cancel();
     exec::set_process_deadline(exec::Deadline{});
-    exec::set_max_failed_frac(-1.0);
     exec::CheckpointStore::instance().set_path("");
-    obs::StallWatchdog::instance().stop();
   }
 };
+
+/// An exception type of the tests' own, so a test can see that a sweep
+/// hands a source's exception to the caller unchanged.
+struct SourceError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The payloads a sweep left in the checkpoint file at `path`, by index;
+/// empty for sources the file does not hold.
+std::vector<std::string> checkpointed(const std::string& path,
+                                      const std::string& kind,
+                                      std::uint64_t fingerprint,
+                                      std::size_t items) {
+  exec::CheckpointStore& store = exec::CheckpointStore::instance();
+  store.set_path(path);  // reload from disk
+  std::vector<std::string> payloads(items);
+  store.restore(kind, fingerprint, items, payloads);
+  return payloads;
+}
 
 TEST(ExecCancel, DefaultDeadlineNeverExpires) {
   const exec::Deadline none;
@@ -105,101 +121,6 @@ TEST(ExecCancel, PoolStopsAtChunkBoundaries) {
                exec::CancelledError);
   // Every chunk checks before running its first item, so nothing executes.
   EXPECT_EQ(ran.load(), 0u);
-}
-
-TEST(ExecFault, ParsesWellFormedSpecs) {
-  const auto plan = exec::parse_fault_plan("markov:7:0.5");
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->site, "markov");
-  EXPECT_EQ(plan->seed, 7u);
-  EXPECT_DOUBLE_EQ(plan->prob, 0.5);
-  EXPECT_EQ(plan->action, exec::FaultPlan::Action::kThrow);
-
-  const auto sigterm = exec::parse_fault_plan("io:123:0.25:sigterm");
-  ASSERT_TRUE(sigterm.has_value());
-  EXPECT_EQ(sigterm->action, exec::FaultPlan::Action::kSigterm);
-}
-
-TEST(ExecFault, ParsesSleepActionWithOptionalDuration) {
-  const auto plain = exec::parse_fault_plan("pool:1:1.0:sleep");
-  ASSERT_TRUE(plain.has_value());
-  EXPECT_EQ(plain->action, exec::FaultPlan::Action::kSleep);
-  EXPECT_EQ(plain->sleep_ms, 250u);  // documented default
-
-  const auto timed = exec::parse_fault_plan("pool:1:1.0:sleep400");
-  ASSERT_TRUE(timed.has_value());
-  EXPECT_EQ(timed->action, exec::FaultPlan::Action::kSleep);
-  EXPECT_EQ(timed->sleep_ms, 400u);
-
-  EXPECT_FALSE(exec::parse_fault_plan("pool:1:1.0:sleepx").has_value());
-  EXPECT_FALSE(exec::parse_fault_plan("pool:1:1.0:sleep4x").has_value());
-}
-
-TEST(ExecFault, SleepActionBlocksWithoutFailing) {
-  ExecStateGuard guard;
-  exec::FaultPlan plan;
-  plan.site = "unit.sleep";
-  plan.seed = 1;
-  plan.prob = 1.0;
-  plan.action = exec::FaultPlan::Action::kSleep;
-  plan.sleep_ms = 60;
-  exec::set_fault_plan(plan);
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_NO_THROW(exec::fault_point("unit.sleep", 0));
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
-  // A forced stall, not a failure: the call blocks, then returns normally.
-  EXPECT_GE(elapsed.count(), 50);
-}
-
-TEST(ExecFault, RejectsMalformedSpecs) {
-  EXPECT_FALSE(exec::parse_fault_plan("").has_value());
-  EXPECT_FALSE(exec::parse_fault_plan("markov").has_value());
-  EXPECT_FALSE(exec::parse_fault_plan("markov:7").has_value());
-  EXPECT_FALSE(exec::parse_fault_plan(":7:0.5").has_value());
-  EXPECT_FALSE(exec::parse_fault_plan("markov:x:0.5").has_value());
-  EXPECT_FALSE(exec::parse_fault_plan("markov:7:nope").has_value());
-  EXPECT_FALSE(exec::parse_fault_plan("markov:7:1.5").has_value());
-  EXPECT_FALSE(exec::parse_fault_plan("markov:7:-0.1").has_value());
-  EXPECT_FALSE(exec::parse_fault_plan("markov:7:0.5:explode").has_value());
-}
-
-TEST(ExecFault, FiringIsDeterministicPerIndex) {
-  ExecStateGuard guard;
-  exec::FaultPlan plan;
-  plan.site = "test.site";
-  plan.seed = 42;
-  plan.prob = 0.3;
-  exec::set_fault_plan(plan);
-
-  const auto fired_indices = [] {
-    std::vector<std::uint64_t> fired;
-    for (std::uint64_t i = 0; i < 1000; ++i) {
-      try {
-        exec::fault_point("test.site", i);
-      } catch (const exec::InjectedFault&) {
-        fired.push_back(i);
-      }
-    }
-    return fired;
-  };
-  const std::vector<std::uint64_t> first = fired_indices();
-  const std::vector<std::uint64_t> second = fired_indices();
-  EXPECT_EQ(first, second);
-  // Bernoulli(0.3) over 1000 trials: generous envelope, deterministic seed.
-  EXPECT_GT(first.size(), 200u);
-  EXPECT_LT(first.size(), 400u);
-}
-
-TEST(ExecFault, OnlyMatchingSiteFires) {
-  ExecStateGuard guard;
-  exec::FaultPlan plan;
-  plan.site = "only.this";
-  plan.seed = 1;
-  plan.prob = 1.0;
-  exec::set_fault_plan(plan);
-  EXPECT_NO_THROW(exec::fault_point("other.site", 0));
-  EXPECT_THROW(exec::fault_point("only.this", 0), exec::InjectedFault);
 }
 
 TEST(ExecCheckpoint, Crc32MatchesReference) {
@@ -277,7 +198,6 @@ TEST(ExecSweep, ComputesEveryPayload) {
     EXPECT_EQ(result.payloads[i], std::to_string(i * i));
   EXPECT_EQ(result.computed, 8u);
   EXPECT_EQ(result.restored, 0u);
-  EXPECT_TRUE(result.failures.empty());
 }
 
 TEST(ExecSweep, FreeWorkersTakeTheRemainingSources) {
@@ -305,39 +225,82 @@ TEST(ExecSweep, FreeWorkersTakeTheRemainingSources) {
   EXPECT_EQ(result.computed, 8u);
 }
 
-TEST(ExecSweep, StrictModeAbortsOnAnyFailure) {
+TEST(ExecSweep, ThrowingSourceStopsTheSweep) {
   ExecStateGuard guard;
+  const std::string path = temp_path("sntrust_exec_throwing_source.json");
   exec::SweepOptions options;
-  options.kind = "unit_sweep_strict";
-  options.max_failed_frac = 0.0;
-  EXPECT_THROW(
-      exec::run_sweep(8, options,
-                      [](std::size_t i, std::uint32_t) -> std::string {
-                        if (i == 3) throw std::runtime_error("boom");
+  options.kind = "unit_sweep_throw";
+  options.fingerprint = 3;
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    parallel::ScopedThreadCount scope{threads};
+    std::remove(path.c_str());
+    exec::CheckpointStore::instance().set_path(path);
+    std::vector<int> returned(16, 0);
+    try {
+      exec::run_sweep(16, options,
+                      [&](std::size_t i, std::uint32_t) -> std::string {
+                        if (i == 5) throw SourceError("boom 5");
+                        returned[i] = 1;
                         return "[]";
-                      }),
-      exec::PartialFailureError);
+                      });
+      ADD_FAILURE() << "the sweep returned";
+    } catch (const SourceError& error) {
+      EXPECT_STREQ(error.what(), "boom 5");  // the source's own exception
+    }
+    // In-flight sources finished, and every source that returned is in
+    // the checkpoint.
+    const std::vector<std::string> saved =
+        checkpointed(path, options.kind, options.fingerprint, 16);
+    for (std::size_t i = 0; i < 16; ++i)
+      EXPECT_EQ(saved[i].empty(), returned[i] == 0) << "source " << i;
+    // Serially, no source after the throwing one started.
+    if (threads == 1) {
+      for (std::size_t i = 0; i < 16; ++i)
+        EXPECT_EQ(returned[i], i < 5 ? 1 : 0) << "source " << i;
+    }
+  }
+  std::remove(path.c_str());
 }
 
-TEST(ExecSweep, DegradedModeRecordsAndSkipsFailures) {
+TEST(ExecSweep, SigtermDrainsAndCheckpointsFinishedSources) {
   ExecStateGuard guard;
+  const std::string path = temp_path("sntrust_exec_sigterm.json");
   exec::SweepOptions options;
-  options.kind = "unit_sweep_degraded";
-  options.max_failed_frac = 0.5;
-  const exec::SweepResult result = exec::run_sweep(
-      8, options, [](std::size_t i, std::uint32_t) -> std::string {
-        if (i == 2 || i == 5) throw std::runtime_error("boom " +
-                                                       std::to_string(i));
-        return "[]";
-      });
-  ASSERT_EQ(result.failures.size(), 2u);
-  EXPECT_EQ(result.failures[0].index, 2u);
-  EXPECT_EQ(result.failures[0].phase, "unit_sweep_degraded");
-  EXPECT_EQ(result.failures[0].reason, "boom 2");
-  EXPECT_EQ(result.failures[1].index, 5u);
-  EXPECT_TRUE(result.payloads[2].empty());
-  EXPECT_TRUE(result.payloads[5].empty());
-  EXPECT_EQ(result.computed, 6u);
+  options.kind = "unit_sweep_sigterm";
+  options.fingerprint = 4;
+  options.token = exec::process_token();
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    parallel::ScopedThreadCount scope{threads};
+    std::remove(path.c_str());
+    exec::CheckpointStore::instance().set_path(path);
+    exec::reset_process_cancel();
+    // The first signal restores the default disposition; re-arm the
+    // cooperative handler for each pass.
+    exec::install_signal_handlers();
+    std::vector<int> ran(12, 0);
+    EXPECT_THROW(exec::run_sweep(12, options,
+                                 [&](std::size_t i, std::uint32_t) {
+                                   ran[i] = 1;
+                                   if (i == 4) std::raise(SIGTERM);
+                                   return std::string("[]");
+                                 }),
+                 exec::CancelledError);
+    EXPECT_EQ(exec::process_cancel_reason(), "SIGTERM");
+    // Sources that started finished, the signalling one included, and the
+    // checkpoint holds each of them.
+    const std::vector<std::string> saved =
+        checkpointed(path, options.kind, options.fingerprint, 12);
+    for (std::size_t i = 0; i < 12; ++i)
+      EXPECT_EQ(saved[i].empty(), ran[i] == 0) << "source " << i;
+    EXPECT_EQ(ran[4], 1);
+    if (threads == 1) {
+      for (std::size_t i = 0; i < 12; ++i)
+        EXPECT_EQ(ran[i], i <= 4 ? 1 : 0) << "source " << i;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ExecSweep, CancelledTokenDrainsAndThrows) {
@@ -384,51 +347,6 @@ TEST(ExecSweep, RestoredSourcesSkipCompute) {
   std::remove(path.c_str());
 }
 
-TEST(ExecSweep, ForcedStallFiresWatchdogAndCancelsDraining) {
-  ExecStateGuard guard;
-
-  // Force the stall: every source wedges for 400 ms inside the injected
-  // sleep — far past the 50 ms no-progress threshold.
-  exec::FaultPlan plan;
-  plan.site = "unit.stall";
-  plan.seed = 1;
-  plan.prob = 1.0;
-  plan.action = exec::FaultPlan::Action::kSleep;
-  plan.sleep_ms = 400;
-  exec::set_fault_plan(plan);
-
-  obs::WatchdogOptions watchdog;
-  watchdog.stall_ms = 50;
-  watchdog.check_period_ms = 10;
-  watchdog.cancel = true;  // escalate the stall to cooperative cancel
-  obs::StallWatchdog::instance().configure(watchdog);
-
-  const std::uint64_t stalls_before =
-      obs::StallWatchdog::instance().stalls_detected();
-  obs::Counter& stalled_events =
-      obs::Metrics::instance().counter("exec.stalled");
-  const std::uint64_t events_before = stalled_events.value();
-
-  exec::SweepOptions options;
-  options.kind = "unit_sweep_stall";
-  // run_sweep opens the watchdog activity scope itself; the wedged workers
-  // never heartbeat, the watchdog fires, requests process cancellation, and
-  // the sweep drains at the next chunk boundary into CancelledError — the
-  // same draining shutdown an operator sees as exit code 75.
-  EXPECT_THROW(exec::run_sweep(64, options,
-                               [](std::size_t i, std::uint32_t) {
-                                 exec::fault_point("unit.stall", i);
-                                 return std::string("[]");
-                               }),
-               exec::CancelledError);
-
-  EXPECT_GE(obs::StallWatchdog::instance().stalls_detected() - stalls_before,
-            1u);
-  EXPECT_GE(stalled_events.value() - events_before, 1u);
-  EXPECT_TRUE(exec::process_cancel_requested());
-  EXPECT_NE(exec::process_cancel_reason().find("stalled"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Block form: sources grouped into lane blocks, semantics still per source.
 
@@ -466,66 +384,41 @@ TEST(ExecSweepBlocks, BalancedBlocksInIndexOrder) {
   EXPECT_EQ(result.computed, 23u);
 }
 
-TEST(ExecSweepBlocks, FaultedSourcesFailAloneAndLeaveTheirBlock) {
+TEST(ExecSweepBlocks, ThrowingBlockStopsTheSweep) {
   ExecStateGuard guard;
-  exec::FaultPlan plan;
-  plan.site = "unit.blocks";
-  plan.seed = 4;
-  plan.prob = 0.4;
-  exec::set_fault_plan(plan);
-  exec::SweepOptions options;
-  options.kind = "unit_blocks_faults";
-  options.fault_site = "unit.blocks";
-  options.max_failed_frac = 1.0;
-
-  // The per-source harness under the same plan names the same failures.
-  const exec::SweepResult per_source = exec::run_sweep(
-      23, options, [](std::size_t i, std::uint32_t) {
-        return json::Value::integer(static_cast<std::int64_t>(i)).dump();
-      });
-  Blocks seen;
-  const exec::SweepResult blocked =
-      exec::run_sweep_blocks(23, 10, options, recording_block(seen));
-  ASSERT_FALSE(blocked.failures.empty());
-  ASSERT_EQ(blocked.failures.size(), per_source.failures.size());
-  for (std::size_t f = 0; f < blocked.failures.size(); ++f) {
-    EXPECT_EQ(blocked.failures[f].index, per_source.failures[f].index);
-    EXPECT_EQ(blocked.failures[f].phase, "unit_blocks_faults");
-  }
-  EXPECT_EQ(blocked.payloads, per_source.payloads);
-  std::size_t lanes = 0;
-  for (const std::vector<std::size_t>& block : seen)
-    for (const std::size_t i : block) {
-      EXPECT_FALSE(blocked.payloads[i].empty()) << "faulted " << i;
-      ++lanes;
-    }
-  EXPECT_EQ(lanes, blocked.computed);
-  EXPECT_EQ(lanes + blocked.failures.size(), 23u);
-}
-
-TEST(ExecSweepBlocks, ThrowingBlockFailsEachOfItsSources) {
-  ExecStateGuard guard;
+  const std::string path = temp_path("sntrust_exec_blocks_throw.json");
+  std::remove(path.c_str());
+  exec::CheckpointStore::instance().set_path(path);
   exec::SweepOptions options;
   options.kind = "unit_blocks_throw";
-  options.max_failed_frac = 1.0;
-  const exec::SweepResult result = exec::run_sweep_blocks(
-      12, 4, options, [](const std::vector<std::size_t>& indices) {
-        if (indices.front() == 4) throw std::runtime_error("block boom");
-        return std::vector<std::string>(indices.size(), "[]");
-      });
-  ASSERT_EQ(result.failures.size(), 4u);
-  for (std::size_t f = 0; f < 4; ++f) {
-    EXPECT_EQ(result.failures[f].index, 4 + f);
-    EXPECT_EQ(result.failures[f].reason, "block boom");
+  options.fingerprint = 5;
+  Blocks seen;
+  const auto record = recording_block(seen);
+  try {
+    exec::run_sweep_blocks(12, 4, options,
+                           [&](const std::vector<std::size_t>& indices) {
+                             if (indices.front() == 4)
+                               throw SourceError("block boom");
+                             return record(indices);
+                           });
+    ADD_FAILURE() << "the sweep returned";
+  } catch (const SourceError& error) {
+    EXPECT_STREQ(error.what(), "block boom");  // the block's own exception
   }
-  EXPECT_EQ(result.computed, 8u);
+  // The block after the throwing one never started; the one before it is
+  // checkpointed.
+  EXPECT_EQ(seen, (Blocks{{0, 1, 2, 3}}));
+  const std::vector<std::string> saved =
+      checkpointed(path, options.kind, options.fingerprint, 12);
+  for (std::size_t i = 0; i < 12; ++i)
+    EXPECT_EQ(saved[i].empty(), i >= 4) << "source " << i;
+  std::remove(path.c_str());
 }
 
 TEST(ExecSweepBlocks, EachSourceIsChargedItsShareOfTheBlock) {
   ExecStateGuard guard;
   exec::SweepOptions options;
   options.kind = "unit_blocks_share";
-  options.max_failed_frac = 1.0;
   const auto sleepy = [](const std::vector<std::size_t>& indices) {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     return std::vector<std::string>(indices.size(), "[]");
@@ -535,23 +428,12 @@ TEST(ExecSweepBlocks, EachSourceIsChargedItsShareOfTheBlock) {
   const std::uint64_t samples_before = latency.snapshot().count;
 
   // One sample per source, each a quarter of the 80 ms block.
-  setenv("SNTRUST_SOURCE_BUDGET_MS", "1000", 1);
-  const exec::SweepResult within =
+  const exec::SweepResult result =
       exec::run_sweep_blocks(4, 4, options, sleepy);
-  EXPECT_TRUE(within.failures.empty());
+  EXPECT_EQ(result.computed, 4u);
   const obs::QuantileSnapshot shares = latency.snapshot();
   EXPECT_EQ(shares.count - samples_before, 4u);
   EXPECT_GE(shares.min, 19.0);
-
-  // A budget below the share fails every source of the block.
-  setenv("SNTRUST_SOURCE_BUDGET_MS", "10", 1);
-  const exec::SweepResult over =
-      exec::run_sweep_blocks(4, 4, options, sleepy);
-  unsetenv("SNTRUST_SOURCE_BUDGET_MS");
-  ASSERT_EQ(over.failures.size(), 4u);
-  EXPECT_NE(over.failures[0].reason.find("source budget exceeded"),
-            std::string::npos);
-  EXPECT_EQ(over.computed, 0u);
 }
 
 TEST(ExecSweepBlocks, RestoredSourcesNeverJoinABlock) {
@@ -563,22 +445,23 @@ TEST(ExecSweepBlocks, RestoredSourcesNeverJoinABlock) {
   exec::SweepOptions options;
   options.kind = "unit_blocks_restore";
   options.fingerprint = 11;
-  options.max_failed_frac = 1.0;
-  // First pass: source 3's block throws, so only it is left to recompute.
-  const exec::SweepResult first = exec::run_sweep_blocks(
-      6, 1, options, [](const std::vector<std::size_t>& indices) {
-        if (indices.front() == 3) throw std::runtime_error("boom");
-        return std::vector<std::string>(1, "[]");
-      });
-  EXPECT_EQ(first.computed, 5u);
+  // First pass, one source per block: source 3's block throws, so sources
+  // 0-2 are checkpointed and 3-5 are left to compute.
+  EXPECT_THROW(exec::run_sweep_blocks(
+                   6, 1, options,
+                   [](const std::vector<std::size_t>& indices) {
+                     if (indices.front() == 3) throw SourceError("boom");
+                     return std::vector<std::string>(1, "[]");
+                   }),
+               SourceError);
 
   store.set_path(path);  // reload from disk
   Blocks seen;
   const exec::SweepResult second =
       exec::run_sweep_blocks(6, 10, options, recording_block(seen));
-  EXPECT_EQ(second.restored, 5u);
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], std::vector<std::size_t>{3});
+  EXPECT_EQ(second.restored, 3u);
+  EXPECT_EQ(second.computed, 3u);
+  EXPECT_EQ(seen, (Blocks{{3, 4, 5}}));
   std::remove(path.c_str());
 }
 
@@ -598,49 +481,61 @@ TEST(ExecSweepBlocks, CancellationStopsBeforeTheNextBlock) {
                    }),
                exec::CancelledError);
   EXPECT_EQ(seen.size(), 1u);
-
-  // An injected SIGTERM at a block's fault points keeps that block from
-  // starting at all.
-  exec::reset_process_cancel();
-  exec::FaultPlan plan;
-  plan.site = "unit.blocks.sigterm";
-  plan.seed = 1;
-  plan.prob = 1.0;
-  plan.action = exec::FaultPlan::Action::kSigterm;
-  exec::set_fault_plan(plan);
-  exec::SweepOptions signalled;
-  signalled.kind = "unit_blocks_sigterm";
-  signalled.fault_site = "unit.blocks.sigterm";
-  signalled.token = exec::process_token();
-  seen.clear();
-  EXPECT_THROW(exec::run_sweep_blocks(30, 10, signalled, recording_block(seen)),
-               exec::CancelledError);
-  EXPECT_TRUE(seen.empty());
 }
 
-TEST(ExecReport, BuildEmitsExecSectionAfterFailures) {
+TEST(ExecSweepBlocks, SigtermDrainsBeforeTheNextBlock) {
+  ExecStateGuard guard;
+  const std::string path = temp_path("sntrust_exec_blocks_sigterm.json");
+  std::remove(path.c_str());
+  exec::CheckpointStore::instance().set_path(path);
+  exec::install_signal_handlers();
+  exec::SweepOptions options;
+  options.kind = "unit_blocks_sigterm";
+  options.fingerprint = 6;
+  options.token = exec::process_token();
+  Blocks seen;
+  const auto record = recording_block(seen);
+  // The first block raises a real SIGTERM and still returns its payloads.
+  EXPECT_THROW(exec::run_sweep_blocks(
+                   30, 10, options,
+                   [&](const std::vector<std::size_t>& indices) {
+                     if (indices.front() == 0) std::raise(SIGTERM);
+                     return record(indices);
+                   }),
+               exec::CancelledError);
+  EXPECT_EQ(exec::process_cancel_reason(), "SIGTERM");
+  EXPECT_EQ(seen.size(), 1u);  // no later block started
+  const std::vector<std::string> saved =
+      checkpointed(path, options.kind, options.fingerprint, 30);
+  for (std::size_t i = 0; i < 30; ++i)
+    EXPECT_EQ(saved[i].empty(), i >= 10) << "source " << i;
+  std::remove(path.c_str());
+}
+
+TEST(ExecReport, InterruptedExitNamesTheCauseInTheReport) {
+  ExecStateGuard guard;
   obs::RunReporter& reporter = obs::RunReporter::instance();
-  reporter.record_failure("unit_phase", 7, "unit reason");
-  const json::Value report = reporter.build();
-  const json::Value* exec_section = report.find("exec");
-  ASSERT_NE(exec_section, nullptr);
-  const json::Value* partial = exec_section->find("partial");
-  ASSERT_NE(partial, nullptr);
-  EXPECT_TRUE(partial->as_bool());
-  const json::Value* failures = exec_section->find("failures");
-  ASSERT_NE(failures, nullptr);
-  bool found = false;
-  for (const json::Value& row : failures->as_array()) {
-    if (row.find("phase")->as_string() == "unit_phase" &&
-        row.find("index")->as_int() == 7 &&
-        row.find("reason")->as_string() == "unit reason")
-      found = true;
-  }
-  EXPECT_TRUE(found);
+  const auto interrupted = [&] {
+    const json::Value report = reporter.build();
+    const json::Value* exec_section = report.find("exec");
+    return exec_section == nullptr
+               ? std::string()
+               : exec_section->find("interrupted")->as_string();
+  };
+  // A process cancellation names itself, whatever the error's message.
+  exec::set_process_deadline(exec::Deadline::after_ms(0));
+  EXPECT_EQ(exec::interrupted_exit("sweep 'unit' cancelled after 1/2 sources"),
+            75);
+  EXPECT_EQ(interrupted(), "deadline exceeded");
+  // Without one (a CancelSource token), the detail is the cause.
+  exec::set_process_deadline(exec::Deadline{});
+  EXPECT_EQ(exec::interrupted_exit("cancelled"), 75);
+  EXPECT_EQ(interrupted(), "cancelled");
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance: interrupted sweeps resume bitwise identically.
+// Acceptance: sweeps resumed from a partial checkpoint are bitwise identical
+// to uninterrupted ones.
 
 Graph acceptance_graph() {
   return largest_component(barabasi_albert(300, 3, 5)).graph;
@@ -648,137 +543,112 @@ Graph acceptance_graph() {
 
 MixingOptions acceptance_mixing_options() {
   MixingOptions options;
-  options.num_sources = 12;
+  options.num_sources = 12;  // two lane blocks of six
   options.max_walk_length = 40;
   options.seed = 77;
   return options;
 }
 
-TEST(ExecResume, MixingSigtermMidRunThenResumeIsBitwiseIdentical) {
-  ExecStateGuard guard;
+/// The one sweep entry a checkpointed run left in the file at `path`: its
+/// key and its payloads by index.
+struct SavedSweep {
+  std::string kind;
+  std::uint64_t fingerprint = 0;
+  std::vector<std::string> payloads;
+};
+
+SavedSweep read_saved_sweep(const std::string& path) {
+  std::ifstream in(path);
+  const json::Value doc = json::Value::parse(
+      std::string(std::istreambuf_iterator<char>(in), {}));
+  const json::Object& sweeps = doc.find("sweeps")->as_object();
+  EXPECT_EQ(sweeps.size(), 1u);
+  const json::Member& entry = sweeps.at(0);
+  const std::size_t colon = entry.first.find(':');
+  SavedSweep saved;
+  saved.kind = entry.first.substr(0, colon);
+  saved.fingerprint =
+      std::stoull(entry.first.substr(colon + 1), nullptr, 16);
+  saved.payloads.resize(
+      static_cast<std::size_t>(entry.second.find("items")->as_int()));
+  for (const json::Member& source :
+       entry.second.find("completed")->as_object())
+    saved.payloads.at(std::stoull(source.first)) = source.second.dump();
+  return saved;
+}
+
+/// Runs `run` once with the checkpoint armed at `path`, then, at 1 and at 4
+/// threads, replaces the file with a partial checkpoint holding only the
+/// `kept` sources of that run and runs again. `check` compares each resumed
+/// result with the uninterrupted one; every resumed run must restore the
+/// kept sources and compute the rest.
+template <typename Run, typename Check>
+void expect_resume_identical(const std::string& path,
+                             const std::vector<std::size_t>& kept,
+                             const Run& run, const Check& check) {
+  std::remove(path.c_str());
+  exec::CheckpointStore& store = exec::CheckpointStore::instance();
+  store.set_path(path);
+  const auto full = run();
+  const SavedSweep saved = read_saved_sweep(path);
+
+  obs::Counter& restored = obs::metrics_counter("exec.sources_restored");
+  obs::Counter& completed = obs::metrics_counter("exec.sources_completed");
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("resumed at " + std::to_string(threads) + " threads");
+    std::remove(path.c_str());
+    store.set_path(path);
+    std::vector<std::string> partial(saved.payloads.size());
+    for (const std::size_t i : kept) partial[i] = saved.payloads.at(i);
+    store.save(saved.kind, saved.fingerprint, partial.size(), partial);
+    store.set_path(path);  // reload from disk
+
+    const std::uint64_t restored_before = restored.value();
+    const std::uint64_t completed_before = completed.value();
+    parallel::ScopedThreadCount scope{threads};
+    check(full, run());
+    EXPECT_EQ(restored.value() - restored_before, kept.size());
+    EXPECT_EQ(completed.value() - completed_before,
+              saved.payloads.size() - kept.size());
+  }
+  std::remove(path.c_str());
+}
+
+void expect_mixing_resume_identical(const std::string& path,
+                                    const std::vector<std::size_t>& kept) {
   const Graph g = acceptance_graph();
   const MixingOptions options = acceptance_mixing_options();
-
-  // Uninterrupted baseline, serial, no checkpoint.
-  MixingCurves baseline;
+  MixingCurves baseline;  // serial, no checkpoint
   {
     parallel::ScopedThreadCount serial{1};
     baseline = measure_mixing(g, options);
   }
+  expect_resume_identical(
+      path, kept, [&] { return measure_mixing(g, options); },
+      [&](const MixingCurves& full, const MixingCurves& resumed) {
+        EXPECT_EQ(full.sources, baseline.sources);
+        EXPECT_EQ(full.tvd, baseline.tvd);
+        EXPECT_EQ(resumed.sources, baseline.sources);
+        EXPECT_EQ(resumed.tvd, baseline.tvd);
+      });
+}
 
-  const std::string path = temp_path("sntrust_exec_mixing_resume.json");
-  std::remove(path.c_str());
-  exec::CheckpointStore::instance().set_path(path);
-
-  // Interrupt: the first markov fault point raises SIGTERM; the sweep
-  // drains, writes the checkpoint, and surfaces CancelledError.
-  exec::FaultPlan plan;
-  plan.site = "markov";
-  plan.seed = 9;
-  plan.prob = 1.0;
-  plan.action = exec::FaultPlan::Action::kSigterm;
-  exec::set_fault_plan(plan);
-  EXPECT_THROW(measure_mixing(g, options), exec::CancelledError);
-  EXPECT_TRUE(std::filesystem::exists(path));
-
-  // Recover and resume at a different thread count: the restored payloads
-  // plus the freshly computed remainder must equal the baseline exactly.
-  exec::clear_fault_plan();
-  exec::reset_process_cancel();
-  exec::CheckpointStore::instance().set_path(path);  // reload from disk
-  MixingCurves resumed;
-  {
-    parallel::ScopedThreadCount wide{4};
-    resumed = measure_mixing(g, options);
-  }
-  EXPECT_EQ(resumed.sources, baseline.sources);
-  EXPECT_EQ(resumed.tvd, baseline.tvd);
-  std::remove(path.c_str());
+TEST(ExecResume, MixingSigtermMidRunThenResumeIsBitwiseIdentical) {
+  ExecStateGuard guard;
+  // A SIGTERM drains the sweep at a block boundary
+  // (ExecSweepBlocks.SigtermDrainsBeforeTheNextBlock), so its checkpoint
+  // holds whole lane blocks: here the first of two.
+  expect_mixing_resume_identical(
+      temp_path("sntrust_exec_mixing_resume.json"), {0, 1, 2, 3, 4, 5});
 }
 
 TEST(ExecResume, MixingPartialFailureThenResumeIsBitwiseIdentical) {
   ExecStateGuard guard;
-  const Graph g = acceptance_graph();
-  const MixingOptions options = acceptance_mixing_options();
-
-  MixingCurves baseline;
-  {
-    parallel::ScopedThreadCount serial{1};
-    baseline = measure_mixing(g, options);
-  }
-
-  const std::string path = temp_path("sntrust_exec_mixing_degraded.json");
-  std::remove(path.c_str());
-  exec::CheckpointStore::instance().set_path(path);
-
-  // Degraded first pass: some sources fail (deterministically, by hash) and
-  // are tolerated; the survivors land in the checkpoint.
-  exec::FaultPlan plan;
-  plan.site = "markov";
-  plan.seed = 5;
-  plan.prob = 0.4;
-  exec::set_fault_plan(plan);
-  exec::set_max_failed_frac(1.0);
-  const MixingCurves degraded = measure_mixing(g, options);
-  EXPECT_LT(degraded.sources.size(), baseline.sources.size());
-
-  // Second pass heals: failed sources recompute cleanly, completed ones are
-  // restored — the merged result must equal the baseline bitwise.
-  exec::clear_fault_plan();
-  exec::set_max_failed_frac(-1.0);
-  exec::CheckpointStore::instance().set_path(path);
-  MixingCurves healed;
-  {
-    parallel::ScopedThreadCount wide{3};
-    healed = measure_mixing(g, options);
-  }
-  EXPECT_EQ(healed.sources, baseline.sources);
-  EXPECT_EQ(healed.tvd, baseline.tvd);
-  std::remove(path.c_str());
-}
-
-TEST(ExecResume, MixingFaultPlanFailsSameSourcesAtAnyThreadCount) {
-  ExecStateGuard guard;
-  const Graph g = acceptance_graph();
-  MixingOptions options = acceptance_mixing_options();
-  options.num_sources = 23;  // three lane blocks
-
-  MixingCurves clean;
-  {
-    parallel::ScopedThreadCount serial{1};
-    clean = measure_mixing(g, options);
-  }
-
-  exec::FaultPlan plan;
-  plan.site = "markov";
-  plan.seed = 5;
-  plan.prob = 0.3;
-  exec::set_fault_plan(plan);
-  exec::set_max_failed_frac(1.0);
-  obs::Counter& failures = obs::metrics_counter("exec.source_failures");
-  const auto degraded = [&](std::uint32_t threads) {
-    parallel::ScopedThreadCount scope{threads};
-    const std::uint64_t before = failures.value();
-    MixingCurves curves = measure_mixing(g, options);
-    EXPECT_EQ(failures.value() - before,
-              clean.sources.size() - curves.sources.size());
-    return curves;
-  };
-  const MixingCurves serial = degraded(1);
-  const MixingCurves wide = degraded(4);
-  ASSERT_LT(serial.sources.size(), clean.sources.size());
-  ASSERT_GT(serial.sources.size(), 0u);
-  EXPECT_EQ(serial.sources, wide.sources);
-  EXPECT_EQ(serial.tvd, wide.tvd);
-  // Survivors keep exactly the curves of the unfaulted run.
-  std::size_t s = 0;
-  for (std::size_t c = 0; c < clean.sources.size() && s < serial.sources.size();
-       ++c) {
-    if (clean.sources[c] != serial.sources[s]) continue;
-    EXPECT_EQ(clean.tvd[c], serial.tvd[s]) << "source " << serial.sources[s];
-    ++s;
-  }
-  EXPECT_EQ(s, serial.sources.size());
+  // Whatever subset a failed or interrupted run left, the resumed sweep
+  // groups the remaining sources into new lane blocks; lanes are
+  // independent, so scattered restored sources change nothing.
+  expect_mixing_resume_identical(
+      temp_path("sntrust_exec_mixing_scattered.json"), {1, 4, 5, 8, 11});
 }
 
 TEST(ExecResume, GatekeeperResumeIsBitwiseIdentical) {
@@ -788,85 +658,22 @@ TEST(ExecResume, GatekeeperResumeIsBitwiseIdentical) {
   params.seed = 2026;
   params.num_distributers = 10;
 
-  GateKeeperResult baseline;
+  GateKeeperResult baseline;  // serial, no checkpoint
   {
     parallel::ScopedThreadCount serial{1};
     baseline = run_gatekeeper(g, 0, params);
   }
-
-  const std::string path = temp_path("sntrust_exec_gatekeeper_resume.json");
-  obs::Counter& restored = obs::metrics_counter("exec.sources_restored");
-  obs::Counter& completed = obs::metrics_counter("exec.sources_completed");
-  for (const std::uint32_t threads : {1u, 4u}) {
-    SCOPED_TRACE("resumed at " + std::to_string(threads) + " threads");
-    std::remove(path.c_str());
-    exec::CheckpointStore::instance().set_path(path);
-
-    // A serial pass whose first distributer raises SIGTERM: that
-    // distributer still finishes and is checkpointed, the rest drain.
-    exec::FaultPlan plan;
-    plan.site = "sybil";
-    plan.seed = 3;
-    plan.prob = 1.0;
-    plan.action = exec::FaultPlan::Action::kSigterm;
-    exec::set_fault_plan(plan);
-    {
-      parallel::ScopedThreadCount serial{1};
-      EXPECT_THROW(run_gatekeeper(g, 0, params), exec::CancelledError);
-    }
-
-    exec::clear_fault_plan();
-    exec::reset_process_cancel();
-    exec::CheckpointStore::instance().set_path(path);
-    const std::uint64_t restored_before = restored.value();
-    const std::uint64_t completed_before = completed.value();
-    GateKeeperResult resumed;
-    {
-      parallel::ScopedThreadCount scope{threads};
-      resumed = run_gatekeeper(g, 0, params);
-    }
-    EXPECT_GE(restored.value() - restored_before, 1u);
-    EXPECT_GE(completed.value() - completed_before, 1u);
-    EXPECT_EQ(resumed.distributers, baseline.distributers);
-    EXPECT_EQ(resumed.admissions, baseline.admissions);
-    EXPECT_EQ(resumed.threshold, baseline.threshold);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ExecResume, GatekeeperDropsSourcesFailedAfterTheyRan) {
-  ExecStateGuard guard;
-  const Graph g = acceptance_graph();
-  GateKeeperParams params;
-  params.seed = 2026;
-  params.num_distributers = 12;
-  exec::set_max_failed_frac(1.0);
-  exec::FaultPlan plan;
-  plan.site = "sybil";
-  plan.seed = 9;
-  plan.prob = 0.4;
-
-  // A thrown fault fails its distributers before they run.
-  exec::set_fault_plan(plan);
-  const GateKeeperResult before = run_gatekeeper(g, 0, params);
-
-  // The same distributers, now stalled past the source budget: each runs
-  // and is tallied, then fails, so its tally must come off again.
-  plan.action = exec::FaultPlan::Action::kSleep;
-  plan.sleep_ms = 120;
-  exec::set_fault_plan(plan);
-  setenv("SNTRUST_SOURCE_BUDGET_MS", "50", 1);
-  obs::Counter& failures = obs::metrics_counter("exec.source_failures");
-  const std::uint64_t failures_before = failures.value();
-  GateKeeperResult after;
-  {
-    parallel::ScopedThreadCount wide{4};
-    after = run_gatekeeper(g, 0, params);
-  }
-  unsetenv("SNTRUST_SOURCE_BUDGET_MS");
-  EXPECT_GT(failures.value() - failures_before, 0u);
-  EXPECT_LT(failures.value() - failures_before, params.num_distributers);
-  EXPECT_EQ(after.admissions, before.admissions);
+  // Restored distributers flood once at their checkpointed budget; the
+  // rest search afresh, and the tallies add up to the same admissions.
+  expect_resume_identical(
+      temp_path("sntrust_exec_gatekeeper_resume.json"), {0, 3, 7},
+      [&] { return run_gatekeeper(g, 0, params); },
+      [&](const GateKeeperResult& full, const GateKeeperResult& resumed) {
+        EXPECT_EQ(full.admissions, baseline.admissions);
+        EXPECT_EQ(resumed.distributers, baseline.distributers);
+        EXPECT_EQ(resumed.admissions, baseline.admissions);
+        EXPECT_EQ(resumed.threshold, baseline.threshold);
+      });
 }
 
 TEST(ExecResume, GatekeeperCheckpointsIntegerBudgets) {
@@ -882,20 +689,11 @@ TEST(ExecResume, GatekeeperCheckpointsIntegerBudgets) {
   const GateKeeperResult fresh = run_gatekeeper(g, 0, params);
 
   // One entry, keyed by the budget kind, holding one integer per source.
-  std::ifstream in(path);
-  const json::Value doc = json::Value::parse(
-      std::string(std::istreambuf_iterator<char>(in), {}));
-  const json::Member& entry = doc.find("sweeps")->as_object().at(0);
-  ASSERT_EQ(entry.first.rfind("gatekeeper_budget:", 0), 0u);
-  const std::uint64_t fingerprint =
-      std::stoull(entry.first.substr(entry.first.find(':') + 1), nullptr, 16);
-  std::vector<std::string> budgets;
-  for (const json::Member& source :
-       entry.second.find("completed")->as_object()) {
-    ASSERT_TRUE(source.second.is_integer()) << source.second.dump();
-    budgets.push_back(source.second.dump());
-  }
-  ASSERT_EQ(budgets.size(), params.num_distributers);
+  const SavedSweep saved = read_saved_sweep(path);
+  ASSERT_EQ(saved.kind, "gatekeeper_budget");
+  ASSERT_EQ(saved.payloads.size(), params.num_distributers);
+  for (const std::string& budget : saved.payloads)
+    ASSERT_TRUE(json::Value::parse(budget).is_integer()) << budget;
 
   // Every source restored: one flood each, the same admissions.
   obs::Counter& floods = obs::metrics_counter("gatekeeper.ticket_runs");
@@ -906,9 +704,9 @@ TEST(ExecResume, GatekeeperCheckpointsIntegerBudgets) {
   // A budget that is not a positive integer is rejected.
   for (const char* bad : {"2.5", "1e3", "\"7\"", "[1,2]", "0", "-4"}) {
     SCOPED_TRACE(bad);
-    std::vector<std::string> payloads = budgets;
+    std::vector<std::string> payloads = saved.payloads;
     payloads[1] = bad;
-    exec::CheckpointStore::instance().save("gatekeeper_budget", fingerprint,
+    exec::CheckpointStore::instance().save(saved.kind, saved.fingerprint,
                                            params.num_distributers, payloads);
     EXPECT_THROW(run_gatekeeper(g, 0, params), std::runtime_error);
   }

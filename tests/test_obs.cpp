@@ -3,7 +3,6 @@
 #include "obs/quantile.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/fault.hpp"
 #include "util/json.hpp"
 
 namespace sntrust::obs {
@@ -842,35 +840,34 @@ TEST(Telemetry, ExporterRestartsAfterStop) {
   std::remove(jsonl.c_str());
 }
 
-TEST(Telemetry, InjectedFaultInWritePathDoesNotWedgeTheExporter) {
-  const std::string jsonl = obs_temp_path("sntrust_telemetry_fault.jsonl");
+TEST(Telemetry, FailingSinkDoesNotWedgeTheExporter) {
+  const std::string jsonl = obs_temp_path("sntrust_telemetry_sink.jsonl");
+  const std::string prom_dir = obs_temp_path("sntrust_telemetry_sink_dir");
   std::remove(jsonl.c_str());
+  std::filesystem::create_directories(prom_dir);
   TelemetryExporter& exporter = TelemetryExporter::instance();
   const std::uint64_t before = exporter.frames_written();
   TelemetryOptions options;
   options.jsonl_path = jsonl;
+  options.prom_path = prom_dir + "/metrics.prom";
   options.period_ms = 60'000;
-  exporter.start(options);  // frame 0 written before the fault arms
+  exporter.start(options);  // frame 0 reaches both sinks
 
-  // Deterministic injection at the frame-write site: every subsequent
-  // write throws before touching the sink.
-  exec::FaultPlan plan;
-  plan.site = "telemetry";
-  plan.seed = 1;
-  plan.prob = 1.0;
-  exec::set_fault_plan(plan);
-  EXPECT_THROW(exporter.flush(), exec::InjectedFault);
-  // stop() tolerates a faulting final flush (it must never take down the
+  // A real sink failure: the Prometheus file's directory disappears, so
+  // every later frame fails to write it.
+  std::filesystem::remove_all(prom_dir);
+  EXPECT_THROW(exporter.flush(), std::runtime_error);
+  // stop() tolerates a failing final flush (it must never take down the
   // workload at exit) and still shuts the exporter down cleanly.
   EXPECT_NO_THROW(exporter.stop());
   EXPECT_FALSE(exporter.running());
-  exec::clear_fault_plan();
 
-  // Only the pre-fault frame landed, and the stream is still parseable.
+  // Only frame 0 completed; the JSONL sink, written first, got every frame
+  // and is still strictly parseable.
   EXPECT_EQ(exporter.frames_written() - before, 1u);
   const TelemetryFrames frames = read_telemetry_frames(jsonl);
   EXPECT_FALSE(frames.truncated_tail);
-  EXPECT_EQ(frames.frames.size(), 1u);
+  EXPECT_EQ(frames.frames.size(), 3u);
   std::remove(jsonl.c_str());
 }
 
@@ -901,81 +898,6 @@ TEST(Telemetry, MalformedMiddleFrameThrows) {
   // stream — refuse it loudly rather than silently dropping frames.
   EXPECT_THROW(read_telemetry_frames(path), std::runtime_error);
   std::remove(path.c_str());
-}
-
-// ------------------------------------------------------------- watchdog ---
-
-class WatchdogTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    StallWatchdog::instance().stop();
-    metrics_reset_all();
-  }
-};
-
-TEST_F(WatchdogTest, CheckPeriodDerivesFromStallThreshold) {
-  WatchdogOptions options;
-  EXPECT_FALSE(options.enabled());
-  options.stall_ms = 100;
-  EXPECT_TRUE(options.enabled());
-  EXPECT_EQ(options.effective_check_period_ms(), 25u);
-  options.stall_ms = 2;
-  EXPECT_EQ(options.effective_check_period_ms(), 1u);  // clamped low
-  options.stall_ms = 60'000;
-  EXPECT_EQ(options.effective_check_period_ms(), 1000u);  // clamped high
-  options.check_period_ms = 7;
-  EXPECT_EQ(options.effective_check_period_ms(), 7u);  // explicit wins
-}
-
-TEST_F(WatchdogTest, HeartbeatsAccumulate) {
-  const std::uint64_t before = watchdog_heartbeats();
-  watchdog_heartbeat();
-  watchdog_heartbeat();
-  EXPECT_EQ(watchdog_heartbeats() - before, 2u);
-}
-
-TEST_F(WatchdogTest, FiresOnSilenceOnlyInsideAnActivityScope) {
-  StallWatchdog& dog = StallWatchdog::instance();
-  WatchdogOptions options;
-  options.stall_ms = 40;
-  options.check_period_ms = 5;
-  dog.configure(options);
-  EXPECT_TRUE(dog.running());
-
-  // Idle (no activity scope): arbitrarily long silence is not a stall.
-  const std::uint64_t before_idle = dog.stalls_detected();
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_EQ(dog.stalls_detected() - before_idle, 0u);
-
-  // Inside an activity scope the same silence fires exactly once.
-  const std::uint64_t before_active = dog.stalls_detected();
-  Counter& stalled = Metrics::instance().counter("exec.stalled");
-  const std::uint64_t stalled_before = stalled.value();
-  {
-    dog.begin_activity();
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    dog.end_activity();
-  }
-  EXPECT_EQ(dog.stalls_detected() - before_active, 1u);
-  EXPECT_EQ(stalled.value() - stalled_before, 1u);
-}
-
-TEST_F(WatchdogTest, SteadyHeartbeatsNeverFire) {
-  StallWatchdog& dog = StallWatchdog::instance();
-  WatchdogOptions options;
-  options.stall_ms = 150;
-  options.check_period_ms = 5;
-  dog.configure(options);
-  const std::uint64_t before = dog.stalls_detected();
-  dog.begin_activity();
-  // 300 ms of activity with progress every 15 ms: silence never reaches the
-  // 150 ms threshold.
-  for (int i = 0; i < 20; ++i) {
-    watchdog_heartbeat();
-    std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  }
-  dog.end_activity();
-  EXPECT_EQ(dog.stalls_detected() - before, 0u);
 }
 
 }  // namespace

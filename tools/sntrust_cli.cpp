@@ -28,15 +28,12 @@
 //                        binary; diff two reports with sntrust_benchdiff.
 //   --deadline <ms>      Cooperative wall-clock budget: sweeps drain, write
 //                        their checkpoint, and the run exits 75 with a
-//                        partial report (same as SNTRUST_DEADLINE_MS).
+//                        report naming the interruption (same as
+//                        SNTRUST_DEADLINE_MS).
 //   --checkpoint <path>  Persist completed per-source work to <path> and
 //                        restore from it on the next run (same as
 //                        SNTRUST_CHECKPOINT). --resume is an alias; both
 //                        read and write the same file.
-//   --max-failed-frac <f> Tolerate up to this fraction of failed sources
-//                        per sweep before aborting (default 0 = strict;
-//                        same as SNTRUST_MAX_FAILED_FRAC). A degraded run
-//                        exits 75.
 //   --telemetry <path[:period_ms]>
 //                        Stream live telemetry frames (JSONL, schema v1:
 //                        counters, gauges, latency quantiles, resource
@@ -46,22 +43,27 @@
 //                        adds a Prometheus text sink.
 //   --diag               Record estimator diagnostics (convergence traces,
 //                        CI95s) in the run report (same as SNTRUST_DIAG=1).
-// Any other argument starting with "--" is a usage error.
+// Any other argument starting with "--" is a usage error, and so is a
+// number that is not a whole decimal string in range: threads, deadline,
+// sources, Sybils and attack edges at least 1, scale above 0.
 // Progress lines for long sweeps appear on stderr with SNTRUST_PROGRESS=1.
 //
 // Exit codes: 0 success, 64 usage error, 65 bad input (unreadable or
-// malformed graph files), 75 interrupted or partial/degraded results,
-// 1 internal error.
+// malformed graph files), 75 interrupted (signal or deadline), 1 internal
+// error.
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/property_suite.hpp"
 #include "exec/cancel.hpp"
 #include "exec/checkpoint.hpp"
-#include "exec/sweep.hpp"
 #include "gen/datasets.hpp"
 #include "graph/components.hpp"
 #include "graph/io.hpp"
@@ -96,17 +98,44 @@ int usage() {
                "  --report <out.json>  write the unified JSON run report "
                "at exit\n"
                "  --deadline <ms>      cooperative wall-clock budget; "
-               "partial runs exit 75\n"
+               "interrupted runs exit 75\n"
                "  --checkpoint <path>  persist/restore per-source sweep "
                "progress (alias: --resume)\n"
-               "  --max-failed-frac <f> tolerated failed-source fraction "
-               "per sweep (default 0)\n"
                "  --telemetry <path[:period_ms]> stream live JSONL telemetry "
                "frames during the run\n"
                "  --diag               record estimator diagnostics "
                "(convergence traces, CI95s) in the report\n";
   return 64;  // EX_USAGE
 }
+
+/// `text` read whole as a decimal integer in [1, max]; nullopt for
+/// anything else ("2x", "", "-1", "0", out of range).
+std::optional<std::uint64_t> parse_count(const std::string& text,
+                                         std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || value < 1 || value > max)
+    return std::nullopt;
+  return value;
+}
+
+/// `text` read whole as a finite number above 0; nullopt otherwise.
+std::optional<double> parse_scale(const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || !std::isfinite(value) ||
+      value <= 0.0)
+    return std::nullopt;
+  return value;
+}
+
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxVertices = std::numeric_limits<VertexId>::max();
+// A deadline is added to the steady clock in nanoseconds; 10^12 ms (about
+// 31 years) keeps that sum within its 64-bit range.
+constexpr std::uint64_t kMaxDeadlineMs = 1'000'000'000'000;
 
 int cmd_datasets() {
   Table table{{"id", "name", "paper n", "paper m", "class"}};
@@ -267,9 +296,9 @@ int main(int argc, char** argv) {
       }
       if (arg == "--threads") {
         if (i + 1 >= argc) return usage();
-        const int threads = std::atoi(argv[++i]);
-        if (threads <= 0) return usage();
-        parallel::set_thread_count(static_cast<std::uint32_t>(threads));
+        const auto threads = parse_count(argv[++i], kMaxU32);
+        if (!threads) return usage();
+        parallel::set_thread_count(static_cast<std::uint32_t>(*threads));
         continue;
       }
       if (arg == "--report") {
@@ -281,11 +310,12 @@ int main(int argc, char** argv) {
       }
       if (arg == "--deadline") {
         if (i + 1 >= argc) return usage();
-        const long long ms = std::atoll(argv[++i]);
-        if (ms <= 0) return usage();
-        exec::set_process_deadline(exec::Deadline::after_ms(ms));
-        obs::RunReporter::instance().set_config("deadline_ms",
-                                                static_cast<std::int64_t>(ms));
+        const auto ms = parse_count(argv[++i], kMaxDeadlineMs);
+        if (!ms) return usage();
+        exec::set_process_deadline(
+            exec::Deadline::after_ms(static_cast<std::int64_t>(*ms)));
+        obs::RunReporter::instance().set_config(
+            "deadline_ms", static_cast<std::int64_t>(*ms));
         continue;
       }
       if (arg == "--checkpoint" || arg == "--resume") {
@@ -293,14 +323,6 @@ int main(int argc, char** argv) {
         const std::string path = argv[++i];
         exec::CheckpointStore::instance().set_path(path);
         obs::RunReporter::instance().set_config("checkpoint", path);
-        continue;
-      }
-      if (arg == "--max-failed-frac") {
-        if (i + 1 >= argc) return usage();
-        const double frac = std::atof(argv[++i]);
-        if (frac < 0.0 || frac > 1.0) return usage();
-        exec::set_max_failed_frac(frac);
-        obs::RunReporter::instance().set_config("max_failed_frac", frac);
         continue;
       }
       if (arg == "--diag") {
@@ -337,21 +359,27 @@ int main(int argc, char** argv) {
     } else {
       const std::string& command = args[0];
       const std::size_t n = args.size();
-      if (command == "datasets" && n == 1)
+      if (command == "datasets" && n == 1) {
         status = cmd_datasets();
-      else if (command == "generate" && n == 4)
-        status = cmd_generate(args[1], std::atof(args[2].c_str()), args[3]);
-      else if (command == "measure" && (n == 2 || n == 3))
-        status = cmd_measure(
-            args[1], n == 3 ? static_cast<std::uint32_t>(
-                                  std::atoi(args[2].c_str()))
-                            : 20);
-      else if (command == "attack" && n == 4)
-        status = cmd_attack(
-            args[1], static_cast<sntrust::VertexId>(std::atoi(args[2].c_str())),
-            static_cast<std::uint32_t>(std::atoi(args[3].c_str())));
-      else
+      } else if (command == "generate" && n == 4) {
+        const auto scale = parse_scale(args[2]);
+        status = scale ? cmd_generate(args[1], *scale, args[3]) : usage();
+      } else if (command == "measure" && (n == 2 || n == 3)) {
+        const std::optional<std::uint64_t> sources =
+            n == 3 ? parse_count(args[2], kMaxU32) : 20;
+        status = sources ? cmd_measure(args[1],
+                                       static_cast<std::uint32_t>(*sources))
+                         : usage();
+      } else if (command == "attack" && n == 4) {
+        const auto sybils = parse_count(args[2], kMaxVertices);
+        const auto attack_edges = parse_count(args[3], kMaxU32);
+        status = sybils && attack_edges
+                     ? cmd_attack(args[1], static_cast<VertexId>(*sybils),
+                                  static_cast<std::uint32_t>(*attack_edges))
+                     : usage();
+      } else {
         status = usage();
+      }
     }
 
     if (!trace_path.empty()) {
@@ -362,11 +390,7 @@ int main(int argc, char** argv) {
   } catch (const exec::CancelledError& error) {
     // Drained cleanly: the checkpoint (if armed) holds the completed work
     // and the atexit run report records the interruption.
-    std::cerr << "interrupted: " << error.what() << "\n";
-    return 75;  // EX_TEMPFAIL: re-run with --resume to continue
-  } catch (const exec::PartialFailureError& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 75;
+    return exec::interrupted_exit(error.what());
   } catch (const IoError& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 65;  // EX_DATAERR: unreadable or malformed input

@@ -26,7 +26,7 @@
 // whatever completed.
 //
 // Exit codes: 0 success, 64 usage error, 65 bad input (unreadable graph,
-// out-of-range vertex/seed, unknown command), 75 cancelled partial,
+// out-of-range vertex/seed, unknown command), 75 interrupted,
 // 1 internal error.
 #include <iostream>
 #include <sstream>
@@ -203,10 +203,7 @@ int serve_commands(Graph graph, const std::vector<VertexId>& seeds,
       }
     }
   }
-  if (cancelled) {
-    std::cerr << "partial: some queries were cancelled\n";
-    return 75;  // EX_TEMPFAIL-style partial, matching the bench taxonomy
-  }
+  if (cancelled) return exec::interrupted_exit("some queries were cancelled");
   return 0;
 }
 
@@ -249,8 +246,7 @@ int main(int argc, char** argv) {
     }
     return usage();
   } catch (const sntrust::exec::CancelledError& error) {
-    std::cerr << "interrupted: " << error.what() << "\n";
-    return 75;
+    return exec::interrupted_exit(error.what());
   } catch (const sntrust::IoError& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 65;  // EX_DATAERR
