@@ -7,7 +7,6 @@
 
 #include "bench_common.hpp"
 #include "markov/spectral.hpp"
-#include "report/csv_sink.hpp"
 #include "report/table.hpp"
 #include "sybil/attack.hpp"
 #include "sybil/gatekeeper.hpp"
@@ -54,7 +53,6 @@ int main() {
     std::cerr << "  " << id << " done\n";
   }
   table.print(std::cout);
-  maybe_write_csv(table, "app_defense_vs_class");
   std::cout << "Expected shape: defense quality degrades as mu -> 1 — the "
                "fast weak-trust graphs give high honest acceptance and "
                "near-perfect rankings; the Physics-class slow mixers lose "

@@ -17,11 +17,9 @@
 // loading goes through bench::dataset_graph, so SNTRUST_SNAPSHOT serves
 // the CSR from the zero-copy mmap cache.
 //
-// Knobs: SNTRUST_SCALE (dataset + query-count scale),
-// SNTRUST_SERVE_QUERIES (total, default 1,000,000 * scale),
-// SNTRUST_SERVE_CLIENTS (closed-loop threads, default 4),
-// SNTRUST_SERVE_ZIPF (skew s, default 0.99), SNTRUST_SERVE_ADMIT_FRAC
-// (admission share of the mix, default 0.5).
+// SNTRUST_SCALE scales the dataset and the query count (1,000,000 *
+// scale); 4 closed-loop clients replay a Zipf(0.99) mix, half of it
+// admissions.
 #include <cstring>
 #include <iostream>
 #include <thread>
@@ -81,14 +79,11 @@ int main() {
     bench::Section section{"Application: trust-query serving layer"};
     obs::RunReporter::instance().set_config("bench", "app_serving");
 
-    const double admit_frac =
-        env_double("SNTRUST_SERVE_ADMIT_FRAC", 0.5);
-    const double zipf_s = env_double("SNTRUST_SERVE_ZIPF", 0.99);
-    const std::uint64_t total_queries = static_cast<std::uint64_t>(
-        env_int("SNTRUST_SERVE_QUERIES",
-                static_cast<std::int64_t>(1'000'000 * bench_scale())));
-    const std::uint32_t clients =
-        static_cast<std::uint32_t>(env_int("SNTRUST_SERVE_CLIENTS", 4));
+    const double admit_frac = 0.5;
+    const double zipf_s = 0.99;
+    const auto total_queries =
+        static_cast<std::uint64_t>(1'000'000 * bench_scale());
+    const std::uint32_t clients = 4;
     const std::uint32_t client_batch = 64;
 
     const DatasetSpec& spec = dataset_by_id("epinion");

@@ -184,12 +184,10 @@ int main() {
   // longest, which is exactly where the sparse kernel pays off; dblp is the
   // largest of them in the bench set (its frontier stays below the dense
   // threshold through step ~9 of the short-walk sweep). The fast-mixing
-  // analogues cross over within a handful of steps — select them via
-  // SNTRUST_KERNEL_BENCH_DATASET to see the auto kernel degrade gracefully.
+  // analogues cross over within a handful of steps.
   const Graph g = [&] {
     const bench::Section section{"generate"};
-    return bench::dataset_graph(
-        dataset_by_id(env_string("SNTRUST_KERNEL_BENCH_DATASET", "dblp")));
+    return bench::dataset_graph(dataset_by_id("dblp"));
   }();
   std::cout << "graph: n=" << g.num_vertices() << " m=" << g.num_edges()
             << "\n\n";

@@ -9,7 +9,6 @@
 
 #include "bench_common.hpp"
 #include "markov/spectral.hpp"
-#include "report/csv_sink.hpp"
 #include "report/table.hpp"
 #include "util/format.hpp"
 
@@ -32,7 +31,6 @@ static int run_bench() {
     std::cerr << "  measured " << spec.id << "\n";
   }
   table.print(std::cout);
-  maybe_write_csv(table, "table1_datasets");
   std::cout << "Expected shape: strict-trust (slow) analogues cluster near "
                "mu ~= 1; weak-trust (fast) analogues sit clearly lower.\n";
   return 0;

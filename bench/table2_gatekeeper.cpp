@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "report/csv_sink.hpp"
 #include "report/table.hpp"
 #include "sybil/gatekeeper.hpp"
 #include "util/format.hpp"
@@ -59,7 +58,6 @@ static int run_bench() {
   }
 
   table.print(std::cout);
-  maybe_write_csv(table, "table2_gatekeeper");
   std::cout << "Expected shape (paper Table II): honest acceptance decreases "
                "as f grows (89-98% at small f down to tens of % at f=0.2+); "
                "Sybils admitted per attack edge stay a small constant, far "

@@ -33,7 +33,6 @@ class SweepRun {
       : items_(items),
         options_(options),
         source_latency_(obs::metrics_quantile(latency_name(options))),
-        source_latency_window_(obs::metrics_windowed(latency_name(options))),
         store_(CheckpointStore::instance()),
         checkpointing_(store_.armed() && !options.kind.empty()),
         done_(items),
@@ -82,7 +81,6 @@ class SweepRun {
     result_.payloads[i] = std::move(payload);
     done_[i].store(1, std::memory_order_release);
     source_latency_.record(elapsed_ms);
-    source_latency_window_.record(elapsed_ms);
     return computed_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
@@ -141,7 +139,6 @@ class SweepRun {
   const std::size_t items_;
   const SweepOptions& options_;
   obs::QuantileHistogram& source_latency_;
-  obs::WindowedQuantileHistogram& source_latency_window_;
   CheckpointStore& store_;
   const bool checkpointing_;
   SweepResult result_;

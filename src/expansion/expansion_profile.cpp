@@ -11,7 +11,6 @@
 #include "graph/frontier_bfs.hpp"
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel.hpp"
 #include "util/json.hpp"
@@ -62,9 +61,6 @@ ExpansionProfile measure_expansion(const Graph& g,
   obs::Histogram& frontier =
       obs::metrics_histogram("expansion.bfs_frontier");
 
-  obs::ProgressMeter progress{"expansion sources",
-                              static_cast<std::uint64_t>(sources.size())};
-
   // Per-worker state: a reusable direction-optimizing BFS workspace. The
   // per-source result is the BFS level-size vector, serialized as the sweep
   // payload; aggregation happens serially afterwards in index order, so a
@@ -87,7 +83,6 @@ ExpansionProfile measure_expansion(const Graph& g,
         if (state.runner.empty()) state.runner.emplace_back(g);
         const BfsResult& result = state.runner.front().run(sources[i]);
         bfs_runs.add(1);
-        progress.tick();
         json::Array levels;
         levels.reserve(result.level_sizes.size());
         for (const std::uint64_t level_size : result.level_sizes) {

@@ -12,7 +12,6 @@
 #include "graph/io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/env.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define SNTRUST_HAVE_MMAP 1
@@ -172,10 +171,6 @@ class MappedFile {
 #endif
 };
 
-bool payload_verify_default() {
-  return env_bool("SNTRUST_SNAPSHOT_VERIFY", false);
-}
-
 }  // namespace
 
 void write_snapshot(const Graph& g, const std::string& path) {
@@ -230,10 +225,7 @@ Graph load_snapshot(const std::string& path, VerifyPayload verify) {
   const ParsedHeader parsed =
       parse_header(mapping->data(), mapping->size(), path);
 
-  const bool full_verify = verify == VerifyPayload::kFull ||
-                           (verify == VerifyPayload::kAuto &&
-                            payload_verify_default());
-  if (full_verify &&
+  if (verify == VerifyPayload::kFull &&
       crc32_bytes(mapping->data() + kHeaderBytes, parsed.payload_bytes) !=
           parsed.info.payload_crc)
     throw IoError("snapshot: payload CRC mismatch in " + path);

@@ -27,10 +27,9 @@
 // corruption are rejected up front via IoError. The payload CRC makes any
 // byte flip detectable, but hashing gigabytes would defeat the
 // milliseconds-load contract, so it is verified on demand: by
-// `sntrust_snapshot verify`, when VerifyPayload::kFull is requested, or
-// when SNTRUST_SNAPSHOT_VERIFY=1. The stored fingerprint seeds the graph's
-// fingerprint cache, so exec/ checkpoints resume identically whether the
-// graph was parsed or mapped.
+// `sntrust_snapshot verify`, or when VerifyPayload::kFull is requested.
+// The stored fingerprint seeds the graph's fingerprint cache, so exec/
+// checkpoints resume identically whether the graph was parsed or mapped.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +55,7 @@ struct SnapshotInfo {
 };
 
 enum class VerifyPayload {
-  kAuto,  ///< SNTRUST_SNAPSHOT_VERIFY (default off: trust the header CRC)
-  kSkip,
+  kSkip,  ///< trust the header CRC and the exact-size check
   kFull,  ///< CRC the whole payload before adopting it
 };
 
@@ -69,7 +67,7 @@ void write_snapshot(const Graph& g, const std::string& path);
 /// read where mmap is unavailable). Throws IoError on malformed, truncated,
 /// corrupted, foreign-endian, or unknown-version snapshots.
 Graph load_snapshot(const std::string& path,
-                    VerifyPayload verify = VerifyPayload::kAuto);
+                    VerifyPayload verify = VerifyPayload::kSkip);
 
 /// Reads and validates only the header. Throws IoError as load_snapshot.
 SnapshotInfo snapshot_info(const std::string& path);

@@ -11,7 +11,6 @@
 #include "markov/walker.hpp"
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel.hpp"
 #include "util/json.hpp"
@@ -55,7 +54,6 @@ void collect_curves(const exec::SweepResult& swept, MixingCurves& out) {
 // cap; a curve still visibly decaying when the cap hit is flagged.
 void record_mixing_diag(const std::string& kind, const MixingCurves& curves) {
   if (!obs::diag_enabled()) return;
-  const double epsilon = obs::diag_epsilon();
   double final_sum = 0.0, final_sumsq = 0.0;
   double cross_sum = 0.0, cross_sumsq = 0.0;
   std::uint64_t crossed = 0;
@@ -65,7 +63,7 @@ void record_mixing_diag(const std::string& kind, const MixingCurves& curves) {
     for (const double v : curve) trace.add(v);
     bool crossed_eps = false;
     for (std::size_t t = 0; t < curve.size(); ++t) {
-      if (curve[t] <= epsilon) {
+      if (curve[t] <= obs::kDiagEpsilon) {
         crossed_eps = true;
         cross_sum += static_cast<double>(t);
         cross_sumsq += static_cast<double>(t) * static_cast<double>(t);
@@ -230,7 +228,6 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
   const StationaryPrefix prefix{pi};
   const FrontierWalk::Options kernel{options.kernel_dense_fraction};
   const StepKind kind = options.lazy ? StepKind::kLazy : StepKind::kPlain;
-  obs::ProgressMeter progress{"mixing sources", k};
   // Lanes are independent and each lane's sums keep the single-vector
   // order, so curves are bitwise identical for any block width, dense
   // crossover and thread count, which is also why none of them enters the
@@ -243,7 +240,6 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
          block_curves(g, sources, kind, options.max_walk_length, kernel, pi,
                       prefix)) {
       payloads.push_back(encode_curve(curve));
-      progress.tick();
     }
     return payloads;
   };
@@ -289,7 +285,6 @@ MixingCurves measure_mixing_monte_carlo(const Graph& g,
   // worker ran the batch or in what order.
   const std::uint64_t walker_base = rng();
   const obs::Span span{"measure_mixing_monte_carlo", "markov"};
-  obs::ProgressMeter progress{"monte-carlo mixing sources", k};
   struct Scratch {
     std::vector<std::uint32_t> counts;
     Distribution empirical;
@@ -320,7 +315,6 @@ MixingCurves measure_mixing_monte_carlo(const Graph& g,
                 static_cast<double>(s.counts[v]) / walks_per_point;
           curve.push_back(total_variation(s.empirical, pi));
         }
-        progress.tick();
         return encode_curve(curve);
       });
   collect_curves(swept, out);

@@ -17,14 +17,6 @@ constexpr double kZ95 = 1.959963984540054;
 // Tri-state: unset until first query, then sticky unless overridden.
 std::atomic<int> g_diag_enabled{-1};
 
-std::uint64_t max_traces_per_kind() {
-  static const std::uint64_t cap = [] {
-    const std::int64_t v = env_int("SNTRUST_DIAG_MAX_TRACES", 64);
-    return v < 1 ? std::uint64_t{1} : static_cast<std::uint64_t>(v);
-  }();
-  return cap;
-}
-
 }  // namespace
 
 bool diag_enabled() {
@@ -39,8 +31,6 @@ bool diag_enabled() {
 void set_diag_enabled(bool enabled) {
   g_diag_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
-
-double diag_epsilon() { return env_double("SNTRUST_DIAG_EPSILON", 0.1); }
 
 ConvergenceTrace::ConvergenceTrace(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 4)) {
@@ -184,7 +174,7 @@ void DiagRegistry::record_trace(TraceSummary summary) {
   std::uint64_t of_kind = 0;
   for (const TraceSummary& existing : traces_)
     if (existing.kind == summary.kind) ++of_kind;
-  if (of_kind >= max_traces_per_kind()) {
+  if (of_kind >= kDiagMaxTracesPerKind) {
     ++dropped_traces_;
     return;
   }
@@ -247,7 +237,7 @@ json::Value DiagRegistry::build() const {
   root.emplace_back("converged", json::Value::boolean(flagged.empty()));
   root.emplace_back("nonconverged", json::Value::integer(static_cast<std::int64_t>(
                                         flagged.size())));
-  root.emplace_back("epsilon", json::Value::number(diag_epsilon()));
+  root.emplace_back("epsilon", json::Value::number(kDiagEpsilon));
 
   json::Array flagged_rows;
   flagged_rows.reserve(flagged.size());

@@ -22,7 +22,7 @@
 //
 // The collected state lands in the run report's "diag" section (see
 // obs/run_report.hpp) and bumps diag.* counters that ride along in live
-// telemetry frames. `tools/sntrust_diag` renders and diffs the section;
+// telemetry frames. `tools/sntrust_diag` renders the section;
 // `sntrust_benchdiff` gates on it (CI width, nonconverged count).
 #pragma once
 
@@ -41,10 +41,13 @@ bool diag_enabled();
 /// Overrides the environment (CLI --diag flag, tests).
 void set_diag_enabled(bool enabled);
 
-/// TVD threshold used to decide whether a mixing curve "converged"
-/// (SNTRUST_DIAG_EPSILON, default 0.1 — the paper's figures use the
-/// variation-distance target, and 0.1 keeps the reference datasets green).
-double diag_epsilon();
+/// TVD threshold used to decide whether a mixing curve "converged" (the
+/// paper's figures use the variation-distance target, and 0.1 keeps the
+/// reference datasets green).
+inline constexpr double kDiagEpsilon = 0.1;
+
+/// Traces kept per kind in the report; drops past the cap are counted.
+inline constexpr std::uint64_t kDiagMaxTracesPerKind = 64;
 
 /// Bounded recorder for one convergence trajectory. Appends are O(1); once
 /// `capacity` samples are held, every other kept sample is dropped and the
@@ -132,8 +135,8 @@ class DiagRegistry {
   static DiagRegistry& instance();
 
   /// Appends one trace summary. Traces are capped per kind
-  /// (SNTRUST_DIAG_MAX_TRACES, default 64); drops past the cap are counted
-  /// and reported so truncation is never silent.
+  /// (kDiagMaxTracesPerKind); drops past the cap are counted and reported
+  /// so truncation is never silent.
   void record_trace(TraceSummary summary);
 
   /// Records one named estimate with its CI. A repeated name gets a "#2",

@@ -79,12 +79,6 @@ QuantileHistogram& Metrics::quantile(const std::string& name) {
   return quantiles_[name];
 }
 
-WindowedQuantileHistogram& Metrics::windowed(
-    const std::string& name, WindowedQuantileHistogram::Options options) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return windows_.try_emplace(name, options).first->second;
-}
-
 MetricsSnapshot Metrics::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot out;
@@ -96,8 +90,6 @@ MetricsSnapshot Metrics::snapshot() const {
     out.histograms.emplace(name, histogram.snapshot());
   for (const auto& [name, quantile] : quantiles_)
     out.quantiles.emplace(name, quantile.snapshot());
-  for (const auto& [name, window] : windows_)
-    out.windows.emplace(name, window.snapshot());
   return out;
 }
 
@@ -107,7 +99,6 @@ void Metrics::reset() {
   for (auto& [name, gauge] : gauges_) gauge.reset();
   for (auto& [name, histogram] : histograms_) histogram.reset();
   for (auto& [name, quantile] : quantiles_) quantile.reset();
-  for (auto& [name, window] : windows_) window.reset();
 }
 
 Table Metrics::to_table() const {
@@ -125,21 +116,15 @@ Table Metrics::to_table() const {
                              compact(histogram.mean()) + ", min " +
                              compact(histogram.min) + ", max " +
                              compact(histogram.max)});
-  auto quantile_row = [&table](const char* kind, const std::string& name,
-                               const QuantileSnapshot& snap_q) {
-    table.add_row({kind, name,
-                   snap_q.count == 0
-                       ? "0 obs"
-                       : with_thousands(snap_q.count) + " obs, p50 " +
-                             compact(snap_q.value_at_quantile(0.5)) +
-                             ", p99 " +
-                             compact(snap_q.value_at_quantile(0.99)) +
-                             ", max " + compact(snap_q.max)});
-  };
   for (const auto& [name, quantile] : snap.quantiles)
-    quantile_row("quantile", name, quantile);
-  for (const auto& [name, window] : snap.windows)
-    quantile_row("window", name, window);
+    table.add_row({"quantile", name,
+                   quantile.count == 0
+                       ? "0 obs"
+                       : with_thousands(quantile.count) + " obs, p50 " +
+                             compact(quantile.value_at_quantile(0.5)) +
+                             ", p99 " +
+                             compact(quantile.value_at_quantile(0.99)) +
+                             ", max " + compact(quantile.max)});
   return table;
 }
 
@@ -156,9 +141,7 @@ void observe(const std::string& name, double value) {
 }
 
 void record_latency(const std::string& name, double ms) {
-  Metrics& metrics = Metrics::instance();
-  metrics.quantile(name).record(ms);
-  metrics.windowed(name).record(ms);
+  Metrics::instance().quantile(name).record(ms);
 }
 
 void metrics_reset_all() { Metrics::instance().reset(); }

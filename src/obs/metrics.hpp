@@ -5,8 +5,8 @@
 // Counters and gauges are lock-free after the first lookup; hot paths cache
 // the returned reference (`static Counter& c = metrics_counter("walk.steps")`)
 // so the steady-state cost is one relaxed atomic add. `snapshot()` gives a
-// consistent copy for reports and tests; `to_table()` feeds the report/
-// sinks.
+// consistent copy for reports and tests; `to_table()` renders it as a
+// Table.
 #pragma once
 
 #include <atomic>
@@ -97,9 +97,6 @@ struct MetricsSnapshot {
   std::map<std::string, HistogramSnapshot> histograms;
   /// Cumulative quantile histograms (whole-run latency distributions).
   std::map<std::string, QuantileSnapshot> quantiles;
-  /// Sliding-window quantile histograms, merged over their window at
-  /// snapshot time ("p99 over the last N seconds").
-  std::map<std::string, QuantileSnapshot> windows;
 };
 
 /// Registry of all metrics in the process. Registration is mutex-guarded;
@@ -113,10 +110,6 @@ class Metrics {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
   QuantileHistogram& quantile(const std::string& name);
-  /// Window options apply on first registration only; later callers get the
-  /// existing histogram regardless of the options they pass.
-  WindowedQuantileHistogram& windowed(
-      const std::string& name, WindowedQuantileHistogram::Options options = {});
 
   MetricsSnapshot snapshot() const;
 
@@ -134,7 +127,6 @@ class Metrics {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, QuantileHistogram> quantiles_;
-  std::map<std::string, WindowedQuantileHistogram> windows_;
 };
 
 /// Convenience forwarders for cold call sites.
@@ -142,10 +134,8 @@ void count(const std::string& name, std::uint64_t delta = 1);
 void set_gauge(const std::string& name, double value);
 void observe(const std::string& name, double value);
 
-/// Records a latency sample (milliseconds) into both the cumulative
-/// quantile histogram `name` and its sliding-window sibling, so reports get
-/// the whole-run distribution and the telemetry exporter gets "over the
-/// last N seconds". Hot paths should cache the two references instead.
+/// Records a latency sample (milliseconds) into the quantile histogram
+/// `name`. Hot paths should cache the reference (metrics_quantile) instead.
 void record_latency(const std::string& name, double ms);
 
 /// Zeroes every registered counter, gauge, and histogram in the process.
@@ -162,10 +152,6 @@ inline Histogram& metrics_histogram(const std::string& name) {
 }
 inline QuantileHistogram& metrics_quantile(const std::string& name) {
   return Metrics::instance().quantile(name);
-}
-inline WindowedQuantileHistogram& metrics_windowed(
-    const std::string& name, WindowedQuantileHistogram::Options options = {}) {
-  return Metrics::instance().windowed(name, options);
 }
 
 }  // namespace sntrust::obs

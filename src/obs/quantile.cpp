@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 
 namespace sntrust::obs {
@@ -23,23 +22,6 @@ void atomic_fold(std::atomic<std::uint64_t>& bits, double value,
          !bits.compare_exchange_weak(current, std::bit_cast<std::uint64_t>(value),
                                      std::memory_order_relaxed))
     ;
-}
-
-/// Single-threaded record into a snapshot (the windowed slots, guarded by
-/// their mutex, share the cumulative histogram's bucketing exactly).
-void record_into(QuantileSnapshot& data, double value) {
-  ++data.count;
-  if (value < data.min) data.min = value;
-  if (value > data.max) data.max = value;
-  if (!(value >= kQuantileMinValue)) {  // negatives, zero, and NaN
-    ++data.underflow;
-    return;
-  }
-  if (value >= kQuantileMaxValue) {
-    ++data.overflow;
-    return;
-  }
-  ++data.buckets[QuantileHistogram::bucket_index(value)];
 }
 
 }  // namespace
@@ -72,15 +54,6 @@ double QuantileSnapshot::approx_sum() const {
   sum += static_cast<double>(underflow) * min;
   sum += static_cast<double>(overflow) * max;
   return sum;
-}
-
-void QuantileSnapshot::merge(const QuantileSnapshot& other) {
-  count += other.count;
-  underflow += other.underflow;
-  overflow += other.overflow;
-  min = std::min(min, other.min);
-  max = std::max(max, other.max);
-  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
 }
 
 bool QuantileSnapshot::operator==(const QuantileSnapshot& other) const {
@@ -162,64 +135,6 @@ void QuantileHistogram::reset() {
                       -std::numeric_limits<double>::infinity()),
                   std::memory_order_relaxed);
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-}
-
-namespace {
-std::atomic<std::uint64_t (*)()> g_telemetry_clock{nullptr};
-}  // namespace
-
-std::uint64_t telemetry_now_ms() {
-  if (const auto clock = g_telemetry_clock.load(std::memory_order_relaxed))
-    return clock();
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - epoch)
-          .count());
-}
-
-void set_telemetry_clock_for_test(std::uint64_t (*now_ms)()) {
-  g_telemetry_clock.store(now_ms, std::memory_order_relaxed);
-}
-
-WindowedQuantileHistogram::WindowedQuantileHistogram(Options options)
-    : options_{std::max<std::uint64_t>(options.window_ms, 2),
-               std::max<std::uint32_t>(options.slots, 2)},
-      slots_(options_.slots) {
-  // Sub-windows must be at least 1 ms wide for the epoch arithmetic.
-  if (options_.window_ms < options_.slots) options_.window_ms = options_.slots;
-}
-
-void WindowedQuantileHistogram::record(double value) {
-  const std::uint64_t epoch = telemetry_now_ms() / sub_window_ms();
-  Slot& slot = slots_[epoch % slots_.size()];
-  std::lock_guard<std::mutex> lock(slot.mutex);
-  if (slot.epoch != epoch) {  // recycle a sub-window that aged out
-    slot.data = QuantileSnapshot{};
-    slot.epoch = epoch;
-  }
-  record_into(slot.data, value);
-}
-
-QuantileSnapshot WindowedQuantileHistogram::snapshot() const {
-  const std::uint64_t now_epoch = telemetry_now_ms() / sub_window_ms();
-  QuantileSnapshot merged;
-  for (const Slot& slot : slots_) {
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    if (slot.epoch == kIdle) continue;
-    if (now_epoch - slot.epoch >= slots_.size()) continue;  // aged out
-    merged.merge(slot.data);
-  }
-  return merged;
-}
-
-void WindowedQuantileHistogram::reset() {
-  for (Slot& slot : slots_) {
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    slot.epoch = kIdle;
-    slot.data = QuantileSnapshot{};
-  }
 }
 
 }  // namespace sntrust::obs

@@ -1,4 +1,4 @@
-// Log-bucketed quantile histograms (HDR-style) for live latency telemetry.
+// Log-bucketed quantile histograms (HDR-style) for latency distributions.
 //
 // `QuantileHistogram` divides every power-of-two octave into
 // `kQuantileSubBuckets` linear sub-buckets, so `value_at_quantile(q)` carries
@@ -15,12 +15,6 @@
 // would depend on arrival order; `approx_sum()` is derived from the buckets
 // on demand instead).
 //
-// `WindowedQuantileHistogram` is the sliding-window variant the telemetry
-// exporter reads: a ring of sub-window snapshots, each `window_ms / slots`
-// wide, merged on read, so "p99 over the last N seconds" costs one short
-// per-slot critical section per record and a ring merge per snapshot — no
-// global lock. Time comes from `telemetry_now_ms()`, overridable for tests.
-//
 // Empty-histogram contract (mirrors HistogramSnapshot): when `count == 0`,
 // `min`/`max` hold the +inf/-inf fold identities and `value_at_quantile`
 // returns NaN — renderers must gate on `count > 0`.
@@ -30,7 +24,6 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <vector>
 
 namespace sntrust::obs {
@@ -51,7 +44,7 @@ inline constexpr std::size_t kQuantileBuckets =
 inline constexpr double kQuantileRelativeError =
     1.0 / (2.0 * kQuantileSubBuckets);
 
-/// Consistent copy of a quantile histogram (or a merge of sub-windows).
+/// Consistent copy of a quantile histogram.
 /// Integer bucket counts plus exact min/max; all derived statistics are pure
 /// functions of this state, so equal snapshots give equal answers.
 struct QuantileSnapshot {
@@ -75,10 +68,6 @@ struct QuantileSnapshot {
   double approx_mean() const {
     return count == 0 ? 0.0 : approx_sum() / static_cast<double>(count);
   }
-
-  /// Folds another snapshot in (bucket-wise add, min/max fold); the windowed
-  /// histogram's merge-on-read.
-  void merge(const QuantileSnapshot& other);
 
   bool operator==(const QuantileSnapshot& other) const;
 };
@@ -112,54 +101,6 @@ class QuantileHistogram {
   std::atomic<std::uint64_t> min_bits_;  ///< bit_cast of the running min
   std::atomic<std::uint64_t> max_bits_;  ///< bit_cast of the running max
   std::array<std::atomic<std::uint64_t>, kQuantileBuckets> buckets_;
-};
-
-/// Milliseconds on the steady clock since the first call; the time base for
-/// sub-window rotation and telemetry frame timestamps.
-std::uint64_t telemetry_now_ms();
-/// Test hook: replaces the clock with `now_ms` (nullptr restores the steady
-/// clock). Not thread-safe against concurrent recorders; install before use.
-void set_telemetry_clock_for_test(std::uint64_t (*now_ms)());
-
-/// Sliding-window quantile histogram: a ring of `slots` sub-windows, each
-/// `window_ms / slots` wide. A record lands in the sub-window the current
-/// time maps to (stale slots are recycled in place); a snapshot merges the
-/// slots still inside the window. Per-slot mutexes keep record cost at one
-/// short critical section with no cross-slot contention.
-class WindowedQuantileHistogram {
- public:
-  struct Options {
-    std::uint64_t window_ms = 10'000;  ///< total sliding-window span
-    std::uint32_t slots = 8;           ///< ring granularity (>= 2)
-  };
-
-  // Two overloads rather than `Options options = {}`: a braced default
-  // argument for a nested aggregate with member initializers trips GCC's
-  // complete-class parsing inside the enclosing class.
-  WindowedQuantileHistogram() : WindowedQuantileHistogram(Options()) {}
-  explicit WindowedQuantileHistogram(Options options);
-
-  void record(double value);
-  /// Merge of every sub-window whose epoch is within the window ending now.
-  QuantileSnapshot snapshot() const;
-  void reset();
-
-  std::uint64_t window_ms() const { return options_.window_ms; }
-
- private:
-  struct Slot {
-    mutable std::mutex mutex;
-    std::uint64_t epoch = kIdle;  ///< sub-window sequence number, kIdle = empty
-    QuantileSnapshot data;
-  };
-  static constexpr std::uint64_t kIdle = ~0ULL;
-
-  std::uint64_t sub_window_ms() const {
-    return options_.window_ms / options_.slots;
-  }
-
-  Options options_;
-  std::vector<Slot> slots_;
 };
 
 }  // namespace sntrust::obs

@@ -311,25 +311,8 @@ json::Value RunReporter::build() const {
                            json::Value::integer(static_cast<std::int64_t>(
                                exporter.frames_written())));
     json::Object quantiles;
-    for (const auto& [name, quantile] : snapshot.quantiles) {
-      json::Object entry;
-      entry.emplace_back("count", json::Value::integer(static_cast<std::int64_t>(
-                                      quantile.count)));
-      if (quantile.count > 0) {
-        // Same gating as histogram min/max: NaN/inf have no JSON encoding.
-        entry.emplace_back("p50",
-                           json::Value::number(quantile.value_at_quantile(0.5)));
-        entry.emplace_back("p90",
-                           json::Value::number(quantile.value_at_quantile(0.9)));
-        entry.emplace_back(
-            "p99", json::Value::number(quantile.value_at_quantile(0.99)));
-        entry.emplace_back(
-            "p999", json::Value::number(quantile.value_at_quantile(0.999)));
-        entry.emplace_back("min", json::Value::number(quantile.min));
-        entry.emplace_back("max", json::Value::number(quantile.max));
-      }
-      quantiles.emplace_back(name, json::Value::object(std::move(entry)));
-    }
+    for (const auto& [name, quantile] : snapshot.quantiles)
+      quantiles.emplace_back(name, quantile_summary(quantile));
     telemetry.emplace_back("quantiles",
                            json::Value::object(std::move(quantiles)));
     root.emplace_back("telemetry", json::Value::object(std::move(telemetry)));

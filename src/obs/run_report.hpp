@@ -35,7 +35,7 @@
 // CPU and RSS totals are process-cumulative; wall_ms counts from the
 // reporter's creation (the first Section / CLI flag parse, i.e. effectively
 // process start). The constructor also arms the live telemetry exporter
-// from SNTRUST_TELEMETRY / SNTRUST_TELEMETRY_PROM (see obs/telemetry.hpp).
+// from SNTRUST_TELEMETRY (see obs/telemetry.hpp).
 #pragma once
 
 #include <chrono>

@@ -1,17 +1,16 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "util/env.hpp"
-#include "util/format.hpp"
 
 #ifdef __GLIBC__
 #include <errno.h>  // program_invocation_short_name
@@ -29,9 +28,20 @@ std::string tool_name() {
   return "unknown";
 }
 
-/// {"count", "p50", "p90", "p99", "p999", "min", "max"}; the value fields
-/// are present iff count > 0 (NaN/inf have no JSON encoding).
-json::Value quantile_entry(const QuantileSnapshot& snap) {
+/// Milliseconds on the steady clock since the first call: the frames'
+/// t_ms time base.
+std::uint64_t now_ms() {
+  static const std::chrono::steady_clock::time_point epoch =
+      std::chrono::steady_clock::now();
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - epoch)
+          .count());
+}
+
+}  // namespace
+
+json::Value quantile_summary(const QuantileSnapshot& snap) {
   json::Object entry;
   entry.emplace_back(
       "count", json::Value::integer(static_cast<std::int64_t>(snap.count)));
@@ -48,22 +58,6 @@ json::Value quantile_entry(const QuantileSnapshot& snap) {
   return json::Value::object(std::move(entry));
 }
 
-void write_atomically(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out{tmp, std::ios::trunc};
-    if (!out)
-      throw std::runtime_error("telemetry: cannot open " + tmp);
-    out << body;
-    if (!out)
-      throw std::runtime_error("telemetry: write failed " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw std::runtime_error("telemetry: rename failed " + path);
-}
-
-}  // namespace
-
 TelemetryOptions parse_telemetry_spec(const std::string& spec) {
   TelemetryOptions options;
   if (spec.empty()) return options;
@@ -72,17 +66,13 @@ TelemetryOptions parse_telemetry_spec(const std::string& spec) {
   if (colon != std::string::npos && colon + 1 < spec.size()) {
     const std::string suffix = spec.substr(colon + 1);
     if (suffix.find_first_not_of("0123456789") == std::string::npos) {
+      const auto period = parse_count(
+          suffix, 0, std::numeric_limits<std::uint64_t>::max());
+      if (!period) return {};  // a period past 64 bits: not a valid spec
       options.jsonl_path = spec.substr(0, colon);
-      options.period_ms = std::max<std::uint64_t>(1, std::stoull(suffix));
+      options.period_ms = std::max<std::uint64_t>(1, *period);
     }
   }
-  return options;
-}
-
-TelemetryOptions telemetry_options_from_env() {
-  TelemetryOptions options =
-      parse_telemetry_spec(env_string("SNTRUST_TELEMETRY", ""));
-  options.prom_path = env_string("SNTRUST_TELEMETRY_PROM", "");
   return options;
 }
 
@@ -100,14 +90,12 @@ void TelemetryExporter::start(TelemetryOptions options) {
   {
     std::lock_guard<std::mutex> io_lock(io_mutex_);
     options_ = std::move(options);
-    if (!options_.jsonl_path.empty()) {
-      jsonl_out_.open(options_.jsonl_path, std::ios::app);
-      if (!jsonl_out_)
-        throw std::runtime_error("telemetry: cannot open JSONL sink " +
-                                 options_.jsonl_path);
-    }
-    write_frame_locked();  // frame 0: the run is observable immediately
+    jsonl_out_.open(options_.jsonl_path, std::ios::app);
+    if (!jsonl_out_)
+      throw std::runtime_error("telemetry: cannot open JSONL sink " +
+                               options_.jsonl_path);
   }
+  write_frame_reporting();  // frame 0: the run is observable immediately
   {
     std::lock_guard<std::mutex> wake_lock(wake_mutex_);
     stop_requested_ = false;
@@ -130,33 +118,34 @@ void TelemetryExporter::run() {
     if (wake_.wait_for(lock, period, [this] { return stop_requested_; }))
       break;
     lock.unlock();
-    try {
-      flush();
-    } catch (const std::exception& error) {
-      // A failed periodic frame must not take down the workload; the final
-      // stop() frame will surface persistent sink problems.
-      std::fputs((std::string("telemetry: ") + error.what() + "\n").c_str(),
-                 stderr);
-    }
+    write_frame_reporting();
     lock.lock();
   }
 }
 
 void TelemetryExporter::flush() {
   std::lock_guard<std::mutex> io_lock(io_mutex_);
-  write_frame_locked();
+  if (jsonl_out_.is_open()) write_frame_locked();
 }
 
 void TelemetryExporter::write_frame_locked() {
   seq_.fetch_add(1, std::memory_order_relaxed);
-  if (jsonl_out_.is_open()) {
-    build_frame().write(jsonl_out_);
-    jsonl_out_ << '\n';
-    jsonl_out_.flush();
+  build_frame().write(jsonl_out_);
+  jsonl_out_ << '\n';
+  jsonl_out_.flush();
+  if (!jsonl_out_) {
+    jsonl_out_.clear();  // the next frame tries again
+    throw std::runtime_error("telemetry: write failed " + options_.jsonl_path);
   }
-  if (!options_.prom_path.empty())
-    write_atomically(options_.prom_path, build_prometheus());
   frames_written_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void TelemetryExporter::write_frame_reporting() {
+  try {
+    flush();
+  } catch (const std::exception& error) {
+    std::fputs((std::string(error.what()) + "\n").c_str(), stderr);
+  }
 }
 
 void TelemetryExporter::stop() {
@@ -172,12 +161,7 @@ void TelemetryExporter::stop() {
     joining = std::move(thread_);
   }
   if (joining.joinable()) joining.join();
-  try {
-    flush();  // final frame: the closing state of the run
-  } catch (const std::exception& error) {
-    std::fputs((std::string("telemetry: ") + error.what() + "\n").c_str(),
-               stderr);
-  }
+  write_frame_reporting();  // final frame: the closing state of the run
   {
     std::lock_guard<std::mutex> io_lock(io_mutex_);
     if (jsonl_out_.is_open()) jsonl_out_.close();
@@ -196,8 +180,8 @@ json::Value TelemetryExporter::build_frame() const {
                     json::Value::integer(kTelemetrySchemaVersion));
   root.emplace_back("seq", json::Value::integer(static_cast<std::int64_t>(
                                seq_.load(std::memory_order_relaxed))));
-  root.emplace_back("t_ms", json::Value::integer(static_cast<std::int64_t>(
-                                telemetry_now_ms())));
+  root.emplace_back("t_ms", json::Value::integer(
+                                static_cast<std::int64_t>(now_ms())));
   root.emplace_back("tool", json::Value::string(tool_name()));
 
   const ResourceUsage usage = resource_usage_now();
@@ -229,56 +213,10 @@ json::Value TelemetryExporter::build_frame() const {
   root.emplace_back("gauges", json::Value::object(std::move(gauges)));
   json::Object quantiles;
   for (const auto& [name, snap] : snapshot.quantiles)
-    quantiles.emplace_back(name, quantile_entry(snap));
+    quantiles.emplace_back(name, quantile_summary(snap));
   root.emplace_back("quantiles", json::Value::object(std::move(quantiles)));
-  json::Object windows;
-  for (const auto& [name, snap] : snapshot.windows)
-    windows.emplace_back(name, quantile_entry(snap));
-  root.emplace_back("windows", json::Value::object(std::move(windows)));
 
   return json::Value::object(std::move(root));
-}
-
-std::string prometheus_metric_name(const std::string& name) {
-  std::string out = "sntrust_";
-  out.reserve(out.size() + name.size());
-  for (const char c : name) {
-    const bool legal = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                       (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out.push_back(legal ? c : '_');
-  }
-  return out;
-}
-
-std::string TelemetryExporter::build_prometheus() const {
-  const MetricsSnapshot snapshot = Metrics::instance().snapshot();
-  std::ostringstream out;
-  for (const auto& [name, value] : snapshot.counters) {
-    const std::string metric = prometheus_metric_name(name) + "_total";
-    out << "# TYPE " << metric << " counter\n"
-        << metric << ' ' << value << '\n';
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const std::string metric = prometheus_metric_name(name);
-    out << "# TYPE " << metric << " gauge\n"
-        << metric << ' ' << compact(value) << '\n';
-  }
-  // Quantile histograms render as Prometheus summaries: one sample per
-  // tracked quantile plus _count; empty summaries emit only _count.
-  auto summary = [&out](const std::string& metric,
-                        const QuantileSnapshot& snap) {
-    out << "# TYPE " << metric << " summary\n";
-    if (snap.count > 0)
-      for (const double q : {0.5, 0.9, 0.99, 0.999})
-        out << metric << "{quantile=\"" << compact(q) << "\"} "
-            << compact(snap.value_at_quantile(q)) << '\n';
-    out << metric << "_count " << snap.count << '\n';
-  };
-  for (const auto& [name, snap] : snapshot.quantiles)
-    summary(prometheus_metric_name(name), snap);
-  for (const auto& [name, snap] : snapshot.windows)
-    summary(prometheus_metric_name(name) + "_window", snap);
-  return out.str();
 }
 
 TelemetryFrames read_telemetry_frames(const std::string& path) {
@@ -307,7 +245,8 @@ TelemetryFrames read_telemetry_frames(const std::string& path) {
 }
 
 void arm_telemetry_from_env() {
-  const TelemetryOptions options = telemetry_options_from_env();
+  const TelemetryOptions options =
+      parse_telemetry_spec(env_string("SNTRUST_TELEMETRY", ""));
   if (options.enabled()) TelemetryExporter::instance().start(options);
 }
 

@@ -1,28 +1,27 @@
 // Live telemetry export: a background thread that periodically snapshots
-// the metrics registry (counters, gauges, quantile histograms and their
-// sliding windows) plus the getrusage/alloc resource samplers, and streams
-// the result while the process is still running — the counterpart to the
-// end-of-run report in run_report.hpp.
+// the metrics registry (counters, gauges, quantile histograms) plus the
+// getrusage/alloc resource samplers, and streams the result while the
+// process is still running — the counterpart to the end-of-run report in
+// run_report.hpp.
 //
-// Two sinks, both optional and independent:
-//   JSONL  (SNTRUST_TELEMETRY=path[:period_ms], or --telemetry on the CLI):
-//     one frame object appended per period. Frame schema (version 1, times
-//     in milliseconds):
-//       {"schema_version": 1, "seq": N, "t_ms": T, "tool": "...",
-//        "totals":   {"user_cpu_ms", "system_cpu_ms", "peak_rss_bytes",
-//                     "alloc_bytes", "alloc_count"},
-//        "counters": {name: value},
-//        "gauges":   {name: value},
-//        "quantiles": {name: {"count", "p50", "p90", "p99", "p999",
-//                             "min", "max"}},       // cumulative
-//        "windows":   {name: {same keys}}}          // sliding window
-//     Quantile entries omit p*/min/max when count == 0 (NaN/inf have no
-//     JSON encoding). Frames are flushed after every append, so a killed
-//     process loses at most a partial final line; `read_telemetry_frames`
-//     tolerates exactly that truncated tail.
-//   Prometheus text (SNTRUST_TELEMETRY_PROM=path):
-//     the whole exposition rewritten atomically (tmp + rename) per period,
-//     for scrape-through-a-file setups.
+// One sink, armed with SNTRUST_TELEMETRY=path[:period_ms] (or --telemetry
+// on the CLI): one JSONL frame object appended per period. Frame schema
+// (version 2, times in milliseconds):
+//   {"schema_version": 2, "seq": N, "t_ms": T, "tool": "...",
+//    "totals":   {"user_cpu_ms", "system_cpu_ms", "peak_rss_bytes",
+//                 "alloc_bytes", "alloc_count"},
+//    "counters": {name: value},
+//    "gauges":   {name: value},
+//    "quantiles": {name: {"count", "p50", "p90", "p99", "p999",
+//                         "min", "max"}}}          // cumulative
+// Quantile entries omit p*/min/max when count == 0 (NaN/inf have no JSON
+// encoding). Version 1 frames also carried a "windows" section of
+// sliding-window quantiles. A sweep's `sweep.<kind>.source_ms` count is its
+// completed-source progress. Frames are flushed after every append, so a
+// killed process loses at most a partial final line;
+// `read_telemetry_frames` tolerates exactly that truncated tail. A frame
+// the stream fails to take is reported on stderr and not counted; `seq`
+// still advances, so a reader sees the gap.
 //
 // Lifecycle: `start` spawns the exporter thread and writes frame 0
 // immediately; `stop` writes a final frame and joins — so any armed run
@@ -45,26 +44,29 @@
 
 namespace sntrust::obs {
 
-inline constexpr std::int64_t kTelemetrySchemaVersion = 1;
+inline constexpr std::int64_t kTelemetrySchemaVersion = 2;
 inline constexpr std::uint64_t kTelemetryDefaultPeriodMs = 1000;
 
+struct QuantileSnapshot;  // obs/quantile.hpp
+
 struct TelemetryOptions {
-  std::string jsonl_path;  ///< empty = JSONL sink disabled
-  std::string prom_path;   ///< empty = Prometheus sink disabled
+  std::string jsonl_path;  ///< empty = telemetry disabled
   std::uint64_t period_ms = kTelemetryDefaultPeriodMs;
 
-  bool enabled() const { return !jsonl_path.empty() || !prom_path.empty(); }
+  bool enabled() const { return !jsonl_path.empty(); }
 };
 
 /// Parses one "path" or "path:period_ms" JSONL spec (the suffix is a period
 /// iff the text after the last colon is all digits — paths may contain
-/// colons). Shared by SNTRUST_TELEMETRY and the CLI --telemetry flag.
+/// colons). A period too large for 64 bits gives a disabled spec, which
+/// the CLI's --telemetry rejects as a usage error. Shared by
+/// SNTRUST_TELEMETRY and the CLI --telemetry flag.
 TelemetryOptions parse_telemetry_spec(const std::string& spec);
 
-/// Parses SNTRUST_TELEMETRY ("path" or "path:period_ms") and
-/// SNTRUST_TELEMETRY_PROM into options; `enabled()` is false when neither
-/// variable is set.
-TelemetryOptions telemetry_options_from_env();
+/// The quantile summary frames and the run report share: {"count", "p50",
+/// "p90", "p99", "p999", "min", "max"}, with the value fields present iff
+/// count > 0 (NaN/inf have no JSON encoding).
+json::Value quantile_summary(const QuantileSnapshot& snap);
 
 /// Background exporter; one per process, intentionally leaked like the
 /// other obs singletons so atexit hooks can reach it.
@@ -78,8 +80,9 @@ class TelemetryExporter {
   /// exit.
   void start(TelemetryOptions options);
 
-  /// Writes one frame to every configured sink right now (callable with or
-  /// without the thread running; used by tests and by stop()).
+  /// Writes one frame to the stream right now (used by tests and by
+  /// stop()). Throws std::runtime_error when the stream fails to take it;
+  /// that frame is not counted. A no-op while the exporter is stopped.
   void flush();
 
   /// Writes a final frame, stops and joins the thread. Idempotent.
@@ -93,17 +96,17 @@ class TelemetryExporter {
   /// enabled) before the first.
   TelemetryOptions options() const;
 
-  /// Assembles one schema-v1 frame from the live registry state (exposed
-  /// for tests; `seq` is what the next written frame would carry).
+  /// Assembles one frame from the live registry state (exposed for tests;
+  /// `seq` is what the next frame would carry).
   json::Value build_frame() const;
-
-  /// Renders the Prometheus text exposition for the current registry state.
-  std::string build_prometheus() const;
 
  private:
   TelemetryExporter() = default;
   void run();
   void write_frame_locked();  ///< requires io_mutex_
+  /// Writes a frame and reports a failure on stderr instead of throwing:
+  /// a telemetry sink must never take the workload down.
+  void write_frame_reporting();
 
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> frames_written_{0};
@@ -113,7 +116,7 @@ class TelemetryExporter {
   TelemetryOptions options_;
   std::thread thread_;
 
-  std::mutex io_mutex_;  ///< serializes sink writes (thread vs flush/stop)
+  std::mutex io_mutex_;  ///< serializes frame writes (thread vs flush/stop)
   std::ofstream jsonl_out_;
 
   std::mutex wake_mutex_;
@@ -136,13 +139,9 @@ struct TelemetryFrames {
 };
 TelemetryFrames read_telemetry_frames(const std::string& path);
 
-/// Sanitizes a metric name into a Prometheus-legal one: [a-zA-Z0-9_:],
-/// everything else mapped to '_', "sntrust_" prefixed.
-std::string prometheus_metric_name(const std::string& name);
-
-/// Reads the telemetry environment variables and starts the exporter when
-/// they ask for it. Called from the RunReporter constructor so every binary
-/// that touches the reporter (all benches, the CLI) honors them.
+/// Reads SNTRUST_TELEMETRY and starts the exporter when it is set. Called
+/// from the RunReporter constructor so every binary that touches the
+/// reporter (all benches, the CLI) honors it.
 void arm_telemetry_from_env();
 
 }  // namespace sntrust::obs

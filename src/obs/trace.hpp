@@ -116,7 +116,7 @@ class Tracer {
 
   /// Flat per-path aggregation ("a/b/c" join of the span stack): count,
   /// total/mean wall-clock, share of the root total, and the CPU/alloc
-  /// resource columns. Feed to Table::print or report/csv_sink.
+  /// resource columns, ready for Table::print.
   Table timing_table() const;
 
   /// The aggregation behind timing_table(), in structured form for the run

@@ -44,26 +44,4 @@ void Table::print(std::ostream& out) const {
   for (const auto& row : rows_) emit_row(row);
 }
 
-void Table::print_csv(std::ostream& out) const {
-  const auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) out << ',';
-      const std::string& cell = row[c];
-      if (cell.find_first_of(",\"\n") != std::string::npos) {
-        out << '"';
-        for (const char ch : cell) {
-          if (ch == '"') out << "\"\"";
-          else out << ch;
-        }
-        out << '"';
-      } else {
-        out << cell;
-      }
-    }
-    out << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace sntrust

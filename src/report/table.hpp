@@ -21,9 +21,6 @@ class Table {
   /// newline.
   void print(std::ostream& out) const;
 
-  /// RFC-4180-ish CSV (quotes cells containing commas/quotes/newlines).
-  void print_csv(std::ostream& out) const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

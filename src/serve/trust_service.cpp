@@ -88,7 +88,6 @@ TrustService::TrustService(Graph graph, Options options)
     : graph_(std::move(graph)),
       options_(std::move(options)),
       query_ms_(obs::metrics_quantile("serve.query_ms")),
-      query_ms_window_(obs::metrics_windowed("serve.query_ms")),
       queries_served_(obs::metrics_counter("serve.queries")),
       queries_cancelled_(obs::metrics_counter("serve.cancelled")),
       queries_degraded_(obs::metrics_counter("serve.degraded")),
@@ -210,9 +209,7 @@ std::size_t TrustService::answer_all(std::span<const Query> queries,
 }
 
 void TrustService::record_latency(std::uint64_t start_ns) {
-  const double ms = static_cast<double>(steady_now_ns() - start_ns) * 1e-6;
-  query_ms_.record(ms);
-  query_ms_window_.record(ms);
+  query_ms_.record(static_cast<double>(steady_now_ns() - start_ns) * 1e-6);
 }
 
 Answer TrustService::answer(const Query& query) {

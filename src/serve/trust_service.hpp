@@ -53,7 +53,6 @@ struct EdgeBatch;  // dynamic/evolution.hpp
 namespace sntrust::obs {
 class Counter;
 class QuantileHistogram;
-class WindowedQuantileHistogram;
 }  // namespace sntrust::obs
 
 namespace sntrust::serve {
@@ -222,7 +221,6 @@ class TrustService {
 
   // Cached metric handles: the per-query hot path must not look up names.
   obs::QuantileHistogram& query_ms_;
-  obs::WindowedQuantileHistogram& query_ms_window_;
   obs::Counter& queries_served_;
   obs::Counter& queries_cancelled_;
   obs::Counter& queries_degraded_;

@@ -14,7 +14,6 @@
 #include "markov/walker.hpp"
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel.hpp"
 #include "util/json.hpp"
@@ -346,8 +345,6 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
   for (std::uint32_t i = 0; i < params.num_distributers; ++i)
     out.distributers.push_back(walker.walk_endpoint(controller, walk_length));
 
-  obs::ProgressMeter progress{"gatekeeper distributers",
-                              params.num_distributers};
   // One budget search per distributer across the pool. Each worker folds
   // the vertices its distributers reach into its own integer tally, and
   // the tallies add up afterwards, so the admissions are identical for any
@@ -391,7 +388,6 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
             hold_minimal_budget(w.dag, n, params.reach_fraction);
         tally_held(w);
         flooded[i] = 1;
-        progress.tick();
         return json::Value::integer(static_cast<std::int64_t>(budget)).dump();
       });
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -60,6 +61,26 @@ std::string env_string(const std::string& name, const std::string& fallback) {
   const char* raw = std::getenv(name.c_str());
   if (raw == nullptr || *raw == '\0') return fallback;
   return std::string{raw};
+}
+
+std::optional<std::uint64_t> parse_count(std::string_view text,
+                                         std::uint64_t min, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || value < min || value > max)
+    return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_nonnegative(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || !std::isfinite(value) ||
+      std::signbit(value))
+    return std::nullopt;
+  return value;
 }
 
 double bench_scale() {

@@ -1,4 +1,5 @@
-// Environment-variable configuration helpers for benches and examples.
+// Environment-variable configuration helpers for benches and examples, and
+// the whole-string number parsers the command-line tools share.
 //
 // The benchmark harness scales its workloads with SNTRUST_SCALE and similar
 // knobs; these helpers centralize the parsing so every binary treats the
@@ -6,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace sntrust {
 
@@ -27,6 +30,16 @@ bool env_bool(const std::string& name, bool fallback);
 
 /// Returns the raw value of `name`, or `fallback` when unset or empty.
 std::string env_string(const std::string& name, const std::string& fallback);
+
+/// `text` read whole as a decimal integer in [min, max]: digits only, with
+/// no sign, space or suffix. nullopt for anything else ("2x", "", "-1",
+/// "1e3", out of range), so a tool can reject it as a usage error.
+std::optional<std::uint64_t> parse_count(std::string_view text,
+                                         std::uint64_t min, std::uint64_t max);
+
+/// `text` read whole as a finite decimal number >= 0 ("0.05", "2", "1e-3");
+/// nullopt for anything else ("0.05x", "", "-1", "-0", "inf", "nan").
+std::optional<double> parse_nonnegative(std::string_view text);
 
 /// Global workload scale for benches: SNTRUST_SCALE (default 1.0, clamped to
 /// [0.01, 100]). Dataset analogue sizes are multiplied by this.

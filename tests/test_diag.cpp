@@ -201,7 +201,7 @@ TEST_F(DiagTest, RegistryCapsTracesPerKindAndCountsDrops) {
   ConvergenceTrace trace;
   trace.add(1.0);
   trace.add(0.5);
-  // Default cap (SNTRUST_DIAG_MAX_TRACES) is 64 per kind.
+  // The cap (kDiagMaxTracesPerKind) is 64 per kind.
   for (std::uint64_t s = 0; s < 70; ++s)
     registry.record_trace(obs::summarize_trace("capped", s, trace, true));
   registry.record_trace(obs::summarize_trace("other", 0, trace, true));

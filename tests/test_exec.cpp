@@ -24,6 +24,7 @@
 #include "markov/mixing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
+#include "obs/telemetry.hpp"
 #include "parallel/parallel.hpp"
 #include "sybil/gatekeeper.hpp"
 #include "test_graphs.hpp"
@@ -223,6 +224,29 @@ TEST(ExecSweep, FreeWorkersTakeTheRemainingSources) {
       });
   EXPECT_EQ(result.payloads[0], "7");
   EXPECT_EQ(result.computed, 8u);
+}
+
+TEST(ExecSweep, FramesCountCompletedSourcesAsTheSweepRuns) {
+  // A sweep's progress signal is the count of its per-source latency
+  // histogram, which every telemetry frame carries while the run goes.
+  ExecStateGuard guard;
+  parallel::ScopedThreadCount serial{1};
+  obs::metrics_reset_all();
+  const auto sources_in_frame = [] {
+    const json::Value frame = obs::TelemetryExporter::instance().build_frame();
+    const json::Value* entry =
+        frame.find("quantiles")->find("sweep.unit_progress.source_ms");
+    return entry == nullptr ? std::int64_t{0} : entry->find("count")->as_int();
+  };
+  exec::SweepOptions options;
+  options.kind = "unit_progress";
+  std::vector<std::int64_t> seen;
+  exec::run_sweep(6, options, [&](std::size_t, std::uint32_t) {
+    seen.push_back(sources_in_frame());
+    return std::string{"0"};
+  });
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(sources_in_frame(), 6);
 }
 
 TEST(ExecSweep, ThrowingSourceStopsTheSweep) {

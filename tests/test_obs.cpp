@@ -1,5 +1,4 @@
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/quantile.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -124,6 +123,25 @@ void expect_valid_json(const std::string& text) {
   EXPECT_FALSE(text.empty());
 }
 
+/// `table` as printed, with each run of column padding (two or more
+/// spaces) folded to one comma, so assertions can name a row's leading
+/// cells ("phase,3").
+std::string printed_cells(const Table& table) {
+  std::ostringstream out;
+  table.print(out);
+  const std::string text = out.str();
+  std::string cells;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == ' ' && i + 1 < text.size() && text[i + 1] == ' ') {
+      cells += ',';
+      while (i + 1 < text.size() && text[i + 1] == ' ') ++i;
+    } else {
+      cells += text[i];
+    }
+  }
+  return cells;
+}
+
 TEST_F(TraceTest, ChromeTraceJsonIsWellFormed) {
   {
     Span a{"phase \"quoted\"\n"};  // exercises string escaping
@@ -174,10 +192,9 @@ TEST_F(TraceTest, TimingTableAggregatesByPath) {
   }
   const Table table = Tracer::instance().timing_table();
   EXPECT_EQ(table.num_rows(), 2u);  // "phase" and "phase/step"
-  std::ostringstream csv;
-  table.print_csv(csv);
-  EXPECT_NE(csv.str().find("phase,3"), std::string::npos);
-  EXPECT_NE(csv.str().find("phase/step,3"), std::string::npos);
+  const std::string cells = printed_cells(table);
+  EXPECT_NE(cells.find("phase,3"), std::string::npos);
+  EXPECT_NE(cells.find("phase/step,3"), std::string::npos);
 }
 
 // -------------------------------------------------------------- metrics ---
@@ -290,91 +307,10 @@ TEST_F(MetricsTest, ToTableListsEveryKind) {
   count("test.table.counter", 5);
   set_gauge("test.table.gauge", 0.5);
   observe("test.table.histogram", 2.0);
-  const Table table = Metrics::instance().to_table();
-  std::ostringstream csv;
-  table.print_csv(csv);
-  EXPECT_NE(csv.str().find("counter,test.table.counter,5"), std::string::npos);
-  EXPECT_NE(csv.str().find("gauge,test.table.gauge"), std::string::npos);
-  EXPECT_NE(csv.str().find("histogram,test.table.histogram"),
-            std::string::npos);
-}
-
-// ------------------------------------------------------------- progress ---
-
-TEST(Progress, DisabledMeterWritesNothing) {
-  std::ostringstream out;
-  ProgressOptions options;
-  options.out = &out;
-  options.enabled = false;
-  ProgressMeter meter{"quiet", 10, options};
-  for (int i = 0; i < 10; ++i) meter.tick();
-  meter.done();
-  EXPECT_EQ(meter.emissions(), 0u);
-  EXPECT_TRUE(out.str().empty());
-}
-
-TEST(Progress, ZeroIntervalEmitsEveryTick) {
-  std::ostringstream out;
-  ProgressOptions options;
-  options.out = &out;
-  options.enabled = true;
-  options.min_interval = std::chrono::milliseconds{0};
-  ProgressMeter meter{"busy", 5, options};
-  for (int i = 0; i < 5; ++i) meter.tick();
-  meter.done();
-  EXPECT_EQ(meter.emissions(), 6u);  // 5 ticks + final line
-  EXPECT_NE(out.str().find("[busy] 5/5 (100.0%)"), std::string::npos);
-  EXPECT_NE(out.str().find("done in"), std::string::npos);
-}
-
-TEST(Progress, LargeIntervalRateLimitsToFinalLine) {
-  std::ostringstream out;
-  ProgressOptions options;
-  options.out = &out;
-  options.enabled = true;
-  options.min_interval = std::chrono::hours{1};
-  ProgressMeter meter{"slow", 1000, options};
-  for (int i = 0; i < 1000; ++i) meter.tick();
-  EXPECT_EQ(meter.emissions(), 0u);
-  meter.done();
-  EXPECT_EQ(meter.emissions(), 1u);
-  EXPECT_EQ(meter.current(), 1000u);
-}
-
-TEST(Progress, DestructorEmitsFinalLineOnce) {
-  std::ostringstream out;
-  {
-    ProgressOptions options;
-    options.out = &out;
-    options.enabled = true;
-    options.min_interval = std::chrono::hours{1};
-    ProgressMeter meter{"scoped", 3, options};
-    meter.tick(3);
-    meter.done();
-    // Destructor must not emit a second final line.
-  }
-  const std::string text = out.str();
-  std::size_t lines = 0;
-  for (std::size_t at = text.find("done in"); at != std::string::npos;
-       at = text.find("done in", at + 1))
-    ++lines;
-  EXPECT_EQ(lines, 1u);
-}
-
-TEST(Progress, EnvToggleControlsDefault) {
-  setenv("SNTRUST_PROGRESS", "1", 1);
-  std::ostringstream out;
-  ProgressOptions options;
-  options.out = &out;
-  {
-    ProgressMeter meter{"env-on", 1, options};
-    EXPECT_TRUE(meter.enabled());
-  }
-  unsetenv("SNTRUST_PROGRESS");
-  {
-    ProgressMeter meter{"env-off", 1, options};
-    EXPECT_FALSE(meter.enabled());
-  }
+  const std::string cells = printed_cells(Metrics::instance().to_table());
+  EXPECT_NE(cells.find("counter,test.table.counter,5"), std::string::npos);
+  EXPECT_NE(cells.find("gauge,test.table.gauge"), std::string::npos);
+  EXPECT_NE(cells.find("histogram,test.table.histogram"), std::string::npos);
 }
 
 // ------------------------------------------------- quantile histograms ---
@@ -382,10 +318,7 @@ TEST(Progress, EnvToggleControlsDefault) {
 class QuantileTest : public ::testing::Test {
  protected:
   void SetUp() override { metrics_reset_all(); }
-  void TearDown() override {
-    set_telemetry_clock_for_test(nullptr);
-    metrics_reset_all();
-  }
+  void TearDown() override { metrics_reset_all(); }
 };
 
 TEST_F(QuantileTest, BucketIndexCoversTheTrackedRange) {
@@ -507,147 +440,12 @@ TEST_F(QuantileTest, SnapshotsAreBitwiseDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST_F(QuantileTest, MergeEqualsCombinedRecording) {
-  QuantileHistogram left, right, combined;
-  double value = 0.9;
-  for (int i = 0; i < 1000; ++i) {
-    (i % 2 == 0 ? left : right).record(value);
-    combined.record(value);
-    value = value * 1.013 + 0.01;
-    if (value > 5000.0) value *= 0.0002;
-  }
-  QuantileSnapshot merged = left.snapshot();
-  merged.merge(right.snapshot());
-  EXPECT_TRUE(merged == combined.snapshot());
-}
-
 TEST_F(QuantileTest, ResetRestoresTheEmptyState) {
   QuantileHistogram h;
   h.record(1.0);
   h.record(2.0);
   h.reset();
   EXPECT_TRUE(h.snapshot() == QuantileHistogram().snapshot());
-}
-
-namespace fake_clock {
-std::atomic<std::uint64_t> now_ms{0};
-std::uint64_t read() { return now_ms.load(std::memory_order_relaxed); }
-}  // namespace fake_clock
-
-TEST_F(QuantileTest, WindowedHistogramAgesOutOldSamples) {
-  fake_clock::now_ms.store(0);
-  set_telemetry_clock_for_test(&fake_clock::read);
-
-  WindowedQuantileHistogram::Options options;
-  options.window_ms = 1000;
-  options.slots = 4;  // 250 ms sub-windows
-  WindowedQuantileHistogram w{options};
-
-  w.record(5.0);
-  EXPECT_EQ(w.snapshot().count, 1u);
-
-  // Still inside the window: the sample survives a rotation or two.
-  fake_clock::now_ms.store(600);
-  w.record(7.0);
-  EXPECT_EQ(w.snapshot().count, 2u);
-  EXPECT_DOUBLE_EQ(w.snapshot().min, 5.0);
-
-  // One full window later the first sample has aged out, the second not yet.
-  fake_clock::now_ms.store(1100);
-  EXPECT_EQ(w.snapshot().count, 1u);
-  EXPECT_DOUBLE_EQ(w.snapshot().min, 7.0);
-
-  // Far future: everything aged out; a new sample recycles a stale slot.
-  fake_clock::now_ms.store(10'000);
-  EXPECT_EQ(w.snapshot().count, 0u);
-  w.record(9.0);
-  EXPECT_EQ(w.snapshot().count, 1u);
-  EXPECT_DOUBLE_EQ(w.snapshot().value_at_quantile(0.5), 9.0);
-}
-
-TEST_F(QuantileTest, WindowedHistogramSurvivesABackwardsClock) {
-  // A non-monotonic telemetry clock (VM suspend, manual clock step, ntp
-  // slew) must never corrupt the window: samples stamped "in the future"
-  // simply age out of snapshots and their slots recycle on the next record.
-  fake_clock::now_ms.store(10'000);
-  set_telemetry_clock_for_test(&fake_clock::read);
-
-  WindowedQuantileHistogram w{{1000, 4}};  // 250 ms sub-windows
-  w.record(5.0);
-  EXPECT_EQ(w.snapshot().count, 1u);
-
-  // Clock steps backwards by 9 s: the unsigned epoch distance wraps huge,
-  // so the future-stamped slot is treated as aged out — skipped, not merged.
-  fake_clock::now_ms.store(1'000);
-  EXPECT_EQ(w.snapshot().count, 0u);
-
-  // Recording at the earlier time recycles that stale slot cleanly.
-  w.record(7.0);
-  const QuantileSnapshot snap = w.snapshot();
-  EXPECT_EQ(snap.count, 1u);
-  EXPECT_DOUBLE_EQ(snap.min, 7.0);
-  EXPECT_DOUBLE_EQ(snap.max, 7.0);
-}
-
-TEST_F(QuantileTest, WindowedHistogramSurvivesClockRolloverNearUint64Max) {
-  // Epochs near 2^64 must not collide with the idle-slot sentinel, and a
-  // wraparound to small timestamps behaves like any backwards step.
-  fake_clock::now_ms.store(~std::uint64_t{0} - 5);
-  set_telemetry_clock_for_test(&fake_clock::read);
-
-  WindowedQuantileHistogram w{{1000, 4}};
-  w.record(3.0);
-  EXPECT_EQ(w.snapshot().count, 1u);
-
-  fake_clock::now_ms.store(3);  // the clock wrapped
-  EXPECT_EQ(w.snapshot().count, 0u);
-  w.record(4.0);
-  EXPECT_EQ(w.snapshot().count, 1u);
-  EXPECT_DOUBLE_EQ(w.snapshot().value_at_quantile(0.5), 4.0);
-}
-
-TEST_F(QuantileTest, WindowedHistogramAbsorbsSameTimestampBursts) {
-  fake_clock::now_ms.store(500);
-  set_telemetry_clock_for_test(&fake_clock::read);
-
-  WindowedQuantileHistogram w{{1000, 4}};
-  // A burst that never advances the clock lands in one sub-window.
-  for (int i = 1; i <= 500; ++i) w.record(static_cast<double>(i));
-  const QuantileSnapshot snap = w.snapshot();
-  EXPECT_EQ(snap.count, 500u);
-  EXPECT_DOUBLE_EQ(snap.min, 1.0);
-  EXPECT_DOUBLE_EQ(snap.max, 500.0);
-
-  // The whole burst ages out together once the window passes.
-  fake_clock::now_ms.store(500 + 1000);
-  EXPECT_EQ(w.snapshot().count, 0u);
-}
-
-TEST_F(QuantileTest, WindowedHistogramHandlesRecordingGaps) {
-  fake_clock::now_ms.store(0);
-  set_telemetry_clock_for_test(&fake_clock::read);
-
-  WindowedQuantileHistogram w{{1000, 4}};
-  w.record(1.0);
-
-  // An idle gap much longer than the window: the stale sample must not
-  // resurface even though its slot was never overwritten in between.
-  fake_clock::now_ms.store(60'000);
-  EXPECT_EQ(w.snapshot().count, 0u);
-  w.record(2.0);
-  w.record(8.0);
-  const QuantileSnapshot snap = w.snapshot();
-  EXPECT_EQ(snap.count, 2u);
-  EXPECT_DOUBLE_EQ(snap.min, 2.0);
-  EXPECT_DOUBLE_EQ(snap.max, 8.0);
-}
-
-TEST_F(QuantileTest, WindowedOptionsClampToUsableValues) {
-  WindowedQuantileHistogram degenerate{{0, 0}};
-  // window_ms >= slots >= 2 so the epoch arithmetic stays well defined.
-  EXPECT_GE(degenerate.window_ms(), 2u);
-  degenerate.record(1.0);
-  EXPECT_GE(degenerate.snapshot().count, 0u);
 }
 
 TEST_F(QuantileTest, RegistryHandsOutStableReferencesAndSnapshots) {
@@ -657,14 +455,10 @@ TEST_F(QuantileTest, RegistryHandsOutStableReferencesAndSnapshots) {
   record_latency("test.lat", 50.0);
   const MetricsSnapshot snap = Metrics::instance().snapshot();
   ASSERT_TRUE(snap.quantiles.count("test.lat"));
-  ASSERT_TRUE(snap.windows.count("test.lat"));
   EXPECT_EQ(snap.quantiles.at("test.lat").count, 2u);
-  EXPECT_EQ(snap.windows.at("test.lat").count, 2u);
-  const Table table = Metrics::instance().to_table();
-  std::ostringstream csv;
-  table.print_csv(csv);
-  EXPECT_NE(csv.str().find("quantile,test.lat"), std::string::npos);
-  EXPECT_NE(csv.str().find("window,test.lat"), std::string::npos);
+  EXPECT_NE(printed_cells(Metrics::instance().to_table())
+                .find("quantile,test.lat,2 obs"),
+            std::string::npos);
 }
 
 TEST_F(QuantileTest, SnapshotRacingRecordersStaysInternallyConsistent) {
@@ -734,21 +528,14 @@ TEST(Telemetry, ParsesSpecWithOptionalPeriod) {
     EXPECT_EQ(options.period_ms, 1u);
   }
   EXPECT_FALSE(parse_telemetry_spec("").enabled());
-}
-
-TEST(Telemetry, PrometheusNamesAreSanitized) {
-  EXPECT_EQ(prometheus_metric_name("sweep.mixing.source_ms"),
-            "sntrust_sweep_mixing_source_ms");
-  EXPECT_EQ(prometheus_metric_name("ok_name:sub"), "sntrust_ok_name:sub");
-  EXPECT_EQ(prometheus_metric_name("bad name-x"), "sntrust_bad_name_x");
+  // A period past 64 bits is not a spec.
+  EXPECT_FALSE(parse_telemetry_spec("out.jsonl:99999999999999999999").enabled());
 }
 
 TEST(Telemetry, ExporterWritesParseableFramesAcrossLifecycle) {
   metrics_reset_all();
   const std::string jsonl = obs_temp_path("sntrust_telemetry_lifecycle.jsonl");
-  const std::string prom = obs_temp_path("sntrust_telemetry_lifecycle.prom");
   std::remove(jsonl.c_str());
-  std::remove(prom.c_str());
 
   count("test.frames_counter", 3);
   set_gauge("test.frames_gauge", 1.25);
@@ -758,7 +545,6 @@ TEST(Telemetry, ExporterWritesParseableFramesAcrossLifecycle) {
   const std::uint64_t before = exporter.frames_written();
   TelemetryOptions options;
   options.jsonl_path = jsonl;
-  options.prom_path = prom;
   options.period_ms = 60'000;  // no periodic frames during the test
   exporter.start(options);
   EXPECT_TRUE(exporter.running());
@@ -777,7 +563,7 @@ TEST(Telemetry, ExporterWritesParseableFramesAcrossLifecycle) {
   ASSERT_EQ(frames.frames.size(), 3u);
   std::int64_t last_seq = -1;
   for (const json::Value& frame : frames.frames) {
-    EXPECT_EQ(frame.find("schema_version")->as_int(), 1);
+    EXPECT_EQ(frame.find("schema_version")->as_int(), kTelemetrySchemaVersion);
     EXPECT_GT(frame.find("seq")->as_int(), last_seq);
     last_seq = frame.find("seq")->as_int();
     ASSERT_NE(frame.find("tool"), nullptr);
@@ -785,7 +571,7 @@ TEST(Telemetry, ExporterWritesParseableFramesAcrossLifecycle) {
     EXPECT_NE(frame.find("totals")->find("peak_rss_bytes"), nullptr);
     ASSERT_NE(frame.find("counters"), nullptr);
     ASSERT_NE(frame.find("quantiles"), nullptr);
-    ASSERT_NE(frame.find("windows"), nullptr);
+    EXPECT_EQ(frame.find("windows"), nullptr);  // dropped in version 2
   }
   // The final frame carries the recorded state: counter value and the
   // quantile entry with its value fields (count > 0 gates them in).
@@ -798,28 +584,7 @@ TEST(Telemetry, ExporterWritesParseableFramesAcrossLifecycle) {
   EXPECT_GT(lat->find("p50")->as_number(), 0.0);
   ASSERT_NE(lat->find("p99"), nullptr);
 
-  // The Prometheus sink holds the last exposition in text format.
-  std::ifstream prom_in{prom};
-  ASSERT_TRUE(prom_in.good());
-  std::ostringstream prom_text;
-  prom_text << prom_in.rdbuf();
-  EXPECT_NE(prom_text.str().find(
-                "# TYPE sntrust_test_frames_counter_total counter"),
-            std::string::npos);
-  EXPECT_NE(prom_text.str().find("sntrust_test_frames_counter_total 3"),
-            std::string::npos);
-  EXPECT_NE(prom_text.str().find("# TYPE sntrust_test_frames_gauge gauge"),
-            std::string::npos);
-  EXPECT_NE(prom_text.str().find(
-                "sntrust_test_frames_lat{quantile=\"0.5\"}"),
-            std::string::npos);
-  EXPECT_NE(prom_text.str().find("sntrust_test_frames_lat_count 2"),
-            std::string::npos);
-  EXPECT_NE(prom_text.str().find("sntrust_test_frames_lat_window_count"),
-            std::string::npos);
-
   std::remove(jsonl.c_str());
-  std::remove(prom.c_str());
   metrics_reset_all();
 }
 
@@ -841,34 +606,31 @@ TEST(Telemetry, ExporterRestartsAfterStop) {
 }
 
 TEST(Telemetry, FailingSinkDoesNotWedgeTheExporter) {
-  const std::string jsonl = obs_temp_path("sntrust_telemetry_sink.jsonl");
-  const std::string prom_dir = obs_temp_path("sntrust_telemetry_sink_dir");
-  std::remove(jsonl.c_str());
-  std::filesystem::create_directories(prom_dir);
+  // /dev/full opens but refuses every write: a real sink failure.
   TelemetryExporter& exporter = TelemetryExporter::instance();
   const std::uint64_t before = exporter.frames_written();
   TelemetryOptions options;
-  options.jsonl_path = jsonl;
-  options.prom_path = prom_dir + "/metrics.prom";
+  options.jsonl_path = "/dev/full";
   options.period_ms = 60'000;
-  exporter.start(options);  // frame 0 reaches both sinks
-
-  // A real sink failure: the Prometheus file's directory disappears, so
-  // every later frame fails to write it.
-  std::filesystem::remove_all(prom_dir);
+  testing::internal::CaptureStderr();
+  exporter.start(options);  // frame 0 fails, is reported, and start goes on
+  EXPECT_TRUE(exporter.running());
   EXPECT_THROW(exporter.flush(), std::runtime_error);
-  // stop() tolerates a failing final flush (it must never take down the
+  // stop() tolerates a failing final frame (it must never take down the
   // workload at exit) and still shuts the exporter down cleanly.
   EXPECT_NO_THROW(exporter.stop());
+  const std::string reported = testing::internal::GetCapturedStderr();
   EXPECT_FALSE(exporter.running());
 
-  // Only frame 0 completed; the JSONL sink, written first, got every frame
-  // and is still strictly parseable.
-  EXPECT_EQ(exporter.frames_written() - before, 1u);
-  const TelemetryFrames frames = read_telemetry_frames(jsonl);
-  EXPECT_FALSE(frames.truncated_tail);
-  EXPECT_EQ(frames.frames.size(), 3u);
-  std::remove(jsonl.c_str());
+  // No frame reached the stream, so none is counted; frame 0 and the final
+  // frame were each reported on stderr.
+  EXPECT_EQ(exporter.frames_written() - before, 0u);
+  std::size_t failures = 0;
+  for (std::size_t at = reported.find("telemetry: write failed /dev/full");
+       at != std::string::npos;
+       at = reported.find("telemetry: write failed /dev/full", at + 1))
+    ++failures;
+  EXPECT_EQ(failures, 2u) << reported;
 }
 
 TEST(Telemetry, TruncatedFinalFrameIsTolerated) {

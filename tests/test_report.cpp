@@ -2,12 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
-#include "report/csv_sink.hpp"
 #include "report/series.hpp"
 
 namespace sntrust {
@@ -44,23 +40,6 @@ TEST(Table, EmptyHeaderThrows) {
   EXPECT_THROW(Table{std::vector<std::string>{}}, std::invalid_argument);
 }
 
-TEST(Table, CsvEscapesSpecials) {
-  Table t{{"name", "note"}};
-  t.add_row({"a,b", "say \"hi\""});
-  std::ostringstream out;
-  t.print_csv(out);
-  EXPECT_NE(out.str().find("\"a,b\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"say \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST(Table, CsvPlainCellsUnquoted) {
-  Table t{{"x"}};
-  t.add_row({"42"});
-  std::ostringstream out;
-  t.print_csv(out);
-  EXPECT_EQ(out.str(), "x\n42\n");
-}
-
 TEST(SeriesSet, MergesOnX) {
   SeriesSet figure{"t"};
   figure.add_series("a", {0, 1, 2}, {1.0, 0.5, 0.25});
@@ -94,39 +73,6 @@ TEST(Table, EmptyCellsAllowed) {
   std::ostringstream out;
   t.print(out);
   EXPECT_NE(out.str().find("x"), std::string::npos);
-}
-
-TEST(CsvSink, SkipsWhenUnset) {
-  unsetenv("SNTRUST_CSV_DIR");
-  Table t{{"x"}};
-  t.add_row({"1"});
-  EXPECT_TRUE(maybe_write_csv(t, "nothing").empty());
-}
-
-TEST(CsvSink, WritesWhenSet) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "sntrust_csv_test").string();
-  std::filesystem::create_directories(dir);
-  setenv("SNTRUST_CSV_DIR", dir.c_str(), 1);
-  Table t{{"a", "b"}};
-  t.add_row({"1", "2"});
-  const std::string path = maybe_write_csv(t, "unit");
-  unsetenv("SNTRUST_CSV_DIR");
-  ASSERT_FALSE(path.empty());
-  std::ifstream in{path};
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,2");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CsvSink, BadDirectoryThrows) {
-  setenv("SNTRUST_CSV_DIR", "/nonexistent/surely/missing", 1);
-  Table t{{"x"}};
-  EXPECT_THROW(maybe_write_csv(t, "boom"), std::runtime_error);
-  unsetenv("SNTRUST_CSV_DIR");
 }
 
 TEST(SeriesSet, MissingPointsAreBlank) {

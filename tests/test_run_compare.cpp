@@ -144,11 +144,11 @@ TEST(RunCompare, DiffTableLeadsWithRegressions) {
   const RunReportData candidate = parse(report_json(150.0, 210.0, 1000.0));
   const Table table =
       diff_table(diff_run_reports(baseline, candidate, DiffOptions{}));
-  std::ostringstream csv;
-  table.print_csv(csv);
-  const std::string text = csv.str();
+  std::ostringstream printed;
+  table.print(printed);
+  const std::string text = printed.str();
   const std::size_t regressed = text.find("REGRESSED");
-  const std::size_t ok = text.find(",ok");
+  const std::size_t ok = text.find("  ok");
   ASSERT_NE(regressed, std::string::npos);
   EXPECT_TRUE(ok == std::string::npos || regressed < ok);
 }

@@ -29,14 +29,18 @@
 //   --allow-provenance-mismatch  diff even when provenance disagrees
 //   --cpu                     also gate span/total cpu_ms
 //   --warn-only               print the table but always exit 0
+// A threshold or count that is not a whole decimal string >= 0 is a usage
+// error (exit 2).
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "obs/telemetry.hpp"
 #include "report/run_compare.hpp"
+#include "util/env.hpp"
 #include "util/format.hpp"
 
 namespace {
@@ -151,8 +155,9 @@ int main(int argc, char** argv) {
       const std::string arg = argv[i];
       auto next_double = [&](double& out) {
         if (i + 1 >= argc) return false;
-        out = std::atof(argv[++i]);
-        return true;
+        const auto value = parse_nonnegative(argv[++i]);
+        if (value) out = *value;
+        return value.has_value();
       };
       if (arg == "--threshold-pct") {
         if (!next_double(options.span_threshold_pct)) return usage();
@@ -170,7 +175,10 @@ int main(int argc, char** argv) {
         if (!next_double(options.ci_widen_threshold_pct)) return usage();
       } else if (arg == "--max-new-nonconverged") {
         if (i + 1 >= argc) return usage();
-        options.max_new_nonconverged = std::atoll(argv[++i]);
+        const auto count = parse_count(
+            argv[++i], 0, std::numeric_limits<std::int64_t>::max());
+        if (!count) return usage();
+        options.max_new_nonconverged = static_cast<std::int64_t>(*count);
       } else if (arg == "--allow-provenance-mismatch") {
         allow_provenance_mismatch = true;
       } else if (arg == "--cpu") {

@@ -35,25 +35,23 @@
 //                        SNTRUST_CHECKPOINT). --resume is an alias; both
 //                        read and write the same file.
 //   --telemetry <path[:period_ms]>
-//                        Stream live telemetry frames (JSONL, schema v1:
+//                        Stream live telemetry frames (JSONL, schema v2:
 //                        counters, gauges, latency quantiles, resource
 //                        totals) to <path> every period_ms (default 1000)
-//                        while the run executes. Same as
-//                        SNTRUST_TELEMETRY; SNTRUST_TELEMETRY_PROM=<path>
-//                        adds a Prometheus text sink.
+//                        while the run executes; each sweep's
+//                        sweep.<kind>.source_ms count is its progress.
+//                        Same as SNTRUST_TELEMETRY.
 //   --diag               Record estimator diagnostics (convergence traces,
 //                        CI95s) in the run report (same as SNTRUST_DIAG=1).
 // Any other argument starting with "--" is a usage error, and so is a
-// number that is not a whole decimal string in range: threads, deadline,
-// sources, Sybils and attack edges at least 1, scale above 0.
-// Progress lines for long sweeps appear on stderr with SNTRUST_PROGRESS=1.
+// number that is not a whole decimal string in range (util/env.hpp's
+// parse_count and parse_nonnegative): threads, deadline, sources, Sybils
+// and attack edges at least 1, scale above 0.
 //
 // Exit codes: 0 success, 64 usage error, 65 bad input (unreadable or
 // malformed graph files), 75 interrupted (signal or deadline), 1 internal
 // error.
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <limits>
@@ -73,11 +71,11 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
-#include "report/csv_sink.hpp"
 #include "report/table.hpp"
 #include "sybil/gatekeeper.hpp"
 #include "sybil/sumup.hpp"
 #include "sybil/sybillimit.hpp"
+#include "util/env.hpp"
 #include "util/format.hpp"
 
 namespace {
@@ -106,29 +104,6 @@ int usage() {
                "  --diag               record estimator diagnostics "
                "(convergence traces, CI95s) in the report\n";
   return 64;  // EX_USAGE
-}
-
-/// `text` read whole as a decimal integer in [1, max]; nullopt for
-/// anything else ("2x", "", "-1", "0", out of range).
-std::optional<std::uint64_t> parse_count(const std::string& text,
-                                         std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc{} || stop != end || value < 1 || value > max)
-    return std::nullopt;
-  return value;
-}
-
-/// `text` read whole as a finite number above 0; nullopt otherwise.
-std::optional<double> parse_scale(const std::string& text) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc{} || stop != end || !std::isfinite(value) ||
-      value <= 0.0)
-    return std::nullopt;
-  return value;
 }
 
 constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
@@ -213,12 +188,9 @@ int cmd_measure(const std::string& path, std::uint32_t sources) {
                  fixed(report.min_expansion_factor, 4)});
   table.print(std::cout);
 
-  // Timing section: where the run's wall-clock went, phase by phase. Also
-  // lands in $SNTRUST_CSV_DIR/measure_timings.csv when that sink is set.
-  const Table timings = tracer.timing_table();
+  // Timing section: where the run's wall-clock went, phase by phase.
   std::cout << "timings (wall-clock per span)\n";
-  timings.print(std::cout);
-  maybe_write_csv(timings, "measure_timings");
+  tracer.timing_table().print(std::cout);
   return 0;
 }
 
@@ -296,7 +268,7 @@ int main(int argc, char** argv) {
       }
       if (arg == "--threads") {
         if (i + 1 >= argc) return usage();
-        const auto threads = parse_count(argv[++i], kMaxU32);
+        const auto threads = parse_count(argv[++i], 1, kMaxU32);
         if (!threads) return usage();
         parallel::set_thread_count(static_cast<std::uint32_t>(*threads));
         continue;
@@ -310,7 +282,7 @@ int main(int argc, char** argv) {
       }
       if (arg == "--deadline") {
         if (i + 1 >= argc) return usage();
-        const auto ms = parse_count(argv[++i], kMaxDeadlineMs);
+        const auto ms = parse_count(argv[++i], 1, kMaxDeadlineMs);
         if (!ms) return usage();
         exec::set_process_deadline(
             exec::Deadline::after_ms(static_cast<std::int64_t>(*ms)));
@@ -362,17 +334,18 @@ int main(int argc, char** argv) {
       if (command == "datasets" && n == 1) {
         status = cmd_datasets();
       } else if (command == "generate" && n == 4) {
-        const auto scale = parse_scale(args[2]);
-        status = scale ? cmd_generate(args[1], *scale, args[3]) : usage();
+        const auto scale = parse_nonnegative(args[2]);
+        status = scale && *scale > 0.0 ? cmd_generate(args[1], *scale, args[3])
+                                       : usage();
       } else if (command == "measure" && (n == 2 || n == 3)) {
         const std::optional<std::uint64_t> sources =
-            n == 3 ? parse_count(args[2], kMaxU32) : 20;
+            n == 3 ? parse_count(args[2], 1, kMaxU32) : 20;
         status = sources ? cmd_measure(args[1],
                                        static_cast<std::uint32_t>(*sources))
                          : usage();
       } else if (command == "attack" && n == 4) {
-        const auto sybils = parse_count(args[2], kMaxVertices);
-        const auto attack_edges = parse_count(args[3], kMaxU32);
+        const auto sybils = parse_count(args[2], 1, kMaxVertices);
+        const auto attack_edges = parse_count(args[3], 1, kMaxU32);
         status = sybils && attack_edges
                      ? cmd_attack(args[1], static_cast<VertexId>(*sybils),
                                   static_cast<std::uint32_t>(*attack_edges))

@@ -1,6 +1,7 @@
-// sntrust_diag: renders and diffs the estimator-diagnostics ("diag")
-// section of run reports — the statistical-quality counterpart to
-// sntrust_benchdiff's timing diffs.
+// sntrust_diag: renders the estimator-diagnostics ("diag") section of a
+// run report — the statistical-quality counterpart to sntrust_benchdiff's
+// timing diffs. Diffing two reports' estimate quality is sntrust_benchdiff's
+// job: its quality rows gate CI95 widths and new non-converged sources.
 //
 //   sntrust_diag [options] <report.json>
 //       Renders the diag section: convergence verdict, flagged (cap-exit)
@@ -9,33 +10,25 @@
 //       plus a thinned trajectory for each trace). Exits 1 when any source
 //       is flagged as non-converged — CI runs this against the reference
 //       dataset to assert every estimate converged.
-//   sntrust_diag [options] <baseline.json> <candidate.json>
-//       Diffs estimate quality between two runs: CI95 widths per estimate
-//       and the nonconverged count, gated like sntrust_benchdiff's quality
-//       rows. Refuses mismatched provenance (different graph fingerprints
-//       or scale) unless --allow-provenance-mismatch.
 //
 // Options:
-//   --ci-widen-threshold-pct <p>  CI95-width regression gate (default 50)
-//   --max-new-nonconverged <n>    allowed new cap-exit sources (default 0)
-//   --trace-points <n>            trajectory samples rendered per trace
-//                                 (default 8)
-//   --allow-provenance-mismatch   diff despite provenance mismatch
-//   --warn-only                   report but always exit 0
+//   --trace-points <n>   trajectory samples rendered per trace (default 8,
+//                        a whole decimal number >= 2)
+//   --warn-only          report but always exit 0
 //
-// Exit codes: 0 ok, 1 flagged sources / quality gate breached, 2 usage or
-// read error (same taxonomy as sntrust_benchdiff).
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
+// Exit codes: 0 ok, 1 flagged sources, 2 usage or read error (same
+// taxonomy as sntrust_benchdiff).
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "report/run_compare.hpp"
 #include "report/table.hpp"
+#include "util/env.hpp"
 #include "util/format.hpp"
 #include "util/json.hpp"
 
@@ -44,18 +37,14 @@ namespace {
 using namespace sntrust;
 
 int usage() {
-  std::cerr
-      << "usage:\n"
-         "  sntrust_diag [options] <report.json>\n"
-         "  sntrust_diag [options] <baseline.json> <candidate.json>\n"
-         "options:\n"
-         "  --ci-widen-threshold-pct <p>  CI95-width gate (default 50)\n"
-         "  --max-new-nonconverged <n>    allowed new cap-exit sources "
-         "(default 0)\n"
-         "  --trace-points <n>            trajectory samples per trace "
-         "(default 8)\n"
-         "  --allow-provenance-mismatch   diff despite provenance mismatch\n"
-         "  --warn-only                   report but always exit 0\n";
+  std::cerr << "usage:\n"
+               "  sntrust_diag [options] <report.json>\n"
+               "options:\n"
+               "  --trace-points <n>   trajectory samples per trace "
+               "(default 8, at least 2)\n"
+               "  --warn-only          report but always exit 0\n"
+               "(diff two reports' estimate quality with "
+               "sntrust_benchdiff)\n";
   return 2;
 }
 
@@ -167,8 +156,7 @@ int cmd_render(const std::string& path, std::size_t trace_points,
     if (const json::Value* dropped = diag->find("dropped_traces");
         dropped != nullptr)
       std::cout << "(" << dropped->as_int()
-                << " traces dropped past the per-kind cap — raise "
-                   "SNTRUST_DIAG_MAX_TRACES to keep more)\n\n";
+                << " traces dropped past the per-kind cap)\n\n";
   }
 
   if (report.diag_nonconverged > 0) {
@@ -180,82 +168,21 @@ int cmd_render(const std::string& path, std::size_t trace_points,
   return 0;
 }
 
-int cmd_diff(const std::string& baseline_path,
-             const std::string& candidate_path, const DiffOptions& options,
-             bool allow_provenance_mismatch, bool warn_only) {
-  const RunReportData baseline = load_run_report(baseline_path);
-  const RunReportData candidate = load_run_report(candidate_path);
-  if (const std::string mismatch = provenance_mismatch(baseline, candidate);
-      !mismatch.empty()) {
-    if (!allow_provenance_mismatch) {
-      std::cerr << "error: refusing to diff: " << mismatch
-                << "\n(pass --allow-provenance-mismatch to compare anyway)\n";
-      return 2;
-    }
-    std::cerr << "warning: " << mismatch << "\n";
-  }
-  std::cout << "baseline:  " << baseline_path << " (" << baseline.tool
-            << ")\n"
-            << "candidate: " << candidate_path << " (" << candidate.tool
-            << ")\n\n";
-  if (!baseline.has_diag || !candidate.has_diag) {
-    std::cout << "diag section missing on "
-              << (!baseline.has_diag && !candidate.has_diag
-                      ? "both sides"
-                      : (!baseline.has_diag ? "the baseline"
-                                            : "the candidate"))
-              << " — nothing to gate (run both with SNTRUST_DIAG=1)\n";
-    return 0;
-  }
-  const DiffResult result = diff_run_reports(baseline, candidate, options);
-  Table table{{"name", "metric", "baseline", "candidate", "delta",
-               "status"}};
-  for (const DiffRow& row : result.quality) {
-    const std::string delta =
-        row.status == DiffRow::Status::Added ||
-                row.status == DiffRow::Status::Removed
-            ? "-"
-            : (std::isfinite(row.delta_pct) ? fixed(row.delta_pct, 1) + "%"
-                                            : "inf");
-    table.add_row({row.name, row.metric, compact(row.baseline),
-                   compact(row.candidate), delta, to_string(row.status)});
-  }
-  table.print(std::cout);
-  bool quality_breached = false;
-  for (const DiffRow& row : result.quality)
-    if (row.status == DiffRow::Status::Regressed) quality_breached = true;
-  if (quality_breached) {
-    std::cout << (warn_only ? "\nestimate quality degraded (warn-only)\n"
-                            : "\nestimate quality degraded\n");
-    return warn_only ? 0 : 1;
-  }
-  std::cout << "\nestimate quality held\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    DiffOptions options;
     bool warn_only = false;
-    bool allow_provenance_mismatch = false;
     std::size_t trace_points = 8;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--ci-widen-threshold-pct") {
+      if (arg == "--trace-points") {
         if (i + 1 >= argc) return usage();
-        options.ci_widen_threshold_pct = std::atof(argv[++i]);
-      } else if (arg == "--max-new-nonconverged") {
-        if (i + 1 >= argc) return usage();
-        options.max_new_nonconverged = std::atoll(argv[++i]);
-      } else if (arg == "--trace-points") {
-        if (i + 1 >= argc) return usage();
-        trace_points = static_cast<std::size_t>(
-            std::max(2LL, std::atoll(argv[++i])));
-      } else if (arg == "--allow-provenance-mismatch") {
-        allow_provenance_mismatch = true;
+        const auto points = parse_count(
+            argv[++i], 2, std::numeric_limits<std::uint32_t>::max());
+        if (!points) return usage();
+        trace_points = static_cast<std::size_t>(*points);
       } else if (arg == "--warn-only") {
         warn_only = true;
       } else if (!arg.empty() && arg[0] == '-') {
@@ -265,12 +192,8 @@ int main(int argc, char** argv) {
         paths.push_back(arg);
       }
     }
-    if (paths.size() == 1)
-      return cmd_render(paths[0], trace_points, warn_only);
-    if (paths.size() == 2)
-      return cmd_diff(paths[0], paths[1], options,
-                      allow_provenance_mismatch, warn_only);
-    return usage();
+    if (paths.size() != 1) return usage();
+    return cmd_render(paths[0], trace_points, warn_only);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 2;

@@ -25,11 +25,15 @@
 // cancellation report status=cancelled and the process exits 75 with
 // whatever completed.
 //
-// Exit codes: 0 success, 64 usage error, 65 bad input (unreadable graph,
+// Exit codes: 0 success, 64 usage error (also a vertex, seed or scale that
+// is not a whole decimal string in range), 65 bad input (unreadable graph,
 // out-of-range vertex/seed, unknown command), 75 interrupted,
-// 1 internal error.
+// 1 internal error. In the REPL a bad line prints an error and the loop
+// goes on.
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,6 +42,7 @@
 #include "graph/io.hpp"
 #include "obs/metrics.hpp"
 #include "serve/trust_service.hpp"
+#include "util/env.hpp"
 #include "util/format.hpp"
 
 namespace {
@@ -64,18 +69,24 @@ int usage() {
   return 64;  // EX_USAGE
 }
 
+/// A malformed number: exit 64 from main, one bad line in the REPL.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+VertexId parse_vertex(const std::string& text) {
+  const auto vertex =
+      parse_count(text, 0, std::numeric_limits<VertexId>::max());
+  if (!vertex) throw UsageError("not a vertex id: " + text);
+  return static_cast<VertexId>(*vertex);
+}
+
 std::vector<VertexId> parse_seeds(const std::string& text) {
   std::vector<VertexId> seeds;
   std::istringstream in{text};
   std::string item;
-  while (std::getline(in, item, ',')) {
-    std::size_t used = 0;
-    const unsigned long value = std::stoul(item, &used);
-    if (used != item.size())
-      throw std::invalid_argument("bad seed list: " + text);
-    seeds.push_back(static_cast<VertexId>(value));
-  }
-  if (seeds.empty()) throw std::invalid_argument("empty seed list");
+  while (std::getline(in, item, ',')) seeds.push_back(parse_vertex(item));
+  if (seeds.empty()) throw UsageError("empty seed list");
   return seeds;
 }
 
@@ -164,10 +175,10 @@ bool run_command(serve::TrustService& service,
   if ((op == "admit" || op == "trust") && words.size() == 3) {
     query.kind = op == "admit" ? QueryKind::kAdmission : QueryKind::kTrustScore;
     query.defense = parse_defense(words[1]);
-    query.vertex = static_cast<VertexId>(std::stoul(words[2]));
+    query.vertex = parse_vertex(words[2]);
   } else if ((op == "coreness" || op == "landmark") && words.size() == 2) {
     query.kind = op == "coreness" ? QueryKind::kCoreness : QueryKind::kLandmark;
-    query.vertex = static_cast<VertexId>(std::stoul(words[1]));
+    query.vertex = parse_vertex(words[1]);
   } else {
     throw std::invalid_argument("unknown command: " + op);
   }
@@ -238,15 +249,19 @@ int main(int argc, char** argv) {
                             /*repl=*/true);
     if (command == "bench-gen" && args.size() >= 5) {
       const DatasetSpec& spec = dataset_by_id(args[1]);
-      const double scale = std::stod(args[2]);
-      Graph graph = scale == 0.0 ? spec.generate_full(kBenchSeed)
-                                 : spec.generate(scale, kBenchSeed);
+      const auto scale = parse_nonnegative(args[2]);
+      if (!scale) return usage();
+      Graph graph = *scale == 0.0 ? spec.generate_full(kBenchSeed)
+                                  : spec.generate(*scale, kBenchSeed);
       return serve_commands(std::move(graph), parse_seeds(args[3]),
                             split_script(args, 4), /*repl=*/false);
     }
     return usage();
   } catch (const sntrust::exec::CancelledError& error) {
     return exec::interrupted_exit(error.what());
+  } catch (const UsageError& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return usage();
   } catch (const sntrust::IoError& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 65;  // EX_DATAERR

@@ -7,7 +7,9 @@
 //       fsync + rename).
 //   sntrust_snapshot generate <dataset_id> <scale> <seed> <out.snap>
 //       Generates a Table-I analogue (scale 0 = the full paper-scale size)
-//       and writes it as a snapshot directly — no edge-list detour.
+//       and writes it as a snapshot directly — no edge-list detour. A
+//       scale or seed that is not a whole decimal string in range (scale
+//       >= 0, seed a 64-bit unsigned integer) is a usage error.
 //   sntrust_snapshot info <path.snap>
 //       Prints the header: version, sizes, fingerprint, CRCs.
 //   sntrust_snapshot verify <path.snap>
@@ -16,8 +18,8 @@
 //
 // Exit codes: 0 success, 64 usage error, 65 bad input (malformed, truncated,
 // corrupted, foreign-endian, or unknown-version files), 1 internal error.
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "graph/io.hpp"
 #include "graph/snapshot.hpp"
 #include "obs/trace.hpp"
+#include "util/env.hpp"
 #include "util/format.hpp"
 
 namespace {
@@ -100,10 +103,13 @@ int main(int argc, char** argv) {
     const std::string& command = args[0];
     const std::size_t n = args.size();
     if (command == "convert" && n == 3) return cmd_convert(args[1], args[2]);
-    if (command == "generate" && n == 5)
-      return cmd_generate(args[1], std::atof(args[2].c_str()),
-                          std::strtoull(args[3].c_str(), nullptr, 10),
-                          args[4]);
+    if (command == "generate" && n == 5) {
+      const auto scale = parse_nonnegative(args[2]);
+      const auto seed = parse_count(
+          args[3], 0, std::numeric_limits<std::uint64_t>::max());
+      if (!scale || !seed) return usage();
+      return cmd_generate(args[1], *scale, *seed, args[4]);
+    }
     if (command == "info" && n == 2) return cmd_info(args[1]);
     if (command == "verify" && n == 2) return cmd_verify(args[1]);
     return usage();
