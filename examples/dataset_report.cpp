@@ -7,16 +7,17 @@
 #include <iostream>
 #include <string>
 
+#include "example_main.hpp"
 #include "gen/datasets.hpp"
 #include "graph/stats.hpp"
 #include "markov/spectral.hpp"
 #include "report/table.hpp"
 #include "util/format.hpp"
 
-int main(int argc, char** argv) {
-  using namespace sntrust;
-  const bool measure = argc > 1 && std::string(argv[1]) == "measure";
+namespace {
 
+int run(bool measure) {
+  using namespace sntrust;
   if (!measure) {
     Table table{{"id", "name", "paper nodes", "paper edges", "paper mu",
                  "class", "social model"}};
@@ -48,4 +49,13 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bool measure = argc == 2 && std::string(argv[1]) == "measure";
+  if (argc > 1 && !measure)
+    return sntrust::examples::usage_error("dataset_report [measure]");
+  return sntrust::examples::guarded_main([&] { return run(measure); });
 }

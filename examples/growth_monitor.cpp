@@ -4,11 +4,15 @@
 // attachment) with a strict-trust one (regional affiliation).
 //
 //   ./growth_monitor [final_n]
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <optional>
 
 #include "dynamic/evolution.hpp"
+#include "example_main.hpp"
 #include "report/table.hpp"
+#include "util/env.hpp"
 #include "util/format.hpp"
 
 namespace {
@@ -28,11 +32,8 @@ void report(const std::string& title,
   std::cout << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(sntrust::VertexId n) {
   using namespace sntrust;
-  const auto n = static_cast<VertexId>(argc > 1 ? std::atoi(argv[1]) : 4000);
   const std::vector<VertexId> sizes{n / 8, n / 4, n / 2, n};
 
   EvolutionOptions options;
@@ -50,4 +51,17 @@ int main(int argc, char** argv) {
                "grows: its mu creeps toward 1 and its cores fragment, while "
                "the weak-trust network's properties are scale-stable.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace sntrust;
+  const std::optional<std::uint64_t> n =
+      argc > 1 ? parse_count(argv[1], 1, std::numeric_limits<VertexId>::max())
+               : 4000;
+  if (argc > 2 || !n)
+    return examples::usage_error("growth_monitor [final_n >= 1]");
+  return examples::guarded_main(
+      [&] { return run(static_cast<VertexId>(*n)); });
 }

@@ -4,28 +4,33 @@
 // planted-partition graph while holding n and average degree fixed.
 //
 //   ./mixing_vs_structure [n]
-#include <cstdlib>
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <optional>
 
 #include "community/community.hpp"
 #include "cores/core_profile.hpp"
+#include "example_main.hpp"
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
 #include "markov/mixing.hpp"
 #include "markov/spectral.hpp"
 #include "report/table.hpp"
+#include "util/env.hpp"
 #include "util/format.hpp"
 
-int main(int argc, char** argv) {
-  using namespace sntrust;
-  const auto n = static_cast<VertexId>(argc > 1 ? std::atoi(argv[1]) : 2000);
+namespace {
 
+int run(sntrust::VertexId n) {
+  using namespace sntrust;
   std::cout << "Planted partition, n=" << n
             << ", 10 communities, within-degree ~12, sweeping cross-community "
                "degree:\n\n";
 
   Table table{{"cross-degree", "mu", "T(eps=0.01)", "max cores",
-               "best conductance", "modularity (LP)"}};
+               "best conductance"}};
 
   for (const double cross_degree : {0.2, 0.5, 1.0, 2.0, 4.0, 8.0}) {
     const double size = n / 10.0;
@@ -48,13 +53,11 @@ int main(int argc, char** argv) {
       max_cores = std::max(max_cores, level.num_components);
 
     const SweepResult sweep = conductance_sweep(g, fiedler_vector(g));
-    const Partition partition = label_propagation(g);
 
     table.add_row({fixed(cross_degree, 1), fixed(mu, 4),
                    t == 0xFFFFFFFFu ? "> 200" : std::to_string(t),
                    std::to_string(max_cores),
-                   fixed(sweep.best_conductance, 4),
-                   fixed(modularity(g, partition), 3)});
+                   fixed(sweep.best_conductance, 4)});
   }
 
   table.print(std::cout);
@@ -62,4 +65,17 @@ int main(int argc, char** argv) {
                "mixing, fewer isolated cores, higher conductance: the "
                "paper's fast-mixing signature.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace sntrust;
+  const std::optional<std::uint64_t> n =
+      argc > 1 ? parse_count(argv[1], 1, std::numeric_limits<VertexId>::max())
+               : 2000;
+  if (argc > 2 || !n)
+    return examples::usage_error("mixing_vs_structure [n >= 1]");
+  return examples::guarded_main(
+      [&] { return run(static_cast<VertexId>(*n)); });
 }

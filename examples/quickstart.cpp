@@ -4,20 +4,21 @@
 //   ./quickstart [dataset_id] [scale]
 //
 // Defaults: wiki_vote at scale 0.25.
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/property_suite.hpp"
+#include "example_main.hpp"
 #include "gen/datasets.hpp"
 #include "report/table.hpp"
+#include "util/env.hpp"
 #include "util/format.hpp"
 
-int main(int argc, char** argv) {
-  using namespace sntrust;
-  const std::string id = argc > 1 ? argv[1] : "wiki_vote";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 0.25;
+namespace {
 
+int run(const std::string& id, double scale) {
+  using namespace sntrust;
   const DatasetSpec& spec = dataset_by_id(id);
   std::cout << "Generating analogue of " << spec.name << " (" << spec.social_model
             << ", expected mixing: " << to_string(spec.expected_class)
@@ -60,4 +61,16 @@ int main(int argc, char** argv) {
   for (std::uint32_t t = 0; t < mean.size(); t += 10)
     std::cout << "  t=" << t << "  tvd=" << fixed(mean[t], 4) << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace sntrust;
+  const std::string id = argc > 1 ? argv[1] : "wiki_vote";
+  const std::optional<double> scale =
+      argc > 2 ? parse_nonnegative(argv[2]) : 0.25;
+  if (argc > 3 || !scale || *scale == 0.0)
+    return examples::usage_error("quickstart [dataset_id] [scale > 0]");
+  return examples::guarded_main([&] { return run(id, *scale); });
 }

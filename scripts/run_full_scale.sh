@@ -27,7 +27,7 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 
 # The matvec-heaviest figures; add more benches here as budget allows.
-BENCHES=(fig1_mixing_time fig2_coreness_ecdf fig4_expansion_factor)
+BENCHES=(fig1_mixing_time fig2_coreness_ecdf fig3_fig4_expansion)
 
 for b in "${BENCHES[@]}"; do
   if [ "$SCALE_CAP" = "full" ]; then

@@ -1,11 +1,9 @@
-// Shortest-path centralities used by the trustworthy-computing primitives
-// the paper's introduction surveys: node betweenness (Sybil defense of
-// Quercia & Hailes; the authors' own betweenness measurement study) and
-// closeness (content sharing / anonymity in OneSwarm-style systems).
+// Shortest-path betweenness, used by the trustworthy-computing primitives
+// the paper's introduction surveys: the Sybil defense of Quercia & Hailes,
+// the authors' own betweenness measurement study, and SimBet's DTN routing.
 //
-// Exact computation is Brandes' algorithm, O(nm); for large graphs both
-// centralities support uniform source sampling with the standard unbiased
-// rescaling.
+// Exact computation is Brandes' algorithm, O(nm); for large graphs it
+// supports uniform source sampling with the standard unbiased rescaling.
 #pragma once
 
 #include <cstdint>
@@ -27,13 +25,6 @@ struct CentralityOptions {
 /// ones.
 std::vector<double> betweenness_centrality(const Graph& g,
                                            const CentralityOptions& options = {});
-
-/// Closeness of every vertex: (n_reachable - 1) / sum of distances to
-/// reachable vertices (0 for isolated vertices). Exact per-vertex values
-/// need a full BFS from each vertex; sampling sources estimates the
-/// *inverse farness to the sampled set*, rescaled the same way.
-std::vector<double> closeness_centrality(const Graph& g,
-                                         const CentralityOptions& options = {});
 
 /// Normalizes betweenness to [0, 1] by dividing by (n-1)(n-2)/2 (the
 /// maximum attainable, the star hub). Precondition: n >= 3.

@@ -2,8 +2,8 @@
 // showed walk-based Sybil defenses are sensitive to community structure and
 // reduce to community detection around the trusted node).
 //
-// Provides: label propagation partitioning, modularity scoring, conductance,
-// and a spectral (Fiedler-ordering) conductance sweep.
+// Provides: a spectral (Fiedler-ordering) conductance sweep and the Cheeger
+// bounds that tie it to the spectral gap.
 #pragma once
 
 #include <cstdint>
@@ -12,32 +12,6 @@
 #include "graph/graph.hpp"
 
 namespace sntrust {
-
-/// A partition of vertices into communities 0..count-1.
-struct Partition {
-  std::vector<std::uint32_t> community_of;
-  std::uint32_t count = 0;
-
-  /// Sizes per community.
-  std::vector<std::uint64_t> sizes() const;
-};
-
-struct LabelPropagationOptions {
-  std::uint32_t max_rounds = 50;
-  std::uint64_t seed = 1;
-};
-
-/// Asynchronous label propagation; communities are relabeled densely.
-Partition label_propagation(const Graph& g,
-                            const LabelPropagationOptions& options = {});
-
-/// Newman modularity of a partition: Q = sum_c (e_c/m - (d_c/2m)^2).
-double modularity(const Graph& g, const Partition& partition);
-
-/// Conductance of the cut (S, V \ S): cut(S) / min(vol(S), vol(V\S)).
-/// `in_set[v]` marks membership of S. Throws if S or its complement is empty
-/// or the graph has no edges.
-double conductance(const Graph& g, const std::vector<std::uint8_t>& in_set);
 
 /// Approximate Fiedler vector (second eigenvector of the normalized
 /// Laplacian) by power iteration with deflation; returns per-vertex values.
@@ -54,17 +28,6 @@ struct SweepResult {
 };
 SweepResult conductance_sweep(const Graph& g,
                               const std::vector<double>& ordering_values);
-
-struct LouvainOptions {
-  std::uint32_t max_passes = 10;   ///< local-move passes per level
-  std::uint32_t max_levels = 10;   ///< coarsening levels
-  std::uint64_t seed = 1;
-};
-
-/// Louvain modularity optimization (local moves + graph coarsening),
-/// returning the flat partition of the original vertices. Deterministic in
-/// the seed (vertex visit order is shuffled per pass).
-Partition louvain(const Graph& g, const LouvainOptions& options = {});
 
 /// Cheeger's inequality: phi^2 / 2 <= 1 - lambda_2 <= 2 * phi, i.e. the
 /// spectral gap brackets the conductance. Given a measured lambda_2 (of the

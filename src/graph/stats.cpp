@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "graph/traversal.hpp"
+#include "graph/frontier_bfs.hpp"
 
 namespace sntrust {
 
@@ -118,7 +118,7 @@ double degree_assortativity(const Graph& g) {
 
 std::uint32_t double_sweep_diameter(const Graph& g, VertexId hint) {
   if (g.num_vertices() == 0) return 0;
-  BfsRunner runner{g};
+  FrontierBfs runner{g};
   const BfsResult& first = runner.run(hint);
   // Farthest reached vertex from the hint.
   VertexId far = hint;

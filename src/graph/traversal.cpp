@@ -9,13 +9,4 @@ BfsResult bfs(const Graph& g, VertexId source) {
   return runner.run(source);  // copies the stored result out
 }
 
-BfsRunner::BfsRunner(const Graph& g)
-    : impl_(std::make_unique<FrontierBfs>(g)) {}
-
-BfsRunner::~BfsRunner() = default;
-BfsRunner::BfsRunner(BfsRunner&&) noexcept = default;
-BfsRunner& BfsRunner::operator=(BfsRunner&&) noexcept = default;
-
-const BfsResult& BfsRunner::run(VertexId source) { return impl_->run(source); }
-
 }  // namespace sntrust

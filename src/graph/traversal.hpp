@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -27,30 +26,9 @@ struct BfsResult {
   std::uint64_t reached = 0;
 };
 
-/// Full BFS from `source`. Throws std::out_of_range for a bad source.
+/// Full BFS from `source`. Throws std::out_of_range for a bad source. To
+/// sweep many sources over one graph, reuse a FrontierBfs
+/// (graph/frontier_bfs.hpp) instead: it allocates its arrays once.
 BfsResult bfs(const Graph& g, VertexId source);
-
-class FrontierBfs;
-
-/// Reusable BFS workspace: avoids reallocating the distance array when many
-/// sources are swept over the same graph (the expansion measurement does one
-/// BFS per vertex). Since the frontier-kernel work this delegates to the
-/// direction-optimizing FrontierBfs (graph/frontier_bfs.hpp); the BfsResult
-/// contract is unchanged because distances, level sizes and reach counts are
-/// level-synchronous invariants independent of traversal direction.
-class BfsRunner {
- public:
-  explicit BfsRunner(const Graph& g);
-  ~BfsRunner();
-  BfsRunner(BfsRunner&&) noexcept;
-  BfsRunner& operator=(BfsRunner&&) noexcept;
-
-  /// Runs BFS from `source`; the returned reference is invalidated by the
-  /// next run() call.
-  const BfsResult& run(VertexId source);
-
- private:
-  std::unique_ptr<FrontierBfs> impl_;
-};
 
 }  // namespace sntrust

@@ -46,64 +46,6 @@ VertexId RandomWalker::walk_endpoint(VertexId start, std::uint32_t length) {
   return at;
 }
 
-RouteTables::RouteTables(const Graph& g, std::uint64_t seed) : graph_(g) {
-  Rng rng{seed};
-  const VertexId n = g.num_vertices();
-  perm_offset_.resize(n + 1);
-  perm_offset_[0] = 0;
-  for (VertexId v = 0; v < n; ++v)
-    perm_offset_[v + 1] = perm_offset_[v] + g.degree(v);
-  perm_.resize(perm_offset_[n]);
-  for (VertexId v = 0; v < n; ++v) {
-    const std::uint64_t base = perm_offset_[v];
-    const std::uint32_t deg = g.degree(v);
-    for (std::uint32_t i = 0; i < deg; ++i) perm_[base + i] = i;
-    rng.shuffle(std::span<std::uint32_t>{perm_.data() + base, deg});
-  }
-}
-
-std::uint32_t RouteTables::slot_at_target(VertexId u, VertexId w) const {
-  const auto nbrs = graph_.neighbors_unchecked(w);
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), u);
-  if (it == nbrs.end() || *it != u)
-    throw std::logic_error("RouteTables: edge not found in reverse adjacency");
-  return static_cast<std::uint32_t>(it - nbrs.begin());
-}
-
-std::vector<VertexId> RouteTables::route(VertexId start,
-                                         std::uint32_t first_slot,
-                                         std::uint32_t length) const {
-  if (start >= graph_.num_vertices())
-    throw std::out_of_range("RouteTables::route: start out of range");
-  const std::uint32_t deg0 = graph_.degree(start);
-  if (deg0 == 0)
-    throw std::invalid_argument("RouteTables::route: isolated start vertex");
-  if (first_slot >= deg0)
-    throw std::out_of_range("RouteTables::route: first_slot out of range");
-
-  std::vector<VertexId> trail;
-  trail.reserve(length + 1);
-  trail.push_back(start);
-  VertexId at = start;
-  std::uint32_t slot = first_slot;
-  for (std::uint32_t s = 0; s < length; ++s) {
-    const VertexId next = graph_.neighbors_unchecked(at)[slot];
-    const std::uint32_t in_slot = slot_at_target(at, next);
-    trail.push_back(next);
-    slot = out_slot(next, in_slot);
-    at = next;
-  }
-  return trail;
-}
-
-std::pair<VertexId, VertexId> RouteTables::route_tail(
-    VertexId start, std::uint32_t first_slot, std::uint32_t length) const {
-  if (length == 0)
-    throw std::invalid_argument("RouteTables::route_tail: length must be > 0");
-  const std::vector<VertexId> trail = route(start, first_slot, length);
-  return {trail[trail.size() - 2], trail.back()};
-}
-
 std::uint32_t HashedRoutes::out_slot(VertexId v, std::uint32_t in_slot,
                                      std::uint32_t instance) const {
   const std::uint64_t key =

@@ -1,9 +1,9 @@
-// Monte-Carlo random walks and SybilGuard/SybilLimit-style random *routes*.
+// Monte-Carlo random walks and SybilLimit-style random *routes*.
 //
 // Routes differ from walks: each node fixes a random permutation between its
 // incident edges, so a route entering through edge e always leaves through
 // perm(e). Routes are back-traceable and convergent — the property the
-// defense protocols rely on.
+// defense protocol relies on.
 #pragma once
 
 #include <cstdint>
@@ -39,48 +39,6 @@ class RandomWalker {
   /// pool workers, so the registry lookup happens once per instance on the
   /// constructing thread instead of racing on first-use initialization.
   obs::Counter* walk_steps_;
-};
-
-/// Random-route tables: for each vertex, a uniform random permutation mapping
-/// incoming edge slots to outgoing edge slots (pre-computed once per graph
-/// instance, as in SybilGuard/SybilLimit).
-class RouteTables {
- public:
-  RouteTables(const Graph& g, std::uint64_t seed);
-
-  /// Directed edge id for the slot-th incident edge of v (slot < deg(v)).
-  /// Routes are expressed as sequences of such directed edges.
-  struct Hop {
-    VertexId vertex;     ///< current vertex
-    std::uint32_t slot;  ///< incident-edge slot at `vertex` used to leave
-  };
-
-  /// Follows the route that starts at `start` leaving through `first_slot`
-  /// for `length` edges. Returns the sequence of vertices visited
-  /// (length + 1 entries, shorter only if start is isolated).
-  std::vector<VertexId> route(VertexId start, std::uint32_t first_slot,
-                              std::uint32_t length) const;
-
-  /// Final directed edge (tail) of the route: the pair (second-to-last,
-  /// last) vertex. Used by SybilLimit's intersection test.
-  std::pair<VertexId, VertexId> route_tail(VertexId start,
-                                           std::uint32_t first_slot,
-                                           std::uint32_t length) const;
-
-  const Graph& graph() const noexcept { return graph_; }
-
- private:
-  /// Next slot when entering `v` through its incident slot `in_slot`.
-  std::uint32_t out_slot(VertexId v, std::uint32_t in_slot) const {
-    return perm_[perm_offset_[v] + in_slot];
-  }
-  /// Incident slot of edge (u -> w) at w, i.e. the position of u in w's
-  /// adjacency span.
-  std::uint32_t slot_at_target(VertexId u, VertexId w) const;
-
-  const Graph& graph_;
-  std::vector<std::uint64_t> perm_offset_;
-  std::vector<std::uint32_t> perm_;
 };
 
 /// Route follower over *implicit* routing tables: instance i's permutation at

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/format.hpp"
-
 namespace sntrust::obs {
 
 std::size_t Histogram::bucket_index(double value) {
@@ -99,33 +97,6 @@ void Metrics::reset() {
   for (auto& [name, gauge] : gauges_) gauge.reset();
   for (auto& [name, histogram] : histograms_) histogram.reset();
   for (auto& [name, quantile] : quantiles_) quantile.reset();
-}
-
-Table Metrics::to_table() const {
-  const MetricsSnapshot snap = snapshot();
-  Table table{{"kind", "metric", "value"}};
-  for (const auto& [name, value] : snap.counters)
-    table.add_row({"counter", name, with_thousands(value)});
-  for (const auto& [name, value] : snap.gauges)
-    table.add_row({"gauge", name, compact(value)});
-  for (const auto& [name, histogram] : snap.histograms)
-    table.add_row({"histogram", name,
-                   histogram.count == 0
-                       ? "0 obs"
-                       : with_thousands(histogram.count) + " obs, mean " +
-                             compact(histogram.mean()) + ", min " +
-                             compact(histogram.min) + ", max " +
-                             compact(histogram.max)});
-  for (const auto& [name, quantile] : snap.quantiles)
-    table.add_row({"quantile", name,
-                   quantile.count == 0
-                       ? "0 obs"
-                       : with_thousands(quantile.count) + " obs, p50 " +
-                             compact(quantile.value_at_quantile(0.5)) +
-                             ", p99 " +
-                             compact(quantile.value_at_quantile(0.99)) +
-                             ", max " + compact(quantile.max)});
-  return table;
 }
 
 void count(const std::string& name, std::uint64_t delta) {

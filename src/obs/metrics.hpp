@@ -5,8 +5,7 @@
 // Counters and gauges are lock-free after the first lookup; hot paths cache
 // the returned reference (`static Counter& c = metrics_counter("walk.steps")`)
 // so the steady-state cost is one relaxed atomic add. `snapshot()` gives a
-// consistent copy for reports and tests; `to_table()` renders it as a
-// Table.
+// consistent copy for reports and tests.
 #pragma once
 
 #include <atomic>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "obs/quantile.hpp"
-#include "report/table.hpp"
 
 namespace sntrust::obs {
 
@@ -116,9 +114,6 @@ class Metrics {
   /// Zeroes every registered metric in place (registered references stay
   /// valid). Tests and long-lived sweeps use this between runs.
   void reset();
-
-  /// One row per metric: kind, name, value summary.
-  Table to_table() const;
 
  private:
   Metrics() = default;

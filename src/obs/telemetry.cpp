@@ -169,11 +169,6 @@ void TelemetryExporter::stop() {
   running_.store(false, std::memory_order_release);
 }
 
-TelemetryOptions TelemetryExporter::options() const {
-  std::lock_guard<std::mutex> state_lock(state_mutex_);
-  return options_;
-}
-
 json::Value TelemetryExporter::build_frame() const {
   json::Object root;
   root.emplace_back("schema_version",

@@ -92,9 +92,6 @@ class TelemetryExporter {
   std::uint64_t frames_written() const {
     return frames_written_.load(std::memory_order_relaxed);
   }
-  /// Options of the current/most recent start(); default-constructed (not
-  /// enabled) before the first.
-  TelemetryOptions options() const;
 
   /// Assembles one frame from the live registry state (exposed for tests;
   /// `seq` is what the next frame would carry).
@@ -112,7 +109,7 @@ class TelemetryExporter {
   std::atomic<std::uint64_t> frames_written_{0};
   std::atomic<std::uint64_t> seq_{0};
 
-  mutable std::mutex state_mutex_;  ///< guards options_/thread_ transitions
+  std::mutex state_mutex_;  ///< guards options_/thread_ transitions
   TelemetryOptions options_;
   std::thread thread_;
 

@@ -41,14 +41,12 @@ struct TicketRun {
   std::uint64_t tickets_sent = 0;       ///< final ticket budget used
   std::uint64_t vertices_reached = 0;   ///< vertices that consumed a ticket
   std::vector<std::uint8_t> reached;    ///< reached[v] flag per vertex
-  /// tickets_received[v] = tickets that arrived at v (pre-consumption);
-  /// SumUp reuses this as its link-capacity assignment.
+  /// tickets_received[v] = tickets that arrived at v (pre-consumption).
   std::vector<std::uint64_t> tickets_received;
 };
 
 /// One ticket distribution with `tickets` initial tickets from `source`
-/// over its BFS level DAG. Exposed for tests and for SumUp, which reuses
-/// the same primitive for its vote envelope.
+/// over its BFS level DAG. Exposed for tests.
 TicketRun distribute_tickets(const Graph& g, VertexId source,
                              std::uint64_t tickets);
 

@@ -94,54 +94,5 @@ TEST(Betweenness, TinyGraphAllZero) {
   for (const double s : scores) EXPECT_DOUBLE_EQ(s, 0.0);
 }
 
-TEST(Closeness, StarHubClosest) {
-  const Graph g = star_graph(9);
-  const auto scores = closeness_centrality(g);
-  EXPECT_NEAR(scores[0], 1.0, 1e-9);              // hub: distance 1 to all
-  EXPECT_NEAR(scores[1], 8.0 / 15.0, 1e-9);       // leaf: 1 + 7*2 = 15
-}
-
-TEST(Closeness, PathEndpointsFarthest) {
-  const Graph g = path_graph(5);
-  const auto scores = closeness_centrality(g);
-  EXPECT_GT(scores[2], scores[1]);
-  EXPECT_GT(scores[1], scores[0]);
-}
-
-TEST(Closeness, CompleteGraphAllOne) {
-  const auto scores = closeness_centrality(complete_graph(7));
-  for (const double s : scores) EXPECT_NEAR(s, 1.0, 1e-9);
-}
-
-TEST(Closeness, IsolatedVertexIsZero) {
-  GraphBuilder b{3};
-  b.add_edge(0, 1);
-  const auto scores = closeness_centrality(b.build());
-  EXPECT_DOUBLE_EQ(scores[2], 0.0);
-}
-
-TEST(Closeness, SampledPreservesOrdering) {
-  const Graph g = path_graph(40);
-  CentralityOptions options;
-  options.num_sources = 20;
-  options.seed = 7;
-  const auto sampled = closeness_centrality(g, options);
-  // Middle beats the endpoint under any source subset of a path.
-  EXPECT_GT(sampled[20], sampled[0]);
-}
-
-TEST(Closeness, HubsBeatLeavesOnScaleFree) {
-  const Graph g = largest_component(barabasi_albert(400, 3, 9)).graph;
-  const auto closeness = closeness_centrality(g);
-  // The max-degree vertex should be among the most central.
-  VertexId hub = 0;
-  for (VertexId v = 1; v < g.num_vertices(); ++v)
-    if (g.degree(v) > g.degree(hub)) hub = v;
-  std::uint32_t better = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (closeness[v] > closeness[hub]) ++better;
-  EXPECT_LT(better, g.num_vertices() / 20);
-}
-
 }  // namespace
 }  // namespace sntrust

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
 #include "test_graphs.hpp"
@@ -13,91 +11,6 @@ namespace {
 
 using testing::complete_graph;
 using testing::two_cliques;
-
-TEST(LabelPropagation, FindsTwoCliques) {
-  const Partition p = label_propagation(two_cliques(8));
-  EXPECT_EQ(p.count, 2u);
-  // All of clique 1 shares a label distinct from clique 2.
-  for (VertexId v = 1; v < 8; ++v)
-    EXPECT_EQ(p.community_of[v], p.community_of[0]);
-  for (VertexId v = 9; v < 16; ++v)
-    EXPECT_EQ(p.community_of[v], p.community_of[8]);
-  EXPECT_NE(p.community_of[0], p.community_of[8]);
-}
-
-TEST(LabelPropagation, CompleteGraphIsOneCommunity) {
-  const Partition p = label_propagation(complete_graph(10));
-  EXPECT_EQ(p.count, 1u);
-}
-
-TEST(LabelPropagation, SizesSumToN) {
-  const Graph g = planted_partition(300, 6, 0.3, 0.005, 11);
-  const Partition p = label_propagation(g);
-  std::uint64_t total = 0;
-  for (const auto s : p.sizes()) total += s;
-  EXPECT_EQ(total, 300u);
-}
-
-TEST(LabelPropagation, RecoversPlantedBlocksApproximately) {
-  const Graph g = planted_partition(400, 4, 0.4, 0.002, 13);
-  const Partition p = label_propagation(g);
-  // Most vertices in the same planted block (contiguous 100s) should share a
-  // label.
-  std::uint32_t agreements = 0, pairs = 0;
-  for (VertexId v = 0; v < 400; v += 7) {
-    for (VertexId w = v + 1; w < std::min<VertexId>(400, v + 50); w += 11) {
-      if (v / 100 != w / 100) continue;
-      ++pairs;
-      if (p.community_of[v] == p.community_of[w]) ++agreements;
-    }
-  }
-  EXPECT_GT(static_cast<double>(agreements) / pairs, 0.8);
-}
-
-TEST(Modularity, TwoCliquePartitionIsHigh) {
-  const Graph g = two_cliques(8);
-  const Partition p = label_propagation(g);
-  EXPECT_GT(modularity(g, p), 0.4);
-}
-
-TEST(Modularity, SingleCommunityIsZero) {
-  const Graph g = complete_graph(6);
-  Partition p;
-  p.community_of.assign(6, 0);
-  p.count = 1;
-  EXPECT_NEAR(modularity(g, p), 0.0, 1e-12);
-}
-
-TEST(Modularity, BadPartitionThrows) {
-  const Graph g = complete_graph(4);
-  Partition p;
-  p.community_of.assign(3, 0);
-  p.count = 1;
-  EXPECT_THROW(modularity(g, p), std::invalid_argument);
-}
-
-TEST(Conductance, BridgeCutIsSmall) {
-  const Graph g = two_cliques(8);
-  std::vector<std::uint8_t> mask(16, 0);
-  for (VertexId v = 0; v < 8; ++v) mask[v] = 1;
-  // One cut edge over volume 8*7+1 = 57.
-  EXPECT_NEAR(conductance(g, mask), 1.0 / 57.0, 1e-12);
-}
-
-TEST(Conductance, BalancedCutOfClique) {
-  const Graph g = complete_graph(6);
-  std::vector<std::uint8_t> mask(6, 0);
-  mask[0] = mask[1] = mask[2] = 1;
-  // Cut = 9, volume each side = 15.
-  EXPECT_NEAR(conductance(g, mask), 9.0 / 15.0, 1e-12);
-}
-
-TEST(Conductance, EmptySideThrows) {
-  const Graph g = complete_graph(4);
-  std::vector<std::uint8_t> none(4, 0), all(4, 1);
-  EXPECT_THROW(conductance(g, none), std::invalid_argument);
-  EXPECT_THROW(conductance(g, all), std::invalid_argument);
-}
 
 TEST(Fiedler, SeparatesTwoCliques) {
   const Graph g = two_cliques(10);

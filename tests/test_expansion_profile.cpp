@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "expansion/envelope.hpp"
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
-#include "graph/traversal.hpp"
+#include "graph/frontier_bfs.hpp"
 #include "test_graphs.hpp"
 
 namespace sntrust {
@@ -81,7 +80,7 @@ TEST(ExpansionProfile, ObservationsSumMatchesSourceLevels) {
   for (const ExpansionPoint& point : profile.points)
     total_observations += point.observations;
   std::uint64_t expected = 0;
-  BfsRunner runner{g};
+  FrontierBfs runner{g};
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     expected += runner.run(v).level_sizes.size() - 1;
   EXPECT_EQ(total_observations, expected);

@@ -303,16 +303,6 @@ TEST_F(MetricsTest, HistogramQuantileIsOctaveResolution) {
   EXPECT_DOUBLE_EQ(snap.value_at_quantile(1.0), 768.0);
 }
 
-TEST_F(MetricsTest, ToTableListsEveryKind) {
-  count("test.table.counter", 5);
-  set_gauge("test.table.gauge", 0.5);
-  observe("test.table.histogram", 2.0);
-  const std::string cells = printed_cells(Metrics::instance().to_table());
-  EXPECT_NE(cells.find("counter,test.table.counter,5"), std::string::npos);
-  EXPECT_NE(cells.find("gauge,test.table.gauge"), std::string::npos);
-  EXPECT_NE(cells.find("histogram,test.table.histogram"), std::string::npos);
-}
-
 // ------------------------------------------------- quantile histograms ---
 
 class QuantileTest : public ::testing::Test {
@@ -456,9 +446,6 @@ TEST_F(QuantileTest, RegistryHandsOutStableReferencesAndSnapshots) {
   const MetricsSnapshot snap = Metrics::instance().snapshot();
   ASSERT_TRUE(snap.quantiles.count("test.lat"));
   EXPECT_EQ(snap.quantiles.at("test.lat").count, 2u);
-  EXPECT_NE(printed_cells(Metrics::instance().to_table())
-                .find("quantile,test.lat,2 obs"),
-            std::string::npos);
 }
 
 TEST_F(QuantileTest, SnapshotRacingRecordersStaysInternallyConsistent) {

@@ -43,12 +43,12 @@ TEST(Statistical, RouteFirstHopIsUniformOverSlots) {
   // uniformly drawn slots the first-hop distribution is uniform over the
   // neighbourhood (the property SybilLimit's tail analysis needs).
   const Graph g = petersen_graph();
-  const RouteTables tables{g, 7};
+  const HashedRoutes routes{g, 7};
   std::vector<std::uint32_t> counts(3, 0);
   Rng rng{7};
   for (int i = 0; i < 30000; ++i) {
     const auto slot = static_cast<std::uint32_t>(rng.uniform(3));
-    const auto trail = tables.route(0, slot, 1);
+    const auto trail = routes.route(0, slot, 1, 0);
     // Map the landed neighbour back to its index.
     const auto nbrs = g.neighbors(0);
     for (std::uint32_t k = 0; k < 3; ++k)

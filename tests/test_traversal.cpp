@@ -9,7 +9,6 @@
 namespace sntrust {
 namespace {
 
-using testing::complete_graph;
 using testing::cycle_graph;
 using testing::disconnected_graph;
 using testing::path_graph;
@@ -63,29 +62,7 @@ TEST(Bfs, UnreachableMarked) {
 
 TEST(Bfs, BadSourceThrows) {
   const Graph g = path_graph(3);
-  BfsRunner runner{g};
-  EXPECT_THROW(runner.run(3), std::out_of_range);
-}
-
-TEST(BfsRunner, ReusableAcrossSources) {
-  const Graph g = path_graph(6);
-  BfsRunner runner{g};
-  const BfsResult& from0 = runner.run(0);
-  EXPECT_EQ(from0.distances[5], 5u);
-  const BfsResult& from5 = runner.run(5);
-  EXPECT_EQ(from5.distances[0], 5u);
-  EXPECT_EQ(from5.distances[5], 0u);
-}
-
-TEST(BfsRunner, ManyRunsStayConsistent) {
-  const Graph g = complete_graph(7);
-  BfsRunner runner{g};
-  for (VertexId s = 0; s < 7; ++s) {
-    const BfsResult& r = runner.run(s);
-    EXPECT_EQ(r.eccentricity, 1u);
-    EXPECT_EQ(r.reached, 7u);
-    EXPECT_EQ(r.level_sizes[1], 6u);
-  }
+  EXPECT_THROW(bfs(g, 3), std::out_of_range);
 }
 
 TEST(Bfs, SingletonGraph) {

@@ -63,59 +63,6 @@ TEST(RandomWalker, ZeroLengthWalkStaysPut) {
   EXPECT_EQ(walker.walk(1, 0).size(), 1u);
 }
 
-TEST(RouteTables, RoutesFollowEdges) {
-  const Graph g = petersen_graph();
-  const RouteTables tables{g, 5};
-  const auto trail = tables.route(0, 0, 30);
-  EXPECT_EQ(trail.size(), 31u);
-  for (std::size_t i = 1; i < trail.size(); ++i)
-    EXPECT_TRUE(g.has_edge(trail[i - 1], trail[i]));
-}
-
-TEST(RouteTables, RoutesAreDeterministic) {
-  const Graph g = petersen_graph();
-  const RouteTables tables{g, 5};
-  EXPECT_EQ(tables.route(2, 1, 20), tables.route(2, 1, 20));
-}
-
-TEST(RouteTables, ConvergenceProperty) {
-  // The defining property of random routes: two routes entering a vertex
-  // through the same edge leave through the same edge, so once two routes
-  // share a directed edge they coincide forever.
-  const Graph g = petersen_graph();
-  const RouteTables tables{g, 7};
-  const auto a = tables.route(0, 0, 40);
-  const auto b = tables.route(1, 2, 40);
-  // Find a shared directed edge, then require identical suffixes.
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    for (std::size_t j = 1; j < b.size(); ++j) {
-      if (a[i - 1] == b[j - 1] && a[i] == b[j]) {
-        const std::size_t len = std::min(a.size() - i, b.size() - j);
-        for (std::size_t k = 0; k < len; ++k)
-          EXPECT_EQ(a[i + k], b[j + k]);
-        return;  // one shared-edge check is the property
-      }
-    }
-  }
-  GTEST_SKIP() << "routes never shared a directed edge in this instance";
-}
-
-TEST(RouteTables, TailIsLastDirectedEdge) {
-  const Graph g = cycle_graph(9);
-  const RouteTables tables{g, 9};
-  const auto trail = tables.route(0, 0, 12);
-  const auto [u, w] = tables.route_tail(0, 0, 12);
-  EXPECT_EQ(u, trail[trail.size() - 2]);
-  EXPECT_EQ(w, trail.back());
-}
-
-TEST(RouteTables, BadSlotThrows) {
-  const Graph g = cycle_graph(5);
-  const RouteTables tables{g, 1};
-  EXPECT_THROW(tables.route(0, 2, 5), std::out_of_range);
-  EXPECT_THROW(tables.route_tail(0, 0, 0), std::invalid_argument);
-}
-
 TEST(HashedRoutes, RoutesFollowEdgesAndAreDeterministic) {
   const Graph g = petersen_graph();
   const HashedRoutes routes{g, 11};
@@ -166,6 +113,13 @@ TEST(HashedRoutes, TailMatchesRoute) {
   const auto [u, w] = routes.route_tail(2, 0, 9, 4);
   EXPECT_EQ(u, trail[trail.size() - 2]);
   EXPECT_EQ(w, trail.back());
+}
+
+TEST(HashedRoutes, BadSlotThrows) {
+  const Graph g = cycle_graph(5);
+  const HashedRoutes routes{g, 1};
+  EXPECT_THROW(routes.route(0, 2, 5, 0), std::out_of_range);
+  EXPECT_THROW(routes.route_tail(0, 0, 0, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 //       prints the full property report (mixing, cores, expansion) plus
 //       per-phase wall-clock timings.
 //   sntrust_cli attack <edgelist.txt> <sybils> <attack_edges>
-//       Attaches a Sybil region and reports GateKeeper / SybilLimit /
-//       SumUp outcomes.
+//       Attaches a Sybil region and reports GateKeeper and SybilLimit
+//       outcomes.
 //   sntrust_cli datasets
 //       Lists the registered Table-I analogues.
 //
@@ -51,7 +51,6 @@
 // Exit codes: 0 success, 64 usage error, 65 bad input (unreadable or
 // malformed graph files), 75 interrupted (signal or deadline), 1 internal
 // error.
-#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <limits>
@@ -73,7 +72,6 @@
 #include "parallel/thread_pool.hpp"
 #include "report/table.hpp"
 #include "sybil/gatekeeper.hpp"
-#include "sybil/sumup.hpp"
 #include "sybil/sybillimit.hpp"
 #include "util/env.hpp"
 #include "util/format.hpp"
@@ -233,15 +231,6 @@ int cmd_attack(const std::string& path, VertexId sybils,
     table.add_row({"SybilLimit",
                    fixed(100 * eval.honest_accept_fraction, 1) + "%",
                    fixed(eval.sybils_per_attack_edge, 2)});
-  }
-  {
-    SumUpParams params;
-    params.seed = 2026;
-    const SumUpEvaluation eval = evaluate_sumup(
-        attacked, 0, std::max<VertexId>(10, g.num_vertices() / 20), params);
-    table.add_row({"SumUp (votes)",
-                   fixed(100 * eval.honest_collect_fraction, 1) + "%",
-                   fixed(eval.sybil_votes_per_attack_edge, 2)});
   }
   table.print(std::cout);
   return 0;
