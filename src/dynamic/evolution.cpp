@@ -179,10 +179,13 @@ Graph apply_edge_batch(const Graph& g, const EdgeBatch& batch) {
 
   // Each new row in one pass: the old row merged with its inserted
   // neighbours, minus its removed ones, which beat an insertion of the same
-  // pair and match nothing when absent.
+  // pair and match nothing when absent. The rows with batch entries are the
+  // only ones that can differ from g's, and both rows of each pair are
+  // among them.
   std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<VertexId> targets;
   targets.reserve(g.targets().size() + insertions.size());
+  std::vector<VertexId> edited;
   auto removal = removals.begin();
   auto insertion = insertions.begin();
   for (VertexId u = 0; u < n; ++u) {
@@ -197,6 +200,7 @@ Graph apply_edge_batch(const Graph& g, const EdgeBatch& batch) {
     if (removal == removal_end && insertion == insertion_end) {
       targets.insert(targets.end(), row.begin(), row.end());
     } else {
+      edited.push_back(u);
       auto kept = row.begin();
       while (kept != row.end() || insertion != insertion_end) {
         VertexId v;
@@ -215,7 +219,8 @@ Graph apply_edge_batch(const Graph& g, const EdgeBatch& batch) {
     insertion = insertion_end;
     offsets[u + 1] = targets.size();
   }
-  return Graph{std::move(offsets), std::move(targets)};
+  return Graph::with_edited_rows(std::move(offsets), std::move(targets),
+                                 edited);
 }
 
 }  // namespace sntrust

@@ -59,9 +59,10 @@ struct EdgeBatch {
 /// (absent edges are ignored), and insertions dedup against the survivors.
 /// A removal listed in the same batch as an insertion of the same pair wins.
 /// Self loops are ignored. Each new row is merged in one pass from the old
-/// row and the batch's sorted entries for it, so the cost is a copy of the
-/// CSR plus Graph's validation. Returns a fresh simple CSR graph; `g`
-/// itself is untouched (Graph is immutable).
+/// row and the batch's sorted entries for it, and only the rows the batch
+/// touched are validated (Graph::with_edited_rows), so the cost is a copy
+/// of the CSR plus work in proportion to the touched rows. Returns a fresh
+/// simple CSR graph; `g` itself is untouched (Graph is immutable).
 Graph apply_edge_batch(const Graph& g, const EdgeBatch& batch);
 
 /// Properties measured per snapshot (a compact subset of PropertyReport —

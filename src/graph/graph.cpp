@@ -35,16 +35,33 @@ Graph::Graph()
       targets_(),
       aux_(std::make_shared<GraphAux>()) {}
 
-Graph::Graph(std::vector<EdgeIndex> offsets, std::vector<VertexId> targets) {
+Graph::Graph(std::vector<EdgeIndex> offsets, std::vector<VertexId> targets)
+    : Graph{owning(std::move(offsets), std::move(targets))} {
+  validate();
+}
+
+Graph Graph::owning(std::vector<EdgeIndex> offsets,
+                    std::vector<VertexId> targets) {
   auto storage = std::make_shared<VectorStorage>();
   storage->offsets = std::move(offsets);
   storage->targets = std::move(targets);
-  offsets_ = storage->offsets;
-  targets_ = storage->targets;
-  storage_ = std::move(storage);
-  aux_ = std::make_shared<GraphAux>();
-  validate_header();
-  validate();
+  const std::span<const EdgeIndex> offsets_view = storage->offsets;
+  const std::span<const VertexId> targets_view = storage->targets;
+  return Graph{offsets_view, targets_view, std::move(storage),
+               /*deep_validate=*/false};
+}
+
+Graph Graph::with_edited_rows(std::vector<EdgeIndex> offsets,
+                              std::vector<VertexId> targets,
+                              std::span<const VertexId> edited) {
+  Graph g = owning(std::move(offsets), std::move(targets));
+  g.validate_offsets();
+  for (const VertexId v : edited) {
+    if (v >= g.num_vertices())
+      throw std::invalid_argument("Graph: edited row out of range");
+    g.validate_row(v);
+  }
+  return g;
 }
 
 Graph::Graph(std::span<const EdgeIndex> offsets,
@@ -128,39 +145,37 @@ void Graph::validate_header() const {
     throw std::invalid_argument("Graph: directed half-edge count must be even");
 }
 
-void Graph::validate() const {
-  const VertexId n = num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
+void Graph::validate_offsets() const {
+  for (VertexId v = 0; v < num_vertices(); ++v)
     if (offsets_[v] > offsets_[v + 1])
       throw std::invalid_argument("Graph: offsets must be non-decreasing");
-    VertexId prev = 0;
-    bool first = true;
-    for (EdgeIndex i = offsets_[v]; i < offsets_[v + 1]; ++i) {
-      const VertexId t = targets_[i];
-      if (t >= n)
-        throw std::invalid_argument("Graph: neighbour id out of range");
-      if (t == v) throw std::invalid_argument("Graph: self loop at vertex " +
-                                              std::to_string(v));
-      if (!first && t <= prev)
-        throw std::invalid_argument(
-            "Graph: adjacency of vertex " + std::to_string(v) +
-            " not strictly sorted (duplicate or unsorted neighbour)");
-      prev = t;
-      first = false;
-    }
+}
+
+void Graph::validate_row(VertexId v) const {
+  const VertexId n = num_vertices();
+  for (EdgeIndex i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+    const VertexId t = targets_[i];
+    if (t >= n)
+      throw std::invalid_argument("Graph: neighbour id out of range");
+    if (t == v) throw std::invalid_argument("Graph: self loop at vertex " +
+                                            std::to_string(v));
+    if (i > offsets_[v] && t <= targets_[i - 1])
+      throw std::invalid_argument(
+          "Graph: adjacency of vertex " + std::to_string(v) +
+          " not strictly sorted (duplicate or unsorted neighbour)");
+    // The mirror, by binary search. An unsorted row t can hide it, but
+    // then row t fails its own check.
+    const VertexId* lo = targets_.data() + offsets_[t];
+    const VertexId* hi = targets_.data() + offsets_[t + 1];
+    if (!std::binary_search(lo, hi, v))
+      throw std::invalid_argument("Graph: adjacency not symmetric for edge " +
+                                  std::to_string(v) + "-" + std::to_string(t));
   }
-  // Symmetry: every (v -> t) must have a matching (t -> v). Count-based
-  // check is O(m log deg): binary search the reverse edge.
-  for (VertexId v = 0; v < n; ++v) {
-    for (EdgeIndex i = offsets_[v]; i < offsets_[v + 1]; ++i) {
-      const VertexId t = targets_[i];
-      const VertexId* lo = targets_.data() + offsets_[t];
-      const VertexId* hi = targets_.data() + offsets_[t + 1];
-      if (!std::binary_search(lo, hi, v))
-        throw std::invalid_argument("Graph: adjacency not symmetric for edge " +
-                                    std::to_string(v) + "-" + std::to_string(t));
-    }
-  }
+}
+
+void Graph::validate() const {
+  validate_offsets();
+  for (VertexId v = 0; v < num_vertices(); ++v) validate_row(v);
 }
 
 }  // namespace sntrust

@@ -59,6 +59,18 @@ class Graph {
                      std::shared_ptr<const void> keepalive,
                      bool deep_validate = false);
 
+  /// Builds from CSR arrays that differ from a validated graph's only in
+  /// the rows listed in `edited`: every other row is that graph's row, or
+  /// empty past its vertex count, and both rows of each pair added or
+  /// removed are listed. Checks the header, that offsets never decrease,
+  /// and each listed row's entries as the full validation does, each
+  /// entry's mirror included. Under those terms that is the full
+  /// validation's verdict at the cost of the listed rows. apply_edge_batch's
+  /// construction path; throws std::invalid_argument on what it finds.
+  static Graph with_edited_rows(std::vector<EdgeIndex> offsets,
+                                std::vector<VertexId> targets,
+                                std::span<const VertexId> edited);
+
   /// Number of vertices n.
   VertexId num_vertices() const noexcept {
     return offsets_.empty() ? 0 : static_cast<VertexId>(offsets_.size() - 1);
@@ -119,10 +131,17 @@ class Graph {
  private:
   Graph(std::span<const EdgeIndex> offsets, std::span<const VertexId> targets,
         std::shared_ptr<const void> storage, bool deep_validate);
+  /// Owns the arrays; only the header is checked.
+  static Graph owning(std::vector<EdgeIndex> offsets,
+                      std::vector<VertexId> targets);
 
   void check_vertex(VertexId v) const;
   void validate() const;
   void validate_header() const;
+  void validate_offsets() const;
+  /// v's entries: in range, no self loop, strictly ascending, each
+  /// mirrored. Needs validate_offsets first.
+  void validate_row(VertexId v) const;
 
   std::span<const EdgeIndex> offsets_;
   std::span<const VertexId> targets_;

@@ -83,17 +83,20 @@ SybilRankArtifact compute_sybilrank_artifact(const Graph& g,
 }
 
 GateKeeperArtifact compute_gatekeeper_artifact(const Graph& g,
-                                               const ServiceConfig& config) {
+                                               const ServiceConfig& config,
+                                               const GateKeeperHints& hints) {
   obs::Span span{"serve.compute_gatekeeper", "serve"};
   if (config.controller >= g.num_vertices())
     throw std::invalid_argument(
         "compute_gatekeeper_artifact: controller out of range");
   GateKeeperResult result =
-      run_gatekeeper(g, config.controller, config.gatekeeper);
+      run_gatekeeper(g, config.controller, config.gatekeeper, hints);
   GateKeeperArtifact artifact;
   artifact.admissions = std::move(result.admissions);
   artifact.threshold = result.threshold;
   artifact.num_distributers = config.gatekeeper.num_distributers;
+  artifact.distributers = std::move(result.distributers);
+  artifact.budgets = std::move(result.budgets);
   return artifact;
 }
 

@@ -63,6 +63,10 @@ struct GateKeeperArtifact {
   std::vector<std::uint32_t> admissions;  ///< distributers that reached v
   std::uint32_t threshold = 0;
   std::uint32_t num_distributers = 0;
+  /// The run's distributers and their minimal budgets, kept as the next
+  /// build's hints.
+  std::vector<VertexId> distributers;
+  std::vector<std::uint64_t> budgets;
 };
 
 /// Coreness plus its ECDF evaluated per vertex.
@@ -87,8 +91,11 @@ std::uint32_t resolve_log_iterations(std::uint32_t requested, VertexId n);
 
 SybilRankArtifact compute_sybilrank_artifact(const Graph& g,
                                              const ServiceConfig& config);
-GateKeeperArtifact compute_gatekeeper_artifact(const Graph& g,
-                                               const ServiceConfig& config);
+/// `hints`, usually the previous snapshot's artifact's, only make the
+/// build cheaper: the artifact equals the build without them.
+GateKeeperArtifact compute_gatekeeper_artifact(
+    const Graph& g, const ServiceConfig& config,
+    const GateKeeperHints& hints = {});
 CorenessArtifact compute_coreness_artifact(const Graph& g);
 LandmarkArtifact compute_landmark_artifact(const Graph& g,
                                            const ServiceConfig& config);

@@ -103,7 +103,7 @@ TrustService::TrustService(Graph graph, Options options)
   if (options_.config.controller >= graph_.num_vertices())
     throw std::invalid_argument("TrustService: controller out of range");
   latest_vertices_.store(graph_.num_vertices(), std::memory_order_relaxed);
-  if (options_.precompute) publish(build_snapshot(graph_, 0));
+  if (options_.precompute) publish(build_snapshot(graph_, 0, nullptr));
 }
 
 TrustService::~TrustService() {
@@ -112,13 +112,17 @@ TrustService::~TrustService() {
 }
 
 std::shared_ptr<const ServingSnapshot> TrustService::build_snapshot(
-    Graph graph, std::uint64_t epoch) const {
+    Graph graph, std::uint64_t epoch, const ServingSnapshot* previous) const {
   obs::Span span{"serve.build_snapshot", "serve"};
   auto snapshot = std::make_shared<ServingSnapshot>();
   WalkArtifacts walks = compute_walk_artifacts(graph, options_.config);
   snapshot->sybilrank = std::move(walks.sybilrank);
   snapshot->landmark = std::move(walks.landmark);
-  snapshot->gatekeeper = compute_gatekeeper_artifact(graph, options_.config);
+  GateKeeperHints hints;
+  if (previous)
+    hints = {previous->gatekeeper.distributers, previous->gatekeeper.budgets};
+  snapshot->gatekeeper =
+      compute_gatekeeper_artifact(graph, options_.config, hints);
   snapshot->coreness = compute_coreness_artifact(graph);
   snapshot->graph = std::move(graph);
   snapshot->epoch = epoch;
@@ -128,8 +132,8 @@ std::shared_ptr<const ServingSnapshot> TrustService::build_snapshot(
 
 void TrustService::start() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (view().snapshot) return;
-  publish(build_snapshot(graph_, epoch_.load()));
+  if (published()) return;
+  publish(build_snapshot(graph_, epoch_.load(), nullptr));
 }
 
 void TrustService::publish(std::shared_ptr<const ServingSnapshot> snapshot) {
@@ -138,12 +142,14 @@ void TrustService::publish(std::shared_ptr<const ServingSnapshot> snapshot) {
   snapshot_.swap(snapshot);
 }
 
+std::shared_ptr<const ServingSnapshot> TrustService::published() const {
+  std::shared_lock<std::shared_mutex> lock(snapshot_mutex_);
+  return snapshot_;
+}
+
 TrustService::View TrustService::view() const {
   View view;
-  {
-    std::shared_lock<std::shared_mutex> lock(snapshot_mutex_);
-    view.snapshot = snapshot_;
-  }
+  view.snapshot = published();
   // Epoch before vertex count: apply_edges stores them in the other order,
   // so a reader that sees an epoch also sees that epoch's vertex count.
   const std::uint64_t latest = epoch_.load(std::memory_order_acquire);
@@ -304,10 +310,11 @@ void TrustService::rebuild_worker() {
     const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
     lock.unlock();
     // Build without the lock: queries never take it, and apply_edges only
-    // waits to publish the next graph.
+    // waits to publish the next graph. The published snapshot's GateKeeper
+    // budgets are the build's hints.
     std::shared_ptr<const ServingSnapshot> built;
     try {
-      built = build_snapshot(std::move(graph), epoch);
+      built = build_snapshot(std::move(graph), epoch, published().get());
     } catch (...) {
       rebuild_failures_.add();
     }

@@ -196,6 +196,7 @@ class TrustService {
   };
 
   View view() const;
+  std::shared_ptr<const ServingSnapshot> published() const;
   void publish(std::shared_ptr<const ServingSnapshot> snapshot);
   static Answer answer_from(const View& view, const Query& query);
   /// Answers every query from one view; returns how many are not
@@ -203,8 +204,11 @@ class TrustService {
   std::size_t answer_all(std::span<const Query> queries,
                          std::span<Answer> answers);
   void record_latency(std::uint64_t start_ns);
+  /// `previous`, the published snapshot or null, lends its GateKeeper
+  /// budgets as hints; the snapshot is the same without them.
   std::shared_ptr<const ServingSnapshot> build_snapshot(
-      Graph graph, std::uint64_t epoch) const;
+      Graph graph, std::uint64_t epoch,
+      const ServingSnapshot* previous) const;
   void rebuild_worker();
 
   Graph graph_;  ///< latest graph; written under mutex_

@@ -109,17 +109,23 @@ class LevelDag {
 
   /// Adds tickets at the source of a held flood that reached `reached`
   /// vertices, one at a time, until `target` are reached, and returns how
-  /// many were added; some larger budget must reach `target`. A vertex holding h passes the (h + 1)-th ticket it
-  /// receives to child (h - 1) mod k, the one whose share of its forwarded
-  /// tickets grows, so each added ticket changes exactly one path, one level
-  /// per step. The path ends at the first vertex that held no tickets,
-  /// which is newly reached, or at a vertex without children, where the
-  /// ticket is lost.
-  std::uint64_t add_tickets(std::uint64_t reached, std::uint64_t target) {
+  /// many were added, or nothing when `limit` tickets were added first. A
+  /// vertex holding h passes the (h + 1)-th ticket it receives to child
+  /// (h - 1) mod k, the one whose share of its forwarded tickets grows, so
+  /// each added ticket changes exactly one path, one level per step. The
+  /// path ends at the first vertex that held no tickets, which is newly
+  /// reached, or at a vertex without children, where the ticket is lost.
+  std::optional<std::uint64_t> add_tickets(std::uint64_t reached,
+                                           std::uint64_t target,
+                                           std::uint64_t limit) {
     assert(held_);
     std::uint64_t* const holding = holding_.data();
     std::uint64_t added = 0;
     for (; reached < target; ++added) {
+      if (added == limit) {
+        ticket_walks_.add(added);
+        return std::nullopt;
+      }
       for (std::uint32_t p = 0;;) {
         const std::uint64_t h = holding[p]++;
         if (h == 0) {
@@ -233,13 +239,50 @@ TicketRun held_run(const LevelDag& dag, const Graph& g, VertexId source,
   return run;
 }
 
+/// Step 0 of hold_minimal_budget: the minimal budget proven from `hint`,
+/// or nothing, when the proof fails and the cold search must run. With w
+/// the DAG's size over its level count, the bracket width the cold search
+/// bisects down to, and the slack s = max(1, w / 4), the flood at
+/// lo = max(2, hint - s) is held, and tickets are added one at a time
+/// until the target is reached. Reach never falls as the budget grows, so
+/// when lo misses, the first budget that reaches is the minimal one, and
+/// the holdings are its flood. When lo is the floor of 2 and reaches, 2 is
+/// the budget. The proof fails for a hint below 2 or above the cap, when a
+/// lo above the floor already reaches, and when w added tickets (at most
+/// one flood's size in steps) or the cap run out first. So a hint from b*
+/// to b* + s - 1, for minimal budget b*, costs one flood and at most s
+/// added tickets. On the Epinion analogue s is 6,900-9,100, above the
+/// largest move of an unchanged distributer's budget across a churn batch,
+/// 5,647 (EXPERIMENTS.md, "GateKeeper cost").
+std::optional<std::uint64_t> hold_hinted_budget(LevelDag& dag,
+                                                std::uint64_t target,
+                                                std::uint64_t cap,
+                                                std::uint64_t hint) {
+  if (hint < 2 || hint > cap) return std::nullopt;
+  const std::uint64_t width = dag.size() / dag.levels();
+  const std::uint64_t slack = std::max<std::uint64_t>(1, width / 4);
+  const std::uint64_t lo = hint - 2 > slack ? hint - slack : 2;
+  const std::uint64_t reached = dag.hold(lo);
+  if (reached >= target) {
+    if (lo == 2) return lo;
+    return std::nullopt;
+  }
+  const std::optional<std::uint64_t> added =
+      dag.add_tickets(reached, target, std::min(width, cap - lo));
+  if (!added) return std::nullopt;
+  return lo + *added;
+}
+
 /// The smallest budget whose flood reaches ceil(reach_fraction * n)
 /// vertices of an n-vertex graph, as GateKeeper's adaptive bootstrap
 /// defines it: budgets double from 2 until a flood reaches the target, and
 /// the budget is the smallest that does, but not below 2. When the doubling
 /// passes 64 n + 64 first, it is the last doubling. Leaves the DAG holding
-/// the flood at that budget. The search takes three exact steps, using that
-/// reach never falls as the budget grows:
+/// the flood at that budget. A hint is verified first (step 0,
+/// hold_hinted_budget); it returns only a proven budget that is at most
+/// the cap, which the doubling reaches without passing the cap, so it is
+/// the search's answer. Otherwise the search takes three exact steps, using
+/// that reach never falls as the budget grows:
 ///   1. Every reached vertex consumes a ticket, so doublings below the
 ///      target miss and are not flooded.
 ///   2. Count-only probes bisect the bracket while it is wider than the
@@ -250,10 +293,15 @@ TicketRun held_run(const LevelDag& dag, const Graph& g, VertexId source,
 /// Excess tickets only leak across attack edges without admitting more
 /// honest vertices.
 std::uint64_t hold_minimal_budget(LevelDag& dag, VertexId n,
-                                  double reach_fraction) {
+                                  double reach_fraction,
+                                  std::optional<std::uint64_t> hint) {
   const auto target =
       static_cast<std::uint64_t>(std::ceil(reach_fraction * n));
   const std::uint64_t cap = 64ull * n + 64;
+  if (hint)
+    if (const std::optional<std::uint64_t> budget =
+            hold_hinted_budget(dag, target, cap, *hint))
+      return *budget;
   std::uint64_t hi = std::max<std::uint64_t>(2, std::bit_ceil(target));
   while (!dag.reaches(hi, target)) {
     if (hi >= cap) {  // cap hit: best effort
@@ -275,7 +323,7 @@ std::uint64_t hold_minimal_budget(LevelDag& dag, VertexId n,
     dag.hold(hi);
     return hi;
   }
-  return lo + dag.add_tickets(dag.hold(lo), target);
+  return lo + *dag.add_tickets(dag.hold(lo), target, hi - lo);
 }
 
 /// A distributer's minimal budget as stored in the checkpoint.
@@ -304,25 +352,30 @@ TicketRun distribute_tickets(const Graph& g, VertexId source,
 }
 
 TicketRun adaptive_distribute(const Graph& g, VertexId source,
-                              double reach_fraction) {
+                              double reach_fraction,
+                              std::optional<std::uint64_t> budget_hint) {
   check_fraction(reach_fraction, "adaptive_distribute: reach_fraction");
   if (source >= g.num_vertices())
     throw std::out_of_range("adaptive_distribute: source out of range");
   LevelDag dag{g};
   dag.build(source);
   const std::uint64_t budget =
-      hold_minimal_budget(dag, g.num_vertices(), reach_fraction);
+      hold_minimal_budget(dag, g.num_vertices(), reach_fraction, budget_hint);
   return held_run(dag, g, source, budget);
 }
 
 GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
-                                const GateKeeperParams& params) {
+                                const GateKeeperParams& params,
+                                const GateKeeperHints& hints) {
   if (controller >= g.num_vertices())
     throw std::out_of_range("run_gatekeeper: controller out of range");
   if (params.num_distributers == 0)
     throw std::invalid_argument("run_gatekeeper: need >= 1 distributer");
   check_fraction(params.f_admit, "run_gatekeeper: f_admit");
   check_fraction(params.reach_fraction, "run_gatekeeper: reach_fraction");
+  if (hints.distributers.size() != hints.budgets.size())
+    throw std::invalid_argument(
+        "run_gatekeeper: hints need one budget per distributer");
 
   std::uint32_t walk_length = params.sample_walk_length;
   if (walk_length == 0) {
@@ -351,6 +404,13 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
   // thread count. A distributer's payload is its minimal budget: a resumed
   // run restores the budget and floods once.
   const VertexId n = g.num_vertices();
+  out.budgets.assign(out.distributers.size(), 0);
+  const auto hint = [&](std::size_t i) -> std::optional<std::uint64_t> {
+    if (i < hints.distributers.size() &&
+        hints.distributers[i] == out.distributers[i])
+      return hints.budgets[i];
+    return std::nullopt;
+  };
   struct Worker {
     explicit Worker(const Graph& g) : dag(g), tally(g.num_vertices()) {}
     LevelDag dag;
@@ -385,9 +445,10 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
       [&](std::size_t i, std::uint32_t slot) {
         Worker& w = build_dag(slot, i);
         const std::uint64_t budget =
-            hold_minimal_budget(w.dag, n, params.reach_fraction);
+            hold_minimal_budget(w.dag, n, params.reach_fraction, hint(i));
         tally_held(w);
         flooded[i] = 1;
+        out.budgets[i] = budget;
         return json::Value::integer(static_cast<std::int64_t>(budget)).dump();
       });
 
@@ -403,6 +464,7 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
         Worker& w = build_dag(slot, i);
         w.dag.hold(budget);
         tally_held(w);
+        out.budgets[i] = budget;
       });
 
   for (const std::optional<Worker>& w : workers)

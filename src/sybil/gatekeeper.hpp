@@ -10,12 +10,17 @@
 //      next-level neighbours; a node is *reached* if it consumed a ticket.
 //      The distributer doubles the initial ticket count until at least half
 //      the vertices are reached (adaptive O(n) bootstrap) and uses the
-//      smallest count that does: its minimal budget.
+//      smallest count that does: its minimal budget. A distributer that was
+//      also sampled on an earlier graph first verifies the budget it had
+//      there, which after a small edge batch is close, and searches only
+//      when that fails.
 //   3. A suspect is admitted when at least f_admit * num_distributers
 //      distributers reached it.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -55,22 +60,40 @@ TicketRun distribute_tickets(const Graph& g, VertexId source,
 /// falls as the budget grows, so it lies between the first doubling from 2
 /// that reaches the target and the doubling before. When the doubling
 /// passes 64 * n + 64 first, the last doubling's distribution is returned.
-/// One level-DAG build serves the whole search.
-TicketRun adaptive_distribute(const Graph& g, VertexId source,
-                              double reach_fraction);
+/// One level-DAG build serves the whole search. `budget_hint`, a guess at
+/// the minimal budget such as the source's budget on an earlier graph, is
+/// verified before any search and never changes the result: a hint near
+/// the budget costs one flood, and any other hint falls back to the search.
+TicketRun adaptive_distribute(
+    const Graph& g, VertexId source, double reach_fraction,
+    std::optional<std::uint64_t> budget_hint = std::nullopt);
 
 /// Full GateKeeper admission decision for every vertex.
 struct GateKeeperResult {
   std::vector<VertexId> distributers;
+  /// budgets[i] = distributer i's minimal budget.
+  std::vector<std::uint64_t> budgets;
   /// admissions[v] = number of distributers that reached v.
   std::vector<std::uint32_t> admissions;
   std::uint32_t threshold = 0;  ///< ceil(f_admit * num_distributers)
   bool admitted(VertexId v) const { return admissions[v] >= threshold; }
 };
 
+/// An earlier run's distributers and their minimal budgets, both as in its
+/// GateKeeperResult. Empty spans are no hints.
+struct GateKeeperHints {
+  std::span<const VertexId> distributers;
+  std::span<const std::uint64_t> budgets;
+};
+
 /// Runs the protocol with `controller` as the trusted admission controller.
+/// Distributer i takes budgets[i] of `hints` as its budget hint when it is
+/// the same vertex as the hints' distributer i; hints never change the
+/// result, only how many floods find it. Throws std::invalid_argument when
+/// the hints' spans differ in size.
 GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
-                                const GateKeeperParams& params);
+                                const GateKeeperParams& params,
+                                const GateKeeperHints& hints = {});
 
 /// Table-II style evaluation on an attacked graph: fraction of honest
 /// vertices admitted and Sybils admitted per attack edge.

@@ -22,7 +22,6 @@ namespace sntrust {
 struct SybilRankParams {
   /// Power-iteration steps; 0 = floor(log2 n) + 1, the protocol's O(log n).
   std::uint32_t iterations = 0;
-  std::uint64_t seed = 1;  ///< unused (deterministic), kept for interface parity
 };
 
 struct SybilRankResult {

@@ -7,15 +7,18 @@
 #include <limits>
 #include <numeric>
 
+#include "dynamic/evolution.hpp"
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
 #include "graph/traversal.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/parallel.hpp"
 #include "test_graphs.hpp"
 
 namespace sntrust {
 namespace {
 
+using testing::churn_batch;
 using testing::complete_graph;
 using testing::disconnected_graph;
 using testing::path_graph;
@@ -107,6 +110,34 @@ TicketRun reference_adaptive(const Graph& g, VertexId source,
   return run;
 }
 
+// The slack of a budget hint, max(1, w / 4) for w the size of the
+// source's level DAG (reachable vertices plus child entries, the edges from
+// one BFS level to the next) over its level count, from a plain BFS.
+std::uint64_t hint_slack(const Graph& g, VertexId source) {
+  const BfsResult levels = bfs(g, source);
+  std::uint64_t children = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    if (levels.distances[u] >= levels.level_sizes.size()) continue;
+    for (const VertexId w : g.neighbors(u))
+      children += levels.distances[w] == levels.distances[u] + 1;
+  }
+  const std::uint64_t width =
+      (levels.reached + children) / levels.level_sizes.size();
+  return std::max<std::uint64_t>(1, width / 4);
+}
+
+// A star of 76 leaves whose first leaf has 434 more. Reaching every vertex
+// takes 76 * 434 + 2 = 32,986 tickets, just past the cap
+// 64 * 511 + 64 = 32,768, itself a doubling that misses, so the search
+// returns that doubling. A hint at the cap is within the DAG's width of
+// 32,986 in added tickets: only the hinted step's cap bound stops it there.
+Graph broom() {
+  GraphBuilder b{511};
+  for (VertexId v = 1; v <= 76; ++v) b.add_edge(0, v);
+  for (VertexId v = 77; v < 511; ++v) b.add_edge(1, v);
+  return b.build();
+}
+
 struct OracleCase {
   const char* name;
   Graph graph;
@@ -122,6 +153,7 @@ std::vector<OracleCase> oracle_cases() {
   cases.push_back({"path4096", path_graph(4096), {0, 1000, 2048, 4095}});
   cases.push_back({"star", star_graph(12), {0, 5}});
   cases.push_back({"disconnected", disconnected_graph(), {0, 3, 5}});
+  cases.push_back({"broom", broom(), {0, 5}});
   return cases;
 }
 
@@ -299,6 +331,78 @@ TEST(AdaptiveDistribute, EdgeCasesOfTheSearch) {
   EXPECT_EQ(capped.vertices_reached, 3u);
 }
 
+TEST(AdaptiveDistribute, HintsNeverChangeTheSearch) {
+  // Every hint gives the reference search's flood. A hint from the budget
+  // b to b + slack - 1 verifies in one flood with at most the slack in
+  // added tickets; at b + slack the held flood already reaches the target
+  // above the floor, so the cold search runs. The one-flood claims need a
+  // budget the doubling reaches without passing the cap.
+  obs::Counter& floods = obs::metrics_counter("gatekeeper.ticket_runs");
+  obs::Counter& walks = obs::metrics_counter("gatekeeper.ticket_walks");
+  for (const OracleCase& c : oracle_cases()) {
+    const std::uint64_t n = c.graph.num_vertices();
+    const std::uint64_t cap = 64 * n + 64;
+    for (std::size_t s = 0; s < c.sources.size(); ++s) {
+      const VertexId source = c.sources[s];
+      const VertexId other = c.sources[(s + 1) % c.sources.size()];
+      const std::uint64_t slack = hint_slack(c.graph, source);
+      for (const double fraction : {1e-9, 0.05, 0.5, 0.9, 1.0}) {
+        const TicketRun want = reference_adaptive(c.graph, source, fraction);
+        const std::uint64_t b = want.tickets_sent;
+        const auto target =
+            static_cast<std::uint64_t>(std::ceil(fraction * n));
+        const bool proven = want.vertices_reached >= target && b <= cap;
+        const std::uint64_t others_budget =
+            adaptive_distribute(c.graph, other, fraction).tickets_sent;
+        for (const std::uint64_t hint :
+             {b, b + 1, b - 1, std::uint64_t{0}, std::uint64_t{1},
+              std::uint64_t{2}, b / 8, 8 * b, cap, cap + 1,
+              std::numeric_limits<std::uint64_t>::max(), others_budget,
+              b + slack - 1, b + slack}) {
+          SCOPED_TRACE(std::string(c.name) + " source " +
+                       std::to_string(source) + " fraction " +
+                       std::to_string(fraction) + " hint " +
+                       std::to_string(hint));
+          const std::uint64_t floods_before = floods.value();
+          const std::uint64_t walks_before = walks.value();
+          const TicketRun got =
+              adaptive_distribute(c.graph, source, fraction, hint);
+          const std::uint64_t flooded = floods.value() - floods_before;
+          const std::uint64_t walked = walks.value() - walks_before;
+          EXPECT_EQ(got.tickets_sent, want.tickets_sent);
+          EXPECT_EQ(got.vertices_reached, want.vertices_reached);
+          EXPECT_EQ(got.reached, want.reached);
+          EXPECT_EQ(got.tickets_received, want.tickets_received);
+          if (proven && hint >= b && hint < b + slack) {
+            EXPECT_EQ(flooded, 1u);
+            EXPECT_LE(walked, slack);
+          }
+          if (proven && b > 2 && hint == b + slack) {
+            EXPECT_GT(flooded, 1u);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AdaptiveDistribute, EdgeCasesOfTheSearchHoldWithHints) {
+  // The budget-2 floor and the cap's last doubling, 512, as in
+  // EdgeCasesOfTheSearch, whatever the hint: 448 is the cap.
+  const Graph g = disconnected_graph();
+  for (const std::uint64_t hint :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
+        std::uint64_t{3}, std::uint64_t{447}, std::uint64_t{448},
+        std::uint64_t{449}, std::uint64_t{512},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE("hint " + std::to_string(hint));
+    EXPECT_EQ(adaptive_distribute(g, 0, 1e-9, hint).tickets_sent, 2u);
+    const TicketRun capped = adaptive_distribute(g, 0, 1.0, hint);
+    EXPECT_EQ(capped.tickets_sent, 512u);
+    EXPECT_EQ(capped.vertices_reached, 3u);
+  }
+}
+
 TEST(AdaptiveDistribute, HitsTargetFraction) {
   const Graph g = expander(400, 4);
   const TicketRun run = adaptive_distribute(g, 0, 0.5);
@@ -344,6 +448,62 @@ TEST(GateKeeper, DefaultSampleWalkIsFloorLog2NPlus5) {
       EXPECT_NE(run_gatekeeper(g, 0, params).distributers, by_default);
     }
   }
+}
+
+TEST(GateKeeper, HintedRunAfterABatchMatchesTheColdRun) {
+  // A run's own budgets as hints on the same graph verify in one flood per
+  // distributer. After a churn-shaped batch, hints from the run before it
+  // give the cold run's distributers, budgets and admissions, with fewer
+  // floods, at 1 and 4 threads.
+  obs::Counter& floods = obs::metrics_counter("gatekeeper.ticket_runs");
+  const Graph before = expander(800, 14);
+  GateKeeperParams params;
+  params.num_distributers = 24;
+  params.seed = 14;
+  std::uint64_t floods_before = floods.value();
+  const GateKeeperResult previous = run_gatekeeper(before, 0, params);
+  const std::uint64_t previous_floods = floods.value() - floods_before;
+  ASSERT_EQ(previous.budgets.size(), params.num_distributers);
+  const GateKeeperHints hints{previous.distributers, previous.budgets};
+  floods_before = floods.value();
+  const GateKeeperResult again = run_gatekeeper(before, 0, params, hints);
+  EXPECT_EQ(floods.value() - floods_before, params.num_distributers);
+  EXPECT_EQ(again.budgets, previous.budgets);
+  EXPECT_EQ(again.admissions, previous.admissions);
+  // The same budgets named for vertices that are no distributer go unused.
+  const std::vector<VertexId> nobody(previous.distributers.size(),
+                                     std::numeric_limits<VertexId>::max());
+  floods_before = floods.value();
+  EXPECT_EQ(run_gatekeeper(before, 0, params, {nobody, previous.budgets})
+                .budgets,
+            previous.budgets);
+  EXPECT_EQ(floods.value() - floods_before, previous_floods);
+
+  Rng rng{14};
+  const Graph after = apply_edge_batch(before, churn_batch(before, rng, 8, 4));
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    parallel::ScopedThreadCount scope{threads};
+    floods_before = floods.value();
+    const GateKeeperResult cold = run_gatekeeper(after, 0, params);
+    const std::uint64_t cold_floods = floods.value() - floods_before;
+    floods_before = floods.value();
+    const GateKeeperResult hinted = run_gatekeeper(after, 0, params, hints);
+    const std::uint64_t hinted_floods = floods.value() - floods_before;
+    EXPECT_EQ(hinted.distributers, cold.distributers);
+    EXPECT_EQ(hinted.budgets, cold.budgets);
+    EXPECT_EQ(hinted.admissions, cold.admissions);
+    EXPECT_EQ(hinted.threshold, cold.threshold);
+    EXPECT_LT(hinted_floods, cold_floods);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < cold.distributers.size(); ++i)
+      kept += cold.distributers[i] == previous.distributers[i];
+    EXPECT_GT(kept, 0u);
+  }
+  EXPECT_THROW(run_gatekeeper(after, 0, params,
+                              {previous.distributers,
+                               std::span(previous.budgets).first(1)}),
+               std::invalid_argument);
 }
 
 TEST(GateKeeper, ThresholdScalesWithF) {

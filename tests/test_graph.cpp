@@ -62,8 +62,9 @@ TEST(Graph, OutOfRangeVertexThrows) {
 }
 
 TEST(Graph, CsrValidationRejectsSelfLoop) {
-  // Vertex 0 adjacent to itself.
-  EXPECT_THROW(Graph({0, 1}, {0}), std::invalid_argument);
+  // Vertices 0 and 1 each adjacent to themselves: an even half-edge count,
+  // so the header passes and the row check must catch it.
+  EXPECT_THROW(Graph({0, 1, 2}, {0, 1}), std::invalid_argument);
 }
 
 TEST(Graph, CsrValidationRejectsUnsorted) {
@@ -72,8 +73,9 @@ TEST(Graph, CsrValidationRejectsUnsorted) {
 }
 
 TEST(Graph, CsrValidationRejectsAsymmetry) {
-  // Edge 0->1 without 1->0.
-  EXPECT_THROW(Graph({0, 1, 1}, {1}), std::invalid_argument);
+  // 0->1 and 1->2 without their mirrors; 0-2 mirrored. Four half-edges, so
+  // the header passes and the mirror check must catch it.
+  EXPECT_THROW(Graph({0, 2, 3, 4}, {1, 2, 2, 0}), std::invalid_argument);
 }
 
 TEST(Graph, CsrValidationRejectsOutOfRangeTarget) {
@@ -84,6 +86,35 @@ TEST(Graph, CsrValidationRejectsBadOffsets) {
   EXPECT_THROW(Graph({1, 2}, {0, 1}), std::invalid_argument);   // offsets[0] != 0
   EXPECT_THROW(Graph({0, 1}, {0, 1}), std::invalid_argument);   // end mismatch
   EXPECT_THROW(Graph({}, {}), std::invalid_argument);           // empty offsets
+}
+
+TEST(Graph, EditedRowCheckRejectsWhatTheFullCheckRejects) {
+  // The path 0-1-2-3 with rows 1 and 3 edited. Each broken edit fails both
+  // the edited-row check and the full one.
+  using Rows = std::vector<VertexId>;
+  const auto both_reject = [](std::vector<EdgeIndex> offsets,
+                              std::vector<VertexId> targets,
+                              const Rows& edited) {
+    EXPECT_THROW(Graph(offsets, targets), std::invalid_argument);
+    EXPECT_THROW(Graph::with_edited_rows(offsets, targets, edited),
+                 std::invalid_argument);
+  };
+  // Edge 1-3 added.
+  const Graph added = Graph::with_edited_rows(
+      {0, 1, 4, 6, 8}, {1, 0, 2, 3, 1, 3, 1, 2}, Rows{1, 3});
+  EXPECT_EQ(added, Graph({0, 1, 4, 6, 8}, {1, 0, 2, 3, 1, 3, 1, 2}));
+  // Row 1 unsorted.
+  both_reject({0, 1, 4, 6, 8}, {1, 0, 3, 2, 1, 3, 1, 2}, Rows{1, 3});
+  // Self loops at 1 and 3.
+  both_reject({0, 1, 4, 6, 8}, {1, 0, 1, 2, 1, 3, 2, 3}, Rows{1, 3});
+  // Row 0 gains 2 and 3, whose rows do not mirror them.
+  both_reject({0, 3, 5, 7, 8}, {1, 2, 3, 0, 2, 1, 3, 2}, Rows{0});
+  // Offsets that decrease.
+  both_reject({0, 3, 1, 6, 8}, {1, 0, 2, 3, 1, 3, 1, 2}, Rows{1, 3});
+  // A row past the vertex count.
+  EXPECT_THROW(Graph::with_edited_rows({0, 1, 3, 5, 6}, {1, 0, 2, 1, 3, 2},
+                                       Rows{4}),
+               std::invalid_argument);
 }
 
 TEST(Graph, ValidCsrAccepted) {

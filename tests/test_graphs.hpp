@@ -3,8 +3,10 @@
 
 #include <vector>
 
+#include "dynamic/evolution.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
+#include "util/rng.hpp"
 
 namespace sntrust::testing {
 
@@ -77,6 +79,35 @@ inline Graph disconnected_graph() {
   b.add_edge(0, 1); b.add_edge(1, 2); b.add_edge(0, 2);
   b.add_edge(3, 4);
   return b.build();
+}
+
+/// An edge batch shaped like the e2e churn workload's: `leaves` new
+/// vertices, each joined to a random vertex, and up to `removals` removed
+/// edges that each close a triangle. The triangles share no vertex, so the
+/// graph stays connected.
+inline EdgeBatch churn_batch(const Graph& g, Rng& rng, VertexId leaves,
+                             std::size_t removals) {
+  EdgeBatch batch;
+  const VertexId n = g.num_vertices();
+  for (VertexId j = 0; j < leaves; ++j)
+    batch.insertions.push_back({static_cast<VertexId>(rng.uniform(n)), n + j});
+  std::vector<std::uint8_t> used(n, 0);
+  for (std::size_t attempt = 0;
+       batch.removals.size() < removals && attempt < 1000 * removals;
+       ++attempt) {
+    const auto u = static_cast<VertexId>(rng.uniform(n));
+    const std::span<const VertexId> u_adj = g.neighbors(u);
+    if (used[u] || u_adj.empty()) continue;
+    const VertexId w = u_adj[rng.uniform(u_adj.size())];
+    if (used[w]) continue;
+    for (const VertexId x : g.neighbors(w)) {
+      if (x == u || used[x] || !g.has_edge(u, x)) continue;
+      used[u] = used[w] = used[x] = 1;
+      batch.removals.push_back({u, w});
+      break;
+    }
+  }
+  return batch;
 }
 
 }  // namespace sntrust::testing

@@ -16,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "serve/trust_service.hpp"
 #include "serve/zipf.hpp"
+#include "test_graphs.hpp"
 #include "util/rng.hpp"
 
 namespace sntrust::serve {
@@ -232,6 +233,38 @@ TEST(SnapshotSwapTest, ReadersRacingTheSwapSeeFreshOrHonestlyStaleAnswers) {
   EXPECT_EQ(counter_value("serve.rebuild_failures"), 0u);
   service.wait_for_refresh();
   expect_fresh_and_identical(service, queries);
+  obs::metrics_reset_all();
+}
+
+TEST(SnapshotSwapTest, HintedRefreshesPublishTheColdBuildWithFewerFloods) {
+  // Each refresh passes the published snapshot's GateKeeper budgets as
+  // hints. After every churn-shaped batch the answers still equal the
+  // uncached recompute, which builds cold, and the refresh floods less
+  // than a cold GateKeeper build of the same graph.
+  obs::metrics_reset_all();
+  TrustService service{expander(400, 33), service_options()};
+  obs::Counter& floods = obs::metrics_counter("gatekeeper.ticket_runs");
+  Rng rng{33};
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("batch " + std::to_string(round));
+    const VertexId n = service.graph().num_vertices();
+    const EdgeBatch batch = testing::churn_batch(service.graph(), rng, 8, 4);
+    ASSERT_EQ(batch.removals.size(), 4u);
+    std::uint64_t before = floods.value();
+    service.apply_edges(batch);
+    service.wait_for_refresh();
+    const std::uint64_t refresh_floods = floods.value() - before;
+    before = floods.value();
+    (void)compute_gatekeeper_artifact(service.graph(), service.config());
+    const std::uint64_t cold_floods = floods.value() - before;
+    EXPECT_LT(refresh_floods, cold_floods);
+    std::vector<Query> queries = all_kind_queries(n);  // a new leaf
+    for (const VertexId v : {batch.removals[0].u, batch.removals[0].v})
+      for (const Query& q : all_kind_queries(v)) queries.push_back(q);
+    expect_fresh_and_identical(service, queries);
+  }
+  EXPECT_EQ(service.epoch(), 4u);
+  EXPECT_EQ(counter_value("serve.rebuild_failures"), 0u);
   obs::metrics_reset_all();
 }
 
