@@ -35,8 +35,9 @@ std::vector<CoreLevel> core_profile(const Graph& g,
   exec::SweepOptions sweep;
   sweep.kind = "core_profile";
   sweep.token = exec::process_token();
-  sweep.fingerprint = exec::fingerprint(
-      {n, g.num_edges(), d.degeneracy, exec::graph_fingerprint(g)});
+  if (exec::CheckpointStore::instance().armed())
+    sweep.fingerprint = exec::fingerprint(
+        {n, g.num_edges(), d.degeneracy, g.fingerprint()});
   const exec::SweepResult swept = exec::run_sweep(
       d.degeneracy, sweep, [&](std::size_t idx, std::uint32_t worker) {
         const std::uint32_t k = static_cast<std::uint32_t>(idx) + 1;

@@ -8,19 +8,10 @@
 #include <stdexcept>
 
 #include "exec/checkpoint.hpp"
-#include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/parallel.hpp"
 
 namespace sntrust::exec {
-
-std::uint64_t graph_fingerprint(const Graph& graph) {
-  // Same splitmix64 chain as ever, now computed (and cached) by the graph
-  // itself: snapshot loads seed the cache from their verified header, so a
-  // mapped graph keys checkpoints identically to a parsed one without the
-  // O(n + m) rescan.
-  return graph.fingerprint();
-}
 
 namespace {
 

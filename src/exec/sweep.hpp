@@ -45,6 +45,8 @@ struct SweepOptions {
   std::string kind;
   /// Configuration fingerprint (see exec::fingerprint); a checkpoint entry
   /// is only restored when kind, fingerprint, and item count all match.
+  /// Read only while the CheckpointStore is armed, so a caller whose key
+  /// folds in Graph::fingerprint() computes it only then.
   std::uint64_t fingerprint = 0;
   /// Cancellation token polled at source boundaries.
   CancelToken token;
@@ -91,12 +93,3 @@ SweepResult run_sweep_blocks(
         const std::vector<std::size_t>&)>& compute_block);
 
 }  // namespace sntrust::exec
-
-namespace sntrust {
-class Graph;
-namespace exec {
-/// Folds the structural identity of a graph (sizes + adjacency contents)
-/// into a fingerprint word, so checkpoints never resume across graphs.
-std::uint64_t graph_fingerprint(const Graph& graph);
-}  // namespace exec
-}  // namespace sntrust

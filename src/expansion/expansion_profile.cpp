@@ -74,9 +74,10 @@ ExpansionProfile measure_expansion(const Graph& g,
   exec::SweepOptions sweep;
   sweep.kind = "measure_expansion";
   sweep.token = exec::process_token();
-  sweep.fingerprint = exec::fingerprint(
-      {n, g.num_edges(), sources.size(), options.num_sources, options.seed,
-       exec::graph_fingerprint(g)});
+  if (exec::CheckpointStore::instance().armed())
+    sweep.fingerprint = exec::fingerprint(
+        {n, g.num_edges(), sources.size(), options.num_sources, options.seed,
+         g.fingerprint()});
   const exec::SweepResult swept = exec::run_sweep(
       sources.size(), sweep, [&](std::size_t i, std::uint32_t worker) {
         WorkerState& state = states[worker];

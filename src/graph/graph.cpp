@@ -111,8 +111,8 @@ bool operator==(const Graph& a, const Graph& b) {
 std::uint64_t Graph::fingerprint() const {
   if (const std::optional<std::uint64_t> cached = cached_fingerprint())
     return *cached;
-  // Identical chain to the pre-existing exec::graph_fingerprint, so
-  // checkpoints written before the cache existed still match.
+  // The chain checkpoints have always been keyed with, so checkpoints
+  // written before the cache existed still match.
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   h = stream_seed(h, offsets_.size());
   h = stream_seed(h, targets_.size());

@@ -119,7 +119,7 @@ class Graph {
   friend bool operator==(const Graph& a, const Graph& b);
 
   /// Structural fingerprint (splitmix64 chain over sizes + CSR contents) —
-  /// the value exec::graph_fingerprint keys checkpoints with. Computed once
+  /// the value the sweeps fold into their checkpoint keys. Computed once
   /// and cached across copies; snapshot loads seed the cache from the
   /// verified header so a mapped multi-GB graph never pays the O(n + m)
   /// rescan, and checkpoints key identically across the parse and mmap

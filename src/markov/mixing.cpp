@@ -247,9 +247,10 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
   exec::SweepOptions sweep;
   sweep.kind = "measure_mixing";
   sweep.token = exec::process_token();
-  sweep.fingerprint = exec::fingerprint(
-      {n, g.num_edges(), k, options.max_walk_length,
-       options.lazy ? 1ULL : 0ULL, options.seed, exec::graph_fingerprint(g)});
+  if (exec::CheckpointStore::instance().armed())
+    sweep.fingerprint = exec::fingerprint(
+        {n, g.num_edges(), k, options.max_walk_length,
+         options.lazy ? 1ULL : 0ULL, options.seed, g.fingerprint()});
   const exec::SweepResult swept =
       exec::run_sweep_blocks(k, kLaneBlockWidth, sweep, run_block);
   collect_curves(swept, out);
@@ -294,9 +295,10 @@ MixingCurves measure_mixing_monte_carlo(const Graph& g,
   exec::SweepOptions sweep;
   sweep.kind = "measure_mixing_monte_carlo";
   sweep.token = exec::process_token();
-  sweep.fingerprint = exec::fingerprint(
-      {n, g.num_edges(), k, options.max_walk_length, walks_per_point,
-       options.seed, exec::graph_fingerprint(g)});
+  if (exec::CheckpointStore::instance().armed())
+    sweep.fingerprint = exec::fingerprint(
+        {n, g.num_edges(), k, options.max_walk_length, walks_per_point,
+         options.seed, g.fingerprint()});
   const exec::SweepResult swept = exec::run_sweep(
       k, sweep, [&](std::size_t i, std::uint32_t worker) {
         Scratch& s = scratch[worker];

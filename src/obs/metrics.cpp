@@ -2,8 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace sntrust::obs {
+
+std::array<detail::CounterPage, kThreadSlots + 1> detail::counter_pages;
+
+std::uint64_t Counter::value() const {
+  std::uint64_t total = 0;
+  for (const detail::CounterPage& page : detail::counter_pages)
+    total += page.cells[index_].load(std::memory_order_relaxed);
+  return total;
+}
+
+void Counter::reset() {
+  // Stores only where a thread added, so a reset makes no page resident.
+  for (detail::CounterPage& page : detail::counter_pages) {
+    std::atomic<std::uint64_t>& cell = page.cells[index_];
+    if (cell.load(std::memory_order_relaxed) != 0)
+      cell.store(0, std::memory_order_relaxed);
+  }
+}
 
 std::size_t Histogram::bucket_index(double value) {
   if (!(value >= 1.0)) return 0;  // negatives and NaN land in bucket 0 too
@@ -59,7 +78,11 @@ Metrics& Metrics::instance() {
 
 Counter& Metrics::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return counters_[name];
+  const auto found = counters_.find(name);
+  if (found != counters_.end()) return found->second;
+  if (counters_.size() == kMaxCounters)
+    throw std::length_error("Metrics: more than kMaxCounters counters");
+  return counters_.try_emplace(name, counters_.size()).first->second;
 }
 
 Gauge& Metrics::gauge(const std::string& name) {

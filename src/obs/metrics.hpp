@@ -4,10 +4,12 @@
 //
 // Counters and gauges are lock-free after the first lookup; hot paths cache
 // the returned reference (`static Counter& c = metrics_counter("walk.steps")`)
-// so the steady-state cost is one relaxed atomic add. `snapshot()` gives a
+// so the steady-state cost is one relaxed atomic add on a cache line only
+// the calling thread writes (obs/thread_slot). `snapshot()` gives a
 // consistent copy for reports and tests.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -17,22 +19,42 @@
 #include <vector>
 
 #include "obs/quantile.hpp"
+#include "obs/thread_slot.hpp"
 
 namespace sntrust::obs {
 
-/// Monotonically increasing event count.
+/// Counters a process may register; Metrics::counter throws past it.
+inline constexpr std::size_t kMaxCounters = 512;
+
+namespace detail {
+/// One thread slot's cell of every counter: a page only that slot's
+/// thread writes.
+struct alignas(4096) CounterPage {
+  std::array<std::atomic<std::uint64_t>, kMaxCounters> cells{};
+};
+/// Static, zero-filled storage, so no counter allocates (a cell carved
+/// from the adding thread's heap mid-computation fragments it, DESIGN.md
+/// §7); a page becomes resident once a thread with its slot adds. The
+/// last page is shared by threads without a slot.
+extern std::array<CounterPage, kThreadSlots + 1> counter_pages;
+}  // namespace detail
+
+/// Monotonically increasing event count, sharded by thread: a thread adds
+/// to its own slot's page, and value() sums the pages.
 class Counter {
  public:
+  /// The registry (Metrics::counter) gives every counter its own index.
+  explicit Counter(std::size_t index) : index_(index) {}
+
   void add(std::uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    detail::counter_pages[thread_slot()].cells[index_].fetch_add(
+        delta, std::memory_order_relaxed);
   }
-  std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  std::uint64_t value() const;
+  void reset();
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::size_t index_;
 };
 
 /// Last-write-wins instantaneous value.

@@ -1,8 +1,11 @@
 #include "obs/quantile.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <new>
 
 namespace sntrust::obs {
 
@@ -24,7 +27,23 @@ void atomic_fold(std::atomic<std::uint64_t>& bits, double value,
     ;
 }
 
+constexpr std::uint64_t kEmptyMinBits =
+    std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity());
+constexpr std::uint64_t kEmptyMaxBits =
+    std::bit_cast<std::uint64_t>(-std::numeric_limits<double>::infinity());
+
 }  // namespace
+
+/// One thread's samples. No total-count atomic: snapshot() derives count
+/// from the loaded counters, so a live snapshot is internally consistent by
+/// construction.
+struct alignas(kCacheLineBytes) QuantileHistogram::Shard {
+  std::atomic<std::uint64_t> underflow{0};
+  std::atomic<std::uint64_t> overflow{0};
+  std::atomic<std::uint64_t> min_bits{kEmptyMinBits};  ///< running min
+  std::atomic<std::uint64_t> max_bits{kEmptyMaxBits};  ///< running max
+  std::array<std::atomic<std::uint64_t>, kQuantileBuckets> buckets{};
+};
 
 double QuantileSnapshot::value_at_quantile(double q) const {
   if (count == 0) return std::numeric_limits<double>::quiet_NaN();
@@ -66,12 +85,43 @@ bool QuantileSnapshot::operator==(const QuantileSnapshot& other) const {
          buckets == other.buckets;
 }
 
-QuantileHistogram::QuantileHistogram()
-    : min_bits_(std::bit_cast<std::uint64_t>(
-          std::numeric_limits<double>::infinity())),
-      max_bits_(std::bit_cast<std::uint64_t>(
-          -std::numeric_limits<double>::infinity())) {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+namespace {
+
+// A shard's pages come straight from the kernel, not from the recording
+// thread's malloc arena: a thread's first record usually lands in the
+// middle of a computation, and a long-lived block carved from its arena
+// there fragments it (DESIGN.md §7).
+QuantileHistogram::Shard* map_shard() {
+  void* pages = mmap(nullptr, sizeof(QuantileHistogram::Shard),
+                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                     0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  return new (pages) QuantileHistogram::Shard();
+}
+
+void unmap_shard(QuantileHistogram::Shard* shard) {
+  shard->~Shard();
+  munmap(shard, sizeof(QuantileHistogram::Shard));
+}
+
+}  // namespace
+
+QuantileHistogram::~QuantileHistogram() {
+  for (const std::atomic<Shard*>& slot : shards_)
+    if (Shard* shard = slot.load(std::memory_order_relaxed)) unmap_shard(shard);
+}
+
+QuantileHistogram::Shard& QuantileHistogram::shard() {
+  std::atomic<Shard*>& slot = shards_[thread_slot()];
+  Shard* shard = slot.load(std::memory_order_acquire);
+  if (shard != nullptr) return *shard;
+  // Only the shared last slot can race here: a lost race keeps the winner's.
+  Shard* fresh = map_shard();
+  if (slot.compare_exchange_strong(shard, fresh, std::memory_order_acq_rel,
+                                   std::memory_order_acquire))
+    return *fresh;
+  unmap_shard(fresh);
+  return *shard;
 }
 
 std::size_t QuantileHistogram::bucket_index(double value) {
@@ -95,46 +145,57 @@ double QuantileHistogram::bucket_midpoint(std::size_t index) {
 }
 
 void QuantileHistogram::record(double value) {
-  atomic_fold(min_bits_, value, [](double a, double b) { return a < b; });
-  atomic_fold(max_bits_, value, [](double a, double b) { return a > b; });
+  Shard& shard = this->shard();
+  atomic_fold(shard.min_bits, value, [](double a, double b) { return a < b; });
+  atomic_fold(shard.max_bits, value, [](double a, double b) { return a > b; });
   if (!(value >= kQuantileMinValue)) {
-    underflow_.fetch_add(1, std::memory_order_relaxed);
+    shard.underflow.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   if (value >= kQuantileMaxValue) {
-    overflow_.fetch_add(1, std::memory_order_relaxed);
+    shard.overflow.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
+  shard.buckets[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
 }
 
 QuantileSnapshot QuantileHistogram::snapshot() const {
   QuantileSnapshot snap;
-  snap.underflow = underflow_.load(std::memory_order_relaxed);
-  snap.overflow = overflow_.load(std::memory_order_relaxed);
-  snap.min = std::bit_cast<double>(min_bits_.load(std::memory_order_relaxed));
-  snap.max = std::bit_cast<double>(max_bits_.load(std::memory_order_relaxed));
+  for (const std::atomic<Shard*>& slot : shards_) {
+    const Shard* shard = slot.load(std::memory_order_acquire);
+    if (shard == nullptr) continue;
+    snap.underflow += shard->underflow.load(std::memory_order_relaxed);
+    snap.overflow += shard->overflow.load(std::memory_order_relaxed);
+    // The same exact comparisons record() folds with, so the fold over
+    // shards is the extremum of every recorded sample.
+    const double min =
+        std::bit_cast<double>(shard->min_bits.load(std::memory_order_relaxed));
+    const double max =
+        std::bit_cast<double>(shard->max_bits.load(std::memory_order_relaxed));
+    if (min < snap.min) snap.min = min;
+    if (max > snap.max) snap.max = max;
+    for (std::size_t i = 0; i < kQuantileBuckets; ++i)
+      snap.buckets[i] += shard->buckets[i].load(std::memory_order_relaxed);
+  }
   // Count is derived from the loaded counters, so a snapshot racing active
   // recorders is still internally consistent (every rank resolves to some
   // loaded bucket); a quiescent snapshot is exact and bitwise deterministic.
   snap.count = snap.underflow + snap.overflow;
-  for (std::size_t i = 0; i < kQuantileBuckets; ++i) {
-    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-    snap.count += snap.buckets[i];
-  }
+  for (const std::uint64_t bucket : snap.buckets) snap.count += bucket;
   return snap;
 }
 
 void QuantileHistogram::reset() {
-  underflow_.store(0, std::memory_order_relaxed);
-  overflow_.store(0, std::memory_order_relaxed);
-  min_bits_.store(std::bit_cast<std::uint64_t>(
-                      std::numeric_limits<double>::infinity()),
-                  std::memory_order_relaxed);
-  max_bits_.store(std::bit_cast<std::uint64_t>(
-                      -std::numeric_limits<double>::infinity()),
-                  std::memory_order_relaxed);
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  for (const std::atomic<Shard*>& slot : shards_) {
+    Shard* shard = slot.load(std::memory_order_acquire);
+    if (shard == nullptr) continue;
+    shard->underflow.store(0, std::memory_order_relaxed);
+    shard->overflow.store(0, std::memory_order_relaxed);
+    shard->min_bits.store(kEmptyMinBits, std::memory_order_relaxed);
+    shard->max_bits.store(kEmptyMaxBits, std::memory_order_relaxed);
+    for (auto& bucket : shard->buckets)
+      bucket.store(0, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace sntrust::obs

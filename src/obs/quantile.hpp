@@ -8,12 +8,14 @@
 // with the bucket midpoint clamped to the exact observed [min, max].
 //
 // Recording is lock-free — one relaxed fetch_add on the bucket counter plus
-// CAS-maintained exact min/max — and every piece of state is an integer
-// counter or an order-independent fold, so two histograms fed the same
-// multiset of samples from any number of threads in any order snapshot
-// *bitwise identically* (no accumulated floating-point sum whose rounding
-// would depend on arrival order; `approx_sum()` is derived from the buckets
-// on demand instead).
+// CAS-maintained exact min/max, all in the calling thread's own shard
+// (obs/thread_slot) — and every piece of state is an integer counter or an
+// order-independent fold, so two histograms fed the same multiset of
+// samples from any number of threads in any order snapshot *bitwise
+// identically*: a snapshot sums the shards' counters and folds their exact
+// min/max (no accumulated floating-point sum whose rounding would depend on
+// arrival order; `approx_sum()` is derived from the buckets on demand
+// instead).
 //
 // Empty-histogram contract (mirrors HistogramSnapshot): when `count == 0`,
 // `min`/`max` hold the +inf/-inf fold identities and `value_at_quantile`
@@ -25,6 +27,8 @@
 #include <cstdint>
 #include <limits>
 #include <vector>
+
+#include "obs/thread_slot.hpp"
 
 namespace sntrust::obs {
 
@@ -76,13 +80,19 @@ struct QuantileSnapshot {
 /// (see Metrics::quantile) so hot paths cache them.
 class QuantileHistogram {
  public:
-  QuantileHistogram();
+  QuantileHistogram() = default;
+  ~QuantileHistogram();
+  QuantileHistogram(const QuantileHistogram&) = delete;
+  QuantileHistogram& operator=(const QuantileHistogram&) = delete;
 
-  /// Records one sample. Lock-free: a relaxed add on the owning bucket and
-  /// CAS folds of exact min/max. NaN samples count as underflow and leave
-  /// min/max untouched.
+  /// Records one sample into the calling thread's shard, which its first
+  /// record maps (16 KiB, no heap allocation). Lock-free: a relaxed add on
+  /// the owning bucket and CAS folds of exact min/max. NaN samples count as
+  /// underflow and leave min/max untouched.
   void record(double value);
 
+  /// Sums the shards. Safe while others record; reset() zeroes the shards
+  /// in place, so references to the histogram stay valid.
   QuantileSnapshot snapshot() const;
   void reset();
 
@@ -93,14 +103,16 @@ class QuantileHistogram {
   /// Midpoint of bucket i — the estimator's representative value.
   static double bucket_midpoint(std::size_t index);
 
+  /// One thread's samples (quantile.cpp).
+  struct Shard;
+
  private:
-  // No total-count atomic: snapshot() derives count from the loaded buckets
-  // so a live snapshot is internally consistent by construction.
-  std::atomic<std::uint64_t> underflow_{0};
-  std::atomic<std::uint64_t> overflow_{0};
-  std::atomic<std::uint64_t> min_bits_;  ///< bit_cast of the running min
-  std::atomic<std::uint64_t> max_bits_;  ///< bit_cast of the running max
-  std::array<std::atomic<std::uint64_t>, kQuantileBuckets> buckets_;
+  /// The calling thread's shard, mapped on its first record.
+  Shard& shard();
+
+  /// One shard per thread slot, null until that slot's first record; the
+  /// last one is shared by threads that have no slot.
+  std::array<std::atomic<Shard*>, kThreadSlots + 1> shards_{};
 };
 
 }  // namespace sntrust::obs

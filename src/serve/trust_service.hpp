@@ -4,21 +4,32 @@
 // admissible under SybilRank/GateKeeper?", "trust score of v from the seed
 // set", "coreness/percentile of v", "landmark walk probability at v" — from
 // one immutable `ServingSnapshot`: the graph, its epoch, the four per-defense
-// artifacts and the time the build finished. Each call copies the current
-// `shared_ptr<const ServingSnapshot>` once, on the caller's thread, and
-// answers from that copy; a rebuild swaps in a new one. The copy keeps the
-// snapshot alive until the call returns, so a swap never frees memory under
-// a query.
+// artifacts and the time the build finished. A rebuild publishes a new one
+// and bumps the publish generation. Each calling thread keeps its own
+// reader slot (obs::thread_slot) holding the generation it last copied and
+// a `shared_ptr` to that snapshot. A warm call takes its slot's flag, loads
+// the generation once, finds it equal to its slot's, and answers from the
+// slot's snapshot without touching the shared lock or a reference count.
+// A thread's first call, a call that finds a newer generation, and every
+// call of a thread without a slot copy the pointer under a shared lock.
+// A publish hands every idle slot the new snapshot, so no idle thread keeps
+// the previous one alive; the slot keeps its snapshot alive until then or
+// until the service is destroyed, so a swap never frees memory under a
+// query.
 //
-//   * `answer()` / `answer_batch()`: caller-thread reads. The warm path
-//     performs **no heap allocation** per query (fixed-size Answer, cached
-//     metric handles) — pinned by ServeAllocStats in tests.
+//   * `answer()` / `answer_batch()`: plain caller-thread reads. The warm
+//     path performs **no heap allocation** per query (fixed-size Answer,
+//     cached metric handles) — pinned by ServeAllocTest.
 //   * `ask()` / `ask_batch()`: the same read, preceded by the cancellation
 //     check; each call's latency lands in the `serve.query_ms` quantile
-//     histograms.
+//     histogram. Warm, they allocate nothing either.
 //   * `answer_uncached()`: the naive recompute-per-query reference the
 //     serving bench measures the snapshot against, and the identity oracle
 //     the tests pin fresh answers to.
+//
+// A warm call of any read path writes only cache lines its own thread owns:
+// its reader slot's flag, and its shards of the `serve.*` counters and of
+// `serve.query_ms` (obs/metrics, obs/quantile).
 //
 // Answers are pure functions of (snapshot, query) and snapshots are built by
 // the library's deterministic kernels, so every path agrees bitwise at any
@@ -33,6 +44,7 @@
 // read the graph.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -44,6 +56,7 @@
 
 #include "exec/cancel.hpp"
 #include "graph/graph.hpp"
+#include "obs/thread_slot.hpp"
 #include "serve/artifacts.hpp"
 
 namespace sntrust {
@@ -154,7 +167,8 @@ class TrustService {
   /// the build throws.
   void start();
 
-  /// Caller-thread read; no per-query heap allocation.
+  /// Caller-thread read; no per-query heap allocation, and no latency
+  /// sample.
   Answer answer(const Query& query);
   void answer_batch(std::span<const Query> queries, std::span<Answer> answers);
 
@@ -164,7 +178,8 @@ class TrustService {
   Answer answer_uncached(const Query& query) const;
 
   /// answer()/answer_batch() after the cancellation check: once cancelled,
-  /// every answer is kCancelled. ask_batch returns the number of answers
+  /// every answer is kCancelled. Each call that is not cancelled records
+  /// one `serve.query_ms` sample. ask_batch returns the number of answers
   /// whose status is neither kCancelled nor kUnavailable.
   Answer ask(const Query& query);
   std::size_t ask_batch(std::span<const Query> queries,
@@ -186,16 +201,42 @@ class TrustService {
   void wait_for_refresh();
 
  private:
+  /// A thread's copy of the published snapshot and the generation it was
+  /// published at. The thread holding the slot's obs::thread_slot() index
+  /// locks it for each call; publish() only tries the lock, to hand an idle
+  /// slot the new snapshot; the destructor releases it. A flag rather than
+  /// a std::mutex: one atomic exchange per call on a line only its thread
+  /// writes (the mutex's two cost 20–30 ns more per call on a 4-vCPU x86
+  /// host).
+  struct alignas(obs::kCacheLineBytes) ReaderSlot {
+    std::atomic_flag busy;
+    std::uint64_t generation = 0;
+    std::shared_ptr<const ServingSnapshot> snapshot;
+
+    void lock() {
+      while (busy.test_and_set(std::memory_order_acquire))
+        std::this_thread::yield();
+    }
+    bool try_lock() { return !busy.test_and_set(std::memory_order_acquire); }
+    void unlock() { busy.clear(std::memory_order_release); }
+  };
+
   /// One call's view of the service: the snapshot it answers from and how
   /// it relates to the latest graph.
   struct View {
-    std::shared_ptr<const ServingSnapshot> snapshot;
+    /// Kept alive by the caller's reader slot, or by `owner`.
+    const ServingSnapshot* snapshot = nullptr;
+    /// Holds the caller's reader slot for the call, so a publish leaves it
+    /// alone until the call returns.
+    std::unique_lock<ReaderSlot> slot_lock;
+    /// Holds the snapshot for a thread that has no reader slot.
+    std::shared_ptr<const ServingSnapshot> owner;
     VertexId latest_vertices = 0;
     bool degraded = false;
     double staleness_ms = 0.0;
   };
 
-  View view() const;
+  View view();
   std::shared_ptr<const ServingSnapshot> published() const;
   void publish(std::shared_ptr<const ServingSnapshot> snapshot);
   static Answer answer_from(const View& view, const Query& query);
@@ -203,7 +244,6 @@ class TrustService {
   /// kUnavailable.
   std::size_t answer_all(std::span<const Query> queries,
                          std::span<Answer> answers);
-  void record_latency(std::uint64_t start_ns);
   /// `previous`, the published snapshot or null, lends its GateKeeper
   /// budgets as hints; the snapshot is the same without them.
   std::shared_ptr<const ServingSnapshot> build_snapshot(
@@ -219,6 +259,10 @@ class TrustService {
   /// ThreadSanitizer reports.
   mutable std::shared_mutex snapshot_mutex_;
   std::shared_ptr<const ServingSnapshot> snapshot_;
+  /// Bumped by every publish, under snapshot_mutex_. Generation 0 is the
+  /// empty snapshot_, which is what a fresh ReaderSlot holds.
+  std::atomic<std::uint64_t> generation_{0};
+  std::array<ReaderSlot, obs::kThreadSlots> reader_slots_;
   std::atomic<std::uint64_t> epoch_{0};
   /// graph_'s vertex count, readable without mutex_.
   std::atomic<VertexId> latest_vertices_{0};

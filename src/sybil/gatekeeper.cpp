@@ -435,11 +435,13 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
   exec::SweepOptions sweep;
   sweep.kind = "gatekeeper_budget";
   sweep.token = exec::process_token();
-  // Budgets do not depend on f_admit, so a checkpoint serves every f.
-  sweep.fingerprint = exec::fingerprint(
-      {n, g.num_edges(), params.num_distributers,
-       std::bit_cast<std::uint64_t>(params.reach_fraction), params.seed,
-       walk_length, controller, exec::graph_fingerprint(g)});
+  // Budgets do not depend on f_admit, so a checkpoint serves every f. The
+  // graph's fingerprint is an O(n + m) scan: only a checkpoint reads it.
+  if (exec::CheckpointStore::instance().armed())
+    sweep.fingerprint = exec::fingerprint(
+        {n, g.num_edges(), params.num_distributers,
+         std::bit_cast<std::uint64_t>(params.reach_fraction), params.seed,
+         walk_length, controller, g.fingerprint()});
   const exec::SweepResult swept = exec::run_sweep(
       out.distributers.size(), sweep,
       [&](std::size_t i, std::uint32_t slot) {

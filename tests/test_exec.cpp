@@ -10,15 +10,19 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cores/core_profile.hpp"
+#include "dynamic/evolution.hpp"
 #include "exec/cancel.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/sweep.hpp"
+#include "expansion/expansion_profile.hpp"
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
 #include "markov/mixing.hpp"
@@ -698,6 +702,51 @@ TEST(ExecResume, GatekeeperResumeIsBitwiseIdentical) {
         EXPECT_EQ(resumed.admissions, baseline.admissions);
         EXPECT_EQ(resumed.threshold, baseline.threshold);
       });
+}
+
+TEST(ExecResume, SweepsFingerprintTheGraphOnlyWhileACheckpointIsArmed) {
+  // Graph::fingerprint() is an O(n + m) scan that only a checkpoint key
+  // needs, and it caches its value in the graph: a fresh edge-batch result
+  // must come out of every checkpointable sweep unfingerprinted when no
+  // checkpoint is armed, and fingerprinted when one is.
+  ExecStateGuard guard;
+  const Graph base = acceptance_graph();
+  Rng rng{41};
+  const EdgeBatch batch = testing::churn_batch(base, rng, 4, 2);
+  GateKeeperParams params;
+  params.seed = 2026;
+  params.num_distributers = 6;
+  MixingOptions mixing = acceptance_mixing_options();
+  mixing.num_sources = 3;
+  ExpansionOptions expansion;
+  expansion.num_sources = 5;
+  const std::vector<std::pair<const char*, std::function<void(const Graph&)>>>
+      sweeps = {
+          {"gatekeeper", [&](const Graph& g) { run_gatekeeper(g, 0, params); }},
+          {"mixing", [&](const Graph& g) { measure_mixing(g, mixing); }},
+          {"mixing_monte_carlo",
+           [&](const Graph& g) { measure_mixing_monte_carlo(g, mixing, 8); }},
+          {"core_profile", [&](const Graph& g) { core_profile(g); }},
+          {"expansion",
+           [&](const Graph& g) { measure_expansion(g, expansion); }},
+      };
+  const std::uint64_t fingerprint = apply_edge_batch(base, batch).fingerprint();
+  const std::string path = temp_path("sntrust_exec_fingerprint_armed.json");
+  for (const auto& [name, sweep] : sweeps) {
+    SCOPED_TRACE(name);
+    exec::CheckpointStore::instance().set_path("");
+    const Graph unarmed = apply_edge_batch(base, batch);
+    ASSERT_FALSE(unarmed.cached_fingerprint().has_value());
+    sweep(unarmed);
+    EXPECT_FALSE(unarmed.cached_fingerprint().has_value());
+
+    std::remove(path.c_str());
+    exec::CheckpointStore::instance().set_path(path);
+    const Graph armed = apply_edge_batch(base, batch);
+    sweep(armed);
+    EXPECT_EQ(armed.cached_fingerprint(), fingerprint);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ExecResume, GatekeeperCheckpointsIntegerBudgets) {

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 #include "obs/quantile.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/thread_slot.hpp"
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -227,6 +230,64 @@ TEST_F(MetricsTest, CounterReferenceStableAcrossReset) {
   EXPECT_EQ(&before, &after);
 }
 
+TEST_F(MetricsTest, ThreadSlotsAreDistinctBoundedAndReused) {
+  // Start threads that hold their slots until one finds none left: at most
+  // kThreadSlots slots are free, so the last of kThreadSlots + 1 threads
+  // finds none at the latest.
+  std::latch release{1};
+  std::vector<std::thread> holders;
+  std::vector<std::size_t> held;
+  std::size_t last = 0;
+  while (holders.size() <= kThreadSlots) {
+    std::promise<std::size_t> leased;
+    std::future<std::size_t> slot = leased.get_future();
+    holders.emplace_back([&release, leased = std::move(leased)]() mutable {
+      leased.set_value(thread_slot());
+      release.wait();
+    });
+    last = slot.get();
+    if (last == kThreadSlots) break;
+    held.push_back(last);
+  }
+  EXPECT_EQ(last, kThreadSlots);
+  std::vector<std::size_t> sorted = held;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+  ASSERT_FALSE(held.empty());
+  EXPECT_LT(sorted.back(), kThreadSlots);
+  release.count_down();
+  for (std::thread& holder : holders) holder.join();
+
+  // Exited threads return their slots: the next thread takes the lowest.
+  std::size_t reused = kThreadSlots;
+  std::thread([&] { reused = thread_slot(); }).join();
+  EXPECT_EQ(reused, sorted.front());
+}
+
+TEST_F(MetricsTest, CounterSumsEveryThreadsAddsBeyondTheSlotCount) {
+  // All threads stay alive until every one has added, so at least eight of
+  // them hold no slot and add to the shared cell.
+  constexpr std::size_t kThreads = kThreadSlots + 8;
+  constexpr std::uint64_t kAdds = 1000;
+  Counter& c = Metrics::instance().counter("test.sharded");
+  std::latch added{static_cast<std::ptrdiff_t>(kThreads)};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kAdds; ++i) c.add(1 + t % 2);
+      added.arrive_and_wait();
+    });
+  for (std::thread& thread : threads) thread.join();
+  const std::uint64_t expected = kAdds * (kThreads + kThreads / 2);
+  EXPECT_EQ(c.value(), expected);
+  EXPECT_EQ(Metrics::instance().snapshot().counters.at("test.sharded"),
+            expected);
+  c.reset();
+  EXPECT_EQ(c.value(), 0u);
+  c.add(5);
+  EXPECT_EQ(c.value(), 5u);
+}
+
 TEST_F(MetricsTest, GaugeIsLastWriteWins) {
   set_gauge("test.gauge", 1.5);
   set_gauge("test.gauge", -3.25);
@@ -428,6 +489,42 @@ TEST_F(QuantileTest, SnapshotsAreBitwiseDeterministicAcrossThreadCounts) {
     EXPECT_TRUE(serial.snapshot() == parallel.snapshot())
         << threads << " threads";
   }
+}
+
+TEST_F(QuantileTest, ShardsBeyondTheSlotCountFoldToTheSerialSnapshot) {
+  // Threads with a slot record into their own shards and the rest into the
+  // shared one; all stay alive until every one has recorded.
+  constexpr std::size_t kThreads = kThreadSlots + 8;
+  std::vector<double> samples;
+  double value = 0.07;
+  for (int i = 0; i < 9'000; ++i) {
+    samples.push_back(value);
+    value = value * 1.0031 + 0.0002;
+    if (value > 700.0) value *= 0.0017;
+  }
+  samples.push_back(0.0);        // underflow
+  samples.push_back(0x1.0p+50);  // overflow
+  QuantileHistogram serial;
+  for (const double v : samples) serial.record(v);
+
+  QuantileHistogram sharded;
+  std::latch recorded{static_cast<std::ptrdiff_t>(kThreads)};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < samples.size(); i += kThreads)
+        sharded.record(samples[i]);
+      recorded.arrive_and_wait();
+    });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_TRUE(sharded.snapshot() == serial.snapshot());
+
+  // Reset zeroes every shard in place; recording afterwards starts over.
+  sharded.reset();
+  EXPECT_TRUE(sharded.snapshot() == QuantileHistogram().snapshot());
+  sharded.record(2.5);
+  EXPECT_EQ(sharded.snapshot().count, 1u);
+  EXPECT_DOUBLE_EQ(sharded.snapshot().min, 2.5);
 }
 
 TEST_F(QuantileTest, ResetRestoresTheEmptyState) {

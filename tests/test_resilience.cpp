@@ -1,10 +1,12 @@
 // Churn and failed-rebuild tests for the serving layer (DESIGN.md §16):
 // edge-batch semantics, background rebuilds to fresh answers, a rebuild
-// that really fails, and readers racing the snapshot swap. The race suite
-// is named SnapshotSwapTest so the CI tsan pass picks it up by filter.
+// that really fails, and readers racing the snapshot swap, with and
+// without reader slots. The race suite is named SnapshotSwapTest so the CI
+// tsan pass picks it up by filter.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "obs/metrics.hpp"
+#include "obs/thread_slot.hpp"
 #include "serve/trust_service.hpp"
 #include "serve/zipf.hpp"
 #include "test_graphs.hpp"
@@ -232,6 +235,78 @@ TEST(SnapshotSwapTest, ReadersRacingTheSwapSeeFreshOrHonestlyStaleAnswers) {
   EXPECT_EQ(service.epoch(), 3u);
   EXPECT_EQ(counter_value("serve.rebuild_failures"), 0u);
   service.wait_for_refresh();
+  expect_fresh_and_identical(service, queries);
+  obs::metrics_reset_all();
+}
+
+TEST(SnapshotSwapTest,
+     ReadersBeyondTheSlotCountSeeFreshOrHonestlyStaleAnswers) {
+  // More readers than thread slots: most answer from their own reader slot,
+  // the rest copy the snapshot pointer under the shared lock, and churn
+  // batches publish three new snapshots meanwhile. Every answer must be
+  // fresh or honestly stale, and the per-thread counter and histogram
+  // shards must add up to exactly what the readers did.
+  obs::metrics_reset_all();
+  TrustService service{expander(300, 37), service_options()};
+  const ZipfGenerator zipf{service.graph().num_vertices(), 0.99};
+  Rng rng{37};
+  std::vector<Query> queries(32);
+  for (Query& q : queries) {
+    q.vertex = static_cast<VertexId>(zipf(rng));
+    q.kind = static_cast<QueryKind>(rng.uniform(4));
+    q.defense = rng.bernoulli(0.5) ? Defense::kSybilRank : Defense::kGateKeeper;
+  }
+
+  constexpr std::size_t kReaders = obs::kThreadSlots + 8;
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> calls{0};
+  std::atomic<std::uint64_t> degraded{0};
+  std::atomic<std::uint64_t> bad{0};
+  std::atomic<std::uint64_t> stale_at_end{0};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r)
+    readers.emplace_back([&] {
+      std::vector<Answer> answers(queries.size());
+      const auto ask = [&] {
+        service.ask_batch(queries, answers);
+        for (const Answer& a : answers) {
+          const bool honest =
+              a.status == QueryStatus::kOk &&
+              (a.degraded ? a.staleness_ms > 0.0 : a.staleness_ms == 0.0);
+          if (!honest) bad.fetch_add(1);
+          if (a.degraded) degraded.fetch_add(1);
+        }
+        calls.fetch_add(1);
+      };
+      do {
+        ask();
+        // Leaves the cores to the rebuild.
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      } while (!done.load());
+      // The last publish is done: every reader now answers fresh, whether
+      // its slot was handed the snapshot or copies it on this call.
+      ask();
+      for (const Answer& a : answers)
+        if (a.degraded) stale_at_end.fetch_add(1);
+    });
+  for (int round = 0; round < 3; ++round) {
+    const EdgeBatch batch = testing::churn_batch(service.graph(), rng, 4, 2);
+    service.apply_edges(batch);
+    service.wait_for_refresh();
+  }
+  const std::uint64_t seen = calls.load();
+  while (calls.load() < seen + 2 * kReaders) std::this_thread::yield();
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(stale_at_end.load(), 0u);
+  EXPECT_EQ(service.epoch(), 3u);
+  EXPECT_EQ(counter_value("serve.rebuild_failures"), 0u);
+  EXPECT_EQ(counter_value("serve.queries"), calls.load() * queries.size());
+  EXPECT_EQ(counter_value("serve.degraded"), degraded.load());
+  EXPECT_EQ(obs::metrics_quantile("serve.query_ms").snapshot().count,
+            calls.load());
   expect_fresh_and_identical(service, queries);
   obs::metrics_reset_all();
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -36,6 +37,10 @@ std::uint64_t counter_value(const char* name) {
   const obs::MetricsSnapshot snap = obs::Metrics::instance().snapshot();
   const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
+}
+
+std::uint64_t latency_samples() {
+  return obs::metrics_quantile("serve.query_ms").snapshot().count;
 }
 
 /// The deterministic query mix the tests replay (all kinds, both defenses).
@@ -237,6 +242,47 @@ TEST_F(ServeTest, NoSnapshotAnswersUnavailableUntilStart) {
   EXPECT_EQ(counter_value("gatekeeper.ticket_runs"), floods);
 }
 
+TEST_F(ServeTest, OnlyAskPathsRecordOneLatencySamplePerCall) {
+  TrustService service{expander(300, 12), small_options()};
+  const std::vector<Query> queries = query_mix(service.graph(), 40, 23);
+  std::vector<Answer> answers(queries.size());
+
+  // The plain reads count their queries and record no latency.
+  for (const Query& q : queries) (void)service.answer(q);
+  service.answer_batch(queries, answers);
+  EXPECT_EQ(counter_value("serve.queries"), 2 * queries.size());
+  EXPECT_EQ(latency_samples(), 0u);
+
+  // ask() and ask_batch() record one sample per call, whatever its size.
+  for (const Query& q : queries) (void)service.ask(q);
+  EXPECT_EQ(latency_samples(), queries.size());
+  service.ask_batch(queries, answers);
+  service.ask_batch(std::span<const Query>{queries}.first(3),
+                    std::span<Answer>{answers}.first(3));
+  EXPECT_EQ(latency_samples(), queries.size() + 2);
+  EXPECT_EQ(counter_value("serve.queries"), 4 * queries.size() + 3);
+}
+
+TEST_F(ServeTest, ConcurrentAskBatchesCountEveryQueryAndCallOnce) {
+  // Counters and the latency histogram are sharded per thread; their
+  // totals must still be exact.
+  TrustService service{expander(300, 13), small_options()};
+  const std::vector<Query> queries = query_mix(service.graph(), 16, 29);
+  constexpr std::uint64_t kThreads = 6;
+  constexpr std::uint64_t kCalls = 200;
+  std::vector<std::thread> clients;
+  for (std::uint64_t t = 0; t < kThreads; ++t)
+    clients.emplace_back([&] {
+      std::vector<Answer> answers(queries.size());
+      for (std::uint64_t call = 0; call < kCalls; ++call)
+        service.ask_batch(queries, answers);
+    });
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(counter_value("serve.queries"),
+            kThreads * kCalls * queries.size());
+  EXPECT_EQ(latency_samples(), kThreads * kCalls);
+}
+
 TEST_F(ServeTest, CancellationReturnsExplicitPartialAnswers) {
   exec::CancelSource source;
   TrustService::Options options = small_options();
@@ -287,8 +333,30 @@ TEST_F(ServeAllocTest, WarmDirectPathDoesNotAllocatePerQuery) {
   obs::set_alloc_stats_enabled(false);
 
   // 8192 warm queries and not one allocation: the answers are fixed-size
-  // and the latency record is an atomic bucket add.
+  // and the reads copy no snapshot pointer.
   EXPECT_EQ(after.alloc_count - before.alloc_count, 0u);
+}
+
+TEST_F(ServeAllocTest, WarmAskPathsDoNotAllocateAfterTheThreadsFirstCall) {
+  TrustService service{expander(300, 9), small_options()};
+  const std::vector<Query> queries = query_mix(service.graph(), 4096, 31);
+  std::vector<Answer> answers(queries.size());
+  // The calling thread's first ask copies the snapshot into its reader
+  // slot and maps its serve.query_ms shard.
+  (void)service.ask(queries[0]);
+
+  obs::set_alloc_stats_enabled(true);
+  const obs::ResourceUsage before = obs::resource_usage_now();
+  for (const Query& q : queries) answers[0] = service.ask(q);
+  service.ask_batch(queries, answers);
+  for (std::size_t at = 0; at < queries.size(); at += 64)
+    service.ask_batch(std::span<const Query>{queries}.subspan(at, 64),
+                      std::span<Answer>{answers}.subspan(at, 64));
+  const obs::ResourceUsage after = obs::resource_usage_now();
+  obs::set_alloc_stats_enabled(false);
+
+  EXPECT_EQ(after.alloc_count - before.alloc_count, 0u);
+  EXPECT_EQ(latency_samples(), 1 + queries.size() + 1 + queries.size() / 64);
 }
 
 }  // namespace
