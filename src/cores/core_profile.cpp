@@ -1,12 +1,13 @@
 #include "cores/core_profile.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "exec/checkpoint.hpp"
 #include "exec/sweep.hpp"
 #include "obs/diag.hpp"
 #include "parallel/thread_pool.hpp"
-#include "util/json.hpp"
 
 namespace sntrust {
 
@@ -83,32 +84,25 @@ std::vector<CoreLevel> core_profile(const Graph& g,
           largest = std::max(largest, size);
         }
 
-        // Integer payload only; the derived ratios (nu, tau) are recomputed
-        // at decode time with the exact expressions used before, so resumed
-        // and fresh levels are bitwise identical.
-        json::Array row;
-        row.push_back(
-            json::Value::integer(static_cast<std::int64_t>(vertices)));
-        row.push_back(
-            json::Value::integer(static_cast<std::int64_t>(half_edges / 2)));
-        row.push_back(
-            json::Value::integer(static_cast<std::int64_t>(next_label)));
-        row.push_back(
-            json::Value::integer(static_cast<std::int64_t>(largest)));
-        return json::Value::array(std::move(row)).dump();
+        // Integer record only; the derived ratios (nu, tau) are computed
+        // from it afterwards, so resumed and fresh levels are bitwise
+        // identical.
+        return exec::Record{vertices, half_edges / 2, next_label, largest};
       });
 
   levels.reserve(d.degeneracy);
-  for (std::size_t idx = 0; idx < swept.payloads.size(); ++idx) {
-    const json::Value row = json::Value::parse(swept.payloads[idx]);
-    const json::Array& fields = row.as_array();
+  for (std::size_t idx = 0; idx < swept.records.size(); ++idx) {
+    const exec::Record& fields = swept.records[idx];
+    if (fields.size() != 4)
+      throw std::runtime_error(
+          "core_profile: checkpointed level " + std::to_string(idx + 1) +
+          " has " + std::to_string(fields.size()) + " words, not 4");
     CoreLevel level;
     level.k = static_cast<std::uint32_t>(idx) + 1;
-    level.vertices = static_cast<std::uint64_t>(fields.at(0).as_int());
-    level.edges = static_cast<std::uint64_t>(fields.at(1).as_int());
-    level.num_components = static_cast<std::uint32_t>(fields.at(2).as_int());
-    level.largest_component =
-        static_cast<std::uint64_t>(fields.at(3).as_int());
+    level.vertices = fields[0];
+    level.edges = fields[1];
+    level.num_components = static_cast<std::uint32_t>(fields[2]);
+    level.largest_component = fields[3];
     level.nu = static_cast<double>(level.vertices) / n;
     level.tau = edge_total == 0.0
                     ? 0.0

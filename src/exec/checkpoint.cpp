@@ -3,9 +3,12 @@
 #include <unistd.h>
 
 #include <array>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/env.hpp"
 #include "util/json.hpp"
@@ -15,12 +18,41 @@ namespace sntrust::exec {
 
 namespace {
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+constexpr std::size_t kWordDigits = 16;
+
+/// 16 lowercase hex digits per word, most significant digit first.
+std::string encode_record(const Record& record) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string text(record.size() * kWordDigits, '0');
+  for (std::size_t w = 0; w < record.size(); ++w) {
+    std::uint64_t word = record[w];
+    for (std::size_t d = kWordDigits; d-- > 0; word >>= 4)
+      text[w * kWordDigits + d] = kDigits[word & 15];
+  }
+  return text;
 }
+
+/// The record encode_record wrote, or nothing when `text` is anything
+/// else: a length that is not a multiple of 16, or a byte that is not a
+/// lowercase hex digit.
+std::optional<Record> decode_record(const std::string& text) {
+  if (text.size() % kWordDigits != 0) return std::nullopt;
+  Record record(text.size() / kWordDigits, 0);
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    std::uint64_t digit = 0;
+    if (c >= '0' && c <= '9')
+      digit = static_cast<std::uint64_t>(c - '0');
+    else if (c >= 'a' && c <= 'f')
+      digit = static_cast<std::uint64_t>(c - 'a' + 10);
+    else
+      return std::nullopt;
+    record[i / kWordDigits] = record[i / kWordDigits] << 4 | digit;
+  }
+  return record;
+}
+
+std::string hex64(std::uint64_t v) { return encode_record(Record{v}); }
 
 std::string hex32(std::uint32_t v) {
   char buf[9];
@@ -117,7 +149,7 @@ void CheckpointStore::load_locked() {
     return;
   }
   const json::Value* version = doc.find("schema_version");
-  if (version == nullptr || !version->is_number() ||
+  if (version == nullptr || !version->is_integer() ||
       version->as_int() != kCheckpointSchemaVersion) {
     warn("ignoring checkpoint '" + path_ +
          "' with unknown schema version; starting fresh");
@@ -136,50 +168,50 @@ void CheckpointStore::load_locked() {
     return;
   }
 
+  std::map<std::string, Entry> loaded;
   for (const auto& [key, entry_value] : sweeps->as_object()) {
     if (!entry_value.is_object()) continue;
     const json::Value* fp = entry_value.find("fingerprint");
     const json::Value* items = entry_value.find("items");
     const json::Value* completed = entry_value.find("completed");
     if (fp == nullptr || !fp->is_string() || items == nullptr ||
-        !items->is_number() || items->as_int() < 0 || completed == nullptr ||
+        !items->is_integer() || items->as_int() < 0 || completed == nullptr ||
         !completed->is_object())
       continue;
+    const std::optional<Record> fp_word = decode_record(fp->as_string());
+    if (!fp_word || fp_word->size() != 1) continue;
     Entry entry;
-    try {
-      std::size_t used = 0;
-      entry.fingerprint = std::stoull(fp->as_string(), &used, 16);
-      if (used != fp->as_string().size()) continue;
-    } catch (const std::exception&) {
-      continue;
-    }
+    entry.fingerprint = fp_word->front();
     entry.items = static_cast<std::uint64_t>(items->as_int());
-    for (const auto& [index_text, payload] : completed->as_object()) {
+    for (const auto& [index_text, value] : completed->as_object()) {
       std::uint64_t index = 0;
-      try {
-        std::size_t used = 0;
-        index = std::stoull(index_text, &used);
-        if (used != index_text.size()) continue;
-      } catch (const std::exception&) {
+      const char* const end = index_text.data() + index_text.size();
+      const auto [used, error] =
+          std::from_chars(index_text.data(), end, index);
+      if (error != std::errc{} || used != end || index >= entry.items)
         continue;
+      std::optional<Record> record;
+      if (value.is_string()) record = decode_record(value.as_string());
+      if (!record) {
+        loaded_ = false;  // refused again on the next restore or save
+        throw std::runtime_error(
+            "checkpoint '" + path_ + "': sweep '" + key + "' source " +
+            index_text + " is not a hex string of 16 digits per word");
       }
-      if (index >= entry.items) continue;
-      // Re-dump from the parsed document so resumed consumers see exactly
-      // the bytes a fresh compute would have produced (util/json round-trips
-      // doubles via shortest-form to_chars).
-      entry.completed[index] = payload.dump();
+      entry.completed[index] = std::move(*record);
     }
-    sweeps_[key] = std::move(entry);
+    loaded[key] = std::move(entry);
   }
+  sweeps_ = std::move(loaded);
 }
 
 void CheckpointStore::write_locked() const {
   json::Object sweeps;
   for (const auto& [key, entry] : sweeps_) {
     json::Object completed;
-    for (const auto& [index, payload] : entry.completed)
+    for (const auto& [index, record] : entry.completed)
       completed.emplace_back(std::to_string(index),
-                             json::Value::parse(payload));
+                             json::Value::string(encode_record(record)));
     json::Object entry_members;
     entry_members.emplace_back("fingerprint",
                                json::Value::string(hex64(entry.fingerprint)));
@@ -220,37 +252,28 @@ void CheckpointStore::write_locked() const {
   }
 }
 
-std::uint64_t CheckpointStore::restore(const std::string& kind,
-                                       std::uint64_t fingerprint,
-                                       std::uint64_t items,
-                                       std::vector<std::string>& payloads) {
+Records CheckpointStore::restore(const std::string& kind,
+                                 std::uint64_t fingerprint,
+                                 std::uint64_t items) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (path_.empty()) return 0;
+  if (path_.empty()) return {};
   if (!loaded_) load_locked();
   const auto it = sweeps_.find(sweep_key(kind, fingerprint));
-  if (it == sweeps_.end()) return 0;
+  if (it == sweeps_.end()) return {};
   const Entry& entry = it->second;
-  if (entry.fingerprint != fingerprint || entry.items != items) return 0;
-  std::uint64_t restored = 0;
-  for (const auto& [index, payload] : entry.completed) {
-    if (index >= payloads.size()) continue;
-    payloads[index] = payload;
-    ++restored;
-  }
-  return restored;
+  if (entry.fingerprint != fingerprint || entry.items != items) return {};
+  return entry.completed;
 }
 
 void CheckpointStore::save(const std::string& kind, std::uint64_t fingerprint,
-                           std::uint64_t items,
-                           const std::vector<std::string>& payloads) {
+                           std::uint64_t items, Records completed) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (path_.empty()) return;
   if (!loaded_) load_locked();  // keep unrelated sweeps already on disk
   Entry entry;
   entry.fingerprint = fingerprint;
   entry.items = items;
-  for (std::size_t i = 0; i < payloads.size(); ++i)
-    if (!payloads[i].empty()) entry.completed[i] = payloads[i];
+  entry.completed = std::move(completed);
   sweeps_[sweep_key(kind, fingerprint)] = std::move(entry);
   write_locked();
 }

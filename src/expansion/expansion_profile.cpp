@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exec/checkpoint.hpp"
@@ -13,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace sntrust {
@@ -62,9 +62,9 @@ ExpansionProfile measure_expansion(const Graph& g,
       obs::metrics_histogram("expansion.bfs_frontier");
 
   // Per-worker state: a reusable direction-optimizing BFS workspace. The
-  // per-source result is the BFS level-size vector, serialized as the sweep
-  // payload; aggregation happens serially afterwards in index order, so a
-  // resumed run folds exactly the same integers in exactly the same order.
+  // per-source result is the BFS level-size vector, the sweep record;
+  // aggregation happens serially afterwards in index order, so a resumed
+  // run folds exactly the same integers in exactly the same order.
   struct WorkerState {
     std::vector<FrontierBfs> runner;  // 0 or 1 entries; lazily constructed
   };
@@ -84,14 +84,9 @@ ExpansionProfile measure_expansion(const Graph& g,
         if (state.runner.empty()) state.runner.emplace_back(g);
         const BfsResult& result = state.runner.front().run(sources[i]);
         bfs_runs.add(1);
-        json::Array levels;
-        levels.reserve(result.level_sizes.size());
-        for (const std::uint64_t level_size : result.level_sizes) {
+        for (const std::uint64_t level_size : result.level_sizes)
           frontier.observe(static_cast<double>(level_size));
-          levels.push_back(
-              json::Value::integer(static_cast<std::int64_t>(level_size)));
-        }
-        return json::Value::array(std::move(levels)).dump();
+        return exec::Record(result.level_sizes);
       });
 
   ExpansionProfile out;
@@ -104,13 +99,15 @@ ExpansionProfile measure_expansion(const Graph& g,
   obs::ConvergenceTrace alpha_trace;
   double alpha_sum = 0.0, alpha_sumsq = 0.0;
   std::uint64_t alpha_count = 0;
-  for (const std::string& payload : swept.payloads) {
-    const json::Value value = json::Value::parse(payload);
-    std::vector<std::uint64_t> levels;
-    levels.reserve(value.as_array().size());
-    for (const json::Value& v : value.as_array())
-      levels.push_back(static_cast<std::uint64_t>(v.as_int()));
-    if (levels.empty()) continue;
+  for (std::size_t i = 0; i < swept.records.size(); ++i) {
+    // A BFS has level 0 and at most n levels; a record of any other size
+    // came from a checkpoint that was not written by this sweep.
+    const exec::Record& levels = swept.records[i];
+    if (levels.empty() || levels.size() > n)
+      throw std::runtime_error(
+          "measure_expansion: checkpointed level sizes of source " +
+          std::to_string(i) + " have " + std::to_string(levels.size()) +
+          " words, not 1 to " + std::to_string(n));
     out.max_depth = std::max(out.max_depth,
                              static_cast<std::uint32_t>(levels.size() - 1));
     std::uint64_t envelope = 0;
@@ -149,7 +146,7 @@ ExpansionProfile measure_expansion(const Graph& g,
         obs::mean_ci95(alpha_sum, alpha_sumsq, alpha_count));
   }
 
-  out.sources_used = static_cast<std::uint32_t>(swept.payloads.size());
+  out.sources_used = static_cast<std::uint32_t>(swept.records.size());
   out.points.reserve(by_size.size());
   for (const auto& [size, acc] : by_size) {
     ExpansionPoint point;

@@ -2,8 +2,8 @@
 //
 // Text format is the SNAP-style whitespace-separated "u v" per line with
 // '#' comments, so real datasets (the Table-I graphs, if available) can be
-// loaded directly in place of the synthetic analogues. A compact binary
-// format is provided for caching generated graphs between bench runs.
+// loaded directly in place of the synthetic analogues. Generated graphs are
+// cached between bench runs as mmap snapshots (graph/snapshot.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -15,8 +15,8 @@
 namespace sntrust {
 
 /// Input-format failure: unopenable files, malformed edge-list lines (with
-/// the 1-based line number), vertex-id overflow, and binary snapshots whose
-/// header disagrees with the file size. Derives std::runtime_error so
+/// the 1-based line number), vertex-id overflow, and snapshots whose header
+/// disagrees with the file size. Derives std::runtime_error so
 /// pre-existing catch sites keep working; the CLI maps it to exit code 65
 /// (bad input) rather than 1 (internal error).
 struct IoError : std::runtime_error {
@@ -35,15 +35,8 @@ Graph read_edge_list_file(const std::string& path);
 void write_edge_list(const Graph& g, std::ostream& out);
 void write_edge_list_file(const Graph& g, const std::string& path);
 
-/// Binary CSR snapshot (magic + n + m + offsets + targets, little-endian).
-void write_binary_file(const Graph& g, const std::string& path);
-/// Loads a binary snapshot; throws IoError on malformed files. The header
-/// counts are validated against the actual file size *before* any array is
-/// allocated, so a corrupt header cannot trigger a huge allocation.
-Graph read_binary_file(const std::string& path);
-
-/// Loads a graph from any supported on-disk format, sniffed by magic:
-/// mmap snapshot (graph/snapshot.hpp), binary CSR, else text edge list.
+/// Loads a graph from either on-disk format, sniffed by magic: an mmap
+/// snapshot (graph/snapshot.hpp), else a text edge list.
 Graph read_graph_auto(const std::string& path);
 
 }  // namespace sntrust

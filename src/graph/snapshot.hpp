@@ -40,8 +40,8 @@
 namespace sntrust {
 
 inline constexpr std::uint32_t kSnapshotVersion = 1;
-/// Leading magic ("SNTRSNP1" as a little-endian u64) — distinct from the
-/// binary CSR magic, so read_graph_auto can sniff the format.
+/// Leading magic ("SNTRSNP1" as a little-endian u64), which no text edge
+/// list starts with, so read_graph_auto can sniff the format.
 inline constexpr std::uint64_t kSnapshotMagic = 0x31504e5352544e53ULL;
 
 /// Parsed snapshot header (also returned by snapshot_info for tooling).

@@ -1,8 +1,10 @@
 #include "markov/mixing.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "exec/checkpoint.hpp"
 #include "exec/sweep.hpp"
@@ -13,37 +15,39 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace sntrust {
 
 namespace {
 
-// Sweep payloads: one TVD curve as a JSON array. Both fresh and restored
-// curves pass through dump+parse (doubles are shortest-round-trip, so the
-// trip is bitwise lossless), which is what makes a resumed sweep aggregate
-// exactly what an uninterrupted one would.
-std::string encode_curve(const std::vector<double>& curve) {
-  json::Array items;
-  items.reserve(curve.size());
-  for (const double v : curve) items.push_back(json::Value::number(v));
-  return json::Value::array(std::move(items)).dump();
+// Sweep records: one TVD curve, each step's double as its bits, so a
+// restored curve is bitwise the curve that was computed.
+exec::Record curve_record(const std::vector<double>& curve) {
+  exec::Record record(curve.size());
+  std::transform(curve.begin(), curve.end(), record.begin(),
+                 [](double v) { return std::bit_cast<std::uint64_t>(v); });
+  return record;
 }
 
-std::vector<double> decode_curve(const std::string& payload) {
-  const json::Value value = json::Value::parse(payload);
-  std::vector<double> curve;
-  curve.reserve(value.as_array().size());
-  for (const json::Value& v : value.as_array()) curve.push_back(v.as_number());
-  return curve;
-}
-
-// Decodes one TVD curve per source, in source order.
-void collect_curves(const exec::SweepResult& swept, MixingCurves& out) {
-  out.tvd.reserve(swept.payloads.size());
-  for (const std::string& payload : swept.payloads)
-    out.tvd.push_back(decode_curve(payload));
+// One TVD curve per source, in source order. Every curve has one value per
+// step 0..length; a record of any other size came from a checkpoint that
+// was not written by this sweep.
+void collect_curves(const std::string& kind, const exec::SweepResult& swept,
+                    std::uint32_t length, MixingCurves& out) {
+  const std::size_t words = std::size_t{length} + 1;
+  out.tvd.reserve(swept.records.size());
+  for (std::size_t i = 0; i < swept.records.size(); ++i) {
+    const exec::Record& record = swept.records[i];
+    if (record.size() != words)
+      throw std::runtime_error(
+          kind + ": checkpointed TVD curve of source " + std::to_string(i) +
+          " has " + std::to_string(record.size()) + " words, not " +
+          std::to_string(words));
+    std::vector<double>& curve = out.tvd.emplace_back(record.size());
+    std::transform(record.begin(), record.end(), curve.begin(),
+                   [](std::uint64_t w) { return std::bit_cast<double>(w); });
+  }
 }
 
 // Estimator diagnostics over the collected curves (SNTRUST_DIAG). Runs on
@@ -235,13 +239,13 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
   const auto run_block = [&](const std::vector<std::size_t>& indices) {
     std::vector<VertexId> sources;
     for (const std::size_t i : indices) sources.push_back(out.sources[i]);
-    std::vector<std::string> payloads;
+    std::vector<exec::Record> records;
     for (const std::vector<double>& curve :
          block_curves(g, sources, kind, options.max_walk_length, kernel, pi,
                       prefix)) {
-      payloads.push_back(encode_curve(curve));
+      records.push_back(curve_record(curve));
     }
-    return payloads;
+    return records;
   };
 
   exec::SweepOptions sweep;
@@ -253,7 +257,7 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
          options.lazy ? 1ULL : 0ULL, options.seed, g.fingerprint()});
   const exec::SweepResult swept =
       exec::run_sweep_blocks(k, kLaneBlockWidth, sweep, run_block);
-  collect_curves(swept, out);
+  collect_curves(sweep.kind, swept, options.max_walk_length, out);
   record_mixing_diag("mixing.tvd", out);
   obs::count("mixing.sources", out.sources.size());
   obs::count("mixing.distribution_steps",
@@ -317,9 +321,9 @@ MixingCurves measure_mixing_monte_carlo(const Graph& g,
                 static_cast<double>(s.counts[v]) / walks_per_point;
           curve.push_back(total_variation(s.empirical, pi));
         }
-        return encode_curve(curve);
+        return curve_record(curve);
       });
-  collect_curves(swept, out);
+  collect_curves(sweep.kind, swept, options.max_walk_length, out);
   record_mixing_diag("mixing.monte_carlo", out);
   return out;
 }

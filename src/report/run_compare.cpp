@@ -208,6 +208,20 @@ const char* to_string(DiffRow::Status status) {
 
 namespace {
 
+// The fixed gates; only the per-span wall threshold is a DiffOptions
+// field. Tail quantiles are noisier than span walls, so their gate is
+// wider, and values under a floor in both runs are timer or float noise,
+// not signal.
+constexpr double kMinWallMs = 5.0;
+constexpr double kTotalThresholdPct = 15.0;
+constexpr double kRssThresholdPct = 50.0;
+constexpr double kQuantileThresholdPct = 40.0;
+constexpr double kMinQuantileMs = 1.0;
+/// An estimate whose CI95 width grows past this got less certain, however
+/// much faster the run.
+constexpr double kCiWidenThresholdPct = 50.0;
+constexpr double kMinCiWidth = 1e-9;
+
 double delta_pct(double baseline, double candidate) {
   if (baseline <= 0.0)
     return candidate > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
@@ -255,19 +269,11 @@ DiffResult diff_run_reports(const RunReportData& baseline,
     const RunReportData::SpanRow& base = *found->second;
     baseline_spans.erase(found);
     // Spans tiny in both runs are timer noise, not signal.
-    if (std::max(base.wall_ms, span.wall_ms) < options.min_wall_ms) continue;
+    if (std::max(base.wall_ms, span.wall_ms) < kMinWallMs) continue;
     DiffRow wall = classify(span.path, "wall_ms", base.wall_ms, span.wall_ms,
                             options.span_threshold_pct);
     if (wall.status == DiffRow::Status::Regressed) result.breached = true;
     result.spans.push_back(std::move(wall));
-    if (options.gate_cpu &&
-        std::max(base.cpu_ms, span.cpu_ms) >= options.min_wall_ms) {
-      DiffRow cpu = classify(span.path, "cpu_ms", base.cpu_ms, span.cpu_ms,
-                             options.span_threshold_pct);
-      if (cpu.status == DiffRow::Status::Regressed) result.breached = true;
-      if (cpu.status != DiffRow::Status::Ok)
-        result.spans.push_back(std::move(cpu));
-    }
   }
   for (const auto& [path, span] : baseline_spans) {
     DiffRow row;
@@ -278,7 +284,8 @@ DiffResult diff_run_reports(const RunReportData& baseline,
     result.spans.push_back(std::move(row));
   }
 
-  // Totals: wall and peak RSS gate; the rest are context.
+  // Totals: wall and peak RSS gate; cpu is context, since wall already
+  // covers a slowdown.
   auto total_of = [](const RunReportData& report, const char* key) {
     const auto found = report.totals.find(key);
     return found == report.totals.end() ? 0.0 : found->second;
@@ -286,24 +293,21 @@ DiffResult diff_run_reports(const RunReportData& baseline,
   {
     DiffRow wall = classify("totals", "wall_ms", total_of(baseline, "wall_ms"),
                             total_of(candidate, "wall_ms"),
-                            options.total_threshold_pct);
+                            kTotalThresholdPct);
     if (wall.status == DiffRow::Status::Regressed) result.breached = true;
     result.totals.push_back(std::move(wall));
   }
   {
     DiffRow cpu = classify("totals", "cpu_ms", total_of(baseline, "cpu_ms"),
-                           total_of(candidate, "cpu_ms"),
-                           options.total_threshold_pct);
-    if (options.gate_cpu && cpu.status == DiffRow::Status::Regressed)
-      result.breached = true;
-    else if (!options.gate_cpu && cpu.status == DiffRow::Status::Regressed)
-      cpu.status = DiffRow::Status::Ok;  // informational without the gate
+                           total_of(candidate, "cpu_ms"), kTotalThresholdPct);
+    if (cpu.status == DiffRow::Status::Regressed)
+      cpu.status = DiffRow::Status::Ok;  // informational
     result.totals.push_back(std::move(cpu));
   }
   {
     DiffRow rss = classify(
         "totals", "peak_rss_bytes", total_of(baseline, "peak_rss_bytes"),
-        total_of(candidate, "peak_rss_bytes"), options.rss_threshold_pct);
+        total_of(candidate, "peak_rss_bytes"), kRssThresholdPct);
     if (rss.status == DiffRow::Status::Regressed) result.breached = true;
     result.totals.push_back(std::move(rss));
   }
@@ -332,11 +336,10 @@ DiffResult diff_run_reports(const RunReportData& baseline,
     } tracked[] = {{"p50_ms", base.p50, cand.p50},
                    {"p99_ms", base.p99, cand.p99}};
     for (const auto& q : tracked) {
-      if (std::max(q.baseline_value, q.candidate_value) <
-          options.min_quantile_ms)
+      if (std::max(q.baseline_value, q.candidate_value) < kMinQuantileMs)
         continue;  // sub-floor latencies are timer noise
       DiffRow row = classify(name, q.metric, q.baseline_value,
-                             q.candidate_value, options.quantile_threshold_pct);
+                             q.candidate_value, kQuantileThresholdPct);
       if (row.status == DiffRow::Status::Regressed) result.breached = true;
       result.quantiles.push_back(std::move(row));
     }
@@ -364,8 +367,7 @@ DiffResult diff_run_reports(const RunReportData& baseline,
       row.baseline = static_cast<double>(baseline.diag_nonconverged);
       row.candidate = static_cast<double>(candidate.diag_nonconverged);
       row.delta_pct = delta_pct(row.baseline, row.candidate);
-      if (candidate.diag_nonconverged >
-          baseline.diag_nonconverged + options.max_new_nonconverged) {
+      if (candidate.diag_nonconverged > baseline.diag_nonconverged) {
         row.status = DiffRow::Status::Regressed;
         result.breached = true;
       } else if (candidate.diag_nonconverged < baseline.diag_nonconverged) {
@@ -385,10 +387,10 @@ DiffResult diff_run_reports(const RunReportData& baseline,
         continue;
       }
       const RunReportData::EstimateRow& base = found->second;
-      if (std::max(base.ci95_width, cand.ci95_width) < options.min_ci_width)
+      if (std::max(base.ci95_width, cand.ci95_width) < kMinCiWidth)
         continue;  // both intervals are effectively exact
       DiffRow row = classify(name, "ci95_width", base.ci95_width,
-                             cand.ci95_width, options.ci_widen_threshold_pct);
+                             cand.ci95_width, kCiWidenThresholdPct);
       if (row.status == DiffRow::Status::Regressed) result.breached = true;
       result.quality.push_back(std::move(row));
     }

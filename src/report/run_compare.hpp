@@ -1,6 +1,6 @@
 // Run-report comparison: loads the JSON artifacts RunReporter emits, aligns
 // two runs by span path / metric name, and classifies each aligned row
-// against configurable regression thresholds. The core of
+// against regression thresholds. The core of
 // tools/sntrust_benchdiff, kept in the library so the gating logic is unit
 // tested and reusable (CI smoke gates, scripted sweeps).
 #pragma once
@@ -93,27 +93,7 @@ RunReportData parse_run_report(const json::Value& document);
 RunReportData load_run_report(const std::string& path);
 
 struct DiffOptions {
-  double span_threshold_pct = 25.0;   ///< wall regression gate per span
-  double total_threshold_pct = 15.0;  ///< wall regression gate on totals
-  double rss_threshold_pct = 50.0;    ///< peak-RSS regression gate
-  double min_wall_ms = 5.0;  ///< spans below this in both runs are noise
-  bool gate_cpu = false;     ///< also breach on span cpu_ms regressions
-  /// Latency-quantile regression gate (p50/p99 from the telemetry section);
-  /// wider than the span gate because tail quantiles are noisier.
-  double quantile_threshold_pct = 40.0;
-  /// Quantiles below this in both runs are timer noise, not signal.
-  double min_quantile_ms = 1.0;
-  /// Quality gates over the "diag" section (only applied when both reports
-  /// carry one): an estimate whose CI95 width grows by more than this
-  /// breaches — the optimization made the estimate *less certain* even if
-  /// it got faster.
-  double ci_widen_threshold_pct = 50.0;
-  /// How many sources may newly exit on an iteration cap (instead of the
-  /// tolerance) before the diff breaches. 0: any new non-convergence fails.
-  std::int64_t max_new_nonconverged = 0;
-  /// Tiny CI widths in both runs are float noise, not an estimate-quality
-  /// signal.
-  double min_ci_width = 1e-9;
+  double span_threshold_pct = 25.0;  ///< wall regression gate per span
 };
 
 struct DiffRow {
@@ -147,11 +127,14 @@ std::string provenance_mismatch(const RunReportData& baseline,
                                 const RunReportData& candidate);
 
 /// Aligns spans by path and totals by key, classifying each row. A span
-/// breaches when its candidate wall (or cpu with gate_cpu) exceeds baseline
-/// by more than span_threshold_pct and either side clears min_wall_ms.
-/// Totals gate wall_ms at total_threshold_pct and peak_rss_bytes at
-/// rss_threshold_pct. Added/Removed spans never breach (new phases are a
-/// code change, not a regression) but are listed for the reader.
+/// breaches when its candidate wall exceeds baseline by more than
+/// span_threshold_pct and either side clears 5 ms. Totals gate wall_ms at
+/// 15% and peak_rss_bytes at 50%; cpu_ms is listed, never gated. Telemetry
+/// p50/p99 gate at 40% above a 1 ms floor. When both reports carry a diag
+/// section, any new cap-exit source breaches, as does an estimate whose
+/// CI95 width grows by more than 50%. Added/Removed spans never breach (new
+/// phases are a code change, not a regression) but are listed for the
+/// reader.
 DiffResult diff_run_reports(const RunReportData& baseline,
                             const RunReportData& candidate,
                             const DiffOptions& options);

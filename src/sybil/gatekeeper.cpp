@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "exec/checkpoint.hpp"
 #include "exec/sweep.hpp"
@@ -16,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace sntrust {
@@ -326,15 +326,14 @@ std::uint64_t hold_minimal_budget(LevelDag& dag, VertexId n,
   return lo + *dag.add_tickets(dag.hold(lo), target, hi - lo);
 }
 
-/// A distributer's minimal budget as stored in the checkpoint.
-std::uint64_t checkpointed_budget(const std::string& payload) {
-  const json::Value value = json::Value::parse(payload);
-  if (!value.is_integer() || value.as_int() < 1)
+/// A distributer's minimal budget as stored in the checkpoint: one word,
+/// at least 1.
+std::uint64_t checkpointed_budget(std::size_t i, const exec::Record& record) {
+  if (record.size() != 1 || record[0] < 1)
     throw std::runtime_error(
-        "run_gatekeeper: checkpointed ticket budget is not a positive "
-        "integer: " +
-        payload);
-  return static_cast<std::uint64_t>(value.as_int());
+        "run_gatekeeper: checkpointed ticket budget of distributer " +
+        std::to_string(i) + " is not one word of at least 1");
+  return record[0];
 }
 
 }  // namespace
@@ -401,7 +400,7 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
   // One budget search per distributer across the pool. Each worker folds
   // the vertices its distributers reach into its own integer tally, and
   // the tallies add up afterwards, so the admissions are identical for any
-  // thread count. A distributer's payload is its minimal budget: a resumed
+  // thread count. A distributer's record is its minimal budget: a resumed
   // run restores the budget and floods once.
   const VertexId n = g.num_vertices();
   out.budgets.assign(out.distributers.size(), 0);
@@ -451,7 +450,7 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
         tally_held(w);
         flooded[i] = 1;
         out.budgets[i] = budget;
-        return json::Value::integer(static_cast<std::int64_t>(budget)).dump();
+        return exec::Record{budget};
       });
 
   // Restored distributers were not flooded in this run: flood each once,
@@ -459,7 +458,7 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
   std::vector<std::pair<std::size_t, std::uint64_t>> restored;
   for (std::size_t i = 0; i < flooded.size(); ++i)
     if (!flooded[i])
-      restored.emplace_back(i, checkpointed_budget(swept.payloads[i]));
+      restored.emplace_back(i, checkpointed_budget(i, swept.records[i]));
   parallel::parallel_for(
       0, restored.size(), [&](std::size_t j, std::uint32_t slot) {
         const auto [i, budget] = restored[j];

@@ -359,7 +359,11 @@ double Value::as_number() const {
 
 std::int64_t Value::as_int() const {
   if (kind_ != Kind::Number) kind_error("number");
-  return int_valued_ ? int_ : static_cast<std::int64_t>(num_);
+  if (int_valued_) return int_;
+  // Truncation is defined only for values in [-2^63, 2^63).
+  if (!(num_ >= -0x1p63 && num_ < 0x1p63))
+    throw std::runtime_error("json number is outside the int64 range");
+  return static_cast<std::int64_t>(num_);
 }
 
 const std::string& Value::as_string() const {

@@ -62,7 +62,9 @@ class Value {
   // Typed accessors; throw std::runtime_error on kind mismatch.
   bool as_bool() const;
   double as_number() const;
-  std::int64_t as_int() const;  ///< number truncated toward zero
+  /// Number truncated toward zero; throws std::runtime_error for a number
+  /// outside int64's range.
+  std::int64_t as_int() const;
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;

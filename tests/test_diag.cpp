@@ -381,11 +381,6 @@ TEST_F(DiagTest, NewNonconvergenceBreachesTheQualityGate) {
       EXPECT_DOUBLE_EQ(row.candidate, 1.0);
     }
   EXPECT_TRUE(saw_gate);
-
-  // Raising the allowance waives exactly this breach.
-  DiffOptions lenient;
-  lenient.max_new_nonconverged = 1;
-  EXPECT_FALSE(diff_run_reports(baseline, candidate, lenient).breached);
 }
 
 TEST_F(DiagTest, CiWidthGrowthBreachesPastTheThreshold) {

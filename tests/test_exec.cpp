@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -57,17 +58,54 @@ struct SourceError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The payloads a sweep left in the checkpoint file at `path`, by index;
-/// empty for sources the file does not hold.
-std::vector<std::string> checkpointed(const std::string& path,
-                                      const std::string& kind,
-                                      std::uint64_t fingerprint,
-                                      std::size_t items) {
+/// The records a sweep left in the checkpoint file at `path`, by index.
+exec::Records checkpointed(const std::string& path, const std::string& kind,
+                           std::uint64_t fingerprint, std::size_t items) {
   exec::CheckpointStore& store = exec::CheckpointStore::instance();
   store.set_path(path);  // reload from disk
-  std::vector<std::string> payloads(items);
-  store.restore(kind, fingerprint, items, payloads);
-  return payloads;
+  return store.restore(kind, fingerprint, items);
+}
+
+/// The checkpoint's encoding of `record`: 16 lowercase hex digits per word.
+std::string hex_words(const exec::Record& record) {
+  std::string text;
+  for (const std::uint64_t word : record) {
+    char digits[17];
+    std::snprintf(digits, sizeof digits, "%016llx",
+                  static_cast<unsigned long long>(word));
+    text += digits;
+  }
+  return text;
+}
+
+/// A checkpoint file of one sweep entry, stamped with the CRC a writer
+/// would stamp, so the loader reads past the CRC check whatever the entry
+/// holds.
+std::string checkpoint_text(std::int64_t schema_version,
+                            const std::string& kind,
+                            std::uint64_t fingerprint, json::Value items,
+                            json::Object completed) {
+  const std::string fp = hex_words({fingerprint});
+  json::Object entry;
+  entry.emplace_back("fingerprint", json::Value::string(fp));
+  entry.emplace_back("items", std::move(items));
+  entry.emplace_back("completed", json::Value::object(std::move(completed)));
+  json::Object sweeps;
+  sweeps.emplace_back(kind + ":" + fp, json::Value::object(std::move(entry)));
+  const json::Value sweeps_value = json::Value::object(std::move(sweeps));
+  char crc[9];
+  std::snprintf(crc, sizeof crc, "%08x",
+                static_cast<unsigned>(exec::crc32(sweeps_value.dump())));
+  json::Object doc;
+  doc.emplace_back("schema_version", json::Value::integer(schema_version));
+  doc.emplace_back("sweeps", sweeps_value);
+  doc.emplace_back("crc32", json::Value::string(crc));
+  return json::Value::object(std::move(doc)).dump();
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out << text;
 }
 
 TEST(ExecCancel, DefaultDeadlineNeverExpires) {
@@ -147,21 +185,35 @@ TEST(ExecCheckpoint, SaveRestoreRoundTripsThroughDisk) {
   exec::CheckpointStore& store = exec::CheckpointStore::instance();
   store.set_path(path);
 
-  std::vector<std::string> payloads{"[1,2]", "", "[0.25,3]", ""};
-  store.save("unit", 0xabcdULL, 4, payloads);
+  // Words come back as their bits: a double, a NaN, the extremes, and an
+  // empty record, which is the measuring module's to refuse.
+  const double nan = -std::numeric_limits<double>::quiet_NaN();
+  const exec::Records records{
+      {0, {1, 2}},
+      {2, {std::bit_cast<std::uint64_t>(0.25), 3,
+           std::bit_cast<std::uint64_t>(nan), 0, ~std::uint64_t{0}}},
+      {3, {}}};
+  store.save("unit", 0xabcdULL, 4, records);
+
+  // One lowercase hex string per record, 16 digits per word.
+  std::ifstream in(path);
+  const json::Value doc = json::Value::parse(
+      std::string(std::istreambuf_iterator<char>(in), {}));
+  EXPECT_EQ(doc.find("schema_version")->as_int(), 2);
+  const json::Value* completed = doc.find("sweeps")
+                                     ->find("unit:000000000000abcd")
+                                     ->find("completed");
+  EXPECT_EQ(completed->find("0")->as_string(),
+            "00000000000000010000000000000002");
+  EXPECT_EQ(completed->find("3")->as_string(), "");
 
   // Re-entering the path drops in-memory state, forcing a reload from disk.
   store.set_path(path);
-  std::vector<std::string> restored(4);
-  EXPECT_EQ(store.restore("unit", 0xabcdULL, 4, restored), 2u);
-  EXPECT_EQ(restored[0], "[1,2]");
-  EXPECT_EQ(restored[1], "");
-  EXPECT_EQ(restored[2], "[0.25,3]");
+  EXPECT_EQ(store.restore("unit", 0xabcdULL, 4), records);
 
   // Fingerprint or item-count mismatch: treated as a different sweep.
-  std::vector<std::string> other(4);
-  EXPECT_EQ(store.restore("unit", 0x9999ULL, 4, other), 0u);
-  EXPECT_EQ(store.restore("unit", 0xabcdULL, 5, other), 0u);
+  EXPECT_TRUE(store.restore("unit", 0x9999ULL, 4).empty());
+  EXPECT_TRUE(store.restore("unit", 0xabcdULL, 5).empty());
   std::remove(path.c_str());
 }
 
@@ -169,24 +221,35 @@ TEST(ExecCheckpoint, CorruptOrMismatchedFilesStartFresh) {
   ExecStateGuard guard;
   const std::string path = temp_path("sntrust_exec_corrupt.json");
   exec::CheckpointStore& store = exec::CheckpointStore::instance();
-  std::vector<std::string> restored(2);
 
   const auto expects_fresh = [&](const std::string& contents) {
-    std::ofstream out{path};
-    out << contents;
-    out.close();
+    SCOPED_TRACE(contents);
+    write_file(path, contents);
     store.set_path(path);
-    restored.assign(2, {});
-    EXPECT_EQ(store.restore("unit", 1, 2, restored), 0u);
+    EXPECT_TRUE(store.restore("unit", 1, 2).empty());
   };
 
   expects_fresh("not json at all {{{");
-  expects_fresh("{\"schema_version\":1,\"sweeps\":{");  // truncated
+  expects_fresh("{\"schema_version\":2,\"sweeps\":{");  // truncated
   expects_fresh("{\"schema_version\":99,\"sweeps\":{},\"crc32\":\"0\"}");
-  expects_fresh(  // valid shape, wrong CRC: corrupt payload
-      "{\"schema_version\":1,\"sweeps\":{\"unit:0000000000000001\":"
+  expects_fresh("{\"schema_version\":2.0,\"sweeps\":{},\"crc32\":\"0\"}");
+  expects_fresh(  // valid shape, wrong CRC: corrupt records
+      "{\"schema_version\":2,\"sweeps\":{\"unit:0000000000000001\":"
       "{\"fingerprint\":\"0000000000000001\",\"items\":2,"
-      "\"completed\":{\"0\":[1]}}},\"crc32\":\"00000000\"}");
+      "\"completed\":{\"0\":\"0000000000000001\"}}},"
+      "\"crc32\":\"00000000\"}");
+  // A version-1 file, whose records were JSON documents, with a valid CRC.
+  json::Object v1_completed;
+  v1_completed.emplace_back("0", json::Value::parse("[0.5,0.25]"));
+  expects_fresh(checkpoint_text(1, "unit", 1, json::Value::integer(2),
+                                std::move(v1_completed)));
+  // An entry whose item count is not a non-negative integer is skipped.
+  for (const char* items : {"2.5", "1e300", "-1"}) {
+    json::Object completed;
+    completed.emplace_back("0", json::Value::string(hex_words({7})));
+    expects_fresh(checkpoint_text(2, "unit", 1, json::Value::parse(items),
+                                  std::move(completed)));
+  }
   std::remove(path.c_str());
 }
 
@@ -196,11 +259,11 @@ TEST(ExecSweep, ComputesEveryPayload) {
   options.kind = "unit_sweep";
   const exec::SweepResult result = exec::run_sweep(
       8, options, [](std::size_t i, std::uint32_t) {
-        return json::Value::integer(static_cast<std::int64_t>(i * i)).dump();
+        return exec::Record{i * i};
       });
-  ASSERT_EQ(result.payloads.size(), 8u);
+  ASSERT_EQ(result.records.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i)
-    EXPECT_EQ(result.payloads[i], std::to_string(i * i));
+    EXPECT_EQ(result.records[i], exec::Record{i * i});
   EXPECT_EQ(result.computed, 8u);
   EXPECT_EQ(result.restored, 0u);
 }
@@ -224,9 +287,9 @@ TEST(ExecSweep, FreeWorkersTakeTheRemainingSources) {
         } else {
           others.fetch_add(1);
         }
-        return json::Value::integer(others.load()).dump();
+        return exec::Record{static_cast<std::uint64_t>(others.load())};
       });
-  EXPECT_EQ(result.payloads[0], "7");
+  EXPECT_EQ(result.records[0], exec::Record{7});
   EXPECT_EQ(result.computed, 8u);
 }
 
@@ -247,7 +310,7 @@ TEST(ExecSweep, FramesCountCompletedSourcesAsTheSweepRuns) {
   std::vector<std::int64_t> seen;
   exec::run_sweep(6, options, [&](std::size_t, std::uint32_t) {
     seen.push_back(sources_in_frame());
-    return std::string{"0"};
+    return exec::Record{0};
   });
   EXPECT_EQ(seen, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(sources_in_frame(), 6);
@@ -267,10 +330,10 @@ TEST(ExecSweep, ThrowingSourceStopsTheSweep) {
     std::vector<int> returned(16, 0);
     try {
       exec::run_sweep(16, options,
-                      [&](std::size_t i, std::uint32_t) -> std::string {
+                      [&](std::size_t i, std::uint32_t) -> exec::Record {
                         if (i == 5) throw SourceError("boom 5");
                         returned[i] = 1;
-                        return "[]";
+                        return {i};
                       });
       ADD_FAILURE() << "the sweep returned";
     } catch (const SourceError& error) {
@@ -278,10 +341,10 @@ TEST(ExecSweep, ThrowingSourceStopsTheSweep) {
     }
     // In-flight sources finished, and every source that returned is in
     // the checkpoint.
-    const std::vector<std::string> saved =
+    const exec::Records saved =
         checkpointed(path, options.kind, options.fingerprint, 16);
     for (std::size_t i = 0; i < 16; ++i)
-      EXPECT_EQ(saved[i].empty(), returned[i] == 0) << "source " << i;
+      EXPECT_EQ(saved.count(i) == 0, returned[i] == 0) << "source " << i;
     // Serially, no source after the throwing one started.
     if (threads == 1) {
       for (std::size_t i = 0; i < 16; ++i)
@@ -312,16 +375,16 @@ TEST(ExecSweep, SigtermDrainsAndCheckpointsFinishedSources) {
                                  [&](std::size_t i, std::uint32_t) {
                                    ran[i] = 1;
                                    if (i == 4) std::raise(SIGTERM);
-                                   return std::string("[]");
+                                   return exec::Record{i};
                                  }),
                  exec::CancelledError);
     EXPECT_EQ(exec::process_cancel_reason(), "SIGTERM");
     // Sources that started finished, the signalling one included, and the
     // checkpoint holds each of them.
-    const std::vector<std::string> saved =
+    const exec::Records saved =
         checkpointed(path, options.kind, options.fingerprint, 12);
     for (std::size_t i = 0; i < 12; ++i)
-      EXPECT_EQ(saved[i].empty(), ran[i] == 0) << "source " << i;
+      EXPECT_EQ(saved.count(i) == 0, ran[i] == 0) << "source " << i;
     EXPECT_EQ(ran[4], 1);
     if (threads == 1) {
       for (std::size_t i = 0; i < 12; ++i)
@@ -342,7 +405,7 @@ TEST(ExecSweep, CancelledTokenDrainsAndThrows) {
   EXPECT_THROW(exec::run_sweep(8, options,
                                [&](std::size_t, std::uint32_t) {
                                  ran.fetch_add(1);
-                                 return std::string("[]");
+                                 return exec::Record{};
                                }),
                exec::CancelledError);
   EXPECT_EQ(ran.load(), 0u);
@@ -361,7 +424,7 @@ TEST(ExecSweep, RestoredSourcesSkipCompute) {
   std::atomic<std::uint64_t> computed{0};
   const auto compute = [&](std::size_t i, std::uint32_t) {
     computed.fetch_add(1);
-    return json::Value::integer(static_cast<std::int64_t>(100 + i)).dump();
+    return exec::Record{100 + i, std::bit_cast<std::uint64_t>(0.1 * i)};
   };
   const exec::SweepResult first = exec::run_sweep(6, options, compute);
   EXPECT_EQ(computed.load(), 6u);
@@ -371,7 +434,7 @@ TEST(ExecSweep, RestoredSourcesSkipCompute) {
   const exec::SweepResult second = exec::run_sweep(6, options, compute);
   EXPECT_EQ(computed.load(), 0u);
   EXPECT_EQ(second.restored, 6u);
-  EXPECT_EQ(second.payloads, first.payloads);
+  EXPECT_EQ(second.records, first.records);
   std::remove(path.c_str());
 }
 
@@ -381,15 +444,13 @@ TEST(ExecSweep, RestoredSourcesSkipCompute) {
 using Blocks = std::vector<std::vector<std::size_t>>;
 
 /// compute_block that records the blocks it sees and returns each index
-/// as its payload.
+/// as its record.
 auto recording_block(Blocks& seen) {
   return [&seen](const std::vector<std::size_t>& indices) {
     seen.push_back(indices);
-    std::vector<std::string> payloads;
-    for (const std::size_t i : indices)
-      payloads.push_back(json::Value::integer(static_cast<std::int64_t>(i))
-                             .dump());
-    return payloads;
+    std::vector<exec::Record> records;
+    for (const std::size_t i : indices) records.push_back({i});
+    return records;
   };
 }
 
@@ -408,7 +469,7 @@ TEST(ExecSweepBlocks, BalancedBlocksInIndexOrder) {
   for (const std::vector<std::size_t>& block : seen)
     for (const std::size_t i : block) EXPECT_EQ(i, next++);
   for (std::size_t i = 0; i < 23; ++i)
-    EXPECT_EQ(result.payloads[i], std::to_string(i));
+    EXPECT_EQ(result.records[i], exec::Record{i});
   EXPECT_EQ(result.computed, 23u);
 }
 
@@ -436,10 +497,10 @@ TEST(ExecSweepBlocks, ThrowingBlockStopsTheSweep) {
   // The block after the throwing one never started; the one before it is
   // checkpointed.
   EXPECT_EQ(seen, (Blocks{{0, 1, 2, 3}}));
-  const std::vector<std::string> saved =
+  const exec::Records saved =
       checkpointed(path, options.kind, options.fingerprint, 12);
   for (std::size_t i = 0; i < 12; ++i)
-    EXPECT_EQ(saved[i].empty(), i >= 4) << "source " << i;
+    EXPECT_EQ(saved.count(i) == 0, i >= 4) << "source " << i;
   std::remove(path.c_str());
 }
 
@@ -449,7 +510,7 @@ TEST(ExecSweepBlocks, EachSourceIsChargedItsShareOfTheBlock) {
   options.kind = "unit_blocks_share";
   const auto sleepy = [](const std::vector<std::size_t>& indices) {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    return std::vector<std::string>(indices.size(), "[]");
+    return std::vector<exec::Record>(indices.size(), exec::Record{1});
   };
   obs::QuantileHistogram& latency =
       obs::metrics_quantile("sweep.unit_blocks_share.source_ms");
@@ -479,7 +540,7 @@ TEST(ExecSweepBlocks, RestoredSourcesNeverJoinABlock) {
                    6, 1, options,
                    [](const std::vector<std::size_t>& indices) {
                      if (indices.front() == 3) throw SourceError("boom");
-                     return std::vector<std::string>(1, "[]");
+                     return std::vector<exec::Record>(1, exec::Record{1});
                    }),
                SourceError);
 
@@ -523,7 +584,7 @@ TEST(ExecSweepBlocks, SigtermDrainsBeforeTheNextBlock) {
   options.token = exec::process_token();
   Blocks seen;
   const auto record = recording_block(seen);
-  // The first block raises a real SIGTERM and still returns its payloads.
+  // The first block raises a real SIGTERM and still returns its records.
   EXPECT_THROW(exec::run_sweep_blocks(
                    30, 10, options,
                    [&](const std::vector<std::size_t>& indices) {
@@ -533,10 +594,10 @@ TEST(ExecSweepBlocks, SigtermDrainsBeforeTheNextBlock) {
                exec::CancelledError);
   EXPECT_EQ(exec::process_cancel_reason(), "SIGTERM");
   EXPECT_EQ(seen.size(), 1u);  // no later block started
-  const std::vector<std::string> saved =
+  const exec::Records saved =
       checkpointed(path, options.kind, options.fingerprint, 30);
   for (std::size_t i = 0; i < 30; ++i)
-    EXPECT_EQ(saved[i].empty(), i >= 10) << "source " << i;
+    EXPECT_EQ(saved.count(i) == 0, i >= 10) << "source " << i;
   std::remove(path.c_str());
 }
 
@@ -578,11 +639,12 @@ MixingOptions acceptance_mixing_options() {
 }
 
 /// The one sweep entry a checkpointed run left in the file at `path`: its
-/// key and its payloads by index.
+/// key, its item count and its records by index.
 struct SavedSweep {
   std::string kind;
   std::uint64_t fingerprint = 0;
-  std::vector<std::string> payloads;
+  std::uint64_t items = 0;
+  exec::Records records;
 };
 
 SavedSweep read_saved_sweep(const std::string& path) {
@@ -597,11 +659,10 @@ SavedSweep read_saved_sweep(const std::string& path) {
   saved.kind = entry.first.substr(0, colon);
   saved.fingerprint =
       std::stoull(entry.first.substr(colon + 1), nullptr, 16);
-  saved.payloads.resize(
-      static_cast<std::size_t>(entry.second.find("items")->as_int()));
-  for (const json::Member& source :
-       entry.second.find("completed")->as_object())
-    saved.payloads.at(std::stoull(source.first)) = source.second.dump();
+  saved.items =
+      static_cast<std::uint64_t>(entry.second.find("items")->as_int());
+  saved.records =
+      checkpointed(path, saved.kind, saved.fingerprint, saved.items);
   return saved;
 }
 
@@ -626,9 +687,9 @@ void expect_resume_identical(const std::string& path,
     SCOPED_TRACE("resumed at " + std::to_string(threads) + " threads");
     std::remove(path.c_str());
     store.set_path(path);
-    std::vector<std::string> partial(saved.payloads.size());
-    for (const std::size_t i : kept) partial[i] = saved.payloads.at(i);
-    store.save(saved.kind, saved.fingerprint, partial.size(), partial);
+    exec::Records partial;
+    for (const std::size_t i : kept) partial[i] = saved.records.at(i);
+    store.save(saved.kind, saved.fingerprint, saved.items, partial);
     store.set_path(path);  // reload from disk
 
     const std::uint64_t restored_before = restored.value();
@@ -637,7 +698,7 @@ void expect_resume_identical(const std::string& path,
     check(full, run());
     EXPECT_EQ(restored.value() - restored_before, kept.size());
     EXPECT_EQ(completed.value() - completed_before,
-              saved.payloads.size() - kept.size());
+              saved.items - kept.size());
   }
   std::remove(path.c_str());
 }
@@ -761,12 +822,12 @@ TEST(ExecResume, GatekeeperCheckpointsIntegerBudgets) {
   exec::CheckpointStore::instance().set_path(path);
   const GateKeeperResult fresh = run_gatekeeper(g, 0, params);
 
-  // One entry, keyed by the budget kind, holding one integer per source.
+  // One entry, keyed by the budget kind, holding one budget word per source.
   const SavedSweep saved = read_saved_sweep(path);
   ASSERT_EQ(saved.kind, "gatekeeper_budget");
-  ASSERT_EQ(saved.payloads.size(), params.num_distributers);
-  for (const std::string& budget : saved.payloads)
-    ASSERT_TRUE(json::Value::parse(budget).is_integer()) << budget;
+  ASSERT_EQ(saved.records.size(), params.num_distributers);
+  for (const auto& [i, budget] : saved.records)
+    EXPECT_EQ(budget, exec::Record{fresh.budgets.at(i)}) << "source " << i;
 
   // Every source restored: one flood each, the same admissions.
   obs::Counter& floods = obs::metrics_counter("gatekeeper.ticket_runs");
@@ -774,14 +835,197 @@ TEST(ExecResume, GatekeeperCheckpointsIntegerBudgets) {
   EXPECT_EQ(run_gatekeeper(g, 0, params).admissions, fresh.admissions);
   EXPECT_EQ(floods.value() - floods_before, params.num_distributers);
 
-  // A budget that is not a positive integer is rejected.
-  for (const char* bad : {"2.5", "1e3", "\"7\"", "[1,2]", "0", "-4"}) {
-    SCOPED_TRACE(bad);
-    std::vector<std::string> payloads = saved.payloads;
-    payloads[1] = bad;
+  // A budget that is not one word of at least 1 is rejected.
+  for (const exec::Record& bad :
+       {exec::Record{0}, exec::Record{}, exec::Record{1, 2}}) {
+    SCOPED_TRACE(bad.size());
+    exec::Records records = saved.records;
+    records[1] = bad;
     exec::CheckpointStore::instance().save(saved.kind, saved.fingerprint,
-                                           params.num_distributers, payloads);
+                                           saved.items, records);
     EXPECT_THROW(run_gatekeeper(g, 0, params), std::runtime_error);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ExecResume, ExpansionResumeIsBitwiseIdentical) {
+  ExecStateGuard guard;
+  const Graph g = acceptance_graph();
+  ExpansionOptions options;
+  options.num_sources = 20;
+  options.seed = 5;
+  ExpansionProfile baseline;  // serial, no checkpoint
+  {
+    parallel::ScopedThreadCount serial{1};
+    baseline = measure_expansion(g, options);
+  }
+  const auto expect_same = [](const ExpansionProfile& want,
+                              const ExpansionProfile& got) {
+    EXPECT_EQ(got.sources_used, want.sources_used);
+    EXPECT_EQ(got.max_depth, want.max_depth);
+    ASSERT_EQ(got.points.size(), want.points.size());
+    for (std::size_t p = 0; p < want.points.size(); ++p) {
+      EXPECT_EQ(got.points[p].set_size, want.points[p].set_size);
+      EXPECT_EQ(got.points[p].min_neighbors, want.points[p].min_neighbors);
+      EXPECT_EQ(got.points[p].max_neighbors, want.points[p].max_neighbors);
+      EXPECT_EQ(got.points[p].mean_neighbors, want.points[p].mean_neighbors);
+      EXPECT_EQ(got.points[p].observations, want.points[p].observations);
+    }
+  };
+  expect_resume_identical(
+      temp_path("sntrust_exec_expansion_resume.json"), {0, 5, 6, 13, 19},
+      [&] { return measure_expansion(g, options); },
+      [&](const ExpansionProfile& full, const ExpansionProfile& resumed) {
+        expect_same(baseline, full);
+        expect_same(baseline, resumed);
+      });
+}
+
+TEST(ExecResume, CoreProfileResumeIsBitwiseIdentical) {
+  ExecStateGuard guard;
+  const Graph g = largest_component(barabasi_albert(300, 6, 5)).graph;
+  std::vector<CoreLevel> baseline;  // serial, no checkpoint
+  {
+    parallel::ScopedThreadCount serial{1};
+    baseline = core_profile(g);
+  }
+  ASSERT_GE(baseline.size(), 4u);
+  const auto expect_same = [](const std::vector<CoreLevel>& want,
+                              const std::vector<CoreLevel>& got) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].k, want[k].k);
+      EXPECT_EQ(got[k].vertices, want[k].vertices);
+      EXPECT_EQ(got[k].edges, want[k].edges);
+      EXPECT_EQ(got[k].nu, want[k].nu);
+      EXPECT_EQ(got[k].tau, want[k].tau);
+      EXPECT_EQ(got[k].num_components, want[k].num_components);
+      EXPECT_EQ(got[k].largest_component, want[k].largest_component);
+    }
+  };
+  expect_resume_identical(
+      temp_path("sntrust_exec_cores_resume.json"), {0, 2, 3},
+      [&] { return core_profile(g); },
+      [&](const std::vector<CoreLevel>& full,
+          const std::vector<CoreLevel>& resumed) {
+        expect_same(baseline, full);
+        expect_same(baseline, resumed);
+      });
+}
+
+TEST(ExecResume, MonteCarloMixingResumeIsBitwiseIdentical) {
+  ExecStateGuard guard;
+  const Graph g = acceptance_graph();
+  MixingOptions options = acceptance_mixing_options();
+  options.num_sources = 6;
+  options.max_walk_length = 12;
+  MixingCurves baseline;  // serial, no checkpoint
+  {
+    parallel::ScopedThreadCount serial{1};
+    baseline = measure_mixing_monte_carlo(g, options, 16);
+  }
+  expect_resume_identical(
+      temp_path("sntrust_exec_monte_carlo_resume.json"), {1, 4},
+      [&] { return measure_mixing_monte_carlo(g, options, 16); },
+      [&](const MixingCurves& full, const MixingCurves& resumed) {
+        EXPECT_EQ(full.sources, baseline.sources);
+        EXPECT_EQ(full.tvd, baseline.tvd);
+        EXPECT_EQ(resumed.sources, baseline.sources);
+        EXPECT_EQ(resumed.tvd, baseline.tvd);
+      });
+}
+
+TEST(ExecResume, HostileRecordsThrowBeforeUse) {
+  // Each case is a checkpoint whose CRC a writer stamped over one bad
+  // record. The load or the measuring module must refuse it with
+  // std::runtime_error before any aggregate indexes it; under ASan, a curve
+  // 5,000 words too long would overflow the max-curve fold if it got in.
+  ExecStateGuard guard;
+  const Graph g = acceptance_graph();
+  const std::string path = temp_path("sntrust_exec_hostile_records.json");
+  exec::CheckpointStore& store = exec::CheckpointStore::instance();
+  MixingOptions mixing = acceptance_mixing_options();
+  GateKeeperParams gatekeeper;
+  gatekeeper.seed = 2026;
+  gatekeeper.num_distributers = 4;
+  ExpansionOptions expansion;
+  expansion.num_sources = 6;
+  const Graph cores_graph = largest_component(barabasi_albert(300, 6, 5)).graph;
+
+  struct Case {
+    const char* name;
+    std::function<void()> run;
+    std::size_t index;  // the source whose record goes bad
+    std::function<std::string(const exec::Record&)> bad;
+    const char* named;  // what the error names
+  };
+  const auto words = [](const exec::Record& record, std::size_t extra) {
+    exec::Record longer = record;
+    longer.resize(record.size() + extra, 0x3fe0000000000000ULL);
+    return hex_words(longer);
+  };
+  const std::vector<Case> cases = {
+      {"mixing record one word too long",
+       [&] { measure_mixing(g, mixing); }, 1,
+       [&](const exec::Record& r) { return words(r, 1); }, "measure_mixing"},
+      {"mixing record 5,000 words too long",
+       [&] { measure_mixing(g, mixing); }, 1,
+       [&](const exec::Record& r) { return words(r, 5000); },
+       "measure_mixing"},
+      {"3-word core record", [&] { core_profile(cores_graph); }, 2,
+       [](const exec::Record& r) {
+         return hex_words(exec::Record(r.begin(), r.begin() + 3));
+       },
+       "core_profile"},
+      {"2-word GateKeeper record",
+       [&] { run_gatekeeper(g, 0, gatekeeper); }, 0,
+       [&](const exec::Record& r) { return words(r, 1); }, "run_gatekeeper"},
+      {"empty expansion record", [&] { measure_expansion(g, expansion); }, 3,
+       [](const exec::Record&) { return std::string(); },
+       "measure_expansion"},
+      {"15 hex digits", [&] { run_gatekeeper(g, 0, gatekeeper); }, 2,
+       [](const exec::Record& r) { return hex_words(r).substr(1); },
+       "gatekeeper_budget"},
+      {"a non-hex digit", [&] { run_gatekeeper(g, 0, gatekeeper); }, 2,
+       [](const exec::Record& r) {
+         std::string text = hex_words(r);
+         text[7] = 'g';
+         return text;
+       },
+       "gatekeeper_budget"},
+      {"an upper-case hex digit", [&] { measure_mixing(g, mixing); }, 0,
+       [](const exec::Record& r) {
+         std::string text = hex_words(r);
+         text[0] = 'A';
+         return text;
+       },
+       "measure_mixing"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // A clean run writes the sweep's entry; then one record goes bad.
+    std::remove(path.c_str());
+    store.set_path(path);
+    c.run();
+    const SavedSweep saved = read_saved_sweep(path);
+    json::Object completed;
+    for (const auto& [i, record] : saved.records)
+      completed.emplace_back(
+          std::to_string(i),
+          json::Value::string(i == c.index ? c.bad(record)
+                                           : hex_words(record)));
+    const auto items = static_cast<std::int64_t>(saved.items);
+    write_file(path, checkpoint_text(2, saved.kind, saved.fingerprint,
+                                     json::Value::integer(items),
+                                     std::move(completed)));
+    store.set_path(path);
+    try {
+      c.run();
+      ADD_FAILURE() << "the hostile record was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(c.named), std::string::npos)
+          << error.what();
+    }
   }
   std::remove(path.c_str());
 }

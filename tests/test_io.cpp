@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "test_graphs.hpp"
@@ -92,7 +91,7 @@ TEST(GraphIo, OverflowingIdRejectedWithLineNumber) {
 TEST(GraphIo, MissingFileThrows) {
   EXPECT_THROW(read_edge_list_file("/nonexistent/path/graph.txt"),
                std::runtime_error);
-  EXPECT_THROW(read_binary_file("/nonexistent/path/graph.bin"),
+  EXPECT_THROW(read_graph_auto("/nonexistent/path/graph.snap"),
                std::runtime_error);
 }
 
@@ -112,54 +111,6 @@ TEST(GraphIo, TextFileRoundTrip) {
   write_edge_list_file(g, path);
   const Graph back = read_edge_list_file(path);
   EXPECT_EQ(back.num_edges(), 12u);
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, BinaryRoundTripIsExact) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sntrust_io_bin.bin").string();
-  const Graph g = petersen_graph();
-  write_binary_file(g, path);
-  const Graph back = read_binary_file(path);
-  EXPECT_EQ(back, g);  // exact CSR equality, not just counts
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, BinaryRejectsBadMagic) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sntrust_io_bad.bin").string();
-  {
-    std::ofstream out{path, std::ios::binary};
-    out << "definitely not a graph";
-  }
-  EXPECT_THROW(read_binary_file(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, BinaryRejectsHeaderSizeMismatch) {
-  // A header whose vertex count disagrees with the file size must be
-  // rejected *before* any allocation sized from that count.
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sntrust_io_hdr.bin").string();
-  write_binary_file(petersen_graph(), path);
-  {
-    std::fstream patch{path, std::ios::binary | std::ios::in | std::ios::out};
-    patch.seekp(8);  // vertex-count field, right after the magic
-    const std::uint64_t bogus = 1'000'000'000ULL;
-    patch.write(reinterpret_cast<const char*>(&bogus), sizeof bogus);
-  }
-  EXPECT_THROW(read_binary_file(path), IoError);
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, BinaryRejectsTruncation) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sntrust_io_trunc.bin").string();
-  write_binary_file(petersen_graph(), path);
-  // Truncate the file to half.
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size / 2);
-  EXPECT_THROW(read_binary_file(path), std::runtime_error);
   std::remove(path.c_str());
 }
 

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace sntrust::json {
@@ -25,6 +26,18 @@ TEST(Json, ParsesScalars) {
   for (const char* text : {"3.25", "-1e3", "4.0", "1e300", "\"7\"", "null",
                            "99999999999999999999"})
     EXPECT_FALSE(Value::parse(text).is_integer()) << text;
+}
+
+TEST(Json, AsIntRejectsNumbersOutsideInt64) {
+  // Truncation keeps its meaning inside the range...
+  EXPECT_EQ(Value::parse("2.9").as_int(), 2);
+  EXPECT_EQ(Value::parse("-2.9").as_int(), -2);
+  EXPECT_EQ(Value::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Value::parse("1e18").as_int(), 1000000000000000000ll);
+  // ...and a number past it is an error, not a wrapped or undefined value.
+  for (const char* text : {"1e300", "-1e19", "9223372036854775808"})
+    EXPECT_THROW(Value::parse(text).as_int(), std::runtime_error) << text;
 }
 
 TEST(Json, ParsesNestedStructures) {

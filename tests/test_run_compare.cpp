@@ -128,17 +128,6 @@ TEST(RunCompare, AddedAndRemovedSpansListedButNeverBreach) {
   EXPECT_TRUE(removed);
 }
 
-TEST(RunCompare, CpuGateIsOptIn) {
-  // cpu_ms fixed at 40 in baseline; hand-build a candidate with cpu 80.
-  const RunReportData baseline = parse(report_json(100.0, 200.0, 1000.0));
-  RunReportData candidate = baseline;
-  candidate.spans[0].cpu_ms = 80.0;
-  DiffOptions options;
-  EXPECT_FALSE(diff_run_reports(baseline, candidate, options).breached);
-  options.gate_cpu = true;
-  EXPECT_TRUE(diff_run_reports(baseline, candidate, options).breached);
-}
-
 TEST(RunCompare, DiffTableLeadsWithRegressions) {
   const RunReportData baseline = parse(report_json(100.0, 200.0, 1000.0));
   const RunReportData candidate = parse(report_json(150.0, 210.0, 1000.0));

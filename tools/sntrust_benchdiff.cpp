@@ -8,8 +8,7 @@
 //       baseline and the fresh run, humans point it at any two reports.
 //       When both reports carry build/run provenance and their graph
 //       fingerprints or scale disagree, the diff refuses (exit 2) instead
-//       of comparing apples to oranges; --allow-provenance-mismatch
-//       overrides.
+//       of comparing apples to oranges.
 //   sntrust_benchdiff --summary <report.json|telemetry.jsonl>...
 //       Prints a Markdown summary table across the given reports — CI
 //       appends it to $GITHUB_STEP_SUMMARY; scripts/run_all.sh ends with
@@ -18,23 +17,12 @@
 //
 // Options:
 //   --threshold-pct <p>       per-span wall regression gate (default 25)
-//   --total-threshold-pct <p> totals wall gate (default 15)
-//   --rss-threshold-pct <p>   peak-RSS gate (default 50)
-//   --min-wall-ms <ms>        ignore spans below this in both runs (default 5)
-//   --quantile-threshold-pct <p> telemetry p50/p99 gate (default 40)
-//   --min-quantile-ms <ms>    ignore quantiles below this in both runs
-//                             (default 1)
-//   --ci-widen-threshold-pct <p> diag estimate CI95-width gate (default 50)
-//   --max-new-nonconverged <n> allowed new cap-exit sources (default 0)
-//   --allow-provenance-mismatch  diff even when provenance disagrees
-//   --cpu                     also gate span/total cpu_ms
 //   --warn-only               print the table but always exit 0
-// A threshold or count that is not a whole decimal string >= 0 is a usage
-// error (exit 2).
+// The other gates are fixed (report/run_compare.hpp). A threshold that is
+// not a whole decimal string >= 0 is a usage error (exit 2).
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -53,21 +41,8 @@ int usage() {
          "  sntrust_benchdiff [options] <baseline.json> <candidate.json>\n"
          "  sntrust_benchdiff --summary <report.json|telemetry.jsonl>...\n"
          "options:\n"
-         "  --threshold-pct <p>        span wall regression gate "
-         "(default 25)\n"
-         "  --total-threshold-pct <p>  totals wall gate (default 15)\n"
-         "  --rss-threshold-pct <p>    peak-RSS gate (default 50)\n"
-         "  --min-wall-ms <ms>         noise floor for spans (default 5)\n"
-         "  --quantile-threshold-pct <p>  telemetry p50/p99 gate "
-         "(default 40)\n"
-         "  --min-quantile-ms <ms>     noise floor for quantiles "
-         "(default 1)\n"
-         "  --ci-widen-threshold-pct <p>  diag CI95-width gate (default 50)\n"
-         "  --max-new-nonconverged <n> allowed new cap-exit sources "
-         "(default 0)\n"
-         "  --allow-provenance-mismatch  diff despite provenance mismatch\n"
-         "  --cpu                      also gate cpu_ms\n"
-         "  --warn-only                report regressions but exit 0\n";
+         "  --threshold-pct <p>  span wall regression gate (default 25)\n"
+         "  --warn-only          report regressions but exit 0\n";
   return 2;
 }
 
@@ -149,40 +124,14 @@ int main(int argc, char** argv) {
     DiffOptions options;
     bool warn_only = false;
     bool summary = false;
-    bool allow_provenance_mismatch = false;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      auto next_double = [&](double& out) {
-        if (i + 1 >= argc) return false;
-        const auto value = parse_nonnegative(argv[++i]);
-        if (value) out = *value;
-        return value.has_value();
-      };
       if (arg == "--threshold-pct") {
-        if (!next_double(options.span_threshold_pct)) return usage();
-      } else if (arg == "--total-threshold-pct") {
-        if (!next_double(options.total_threshold_pct)) return usage();
-      } else if (arg == "--rss-threshold-pct") {
-        if (!next_double(options.rss_threshold_pct)) return usage();
-      } else if (arg == "--min-wall-ms") {
-        if (!next_double(options.min_wall_ms)) return usage();
-      } else if (arg == "--quantile-threshold-pct") {
-        if (!next_double(options.quantile_threshold_pct)) return usage();
-      } else if (arg == "--min-quantile-ms") {
-        if (!next_double(options.min_quantile_ms)) return usage();
-      } else if (arg == "--ci-widen-threshold-pct") {
-        if (!next_double(options.ci_widen_threshold_pct)) return usage();
-      } else if (arg == "--max-new-nonconverged") {
         if (i + 1 >= argc) return usage();
-        const auto count = parse_count(
-            argv[++i], 0, std::numeric_limits<std::int64_t>::max());
-        if (!count) return usage();
-        options.max_new_nonconverged = static_cast<std::int64_t>(*count);
-      } else if (arg == "--allow-provenance-mismatch") {
-        allow_provenance_mismatch = true;
-      } else if (arg == "--cpu") {
-        options.gate_cpu = true;
+        const auto value = parse_nonnegative(argv[++i]);
+        if (!value) return usage();
+        options.span_threshold_pct = *value;
       } else if (arg == "--warn-only") {
         warn_only = true;
       } else if (arg == "--summary") {
@@ -205,13 +154,8 @@ int main(int argc, char** argv) {
     const RunReportData candidate = load_run_report(paths[1]);
     if (const std::string mismatch = provenance_mismatch(baseline, candidate);
         !mismatch.empty()) {
-      if (!allow_provenance_mismatch) {
-        std::cerr << "error: refusing to diff: " << mismatch
-                  << "\n(pass --allow-provenance-mismatch to compare "
-                     "anyway)\n";
-        return 2;
-      }
-      std::cerr << "warning: " << mismatch << "\n";
+      std::cerr << "error: refusing to diff: " << mismatch << "\n";
+      return 2;
     }
     std::cout << "baseline:  " << paths[0] << " (" << baseline.tool << ")\n"
               << "candidate: " << paths[1] << " (" << candidate.tool

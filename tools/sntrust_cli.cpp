@@ -4,8 +4,8 @@
 //   sntrust_cli generate <dataset_id> <scale> <out.txt>
 //       Writes a synthetic analogue as a SNAP-format edge list.
 //   sntrust_cli measure <graph> [sources]
-//       Loads a graph — text edge list, binary CSR, or mmap snapshot
-//       (format sniffed by magic) — reduces to the largest component, and
+//       Loads a graph — text edge list or mmap snapshot (format sniffed
+//       by magic) — reduces to the largest component, and
 //       prints the full property report (mixing, cores, expansion) plus
 //       per-phase wall-clock timings.
 //   sntrust_cli attack <edgelist.txt> <sybils> <attack_edges>

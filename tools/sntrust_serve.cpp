@@ -2,8 +2,8 @@
 // queries from the command line or a script (serve/trust_service.hpp).
 //
 //   sntrust_serve query <graph> <seeds> <command...>
-//       One-shot: loads the graph (any format read_graph_auto sniffs,
-//       including mmap snapshots), builds the serving snapshot, runs the
+//       One-shot: loads the graph (a text edge list or an mmap snapshot,
+//       sniffed by magic), builds the serving snapshot, runs the
 //       commands, exits. <seeds> is a comma-separated vertex list.
 //   sntrust_serve repl <graph> <seeds>
 //       Reads one command per line from stdin until EOF ("quit" also exits).

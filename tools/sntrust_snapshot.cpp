@@ -2,9 +2,8 @@
 // (graph/snapshot.hpp).
 //
 //   sntrust_snapshot convert <in> <out.snap>
-//       Converts any readable graph (text edge list, binary CSR, or an
-//       existing snapshot) to snapshot format. The write is atomic (temp +
-//       fsync + rename).
+//       Converts a text edge list (or an existing snapshot) to snapshot
+//       format. The write is atomic (temp + fsync + rename).
 //   sntrust_snapshot generate <dataset_id> <scale> <seed> <out.snap>
 //       Generates a Table-I analogue (scale 0 = the full paper-scale size)
 //       and writes it as a snapshot directly — no edge-list detour. A
