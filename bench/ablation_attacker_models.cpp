@@ -13,7 +13,7 @@
 #include "sybil/sybilrank.hpp"
 #include "util/format.hpp"
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Ablation A8: attacker edge-placement strategies"};
 
@@ -70,3 +70,5 @@ int main() {
                "II's numbers depend on the random-attacker assumption.\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

@@ -40,7 +40,7 @@ double spearman(const std::vector<double>& a, const std::vector<double>& b) {
 
 }  // namespace
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Ablation A6: mu vs graph characteristics"};
 
@@ -99,3 +99,5 @@ int main() {
                "the paper's positive result relating mixing to coreness.\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

@@ -15,11 +15,11 @@
 #include "report/table.hpp"
 #include "util/format.hpp"
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Ablation A1: community strength vs mixing"};
 
-  const auto n = static_cast<VertexId>(4000 * bench_scale());
+  const auto n = static_cast<VertexId>(4000 * exec::applied_config().scale);
   Table table{{"cross-degree", "mu", "T(eps=1/n)", "max cores",
                "conductance"}};
 
@@ -62,3 +62,5 @@ int main() {
                "conductance rises.\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

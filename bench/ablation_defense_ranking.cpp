@@ -19,7 +19,7 @@
 #include "sybil/sybilrank.hpp"
 #include "util/format.hpp"
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Ablation A2: defense ranking agreement"};
 
@@ -134,3 +134,5 @@ int main() {
                "cannot fake without attack edges) prevailed.\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

@@ -11,7 +11,7 @@
 #include "report/table.hpp"
 #include "util/format.hpp"
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Ablation A9: directed vs undirected mixing"};
 
@@ -53,3 +53,5 @@ int main() {
                "starting point.\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 #include "dynamic/evolution.hpp"
 #include "report/table.hpp"
-#include "util/env.hpp"
 #include "util/format.hpp"
 
 namespace {
@@ -34,10 +33,10 @@ void run(const std::string& title, const sntrust::GrowthTrace& trace,
 
 }  // namespace
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   const auto n =
-      static_cast<VertexId>(12000 * bench_scale());
+      static_cast<VertexId>(12000 * exec::applied_config().scale);
   const std::vector<VertexId> sizes{n / 16, n / 8, n / 4, n / 2, n};
 
   run("Ablation A5a: weak-trust growth (preferential attachment)",
@@ -52,3 +51,5 @@ int main() {
                "preserves, and sharpens, the social-model split.\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

@@ -36,7 +36,7 @@ double spearman_rank_correlation(const std::vector<double>& a,
 
 }  // namespace
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Ablation A3: expansion vs mixing across datasets"};
 
@@ -72,3 +72,5 @@ int main() {
             << "  (expected: strongly negative)\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

@@ -24,7 +24,7 @@ struct Row {
 
 }  // namespace
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Ablation A7: property fidelity under sampling"};
 
@@ -74,3 +74,5 @@ int main() {
                "the paper's methodology to sampled graphs.\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

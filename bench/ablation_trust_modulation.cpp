@@ -13,7 +13,7 @@
 #include "sybil/sybillimit.hpp"
 #include "util/format.hpp"
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Ablation A4: trust modulation vs mixing time"};
 
@@ -78,3 +78,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

@@ -11,7 +11,7 @@
 #include "report/table.hpp"
 #include "util/format.hpp"
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Application: walk-based anonymity on social graphs"};
 
@@ -57,3 +57,5 @@ int main() {
                "the paper's mixing split.\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

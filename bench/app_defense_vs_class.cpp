@@ -13,7 +13,7 @@
 #include "sybil/sybilrank.hpp"
 #include "util/format.hpp"
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Application: defense quality across graph classes"};
 
@@ -61,3 +61,5 @@ int main() {
                "design, is the binding constraint.\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

@@ -9,7 +9,7 @@
 #include "report/table.hpp"
 #include "util/format.hpp"
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Application: SimBet DTN routing on social graphs"};
 
@@ -47,3 +47,5 @@ int main() {
                "must climb to bridging carriers.\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

@@ -75,14 +75,14 @@ bool answers_equal(const Answer& a, const Answer& b) {
 }  // namespace
 
 int main() {
-  return bench::guarded_main([] {
+  return exec::guarded_main([] {
     bench::Section section{"Application: trust-query serving layer"};
     obs::RunReporter::instance().set_config("bench", "app_serving");
 
     const double admit_frac = 0.5;
     const double zipf_s = 0.99;
     const auto total_queries =
-        static_cast<std::uint64_t>(1'000'000 * bench_scale());
+        static_cast<std::uint64_t>(1'000'000 * exec::applied_config().scale);
     const std::uint32_t clients = 4;
     const std::uint32_t client_batch = 64;
 

@@ -10,7 +10,7 @@
 #include "report/table.hpp"
 #include "util/format.hpp"
 
-int main() {
+static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Application: social-network DHT (Whanau-style)"};
 
@@ -65,3 +65,5 @@ int main() {
                "paper's mixing measurements underwrite.\n";
   return 0;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

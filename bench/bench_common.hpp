@@ -1,25 +1,23 @@
 // Shared conventions for the reproduction benches: every bench generates its
 // datasets at `dataset_scale() * <paper scale>` and seeds all randomness
-// from kBenchSeed so output is reproducible run-to-run.
+// from kBenchSeed so output is reproducible run-to-run. Every bench's main
+// runs through exec::guarded_main (exec/run_config.hpp), which applies the
+// SNTRUST_* knobs before the bench reads them here.
 //
 // SNTRUST_SCALE scales all workloads (default 1.0; use 0.1 for a smoke run,
 // >1 to push closer to the paper's raw sizes).
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 
-#include "exec/cancel.hpp"
+#include "exec/run_config.hpp"
 #include "gen/datasets.hpp"
-#include "graph/io.hpp"
 #include "graph/snapshot.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
-#include "util/env.hpp"
 #include "util/format.hpp"
 
 namespace sntrust::bench {
@@ -29,15 +27,8 @@ inline constexpr std::uint64_t kBenchSeed = 20110621;  // ICDCS'11 week
 /// Additional scale factor the benches apply on top of each dataset's
 /// default_scale, so the default full suite finishes in minutes on one core.
 inline double dataset_scale(double base = 0.35) {
-  return base * bench_scale();
+  return base * exec::applied_config().scale;
 }
-
-/// SNTRUST_FULL_SCALE=1 runs every dataset at the paper's Table-I size
-/// (DatasetSpec::generate_full), overriding dataset_scale/SNTRUST_SCALE.
-/// The largest graphs take minutes to generate and gigabytes of CSR —
-/// scripts/run_full_scale.sh documents the snapshot-backed workflow and the
-/// scaled fallback for small machines.
-inline bool full_scale() { return env_bool("SNTRUST_FULL_SCALE", false); }
 
 /// Generates (or snapshot-loads) a bench dataset. With SNTRUST_SNAPSHOT set
 /// to a directory, the graph is served from `<dir>/<id>_s<scale>.snap` when
@@ -45,6 +36,12 @@ inline bool full_scale() { return env_bool("SNTRUST_FULL_SCALE", false); }
 /// runs (and the CI snapshot job) mmap the CSR in milliseconds instead of
 /// regenerating it. The snapshot header fingerprint keeps exec checkpoints
 /// valid across the two load paths.
+///
+/// SNTRUST_FULL_SCALE=1 generates every dataset at the paper's Table-I size
+/// (DatasetSpec::generate_full), overriding dataset_scale/SNTRUST_SCALE.
+/// The largest graphs take minutes to generate and gigabytes of CSR —
+/// scripts/run_full_scale.sh documents the snapshot-backed workflow and the
+/// scaled fallback for small machines.
 inline Graph dataset_graph(const DatasetSpec& spec, double base = 0.35) {
   // Provenance: the per-dataset structural fingerprint lands in the run
   // report's config so benchdiff/diag can refuse diffs between runs that
@@ -53,17 +50,17 @@ inline Graph dataset_graph(const DatasetSpec& spec, double base = 0.35) {
     obs::RunReporter::instance().set_config("graph." + std::string{spec.id},
                                             to_hex(g.fingerprint()));
   };
+  const exec::RunConfig& config = exec::applied_config();
   const double scale =
-      full_scale() ? 1.0 / spec.default_scale : dataset_scale(base);
-  const std::string dir = env_string("SNTRUST_SNAPSHOT", "");
-  if (dir.empty()) {
+      config.full_scale ? 1.0 / spec.default_scale : dataset_scale(base);
+  if (config.snapshot.empty()) {
     Graph g = spec.generate(scale, kBenchSeed);
     record_fingerprint(g);
     return g;
   }
   char suffix[48];
   std::snprintf(suffix, sizeof suffix, "_s%g.snap", scale);
-  const std::string path = dir + "/" + spec.id + suffix;
+  const std::string path = config.snapshot + "/" + spec.id + suffix;
   if (is_snapshot_file(path)) {
     Graph g = load_snapshot(path);
     record_fingerprint(g);
@@ -78,14 +75,11 @@ inline Graph dataset_graph(const DatasetSpec& spec, double base = 0.35) {
 /// Banner + wall-clock scope timer, built on the obs layer: the printed
 /// elapsed time comes from obs::Stopwatch and the scope is recorded as a
 /// trace span, so `SNTRUST_TRACE=<path> ./fig1_mixing_time` captures every
-/// bench section alongside the library's own spans. Constructing a Section
-/// also touches the run reporter, so `SNTRUST_REPORT=<path>` makes any
-/// bench emit its unified JSON run report at exit (see obs/run_report.hpp).
+/// bench section alongside the library's own spans.
 class Section {
  public:
   explicit Section(std::string title)
       : title_(std::move(title)), span_(title_, "bench") {
-    obs::RunReporter::instance();  // arms the SNTRUST_REPORT atexit export
     std::cout << "=== " << title_ << " ===\n";
   }
   ~Section() {
@@ -120,31 +114,5 @@ class DatasetTimer {
  private:
   obs::Stopwatch stopwatch_;
 };
-
-/// Standard bench entry point: installs the cooperative SIGINT/SIGTERM
-/// handlers (and the SNTRUST_DEADLINE_MS deadline), runs `body`, and maps
-/// its outcome to sysexits-style codes — 75 for an interrupted run (the
-/// checkpoint, if armed, holds the completed sources, and the SNTRUST_REPORT
-/// artifact still fires at exit with `exec.interrupted` naming the cause),
-/// 65 for bad input (IoError, std::invalid_argument), 1 for anything else.
-/// Wrap main as `return sntrust::bench::guarded_main([] { ...; return 0;
-/// });`.
-inline int guarded_main(const std::function<int()>& body) {
-  exec::install_signal_handlers();
-  try {
-    return body();
-  } catch (const exec::CancelledError& error) {
-    return exec::interrupted_exit(error.what());
-  } catch (const IoError& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 65;
-  } catch (const std::invalid_argument& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 65;
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 1;
-  }
-}
 
 }  // namespace sntrust::bench

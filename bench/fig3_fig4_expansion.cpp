@@ -57,7 +57,7 @@ void print_panel(const std::string& title, const std::vector<std::string>& ids,
   figure.print(std::cout);
 }
 
-int run_bench() {
+static int run_bench() {
   std::map<std::string, Measured> measured;
   {
     bench::Section section{
@@ -111,4 +111,4 @@ int run_bench() {
 
 }  // namespace
 
-int main() { return sntrust::bench::guarded_main(run_bench); }
+int main() { return sntrust::exec::guarded_main(run_bench); }

@@ -179,7 +179,7 @@ std::vector<LaneRow> lane_rows_at(const Graph& g,
 
 }  // namespace
 
-int main() {
+static int run_bench() {
   // The slow-mixing community analogues keep walk supports small for the
   // longest, which is exactly where the sparse kernel pays off; dblp is the
   // largest of them in the bench set (its frontier stays below the dense
@@ -328,3 +328,5 @@ int main() {
   std::printf("  \"identical\": %s\n}\n", identical ? "true" : "false");
   return identical && lanes_identical ? 0 : 1;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

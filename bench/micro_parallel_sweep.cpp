@@ -58,7 +58,7 @@ void print_leg(const char* name, const Leg& leg, bool trailing_comma) {
 
 }  // namespace
 
-int main() {
+static int run_bench() {
   using bench::kBenchSeed;
 
   // One pooled leg even on single-core boxes; real speedup needs real cores.
@@ -120,3 +120,5 @@ int main() {
               mixing.identical && expansion.identical ? "true" : "false");
   return mixing.identical && expansion.identical ? 0 : 1;
 }
+
+int main() { return sntrust::exec::guarded_main(run_bench); }

@@ -36,4 +36,4 @@ static int run_bench() {
   return 0;
 }
 
-int main() { return sntrust::bench::guarded_main(run_bench); }
+int main() { return sntrust::exec::guarded_main(run_bench); }

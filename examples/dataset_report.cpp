@@ -57,5 +57,5 @@ int main(int argc, char** argv) {
   const bool measure = argc == 2 && std::string(argv[1]) == "measure";
   if (argc > 1 && !measure)
     return sntrust::examples::usage_error("dataset_report [measure]");
-  return sntrust::examples::guarded_main([&] { return run(measure); });
+  return sntrust::exec::guarded_main([&] { return run(measure); });
 }

@@ -12,8 +12,8 @@
 #include "dynamic/evolution.hpp"
 #include "example_main.hpp"
 #include "report/table.hpp"
-#include "util/env.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -62,6 +62,6 @@ int main(int argc, char** argv) {
                : 4000;
   if (argc > 2 || !n)
     return examples::usage_error("growth_monitor [final_n >= 1]");
-  return examples::guarded_main(
+  return exec::guarded_main(
       [&] { return run(static_cast<VertexId>(*n)); });
 }

@@ -21,8 +21,8 @@
 #include "markov/mixing.hpp"
 #include "markov/spectral.hpp"
 #include "report/table.hpp"
-#include "util/env.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -79,6 +79,6 @@ int main(int argc, char** argv) {
                : 2000;
   if (argc > 2 || !n)
     return examples::usage_error("mixing_vs_structure [n >= 1]");
-  return examples::guarded_main(
+  return exec::guarded_main(
       [&] { return run(static_cast<VertexId>(*n)); });
 }

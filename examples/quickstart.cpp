@@ -12,8 +12,8 @@
 #include "example_main.hpp"
 #include "gen/datasets.hpp"
 #include "report/table.hpp"
-#include "util/env.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -72,5 +72,5 @@ int main(int argc, char** argv) {
       argc > 2 ? parse_nonnegative(argv[2]) : 0.25;
   if (argc > 3 || !scale || *scale == 0.0)
     return examples::usage_error("quickstart [dataset_id] [scale > 0]");
-  return examples::guarded_main([&] { return run(id, *scale); });
+  return exec::guarded_main([&] { return run(id, *scale); });
 }

@@ -20,8 +20,8 @@
 #include "sybil/sybilinfer.hpp"
 #include "sybil/sybillimit.hpp"
 #include "sybil/sybilrank.hpp"
-#include "util/env.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   if (argc > 3 || !attack_edges)
     return examples::usage_error(
         "sybil_defense_demo [dataset_id] [attack_edges >= 1]");
-  return examples::guarded_main([&] {
+  return exec::guarded_main([&] {
     return run(id, static_cast<std::uint32_t>(*attack_edges));
   });
 }

@@ -5,9 +5,11 @@
 #
 # Generating the large analogues costs minutes and GBs of CSR, so this
 # script materializes each graph once as a zero-copy snapshot
-# (graph/snapshot.hpp) under $SNAP_DIR; with SNTRUST_SNAPSHOT set the
-# benches mmap the snapshot on every later run — milliseconds instead of
-# regeneration.
+# (graph/snapshot.hpp) under $SNAP_DIR (default snapshots/); with
+# SNTRUST_SNAPSHOT set the benches mmap the snapshot on every later run —
+# milliseconds instead of regeneration. SNAP_DIR is the script's own input,
+# not an SNTRUST_* knob, so exporting it leaves the benches it launches
+# without an unknown-knob warning.
 #
 # Fallback: machines without the RAM for the full livejournal CSR can pass
 # an SNTRUST_SCALE multiplier instead of going full-scale, e.g.
@@ -19,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCALE_CAP="${1:-full}"   # "full" = Table-I size; a number = SNTRUST_SCALE
-SNAP_DIR="${SNTRUST_SNAPSHOT_DIR:-snapshots}"
+SNAP_DIR="${SNAP_DIR:-snapshots}"
 REPORT_DIR="reports/full-scale-$(date +%Y%m%d-%H%M%S)"
 mkdir -p "$SNAP_DIR" "$REPORT_DIR"
 

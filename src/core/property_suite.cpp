@@ -43,7 +43,7 @@ PropertyReport measure_properties(const Graph& g,
     report.diameter_lb = double_sweep_diameter(g);
   }
 
-  exec::process_token().check();  // phase boundary
+  exec::check_process_cancel();  // phase boundary
   {  // Spectral side.
     const obs::Span span{"spectral"};
     SlemOptions slem_options;
@@ -54,7 +54,7 @@ PropertyReport measure_properties(const Graph& g,
           sinclair_bounds(report.slem.mu, report.epsilon, g.num_vertices());
   }
 
-  exec::process_token().check();  // phase boundary
+  exec::check_process_cancel();  // phase boundary
   {  // Sampling side.
     const obs::Span span{"mixing"};
     MixingOptions mixing_options;
@@ -65,7 +65,7 @@ PropertyReport measure_properties(const Graph& g,
     report.mixing_time = mixing_time_estimate(report.mixing, report.epsilon);
   }
 
-  exec::process_token().check();  // phase boundary
+  exec::check_process_cancel();  // phase boundary
   {  // Cores.
     const obs::Span span{"cores"};
     const CoreDecomposition cores = core_decomposition(g);
@@ -79,7 +79,7 @@ PropertyReport measure_properties(const Graph& g,
     }
   }
 
-  exec::process_token().check();  // phase boundary
+  exec::check_process_cancel();  // phase boundary
   {  // Expansion.
     const obs::Span span{"expansion"};
     ExpansionOptions expansion_options;

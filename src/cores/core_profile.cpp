@@ -35,7 +35,6 @@ std::vector<CoreLevel> core_profile(const Graph& g,
 
   exec::SweepOptions sweep;
   sweep.kind = "core_profile";
-  sweep.token = exec::process_token();
   if (exec::CheckpointStore::instance().armed())
     sweep.fingerprint = exec::fingerprint(
         {n, g.num_edges(), d.degeneracy, g.fingerprint()});

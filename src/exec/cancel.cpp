@@ -1,12 +1,11 @@
 #include "exec/cancel.hpp"
 
+#include <atomic>
 #include <csignal>
 #include <iostream>
-#include <limits>
 #include <mutex>
 
 #include "obs/run_report.hpp"
-#include "util/env.hpp"
 
 namespace sntrust::exec {
 
@@ -57,50 +56,9 @@ Deadline Deadline::at(std::chrono::steady_clock::time_point when) {
   return d;
 }
 
-std::int64_t Deadline::remaining_ms() const {
-  if (!armed_) return std::numeric_limits<std::int64_t>::max();
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             when_ - std::chrono::steady_clock::now())
-      .count();
-}
-
-bool CancelToken::cancelled() const {
-  if (process_cancel_requested()) return true;
-  if (flag_ && flag_->load(std::memory_order_relaxed)) return true;
-  return deadline_.expired();
-}
-
-std::string CancelToken::reason() const {
-  const std::string process = process_cancel_reason();
-  if (!process.empty()) return process;
-  if (flag_ && flag_->load(std::memory_order_relaxed)) return "cancelled";
-  if (deadline_.expired()) return "deadline exceeded";
-  return {};
-}
-
-void CancelToken::check() const {
-  if (cancelled()) throw CancelledError(reason());
-}
-
-CancelToken CancelToken::with_deadline(Deadline deadline) const {
-  CancelToken token = *this;
-  // Keep the earlier of the two deadlines.
-  if (!token.deadline_.armed() ||
-      (deadline.armed() && deadline.when() < token.deadline_.when()))
-    token.deadline_ = deadline;
-  return token;
-}
-
-CancelToken CancelSource::token() const {
-  CancelToken t;
-  t.flag_ = flag_;
-  return t;
-}
-
 void install_signal_handlers() {
   std::signal(SIGINT, handle_cancel_signal);
   std::signal(SIGTERM, handle_cancel_signal);
-  (void)process_deadline();  // pin the SNTRUST_DEADLINE_MS base to "now"
 }
 
 bool process_cancel_requested() {
@@ -126,6 +84,10 @@ std::string process_cancel_reason() {
   return {};
 }
 
+void check_process_cancel() {
+  if (process_cancel_requested()) throw CancelledError(process_cancel_reason());
+}
+
 void request_process_cancel(const std::string& reason) {
   {
     std::lock_guard<std::mutex> lock(reason_mutex());
@@ -142,11 +104,6 @@ void reset_process_cancel() {
 }
 
 Deadline process_deadline() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    const std::int64_t ms = env_int("SNTRUST_DEADLINE_MS", 0);
-    if (ms > 0) set_process_deadline(Deadline::after_ms(ms));
-  });
   const std::int64_t ns = g_deadline_ns.load(std::memory_order_relaxed);
   if (ns == 0) return Deadline{};
   return Deadline::at(std::chrono::steady_clock::time_point(
@@ -158,8 +115,6 @@ void set_process_deadline(Deadline deadline) {
       deadline.armed() ? deadline.when().time_since_epoch().count() : 0,
       std::memory_order_relaxed);
 }
-
-CancelToken process_token() { return CancelToken{}; }
 
 int interrupted_exit(const std::string& detail) {
   std::cerr << "interrupted: " << detail << "\n";

@@ -10,7 +10,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/env.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -103,9 +102,6 @@ CheckpointStore& CheckpointStore::instance() {
   return store;
 }
 
-CheckpointStore::CheckpointStore()
-    : path_(env_string("SNTRUST_CHECKPOINT", "")) {}
-
 void CheckpointStore::set_path(std::string path) {
   std::lock_guard<std::mutex> lock(mutex_);
   path_ = std::move(path);
@@ -121,13 +117,6 @@ std::string CheckpointStore::path() const {
 bool CheckpointStore::armed() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return !path_.empty();
-}
-
-void CheckpointStore::reset_for_tests() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  path_ = env_string("SNTRUST_CHECKPOINT", "");
-  loaded_ = false;
-  sweeps_.clear();
 }
 
 void CheckpointStore::load_locked() {

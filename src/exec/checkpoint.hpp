@@ -2,7 +2,8 @@
 //
 // One process-wide store maps sweep keys ("<kind>:<fingerprint>") to the
 // records of their completed sources. Arm it with
-// `SNTRUST_CHECKPOINT=<path>` (or `sntrust_cli --checkpoint/--resume`): every
+// `SNTRUST_CHECKPOINT=<path>` or `sntrust_cli --checkpoint/--resume`, which
+// exec::apply hands to set_path: every
 // checkpointed sweep then (a) restores completed sources from a matching
 // entry before computing anything, and (b) persists its completed records —
 // periodically, when a cancellation or a throwing source stops the sweep,
@@ -56,7 +57,7 @@ using Records = std::map<std::uint64_t, Record>;
 
 class CheckpointStore {
  public:
-  /// Process-wide store; reads SNTRUST_CHECKPOINT on first use.
+  /// Process-wide store; disarmed until set_path.
   static CheckpointStore& instance();
 
   /// Sets (or, with "", disarms) the checkpoint path. Changing the path
@@ -77,11 +78,8 @@ class CheckpointStore {
   void save(const std::string& kind, std::uint64_t fingerprint,
             std::uint64_t items, Records completed);
 
-  /// Drops all in-memory state and re-arms from SNTRUST_CHECKPOINT (tests).
-  void reset_for_tests();
-
  private:
-  CheckpointStore();
+  CheckpointStore() = default;
 
   struct Entry {
     std::uint64_t fingerprint = 0;

@@ -56,13 +56,13 @@ class SweepRun {
   /// cancellation was seen or is pending.
   bool stopping() {
     if (stop_.load(std::memory_order_relaxed)) return true;
-    if (!options_.token.cancelled()) return false;
+    if (!process_cancel_requested()) return false;
     stop();
     return true;
   }
 
-  /// Stops the sweep for a cancellation observed outside the token, such
-  /// as a CancelledError from a nested parallel region.
+  /// Stops the sweep for a cancellation observed elsewhere, such as a
+  /// CancelledError from a nested parallel region.
   void stop() { stop_.store(true, std::memory_order_relaxed); }
 
   /// Stops the sweep for an exception a source or block threw; the first
@@ -105,9 +105,9 @@ class SweepRun {
     obs::count("exec.sources_restored", result_.restored);
 
     if (error_) std::rethrow_exception(error_);
-    if (stop_.load(std::memory_order_relaxed) || options_.token.cancelled()) {
+    if (stop_.load(std::memory_order_relaxed) || process_cancel_requested()) {
       obs::count("exec.sweeps_cancelled", 1);
-      std::string reason = options_.token.reason();
+      std::string reason = process_cancel_reason();
       if (reason.empty()) reason = "cancelled";
       const std::uint64_t finished = result_.restored + result_.computed;
       throw CancelledError("sweep '" + options_.kind + "' cancelled after " +

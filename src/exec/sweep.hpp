@@ -5,8 +5,9 @@
 //
 //   * handing out sources: each worker slot takes the next source as it
 //     frees up, skipping those restored from the checkpoint,
-//   * draining on cancellation: the cancel token (signals, deadlines,
-//     CancelSource) is polled before every source; on cancellation no
+//   * draining on cancellation: the process cancellation state (signals,
+//     the deadline, request_process_cancel) is polled before every source;
+//     on cancellation no
 //     further source starts, in-flight sources finish, completed records
 //     are checkpointed, and `CancelledError` propagates to the caller (CLI
 //     exit code 75),
@@ -52,8 +53,6 @@ struct SweepOptions {
   /// Read only while the CheckpointStore is armed, so a caller whose key
   /// folds in Graph::fingerprint() computes it only then.
   std::uint64_t fingerprint = 0;
-  /// Cancellation token polled at source boundaries.
-  CancelToken token;
 };
 
 struct SweepResult {

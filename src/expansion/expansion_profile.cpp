@@ -73,7 +73,6 @@ ExpansionProfile measure_expansion(const Graph& g,
 
   exec::SweepOptions sweep;
   sweep.kind = "measure_expansion";
-  sweep.token = exec::process_token();
   if (exec::CheckpointStore::instance().armed())
     sweep.fingerprint = exec::fingerprint(
         {n, g.num_edges(), sources.size(), options.num_sources, options.seed,

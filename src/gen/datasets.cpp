@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "digraph/digraph.hpp"
 #include "gen/generators.hpp"
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
@@ -124,19 +123,6 @@ const std::vector<Entry>& registry() {
     add({"rice_grad", "Rice-cs-grad", "department community; strict trust",
          MixingClass::kFast, 501, 3255, std::nullopt, 1.0},
         affiliation_recipe(1.4, 2, 6, 20, 0.25, 0.55));
-
-    // Native link reciprocity of the directed datasets (SNAP metadata);
-    // everything else is genuinely undirected and keeps the default 1.0.
-    const auto set_reciprocity = [&](const char* id, double value) {
-      for (Entry& e : list)
-        if (e.spec.id == id) e.spec.reciprocity = value;
-    };
-    set_reciprocity("wiki_vote", 0.06);
-    set_reciprocity("slashdot_a", 0.82);
-    set_reciprocity("slashdot_b", 0.82);
-    set_reciprocity("epinion", 0.41);
-    set_reciprocity("youtube", 0.79);
-    set_reciprocity("livejournal_a", 0.74);
     return list;
   }();
   return entries;
@@ -158,12 +144,6 @@ Graph DatasetSpec::generate(double scale, std::uint64_t seed) const {
       std::max<double>(16.0, std::round(effective * paper_nodes)));
   const Graph raw = entry_by_id(id).recipe(n, seed);
   return largest_component(raw).graph;
-}
-
-Digraph generate_directed(const DatasetSpec& spec, double scale,
-                          std::uint64_t seed) {
-  return orient_graph(spec.generate(scale, seed), spec.reciprocity,
-                      seed ^ 0x7f4a7c15b97f4a7cULL);
 }
 
 const std::vector<DatasetSpec>& all_datasets() {

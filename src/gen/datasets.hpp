@@ -44,11 +44,6 @@ struct DatasetSpec {
   /// Scale applied to paper_nodes by default when generating the analogue.
   double default_scale = 1.0;
 
-  /// Edge reciprocity of the original dataset (fraction of links that are
-  /// mutual) for the natively-directed graphs; 1.0 for undirected ones.
-  /// Used by generate_directed().
-  double reciprocity = 1.0;
-
   /// Generates the analogue at `scale * default_scale * paper_nodes`
   /// vertices, reduced to its largest connected component. Deterministic in
   /// `seed`.
@@ -63,13 +58,6 @@ struct DatasetSpec {
     return generate(1.0 / default_scale, seed);
   }
 };
-
-class Digraph;  // digraph/digraph.hpp
-
-/// Directed analogue: the undirected analogue re-oriented at the dataset's
-/// native reciprocity (digraph/digraph.hpp's orient_graph).
-Digraph generate_directed(const DatasetSpec& spec, double scale,
-                          std::uint64_t seed);
 
 /// All 14 Table-I analogues, in the paper's order.
 const std::vector<DatasetSpec>& all_datasets();

@@ -1,6 +1,5 @@
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "gen/generators.hpp"
 #include "graph/builder.hpp"
@@ -49,25 +48,6 @@ Graph erdos_renyi(VertexId n, double p, std::uint64_t seed) {
     const Edge e = pair_from_index(n, idx);
     builder.add_edge(e.u, e.v);
     idx += 1 + rng.geometric(p);
-  }
-  return builder.build();
-}
-
-Graph erdos_renyi_gnm(VertexId n, std::uint64_t m, std::uint64_t seed) {
-  const std::uint64_t total =
-      n < 2 ? 0 : static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  if (m > total)
-    throw std::invalid_argument("erdos_renyi_gnm: m exceeds max edge count");
-  Rng rng{seed};
-  GraphBuilder builder{n};
-  builder.reserve(m);
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(m * 2);
-  while (chosen.size() < m) {
-    const std::uint64_t idx = rng.uniform(total);
-    if (!chosen.insert(idx).second) continue;
-    const Edge e = pair_from_index(n, idx);
-    builder.add_edge(e.u, e.v);
   }
   return builder.build();
 }

@@ -19,9 +19,6 @@ namespace sntrust {
 /// Preconditions: p in [0, 1].
 Graph erdos_renyi(VertexId n, double p, std::uint64_t seed);
 
-/// G(n, m): exactly `m` distinct uniform edges (m <= n(n-1)/2).
-Graph erdos_renyi_gnm(VertexId n, std::uint64_t m, std::uint64_t seed);
-
 /// Barabási–Albert preferential attachment: starts from a clique on
 /// `edges_per_node + 1` seed vertices, then attaches each new vertex to
 /// `edges_per_node` existing vertices chosen proportionally to degree
@@ -36,19 +33,6 @@ Graph barabasi_albert(VertexId n, VertexId edges_per_node, std::uint64_t seed);
 /// Preconditions: n > edges_per_node >= 1, triangle_p in [0, 1].
 Graph powerlaw_cluster(VertexId n, VertexId edges_per_node, double triangle_p,
                        std::uint64_t seed);
-
-/// Watts–Strogatz small world: ring lattice with `k` nearest neighbours per
-/// side rewired with probability `rewire_p`.
-/// Preconditions: n > 2k, k >= 1, rewire_p in [0, 1].
-Graph watts_strogatz(VertexId n, VertexId k, double rewire_p,
-                     std::uint64_t seed);
-
-/// Configuration model for a given degree sequence (stub matching; stubs
-/// producing self loops or duplicates are dropped, so realized degrees are a
-/// close lower bound on the request). Sequence sum may be odd; one stub is
-/// then discarded.
-Graph configuration_model(const std::vector<VertexId>& degrees,
-                          std::uint64_t seed);
 
 /// Planted-partition stochastic block model: `blocks` equal communities over
 /// n vertices; within-community edge probability `p_in`, cross-community

@@ -44,11 +44,4 @@ Graph GraphBuilder::build() const {
   return Graph{std::move(offsets), std::move(targets)};
 }
 
-Graph graph_from_edges(VertexId num_vertices, const std::vector<Edge>& edges) {
-  GraphBuilder b{num_vertices};
-  b.reserve(edges.size());
-  for (const Edge& e : edges) b.add_edge(e.u, e.v);
-  return b.build();
-}
-
 }  // namespace sntrust

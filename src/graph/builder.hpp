@@ -39,7 +39,4 @@ class GraphBuilder {
   std::vector<Edge> pairs_;  // normalized u < v
 };
 
-/// Convenience: build a graph straight from an edge list.
-Graph graph_from_edges(VertexId num_vertices, const std::vector<Edge>& edges);
-
 }  // namespace sntrust

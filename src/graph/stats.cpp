@@ -25,49 +25,6 @@ DegreeStats degree_stats(const Graph& g) {
   return out;
 }
 
-namespace {
-
-/// Counts triangles incident on each ordered wedge using sorted-adjacency
-/// intersection restricted to higher-id neighbours.
-std::uint64_t count_triangles(const Graph& g) {
-  std::uint64_t triangles = 0;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    const auto nu = g.neighbors_unchecked(u);
-    for (const VertexId v : nu) {
-      if (v <= u) continue;
-      const auto nv = g.neighbors_unchecked(v);
-      // Intersect neighbours of u and v that are > v: each match closes a
-      // triangle u < v < w counted exactly once.
-      auto iu = std::upper_bound(nu.begin(), nu.end(), v);
-      auto iv = std::upper_bound(nv.begin(), nv.end(), v);
-      while (iu != nu.end() && iv != nv.end()) {
-        if (*iu < *iv) ++iu;
-        else if (*iv < *iu) ++iv;
-        else { ++triangles; ++iu; ++iv; }
-      }
-    }
-  }
-  return triangles;
-}
-
-std::uint64_t count_wedges(const Graph& g) {
-  std::uint64_t wedges = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const std::uint64_t d = g.degree_unchecked(v);
-    wedges += d * (d - 1) / 2;
-  }
-  return wedges;
-}
-
-}  // namespace
-
-double global_clustering_coefficient(const Graph& g) {
-  const std::uint64_t wedges = count_wedges(g);
-  if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(count_triangles(g)) /
-         static_cast<double>(wedges);
-}
-
 double average_local_clustering(const Graph& g) {
   const VertexId n = g.num_vertices();
   if (n == 0) return 0.0;

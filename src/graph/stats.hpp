@@ -20,10 +20,6 @@ struct DegreeStats {
 /// Degree distribution summary. Defined for non-empty graphs.
 DegreeStats degree_stats(const Graph& g);
 
-/// Global clustering coefficient: 3 * triangles / wedges (0 when no wedges).
-/// Exact triangle counting via sorted-adjacency intersections, O(m^{3/2})-ish.
-double global_clustering_coefficient(const Graph& g);
-
 /// Average local clustering coefficient (Watts-Strogatz definition);
 /// vertices of degree < 2 contribute 0.
 double average_local_clustering(const Graph& g);

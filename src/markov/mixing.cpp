@@ -10,7 +10,6 @@
 #include "exec/sweep.hpp"
 #include "graph/components.hpp"
 #include "markov/lane_block.hpp"
-#include "markov/walker.hpp"
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -250,7 +249,6 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
 
   exec::SweepOptions sweep;
   sweep.kind = "measure_mixing";
-  sweep.token = exec::process_token();
   if (exec::CheckpointStore::instance().armed())
     sweep.fingerprint = exec::fingerprint(
         {n, g.num_edges(), k, options.max_walk_length,
@@ -262,69 +260,6 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
   obs::count("mixing.sources", out.sources.size());
   obs::count("mixing.distribution_steps",
              swept.computed * options.max_walk_length);
-  return out;
-}
-
-MixingCurves measure_mixing_monte_carlo(const Graph& g,
-                                        const MixingOptions& options,
-                                        std::uint32_t walks_per_point) {
-  const VertexId n = g.num_vertices();
-  if (n == 0 || g.num_edges() == 0)
-    throw std::invalid_argument("measure_mixing_monte_carlo: graph must have edges");
-  if (options.num_sources == 0 || walks_per_point == 0)
-    throw std::invalid_argument(
-        "measure_mixing_monte_carlo: need sources and walks");
-  if (!is_connected(g))
-    throw std::invalid_argument(
-        "measure_mixing_monte_carlo: graph must be connected");
-
-  Rng rng{options.seed};
-  const std::uint32_t k = std::min<std::uint32_t>(options.num_sources, n);
-
-  MixingCurves out;
-  out.sources = rng.sample_without_replacement(n, k);
-  const Distribution pi = stationary_distribution(g);
-
-  // Each source gets a walk batch with its own Rng stream derived from the
-  // source *position*, so curves depend only on (seed, i) — never on which
-  // worker ran the batch or in what order.
-  const std::uint64_t walker_base = rng();
-  const obs::Span span{"measure_mixing_monte_carlo", "markov"};
-  struct Scratch {
-    std::vector<std::uint32_t> counts;
-    Distribution empirical;
-  };
-  std::vector<Scratch> scratch(parallel::plan_workers(k));
-
-  exec::SweepOptions sweep;
-  sweep.kind = "measure_mixing_monte_carlo";
-  sweep.token = exec::process_token();
-  if (exec::CheckpointStore::instance().armed())
-    sweep.fingerprint = exec::fingerprint(
-        {n, g.num_edges(), k, options.max_walk_length, walks_per_point,
-         options.seed, g.fingerprint()});
-  const exec::SweepResult swept = exec::run_sweep(
-      k, sweep, [&](std::size_t i, std::uint32_t worker) {
-        Scratch& s = scratch[worker];
-        s.counts.assign(n, 0u);
-        if (s.empirical.size() != n) s.empirical.assign(n, 0.0);
-        RandomWalker walker{g, stream_seed(walker_base, i)};
-        const VertexId source = out.sources[i];
-        std::vector<double> curve;
-        curve.reserve(options.max_walk_length + 1);
-        for (std::uint32_t t = 0; t <= options.max_walk_length; ++t) {
-          std::fill(s.counts.begin(), s.counts.end(), 0u);
-          for (std::uint32_t w = 0; w < walks_per_point; ++w)
-            ++s.counts[walker.walk_endpoint(source, t)];
-          for (VertexId v = 0; v < n; ++v)
-            s.empirical[v] =
-                static_cast<double>(s.counts[v]) / walks_per_point;
-          curve.push_back(total_variation(s.empirical, pi));
-        }
-        return curve_record(curve);
-      });
-  collect_curves(sweep.kind, swept, options.max_walk_length, out);
-  record_mixing_diag("mixing.monte_carlo", out);
   return out;
 }
 

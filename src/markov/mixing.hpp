@@ -55,14 +55,4 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options);
 /// UINT32_MAX when the curve never drops below epsilon within max_walk_length.
 std::uint32_t mixing_time_estimate(const MixingCurves& curves, double epsilon);
 
-/// Monte-Carlo variant of measure_mixing: instead of evolving the exact
-/// distribution, sample `walks_per_point` independent walks per (source, t)
-/// and compare the *empirical* endpoint distribution to pi. This is the
-/// estimator a fully decentralized measurer would use; it carries O(1/sqrt(
-/// walks)) sampling noise that floors the measured TVD (the tests pin the
-/// bias against the exact curves).
-MixingCurves measure_mixing_monte_carlo(const Graph& g,
-                                        const MixingOptions& options,
-                                        std::uint32_t walks_per_point);
-
 }  // namespace sntrust

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "util/env.hpp"
 
 namespace sntrust::obs {
 
@@ -14,22 +13,14 @@ namespace {
 // z for a two-sided 95% interval.
 constexpr double kZ95 = 1.959963984540054;
 
-// Tri-state: unset until first query, then sticky unless overridden.
-std::atomic<int> g_diag_enabled{-1};
+std::atomic<bool> g_diag_enabled{false};
 
 }  // namespace
 
-bool diag_enabled() {
-  int state = g_diag_enabled.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = env_bool("SNTRUST_DIAG", false) ? 1 : 0;
-    g_diag_enabled.store(state, std::memory_order_relaxed);
-  }
-  return state != 0;
-}
+bool diag_enabled() { return g_diag_enabled.load(std::memory_order_relaxed); }
 
 void set_diag_enabled(bool enabled) {
-  g_diag_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_diag_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 ConvergenceTrace::ConvergenceTrace(std::size_t capacity)

@@ -11,9 +11,9 @@
 // any source that exited on an iteration cap instead of a tolerance.
 //
 // Contract:
-//   - Off by default. Arm with SNTRUST_DIAG=1 (or a CLI --diag flag calling
-//     set_diag_enabled). When disarmed every entry point is a cheap
-//     early-out and nothing is allocated.
+//   - Off by default. Arm with SNTRUST_DIAG=1 or sntrust_cli --diag (both
+//     through exec::apply's set_diag_enabled). When disarmed every entry
+//     point is a cheap early-out and nothing is allocated.
 //   - Bitwise-neutral: diagnostics only *observe* values the measurement
 //     already computed; enabling them never changes a measured output.
 //   - Deterministic: traces are recorded serially from collected sweep
@@ -36,9 +36,9 @@
 
 namespace sntrust::obs {
 
-/// Whether diagnostics collection is armed (SNTRUST_DIAG, overridable).
+/// Whether diagnostics collection is armed; off until set.
 bool diag_enabled();
-/// Overrides the environment (CLI --diag flag, tests).
+/// Arms or disarms collection (exec::apply, tests).
 void set_diag_enabled(bool enabled);
 
 /// TVD threshold used to decide whether a mixing curve "converged" (the

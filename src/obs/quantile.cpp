@@ -62,19 +62,6 @@ double QuantileSnapshot::value_at_quantile(double q) const {
   return max;  // overflow region (or a torn live snapshot): answer the top
 }
 
-double QuantileSnapshot::approx_sum() const {
-  if (count == 0) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < buckets.size(); ++i)
-    if (buckets[i] != 0)
-      sum += static_cast<double>(buckets[i]) *
-             std::clamp(QuantileHistogram::bucket_midpoint(i), min, max);
-  // Out-of-range samples are pinned to the exact extremes they define.
-  sum += static_cast<double>(underflow) * min;
-  sum += static_cast<double>(overflow) * max;
-  return sum;
-}
-
 bool QuantileSnapshot::operator==(const QuantileSnapshot& other) const {
   return count == other.count && underflow == other.underflow &&
          overflow == other.overflow &&

@@ -14,8 +14,7 @@
 // samples from any number of threads in any order snapshot *bitwise
 // identically*: a snapshot sums the shards' counters and folds their exact
 // min/max (no accumulated floating-point sum whose rounding would depend on
-// arrival order; `approx_sum()` is derived from the buckets on demand
-// instead).
+// arrival order).
 //
 // Empty-histogram contract (mirrors HistogramSnapshot): when `count == 0`,
 // `min`/`max` hold the +inf/-inf fold identities and `value_at_quantile`
@@ -65,13 +64,6 @@ struct QuantileSnapshot {
   /// rank ceil(q * count), clamped to [min, max]; underflow ranks answer
   /// `min`, overflow ranks answer `max`.
   double value_at_quantile(double q) const;
-
-  /// Sum estimated from bucket midpoints (clamped to [min, max] per bucket);
-  /// deterministic but only bucket-resolution accurate. 0 when empty.
-  double approx_sum() const;
-  double approx_mean() const {
-    return count == 0 ? 0.0 : approx_sum() / static_cast<double>(count);
-  }
 
   bool operator==(const QuantileSnapshot& other) const;
 };

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -16,31 +15,13 @@ namespace sntrust::obs {
 namespace {
 
 // The hooks run during static initialization and inside operator new, so
-// everything here must be allocation-free: raw atomics, getenv, strcmp.
+// everything here must be allocation-free: raw atomics only.
 std::atomic<std::uint64_t> g_alloc_bytes{0};
 std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<std::uint64_t> g_free_count{0};
+std::atomic<bool> g_counting{false};
 
-/// -1 = not yet resolved from the environment, 0 = off, 1 = on.
-std::atomic<int> g_alloc_state{-1};
-
-bool env_alloc_stats() {
-  const char* value = std::getenv("SNTRUST_ALLOC_STATS");
-  if (value == nullptr || *value == '\0') return false;
-  return std::strcmp(value, "1") == 0 || std::strcmp(value, "true") == 0 ||
-         std::strcmp(value, "yes") == 0 || std::strcmp(value, "on") == 0 ||
-         std::strcmp(value, "TRUE") == 0 || std::strcmp(value, "YES") == 0 ||
-         std::strcmp(value, "ON") == 0;
-}
-
-inline bool counting() {
-  int state = g_alloc_state.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = env_alloc_stats() ? 1 : 0;
-    g_alloc_state.store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
-}
+inline bool counting() { return g_counting.load(std::memory_order_relaxed); }
 
 inline void note_alloc(std::size_t size) {
   if (!counting()) return;
@@ -98,7 +79,7 @@ ResourceUsage resource_usage_now() {
 bool alloc_stats_enabled() { return counting(); }
 
 void set_alloc_stats_enabled(bool enabled) {
-  g_alloc_state.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_counting.store(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace sntrust::obs

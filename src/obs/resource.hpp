@@ -4,9 +4,10 @@
 //
 // The allocation hooks are always linked (resource.cpp replaces the global
 // operators) but count nothing until enabled — the disabled cost is one
-// relaxed atomic load per allocation. Enable with SNTRUST_ALLOC_STATS=1 or
-// programmatically via set_alloc_stats_enabled. CPU/RSS sampling has no
-// ambient cost; callers (the tracer, the run reporter) sample explicitly.
+// relaxed atomic load per allocation. Enable with SNTRUST_ALLOC_STATS=1
+// (exec::apply) or programmatically via set_alloc_stats_enabled. CPU/RSS
+// sampling has no ambient cost; callers (the tracer, the run reporter)
+// sample explicitly.
 //
 // All values are process-wide and cumulative, so two samples subtract into
 // a delta for any region of interest; the tracer does exactly that to give
@@ -34,11 +35,10 @@ struct ResourceUsage {
 /// without getrusage.
 ResourceUsage resource_usage_now();
 
-/// Whether the operator new/delete hooks are counting. Resolved once from
-/// SNTRUST_ALLOC_STATS on first query unless overridden.
+/// Whether the operator new/delete hooks are counting; off until set.
 bool alloc_stats_enabled();
 
-/// Runtime override of the allocation-counting toggle (tests, tools).
+/// Turns allocation counting on or off (exec::apply, tests, bench/e2e).
 /// Counters are cumulative and never reset, so enabling mid-run only means
 /// earlier allocations were not counted.
 void set_alloc_stats_enabled(bool enabled);

@@ -6,22 +6,14 @@
 #include <ostream>
 #include <stdexcept>
 
-#include <algorithm>
-
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
-#include "util/env.hpp"
 
 #ifdef __GLIBC__
 #include <errno.h>  // program_invocation_short_name
-#endif
-#ifdef __unix__
-#include <unistd.h>
-extern char** environ;
 #endif
 
 namespace sntrust::obs {
@@ -47,38 +39,11 @@ std::string compiler_version() {
 #endif
 }
 
-// Sorted snapshot of every SNTRUST_* environment variable, so two reports
-// can be checked for apples-to-oranges knob differences before diffing.
-json::Object sntrust_env_snapshot() {
-  std::vector<std::pair<std::string, std::string>> entries;
-#ifdef __unix__
-  for (char** env = environ; env != nullptr && *env != nullptr; ++env) {
-    const std::string entry{*env};
-    if (entry.rfind("SNTRUST_", 0) != 0) continue;
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string::npos) continue;
-    entries.emplace_back(entry.substr(0, eq), entry.substr(eq + 1));
-  }
-#endif
-  std::sort(entries.begin(), entries.end());
-  json::Object object;
-  for (auto& [key, value] : entries)
-    object.emplace_back(std::move(key), json::Value::string(std::move(value)));
-  return object;
-}
-
 }  // namespace
 
-RunReporter::RunReporter()
-    : tool_(default_tool_name()),
-      wall_start_(std::chrono::steady_clock::now()) {
-  const std::string env_path = env_string("SNTRUST_REPORT", "");
-  if (!env_path.empty()) {
-    export_path_ = env_path;
-    Tracer::instance().enable();
-  }
-  // Armed unconditionally; the hook no-ops while export_path_ is empty, and
-  // registering here keeps it after the Tracer's own atexit export.
+RunReporter::RunReporter() : wall_start_(std::chrono::steady_clock::now()) {
+  // Armed unconditionally; the hook no-ops while export_path_ is empty.
+  // Telemetry's stop hook, registered later, runs before it.
   std::atexit([] {
     // Throwing from an atexit handler is std::terminate; report instead.
     try {
@@ -90,10 +55,6 @@ RunReporter::RunReporter()
       std::fputc('\n', stderr);
     }
   });
-  // After the report hook on purpose: the exporter's own atexit stop (which
-  // writes the final telemetry frame) then runs *before* the report, so the
-  // frame count the report embeds includes it.
-  arm_telemetry_from_env();
 }
 
 RunReporter& RunReporter::instance() {
@@ -114,11 +75,6 @@ void RunReporter::set_export_path(std::string path) {
 std::string RunReporter::export_path() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return export_path_;
-}
-
-void RunReporter::set_tool(std::string name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  tool_ = std::move(name);
 }
 
 void RunReporter::set_config_value(const std::string& key, json::Value value) {
@@ -158,53 +114,27 @@ json::Value RunReporter::build() const {
   root.emplace_back("schema_version",
                     json::Value::integer(kRunReportSchemaVersion));
 
-  std::string tool;
   std::vector<std::pair<std::string, json::Value>> config;
   std::string interrupted;
   std::chrono::steady_clock::time_point wall_start;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    tool = tool_;
     config = config_;
     interrupted = interrupted_;
     wall_start = wall_start_;
   }
-  root.emplace_back("tool", json::Value::string(std::move(tool)));
+  root.emplace_back("tool", json::Value::string(default_tool_name()));
 
-  // Config: explicit entries first, then the auto-filled runtime knobs any
-  // diff wants for context (unless the caller already set them).
+  // Config: the build's provenance (compiler and flags, baked in at compile
+  // time), then the entries set_config recorded: exec::apply's effective
+  // knobs and each tool's own keys.
   json::Object config_object;
-  auto has_key = [&config](const char* key) {
-    for (const auto& entry : config)
-      if (entry.first == key) return true;
-    return false;
-  };
-  if (!has_key("threads"))
-    config_object.emplace_back(
-        "threads",
-        json::Value::integer(static_cast<std::int64_t>(parallel::thread_count())));
-  if (!has_key("scale"))
-    config_object.emplace_back("scale", json::Value::number(bench_scale()));
-  if (!has_key("alloc_stats"))
-    config_object.emplace_back("alloc_stats",
-                               json::Value::boolean(alloc_stats_enabled()));
-  // Build/run provenance: compiler + flags baked in at compile time, the
-  // diag arming state, and the SNTRUST_* environment snapshot. benchdiff
-  // refuses apples-to-oranges comparisons (mismatched graph fingerprints /
-  // scale) using these; old reports without them still diff fine.
-  if (!has_key("compiler"))
-    config_object.emplace_back("compiler",
-                               json::Value::string(compiler_version()));
+  config_object.emplace_back("compiler",
+                             json::Value::string(compiler_version()));
 #ifdef SNTRUST_BUILD_FLAGS
-  if (!has_key("build_flags"))
-    config_object.emplace_back("build_flags",
-                               json::Value::string(SNTRUST_BUILD_FLAGS));
+  config_object.emplace_back("build_flags",
+                             json::Value::string(SNTRUST_BUILD_FLAGS));
 #endif
-  if (!has_key("diag"))
-    config_object.emplace_back("diag", json::Value::boolean(diag_enabled()));
-  if (!has_key("env"))
-    config_object.emplace_back(
-        "env", json::Value::object(sntrust_env_snapshot()));
   for (auto& entry : config)
     config_object.emplace_back(entry.first, std::move(entry.second));
   root.emplace_back("config", json::Value::object(std::move(config_object)));

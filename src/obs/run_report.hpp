@@ -3,10 +3,10 @@
 // the metrics snapshot, the per-span timing table with resource columns
 // (wall/cpu/alloc/rss from obs/resource.hpp), and wall/CPU/peak-RSS totals.
 //
-// Arm with SNTRUST_REPORT=<path> (any binary that touches the reporter —
-// every bench does via bench_common.hpp::Section — writes the report at
-// process exit) or with `sntrust_cli --report <path>`. Arming the reporter
-// also enables the tracer so the span table is populated. Reports from two
+// Arm with SNTRUST_REPORT=<path> or `sntrust_cli --report <path>`: exec::
+// apply sets the export path, and the report is written at process exit.
+// Arming the reporter also enables the tracer so the span table is
+// populated. Reports from two
 // runs diff with `tools/sntrust_benchdiff` (alignment by span path / metric
 // name, threshold gating), which is what turns a perf PR into a measured,
 // diffable claim.
@@ -15,7 +15,10 @@
 //   {
 //     "schema_version": 1,
 //     "tool": "<binary name>",
-//     "config":  {"threads": N, "scale": S, ...set_config entries},
+//     "config":  {"compiler": "...", "build_flags": "...",
+//                 ...set_config entries: exec::apply records every SNTRUST_*
+//                 knob's effective value ("scale", "threads", ...), and
+//                 each tool its own keys},
 //     "totals":  {"wall_ms", "user_cpu_ms", "system_cpu_ms", "cpu_ms",
 //                 "peak_rss_bytes", "alloc_bytes", "alloc_count",
 //                 "free_count"},
@@ -33,9 +36,8 @@
 // Histogram min/max (and quantile p*/min/max) are omitted when count == 0
 // (the empty-histogram contract's infinities/NaN have no JSON encoding).
 // CPU and RSS totals are process-cumulative; wall_ms counts from the
-// reporter's creation (the first Section / CLI flag parse, i.e. effectively
-// process start). The constructor also arms the live telemetry exporter
-// from SNTRUST_TELEMETRY (see obs/telemetry.hpp).
+// reporter's creation (exec::apply at the start of main, i.e. effectively
+// process start).
 #pragma once
 
 #include <chrono>
@@ -54,8 +56,8 @@ namespace sntrust::obs {
 inline constexpr std::int64_t kRunReportSchemaVersion = 1;
 
 /// Process-wide run-report collector. Construction (first `instance()`)
-/// records the wall-clock baseline, reads SNTRUST_REPORT, and — when a path
-/// is configured — arms an atexit hook and enables the tracer.
+/// records the wall-clock baseline and registers the atexit export, which
+/// writes the report once a path is set.
 class RunReporter {
  public:
   static RunReporter& instance();
@@ -65,13 +67,8 @@ class RunReporter {
   void set_export_path(std::string path);
   std::string export_path() const;
 
-  /// Label for the "tool" field; defaults to the binary name when the
-  /// platform exposes it.
-  void set_tool(std::string name);
-
   /// Records one "config" entry (insertion-ordered, last write per key
-  /// wins). "threads" and "scale" are auto-filled at write time unless set
-  /// explicitly here.
+  /// wins).
   void set_config(const std::string& key, std::string value);
   void set_config(const std::string& key, const char* value);
   void set_config(const std::string& key, double value);
@@ -101,7 +98,6 @@ class RunReporter {
 
   mutable std::mutex mutex_;
   std::string export_path_;
-  std::string tool_;
   std::vector<std::pair<std::string, json::Value>> config_;
   std::string interrupted_;
   std::chrono::steady_clock::time_point wall_start_;

@@ -4,13 +4,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
-#include "util/env.hpp"
+#include "util/parse.hpp"
 
 #ifdef __GLIBC__
 #include <errno.h>  // program_invocation_short_name
@@ -58,21 +57,20 @@ json::Value quantile_summary(const QuantileSnapshot& snap) {
   return json::Value::object(std::move(entry));
 }
 
-TelemetryOptions parse_telemetry_spec(const std::string& spec) {
+std::optional<TelemetryOptions> parse_telemetry_spec(std::string_view spec) {
   TelemetryOptions options;
-  if (spec.empty()) return options;
   options.jsonl_path = spec;
   const std::size_t colon = spec.rfind(':');
-  if (colon != std::string::npos && colon + 1 < spec.size()) {
-    const std::string suffix = spec.substr(colon + 1);
-    if (suffix.find_first_not_of("0123456789") == std::string::npos) {
-      const auto period = parse_count(
-          suffix, 0, std::numeric_limits<std::uint64_t>::max());
-      if (!period) return {};  // a period past 64 bits: not a valid spec
-      options.jsonl_path = spec.substr(0, colon);
-      options.period_ms = std::max<std::uint64_t>(1, *period);
-    }
+  if (colon != std::string_view::npos &&
+      spec.find_first_not_of("0123456789", colon + 1) ==
+          std::string_view::npos) {
+    const auto period =
+        parse_count(spec.substr(colon + 1), 0, kTelemetryMaxPeriodMs);
+    if (!period) return std::nullopt;
+    options.jsonl_path = spec.substr(0, colon);
+    options.period_ms = std::max<std::uint64_t>(1, *period);  // 0 would spin
   }
+  if (options.jsonl_path.empty()) return std::nullopt;
   return options;
 }
 
@@ -237,12 +235,6 @@ TelemetryFrames read_telemetry_frames(const std::string& path) {
     }
   }
   return out;
-}
-
-void arm_telemetry_from_env() {
-  const TelemetryOptions options =
-      parse_telemetry_spec(env_string("SNTRUST_TELEMETRY", ""));
-  if (options.enabled()) TelemetryExporter::instance().start(options);
 }
 
 }  // namespace sntrust::obs

@@ -5,7 +5,8 @@
 // run_report.hpp.
 //
 // One sink, armed with SNTRUST_TELEMETRY=path[:period_ms] (or --telemetry
-// on the CLI): one JSONL frame object appended per period. Frame schema
+// on the CLI) through exec::apply: one JSONL frame object appended per
+// period. Frame schema
 // (version 2, times in milliseconds):
 //   {"schema_version": 2, "seq": N, "t_ms": T, "tool": "...",
 //    "totals":   {"user_cpu_ms", "system_cpu_ms", "peak_rss_bytes",
@@ -25,10 +26,10 @@
 //
 // Lifecycle: `start` spawns the exporter thread and writes frame 0
 // immediately; `stop` writes a final frame and joins — so any armed run
-// emits at least two frames. Arming via environment happens in the
-// RunReporter constructor, which registers the exporter's atexit stop
-// *after* its own report hook so the final frame (and the frame count the
-// report embeds) land before the report is written.
+// emits at least two frames. exec::apply starts the exporter after it has
+// created the RunReporter, so the exporter's atexit stop runs before the
+// report hook and the final frame (and the frame count the report embeds)
+// land before the report is written.
 #pragma once
 
 #include <atomic>
@@ -36,7 +37,9 @@
 #include <cstdint>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -46,6 +49,9 @@ namespace sntrust::obs {
 
 inline constexpr std::int64_t kTelemetrySchemaVersion = 2;
 inline constexpr std::uint64_t kTelemetryDefaultPeriodMs = 1000;
+/// Longest period: 10^12 ms, like the deadline, keeps the exporter's wait
+/// within the steady clock's range.
+inline constexpr std::uint64_t kTelemetryMaxPeriodMs = 1'000'000'000'000;
 
 struct QuantileSnapshot;  // obs/quantile.hpp
 
@@ -54,14 +60,15 @@ struct TelemetryOptions {
   std::uint64_t period_ms = kTelemetryDefaultPeriodMs;
 
   bool enabled() const { return !jsonl_path.empty(); }
+  bool operator==(const TelemetryOptions&) const = default;
 };
 
-/// Parses one "path" or "path:period_ms" JSONL spec (the suffix is a period
-/// iff the text after the last colon is all digits — paths may contain
-/// colons). A period too large for 64 bits gives a disabled spec, which
-/// the CLI's --telemetry rejects as a usage error. Shared by
-/// SNTRUST_TELEMETRY and the CLI --telemetry flag.
-TelemetryOptions parse_telemetry_spec(const std::string& spec);
+/// Parses one "path" or "path:period_ms" JSONL spec: the text after the
+/// last colon is the period when it is all digits (paths may contain
+/// colons), read whole with parse_count in [0, kTelemetryMaxPeriodMs], 0
+/// meaning 1. nullopt for an empty or out-of-range period or an empty path. Shared by
+/// SNTRUST_TELEMETRY and the CLI --telemetry flag (exec/run_config.hpp).
+std::optional<TelemetryOptions> parse_telemetry_spec(std::string_view spec);
 
 /// The quantile summary frames and the run report share: {"count", "p50",
 /// "p90", "p99", "p999", "min", "max"}, with the value fields present iff
@@ -135,10 +142,5 @@ struct TelemetryFrames {
   std::uint64_t truncated_frames = 0;
 };
 TelemetryFrames read_telemetry_frames(const std::string& path);
-
-/// Reads SNTRUST_TELEMETRY and starts the exporter when it is set. Called
-/// from the RunReporter constructor so every binary that touches the
-/// reporter (all benches, the CLI) honors it.
-void arm_telemetry_from_env();
 
 }  // namespace sntrust::obs

@@ -8,7 +8,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "util/env.hpp"
 #include "util/format.hpp"
 #include "util/json.hpp"
 
@@ -16,30 +15,11 @@ namespace sntrust::obs {
 
 using json::write_json_string;
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {
-  const std::string env_path = env_string("SNTRUST_TRACE", "");
-  if (!env_path.empty()) {
-    export_path_ = env_path;
-    enabled_.store(true, std::memory_order_relaxed);
-    std::atexit([] {
-      // Throwing from an atexit handler is std::terminate; report instead.
-      try {
-        Tracer& tracer = Tracer::instance();
-        const std::string path = tracer.export_path();
-        if (!path.empty() && tracer.enabled())
-          tracer.write_chrome_trace_file(path);
-      } catch (const std::exception& error) {
-        std::fputs(error.what(), stderr);
-        std::fputc('\n', stderr);
-      }
-    });
-  }
-}
+Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 Tracer& Tracer::instance() {
-  // Intentionally leaked: the SNTRUST_TRACE atexit hook (registered during
-  // construction, hence scheduled after a static's destructor) must find the
-  // tracer alive at process exit.
+  // Intentionally leaked: the export hook set_export_path registers must
+  // find the tracer alive at process exit.
   static Tracer* tracer = new Tracer();
   return *tracer;
 }
@@ -64,6 +44,20 @@ void Tracer::reset() {
 void Tracer::set_export_path(std::string path) {
   std::lock_guard<std::mutex> lock(mutex_);
   export_path_ = std::move(path);
+  if (export_path_.empty() || exit_hook_armed_) return;
+  exit_hook_armed_ = true;
+  std::atexit([] {
+    // Throwing from an atexit handler is std::terminate; report instead.
+    try {
+      Tracer& tracer = Tracer::instance();
+      const std::string path = tracer.export_path();
+      if (!path.empty() && tracer.enabled())
+        tracer.write_chrome_trace_file(path);
+    } catch (const std::exception& error) {
+      std::fputs(error.what(), stderr);
+      std::fputc('\n', stderr);
+    }
+  });
 }
 
 std::string Tracer::export_path() const {
@@ -123,22 +117,6 @@ std::vector<TraceEvent> Tracer::events() const {
     if (!event.closed && now > event.start_ns)
       event.duration_ns = now - event.start_ns;
   return out;
-}
-
-double Tracer::coverage_fraction() const {
-  const std::vector<TraceEvent> snapshot = events();
-  if (snapshot.empty()) return 0.0;
-  std::uint64_t covered = 0;
-  std::uint64_t last_end = 0;
-  for (const TraceEvent& event : snapshot) {
-    const std::uint64_t end = event.start_ns + event.duration_ns;
-    last_end = std::max(last_end, end);
-    if (event.depth != 0) continue;
-    // Root spans never overlap (single stack), so summing is exact.
-    covered += event.duration_ns;
-  }
-  if (last_end == 0) return 0.0;
-  return static_cast<double>(covered) / static_cast<double>(last_end);
 }
 
 void Tracer::write_chrome_trace(std::ostream& out) const {

@@ -5,10 +5,10 @@
 // through the `report/` sinks.
 //
 // Tracing is off by default; a disabled Span costs one relaxed atomic load.
-// Enable programmatically (`Tracer::instance().enable()`), via the CLI's
-// `--trace <out.json>` flag, or by setting `SNTRUST_TRACE=<path>` — the env
-// path also installs an atexit hook so any binary (benches included) dumps
-// its trace on exit.
+// Enable programmatically (`Tracer::instance().enable()`), or with
+// `SNTRUST_TRACE=<path>` / `sntrust_cli --trace <path>`: exec::apply then
+// sets the export path, whose atexit hook dumps the trace when any binary
+// (benches included) exits.
 #pragma once
 
 #include <atomic>
@@ -32,7 +32,7 @@ namespace sntrust::obs {
 /// process consumption over their window, so attribution is exact for the
 /// single-stack measurement loops and an upper bound under the thread pool.
 /// They are zero while the span is open; alloc fields are zero unless
-/// SNTRUST_ALLOC_STATS counting is enabled.
+/// allocation counting is enabled (SNTRUST_ALLOC_STATS).
 struct TraceEvent {
   std::string name;
   std::string category;
@@ -97,17 +97,14 @@ class Tracer {
   /// this to get deterministic tree shapes.
   void reset();
 
-  /// Path the trace is written to at process exit (set by SNTRUST_TRACE).
-  /// Empty disables the atexit export.
+  /// Path the trace is written to at process exit (SNTRUST_TRACE). The
+  /// first non-empty path registers the atexit export; empty disables it.
   void set_export_path(std::string path);
   std::string export_path() const;
 
   /// Snapshot of all events in begin order (open spans have closed=false and
   /// a duration up to "now").
   std::vector<TraceEvent> events() const;
-
-  /// Fraction of wall-clock since enable() covered by root (depth-0) spans.
-  double coverage_fraction() const;
 
   /// Chrome trace_event JSON ("traceEvents" array of complete "X" events,
   /// microsecond timestamps).
@@ -140,6 +137,7 @@ class Tracer {
   std::vector<ResourceUsage> span_starts_;  ///< begin sample, index-aligned
   std::vector<std::int64_t> open_stack_;
   std::string export_path_;
+  bool exit_hook_armed_ = false;
 };
 
 /// RAII scoped span. Construction/destruction cost one atomic load when the

@@ -1,5 +1,6 @@
 #include "parallel/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
@@ -10,24 +11,14 @@
 #include "exec/cancel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/env.hpp"
 
 namespace sntrust::parallel {
 
 namespace {
 
-constexpr std::uint32_t kMaxThreads = 256;
-
-std::uint32_t env_default_threads() {
-  const std::int64_t configured = env_int("SNTRUST_THREADS", 0);
-  std::uint32_t threads;
-  if (configured > 0) {
-    threads = static_cast<std::uint32_t>(configured);
-  } else {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  return std::min(threads, kMaxThreads);
+std::uint32_t hardware_threads() {
+  const std::uint32_t threads = std::thread::hardware_concurrency();
+  return std::clamp<std::uint32_t>(threads, 1, kMaxThreads);
 }
 
 std::atomic<std::uint32_t> g_override{0};
@@ -130,8 +121,7 @@ class ThreadPool {
       try {
         // Chunk-boundary cancellation: a signal or expired deadline stops
         // unclaimed work before it starts; chunks already running drain.
-        if (exec::process_cancel_requested())
-          throw exec::CancelledError(exec::process_cancel_reason());
+        exec::check_process_cancel();
         (*job.fn)(chunk_begin, chunk_end, slot);
       } catch (...) {
         job.errors[slot] = std::current_exception();
@@ -162,8 +152,8 @@ class ThreadPool {
 std::uint32_t thread_count() {
   const std::uint32_t overridden = g_override.load(std::memory_order_relaxed);
   if (overridden != 0) return overridden;
-  static const std::uint32_t from_env = env_default_threads();
-  return from_env;
+  static const std::uint32_t hardware = hardware_threads();
+  return hardware;
 }
 
 void set_thread_count(std::uint32_t count) {
@@ -196,8 +186,7 @@ void run_chunks(std::size_t begin, std::size_t end, const ChunkFn& fn,
   const std::uint32_t workers =
       t_in_region ? 1 : plan_workers(items, grain);
   if (workers <= 1) {
-    if (exec::process_cancel_requested())
-      throw exec::CancelledError(exec::process_cancel_reason());
+    exec::check_process_cancel();
     fn(begin, end, 0);
     return;
   }

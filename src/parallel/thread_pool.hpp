@@ -1,8 +1,9 @@
 // Process-wide thread pool behind the per-source measurement sweeps.
 //
 // The pool is created lazily on the first parallel region that wants more
-// than one worker; its size comes from SNTRUST_THREADS (default
-// hardware_concurrency, `1` = fully serial fallback, no threads spawned).
+// than one worker; its size is set_thread_count's (SNTRUST_THREADS through
+// exec::apply), else hardware_concurrency; `1` is the fully serial
+// fallback, which spawns no threads.
 // Work is split by *static chunking*: a range of `items` work items is cut
 // into `plan_workers(items)` contiguous chunks and chunk w always runs as
 // worker slot w, so per-worker scratch buffers are touched by exactly one
@@ -20,12 +21,15 @@
 
 namespace sntrust::parallel {
 
-/// Upper bound on workers per region, resolved from the runtime override
-/// (set_thread_count) or else SNTRUST_THREADS / hardware_concurrency.
-/// Always >= 1; 1 means fully serial (parallel regions run inline).
+/// Most workers a region may use; larger counts are capped to it.
+inline constexpr std::uint32_t kMaxThreads = 256;
+
+/// Upper bound on workers per region: set_thread_count's value, else
+/// hardware_concurrency. Always >= 1; 1 means fully serial (parallel
+/// regions run inline).
 std::uint32_t thread_count();
 
-/// Runtime override of the worker cap; 0 restores the environment default.
+/// Runtime override of the worker cap; 0 restores hardware_concurrency.
 /// The pool never shrinks: threads already spawned stay parked, but regions
 /// use at most `count` workers.
 void set_thread_count(std::uint32_t count);

@@ -42,11 +42,6 @@ RunReportData parse_run_report(const json::Value& document) {
       } else if (member.first == "scale" && member.second.is_number()) {
         data.has_scale = true;
         data.scale = member.second.as_number();
-      } else if (member.first == "env" && member.second.is_object()) {
-        for (const json::Member& env : member.second.as_object())
-          if (env.second.is_string())
-            data.provenance.emplace("env." + env.first,
-                                    env.second.as_string());
       }
     }
   }

@@ -22,9 +22,10 @@ struct RunReportData {
   std::string tool;
 
   /// Provenance from the "config" section: every string-valued config entry
-  /// (compiler, build_flags, graph fingerprints, env.* knobs flattened with
-  /// an "env." prefix) plus "scale". Reports written before provenance
-  /// existed simply have an empty map and compare as compatible.
+  /// (compiler, build_flags, graph fingerprints, path knobs) plus "scale".
+  /// provenance_mismatch compares the graph.* entries and the scale.
+  /// Reports written before provenance existed simply have an empty map and
+  /// compare as compatible.
   std::map<std::string, std::string> provenance;
   bool has_scale = false;
   double scale = 0.0;

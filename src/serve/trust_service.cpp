@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "dynamic/evolution.hpp"
+#include "exec/cancel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -296,7 +297,7 @@ std::size_t TrustService::ask_batch(std::span<const Query> queries,
                                     std::span<Answer> answers) {
   if (queries.size() != answers.size())
     throw std::invalid_argument("ask_batch: span sizes differ");
-  if (options_.token.cancelled()) {
+  if (exec::process_cancel_requested()) {
     // Exit-75-style partials: explicit kCancelled answers, never a block.
     for (Answer& answer : answers) {
       answer = Answer{};

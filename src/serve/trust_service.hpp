@@ -54,7 +54,6 @@
 #include <span>
 #include <thread>
 
-#include "exec/cancel.hpp"
 #include "graph/graph.hpp"
 #include "obs/thread_slot.hpp"
 #include "serve/artifacts.hpp"
@@ -145,9 +144,6 @@ class TrustService {
     /// Build the first snapshot in the constructor; otherwise start() does,
     /// and queries answer kUnavailable until then.
     bool precompute = true;
-    /// Cancellation observed by ask/ask_batch *in addition to* the process
-    /// state (signals, SNTRUST_DEADLINE_MS).
-    exec::CancelToken token;
   };
 
   /// Serves `graph`. Throws std::invalid_argument for empty/edgeless graphs

@@ -433,7 +433,6 @@ GateKeeperResult run_gatekeeper(const Graph& g, VertexId controller,
   std::vector<std::uint8_t> flooded(out.distributers.size(), 0);
   exec::SweepOptions sweep;
   sweep.kind = "gatekeeper_budget";
-  sweep.token = exec::process_token();
   // Budgets do not depend on f_admit, so a checkpoint serves every f. The
   // graph's fingerprint is an O(n + m) scan: only a checkpoint reads it.
   if (exec::CheckpointStore::instance().armed())

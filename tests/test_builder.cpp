@@ -77,12 +77,6 @@ TEST(GraphBuilder, PendingEdgesCountsRecords) {
   EXPECT_EQ(b.pending_edges(), 2u);
 }
 
-TEST(GraphBuilder, GraphFromEdgesHelper) {
-  const Graph g = graph_from_edges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  EXPECT_EQ(g.num_edges(), 4u);
-  EXPECT_TRUE(g.has_edge(3, 0));
-}
-
 TEST(GraphBuilder, LargeRandomRoundTrip) {
   // Property: builder output passes Graph's own CSR validation (implicit in
   // construction) and reports the exact deduplicated edge count.

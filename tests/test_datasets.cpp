@@ -97,30 +97,6 @@ TEST(Datasets, MixingClassLabels) {
   EXPECT_EQ(dataset_by_id("epinion").expected_class, MixingClass::kFast);
 }
 
-TEST(Datasets, ReciprocityMetadata) {
-  EXPECT_NEAR(dataset_by_id("wiki_vote").reciprocity, 0.06, 1e-9);
-  EXPECT_NEAR(dataset_by_id("slashdot_a").reciprocity, 0.82, 1e-9);
-  EXPECT_DOUBLE_EQ(dataset_by_id("physics_1").reciprocity, 1.0);
-}
-
-TEST(Datasets, GenerateDirectedRespectsReciprocity) {
-  const DatasetSpec& wiki = dataset_by_id("wiki_vote");
-  const Digraph d = generate_directed(wiki, 0.1, 5);
-  const Graph u = d.undirected();
-  // At reciprocity r, arcs ~= (1 + r) * edges.
-  const double ratio =
-      static_cast<double>(d.num_arcs()) / static_cast<double>(u.num_edges());
-  EXPECT_NEAR(ratio, 1.0 + wiki.reciprocity, 0.03);
-}
-
-TEST(Datasets, GenerateDirectedDeterministic) {
-  const DatasetSpec& spec = dataset_by_id("epinion");
-  const Digraph a = generate_directed(spec, 0.03, 7);
-  const Digraph b = generate_directed(spec, 0.03, 7);
-  EXPECT_EQ(a.num_arcs(), b.num_arcs());
-  EXPECT_EQ(a.num_vertices(), b.num_vertices());
-}
-
 TEST(PowerlawDegrees, RespectsBounds) {
   const auto degrees = powerlaw_degrees(5000, 2.2, 3, 200, 13);
   EXPECT_EQ(degrees.size(), 5000u);

@@ -117,45 +117,5 @@ TEST(DenseSpectrum, TooLargeThrows) {
   EXPECT_THROW(dense_spectrum(b.build()), std::invalid_argument);
 }
 
-TEST(MonteCarloMixing, ConvergesTowardExactWithMoreWalks) {
-  const Graph g = petersen_graph();
-  MixingOptions options;
-  options.num_sources = 4;
-  options.max_walk_length = 12;
-  options.seed = 5;
-  const MixingCurves exact = measure_mixing(g, options);
-  const MixingCurves coarse = measure_mixing_monte_carlo(g, options, 50);
-  const MixingCurves fine = measure_mixing_monte_carlo(g, options, 5000);
-  // At the tail (true TVD ~ 0) the Monte-Carlo floor dominates; the fine
-  // estimate must sit far below the coarse one and near the exact value.
-  const double tail_exact = exact.mean_curve().back();
-  const double tail_coarse = coarse.mean_curve().back();
-  const double tail_fine = fine.mean_curve().back();
-  EXPECT_LT(tail_fine, tail_coarse);
-  EXPECT_NEAR(tail_fine, tail_exact, 0.05);
-}
-
-TEST(MonteCarloMixing, ZeroStepCurveIsExact) {
-  const Graph g = petersen_graph();
-  MixingOptions options;
-  options.num_sources = 3;
-  options.max_walk_length = 0;
-  const MixingCurves mc = measure_mixing_monte_carlo(g, options, 10);
-  const Distribution pi = stationary_distribution(g);
-  for (std::size_t i = 0; i < mc.sources.size(); ++i)
-    EXPECT_NEAR(mc.tvd[i][0],
-                total_variation(dirac(10, mc.sources[i]), pi), 1e-12);
-}
-
-TEST(MonteCarloMixing, BadArgsThrow) {
-  MixingOptions options;
-  options.num_sources = 2;
-  EXPECT_THROW(measure_mixing_monte_carlo(petersen_graph(), options, 0),
-               std::invalid_argument);
-  EXPECT_THROW(
-      measure_mixing_monte_carlo(testing::disconnected_graph(), options, 10),
-      std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace sntrust

@@ -112,41 +112,22 @@ TEST(ExecCancel, DefaultDeadlineNeverExpires) {
   const exec::Deadline none;
   EXPECT_FALSE(none.armed());
   EXPECT_FALSE(none.expired());
-  EXPECT_GT(none.remaining_ms(), 1'000'000'000LL);
 }
 
 TEST(ExecCancel, ExpiredDeadlineReports) {
   const exec::Deadline past = exec::Deadline::after_ms(0);
   EXPECT_TRUE(past.armed());
   EXPECT_TRUE(past.expired());
-  EXPECT_LE(past.remaining_ms(), 0);
-}
-
-TEST(ExecCancel, CancelSourceFlowsToToken) {
-  exec::CancelSource source;
-  const exec::CancelToken token = source.token();
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_NO_THROW(token.check());
-  source.cancel();
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_EQ(token.reason(), "cancelled");
-  EXPECT_THROW(token.check(), exec::CancelledError);
-}
-
-TEST(ExecCancel, TokenDeadlineCancels) {
-  const exec::CancelToken token =
-      exec::CancelToken{}.with_deadline(exec::Deadline::after_ms(0));
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_EQ(token.reason(), "deadline exceeded");
 }
 
 TEST(ExecCancel, ProcessCancelRequestAndReset) {
   ExecStateGuard guard;
   EXPECT_FALSE(exec::process_cancel_requested());
+  EXPECT_NO_THROW(exec::check_process_cancel());
   exec::request_process_cancel("test stop");
   EXPECT_TRUE(exec::process_cancel_requested());
   EXPECT_EQ(exec::process_cancel_reason(), "test stop");
-  EXPECT_TRUE(exec::process_token().cancelled());
+  EXPECT_THROW(exec::check_process_cancel(), exec::CancelledError);
   exec::reset_process_cancel();
   EXPECT_FALSE(exec::process_cancel_requested());
   EXPECT_EQ(exec::process_cancel_reason(), "");
@@ -360,7 +341,6 @@ TEST(ExecSweep, SigtermDrainsAndCheckpointsFinishedSources) {
   exec::SweepOptions options;
   options.kind = "unit_sweep_sigterm";
   options.fingerprint = 4;
-  options.token = exec::process_token();
   for (const std::uint32_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     parallel::ScopedThreadCount scope{threads};
@@ -395,12 +375,10 @@ TEST(ExecSweep, SigtermDrainsAndCheckpointsFinishedSources) {
 }
 
 TEST(ExecSweep, CancelledTokenDrainsAndThrows) {
-  ExecStateGuard guard;
-  exec::CancelSource source;
-  source.cancel();
+  ExecStateGuard guard;  // resets the cancellation on exit
+  exec::request_process_cancel("unit cancel");
   exec::SweepOptions options;
   options.kind = "unit_sweep_cancel";
-  options.token = source.token();
   std::atomic<std::uint64_t> ran{0};
   EXPECT_THROW(exec::run_sweep(8, options,
                                [&](std::size_t, std::uint32_t) {
@@ -555,17 +533,16 @@ TEST(ExecSweepBlocks, RestoredSourcesNeverJoinABlock) {
 }
 
 TEST(ExecSweepBlocks, CancellationStopsBeforeTheNextBlock) {
-  ExecStateGuard guard;
-  exec::CancelSource source;
+  ExecStateGuard guard;  // resets the cancellation on exit
   exec::SweepOptions options;
   options.kind = "unit_blocks_cancel";
-  options.token = source.token();
   Blocks seen;
   const auto record = recording_block(seen);
   EXPECT_THROW(exec::run_sweep_blocks(
                    30, 10, options,
                    [&](const std::vector<std::size_t>& indices) {
-                     source.cancel();  // lands after the first block
+                     // Lands after the first block.
+                     exec::request_process_cancel("unit cancel");
                      return record(indices);
                    }),
                exec::CancelledError);
@@ -581,7 +558,6 @@ TEST(ExecSweepBlocks, SigtermDrainsBeforeTheNextBlock) {
   exec::SweepOptions options;
   options.kind = "unit_blocks_sigterm";
   options.fingerprint = 6;
-  options.token = exec::process_token();
   Blocks seen;
   const auto record = recording_block(seen);
   // The first block raises a real SIGTERM and still returns its records.
@@ -616,7 +592,7 @@ TEST(ExecReport, InterruptedExitNamesTheCauseInTheReport) {
   EXPECT_EQ(exec::interrupted_exit("sweep 'unit' cancelled after 1/2 sources"),
             75);
   EXPECT_EQ(interrupted(), "deadline exceeded");
-  // Without one (a CancelSource token), the detail is the cause.
+  // Without a process cancellation, the detail is the cause.
   exec::set_process_deadline(exec::Deadline{});
   EXPECT_EQ(exec::interrupted_exit("cancelled"), 75);
   EXPECT_EQ(interrupted(), "cancelled");
@@ -785,8 +761,6 @@ TEST(ExecResume, SweepsFingerprintTheGraphOnlyWhileACheckpointIsArmed) {
       sweeps = {
           {"gatekeeper", [&](const Graph& g) { run_gatekeeper(g, 0, params); }},
           {"mixing", [&](const Graph& g) { measure_mixing(g, mixing); }},
-          {"mixing_monte_carlo",
-           [&](const Graph& g) { measure_mixing_monte_carlo(g, mixing, 8); }},
           {"core_profile", [&](const Graph& g) { core_profile(g); }},
           {"expansion",
            [&](const Graph& g) { measure_expansion(g, expansion); }},
@@ -910,28 +884,6 @@ TEST(ExecResume, CoreProfileResumeIsBitwiseIdentical) {
           const std::vector<CoreLevel>& resumed) {
         expect_same(baseline, full);
         expect_same(baseline, resumed);
-      });
-}
-
-TEST(ExecResume, MonteCarloMixingResumeIsBitwiseIdentical) {
-  ExecStateGuard guard;
-  const Graph g = acceptance_graph();
-  MixingOptions options = acceptance_mixing_options();
-  options.num_sources = 6;
-  options.max_walk_length = 12;
-  MixingCurves baseline;  // serial, no checkpoint
-  {
-    parallel::ScopedThreadCount serial{1};
-    baseline = measure_mixing_monte_carlo(g, options, 16);
-  }
-  expect_resume_identical(
-      temp_path("sntrust_exec_monte_carlo_resume.json"), {1, 4},
-      [&] { return measure_mixing_monte_carlo(g, options, 16); },
-      [&](const MixingCurves& full, const MixingCurves& resumed) {
-        EXPECT_EQ(full.sources, baseline.sources);
-        EXPECT_EQ(full.tvd, baseline.tvd);
-        EXPECT_EQ(resumed.sources, baseline.sources);
-        EXPECT_EQ(resumed.tvd, baseline.tvd);
       });
 }
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/env.hpp"
-
 namespace sntrust {
 namespace {
 
@@ -31,41 +29,6 @@ TEST(Format, CompactTrimsNoise) {
   EXPECT_EQ(compact(0.5), "0.5");
   EXPECT_EQ(compact(2.0), "2");
   EXPECT_EQ(compact(123456789.0, 3), "1.23e+08");
-}
-
-TEST(Env, DoubleFallsBackWhenUnset) {
-  unsetenv("SNTRUST_TEST_VAR");
-  EXPECT_DOUBLE_EQ(env_double("SNTRUST_TEST_VAR", 2.5), 2.5);
-}
-
-TEST(Env, DoubleParsesValue) {
-  setenv("SNTRUST_TEST_VAR", "1.75", 1);
-  EXPECT_DOUBLE_EQ(env_double("SNTRUST_TEST_VAR", 0.0), 1.75);
-  unsetenv("SNTRUST_TEST_VAR");
-}
-
-TEST(Env, DoubleFallsBackOnGarbage) {
-  setenv("SNTRUST_TEST_VAR", "banana", 1);
-  EXPECT_DOUBLE_EQ(env_double("SNTRUST_TEST_VAR", 3.0), 3.0);
-  unsetenv("SNTRUST_TEST_VAR");
-}
-
-TEST(Env, IntParsesAndFallsBack) {
-  setenv("SNTRUST_TEST_INT", "42", 1);
-  EXPECT_EQ(env_int("SNTRUST_TEST_INT", 0), 42);
-  setenv("SNTRUST_TEST_INT", "x", 1);
-  EXPECT_EQ(env_int("SNTRUST_TEST_INT", 9), 9);
-  unsetenv("SNTRUST_TEST_INT");
-}
-
-TEST(Env, BenchScaleClampsRange) {
-  setenv("SNTRUST_SCALE", "0.0001", 1);
-  EXPECT_DOUBLE_EQ(bench_scale(), 0.01);
-  setenv("SNTRUST_SCALE", "1000", 1);
-  EXPECT_DOUBLE_EQ(bench_scale(), 100.0);
-  setenv("SNTRUST_SCALE", "0.5", 1);
-  EXPECT_DOUBLE_EQ(bench_scale(), 0.5);
-  unsetenv("SNTRUST_SCALE");
 }
 
 }  // namespace

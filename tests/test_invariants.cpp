@@ -145,22 +145,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         GeneratorCase{"erdos_renyi",
                       [](std::uint64_t s) { return erdos_renyi(300, 0.03, s); }},
-        GeneratorCase{"erdos_renyi_gnm",
-                      [](std::uint64_t s) { return erdos_renyi_gnm(300, 900, s); }},
         GeneratorCase{"barabasi_albert",
                       [](std::uint64_t s) { return barabasi_albert(300, 3, s); }},
         GeneratorCase{"powerlaw_cluster",
                       [](std::uint64_t s) {
                         return powerlaw_cluster(300, 3, 0.6, s);
-                      }},
-        GeneratorCase{"watts_strogatz",
-                      [](std::uint64_t s) {
-                        return watts_strogatz(300, 3, 0.2, s);
-                      }},
-        GeneratorCase{"configuration_model",
-                      [](std::uint64_t s) {
-                        return configuration_model(
-                            powerlaw_degrees(300, 2.2, 2, 40, s), s ^ 1);
                       }},
         GeneratorCase{"planted_partition",
                       [](std::uint64_t s) {

@@ -180,14 +180,6 @@ TEST_F(TraceTest, ChromeTraceExportEscapesHostileSpanNames) {
     EXPECT_EQ(events[i].find("name")->as_string(), hostile[i]);
 }
 
-TEST_F(TraceTest, RootSpanDominatesCoverage) {
-  {
-    Span root{"almost everything"};
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GT(Tracer::instance().coverage_fraction(), 0.9);
-}
-
 TEST_F(TraceTest, TimingTableAggregatesByPath) {
   for (int i = 0; i < 3; ++i) {
     Span outer{"phase"};
@@ -407,8 +399,6 @@ TEST_F(QuantileTest, EmptyHistogramContract) {
   EXPECT_GT(snap.min, 0.0);
   EXPECT_TRUE(std::isinf(snap.max));
   EXPECT_LT(snap.max, 0.0);
-  EXPECT_DOUBLE_EQ(snap.approx_sum(), 0.0);
-  EXPECT_DOUBLE_EQ(snap.approx_mean(), 0.0);
 }
 
 TEST_F(QuantileTest, SingleValueAnswersExactly) {
@@ -590,30 +580,35 @@ std::string obs_temp_path(const std::string& name) {
 
 TEST(Telemetry, ParsesSpecWithOptionalPeriod) {
   {
-    const TelemetryOptions options = parse_telemetry_spec("out.jsonl");
+    const TelemetryOptions options = parse_telemetry_spec("out.jsonl").value();
     EXPECT_EQ(options.jsonl_path, "out.jsonl");
     EXPECT_EQ(options.period_ms, kTelemetryDefaultPeriodMs);
     EXPECT_TRUE(options.enabled());
   }
   {
-    const TelemetryOptions options = parse_telemetry_spec("out.jsonl:250");
+    const TelemetryOptions options =
+        parse_telemetry_spec("out.jsonl:250").value();
     EXPECT_EQ(options.jsonl_path, "out.jsonl");
     EXPECT_EQ(options.period_ms, 250u);
   }
   {
     // A non-numeric suffix is part of the path, not a period.
-    const TelemetryOptions options = parse_telemetry_spec("dir:with/colon");
+    const TelemetryOptions options =
+        parse_telemetry_spec("dir:with/colon").value();
     EXPECT_EQ(options.jsonl_path, "dir:with/colon");
     EXPECT_EQ(options.period_ms, kTelemetryDefaultPeriodMs);
   }
   {
     // Period 0 would spin; clamp to 1 ms.
-    const TelemetryOptions options = parse_telemetry_spec("out.jsonl:0");
+    const TelemetryOptions options =
+        parse_telemetry_spec("out.jsonl:0").value();
     EXPECT_EQ(options.period_ms, 1u);
   }
-  EXPECT_FALSE(parse_telemetry_spec("").enabled());
-  // A period past 64 bits is not a spec.
-  EXPECT_FALSE(parse_telemetry_spec("out.jsonl:99999999999999999999").enabled());
+  // An empty path, an empty period, or one past the range is not a spec.
+  for (const char* bad : {"", ":250", "out.jsonl:",
+                          "out.jsonl:1000000000001",
+                          "out.jsonl:99999999999999999999"})
+    EXPECT_FALSE(parse_telemetry_spec(bad).has_value()) << bad;
 }
 
 TEST(Telemetry, ExporterWritesParseableFramesAcrossLifecycle) {

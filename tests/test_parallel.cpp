@@ -255,20 +255,6 @@ TEST(ParallelDeterminism, MeasureMixingIsThreadCountInvariant) {
   EXPECT_EQ(a.tvd, b.tvd);  // element-wise bitwise double equality
 }
 
-TEST(ParallelDeterminism, MonteCarloMixingIsThreadCountInvariant) {
-  const Graph g = testing::petersen_graph();
-  MixingOptions options;
-  options.num_sources = 6;
-  options.max_walk_length = 8;
-  options.seed = 5;
-  ScopedThreadCount serial{1};
-  const MixingCurves a = measure_mixing_monte_carlo(g, options, 40);
-  ScopedThreadCount pooled{4};
-  const MixingCurves b = measure_mixing_monte_carlo(g, options, 40);
-  EXPECT_EQ(a.sources, b.sources);
-  EXPECT_EQ(a.tvd, b.tvd);
-}
-
 TEST(ParallelDeterminism, MeasureExpansionIsThreadCountInvariant) {
   const Graph g = determinism_graph();
   ExpansionOptions options;

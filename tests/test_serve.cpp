@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/cancel.hpp"
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
 #include "obs/metrics.hpp"
@@ -284,20 +285,19 @@ TEST_F(ServeTest, ConcurrentAskBatchesCountEveryQueryAndCallOnce) {
 }
 
 TEST_F(ServeTest, CancellationReturnsExplicitPartialAnswers) {
-  exec::CancelSource source;
-  TrustService::Options options = small_options();
-  options.token = source.token();
-  TrustService service{expander(300, 8), std::move(options)};
+  TrustService service{expander(300, 8), small_options()};
 
   const std::vector<Query> queries = query_mix(service.graph(), 64, 17);
   std::vector<Answer> answers(queries.size());
   EXPECT_EQ(service.ask_batch(queries, answers), queries.size());
 
-  source.cancel();
+  exec::request_process_cancel("unit cancel");
   std::vector<Answer> refused(queries.size());
   // Post-deadline submissions complete immediately with explicit kCancelled
   // partials (the exit-75 contract) instead of blocking.
-  EXPECT_EQ(service.ask_batch(queries, refused), 0u);
+  const std::size_t served = service.ask_batch(queries, refused);
+  exec::reset_process_cancel();
+  EXPECT_EQ(served, 0u);
   for (const Answer& answer : refused)
     EXPECT_EQ(answer.status, QueryStatus::kCancelled);
   EXPECT_GE(counter_value("serve.cancelled"), refused.size());

@@ -41,29 +41,28 @@ TEST(DegreeStats, EmptyGraphThrows) {
 }
 
 TEST(Clustering, CompleteGraphIsOne) {
-  EXPECT_DOUBLE_EQ(global_clustering_coefficient(complete_graph(6)), 1.0);
   EXPECT_DOUBLE_EQ(average_local_clustering(complete_graph(6)), 1.0);
 }
 
 TEST(Clustering, TreeIsZero) {
-  EXPECT_DOUBLE_EQ(global_clustering_coefficient(star_graph(8)), 0.0);
+  EXPECT_DOUBLE_EQ(average_local_clustering(star_graph(8)), 0.0);
   EXPECT_DOUBLE_EQ(average_local_clustering(path_graph(8)), 0.0);
 }
 
 TEST(Clustering, CycleIsZeroBeyondTriangle) {
-  EXPECT_DOUBLE_EQ(global_clustering_coefficient(cycle_graph(5)), 0.0);
-  EXPECT_DOUBLE_EQ(global_clustering_coefficient(cycle_graph(3)), 1.0);
+  EXPECT_DOUBLE_EQ(average_local_clustering(cycle_graph(5)), 0.0);
+  EXPECT_DOUBLE_EQ(average_local_clustering(cycle_graph(3)), 1.0);
 }
 
 TEST(Clustering, BarbellBetweenZeroAndOne) {
-  const double c = global_clustering_coefficient(testing::barbell_graph());
+  const double c = average_local_clustering(testing::barbell_graph());
   EXPECT_GT(c, 0.0);
   EXPECT_LT(c, 1.0);
 }
 
 TEST(Clustering, NoWedgesIsZero) {
-  // Single edge: no wedges at all.
-  EXPECT_DOUBLE_EQ(global_clustering_coefficient(path_graph(2)), 0.0);
+  // Single edge: no vertex has two neighbours to close.
+  EXPECT_DOUBLE_EQ(average_local_clustering(path_graph(2)), 0.0);
 }
 
 TEST(Diameter, PathExact) {

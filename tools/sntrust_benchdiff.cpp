@@ -28,8 +28,8 @@
 
 #include "obs/telemetry.hpp"
 #include "report/run_compare.hpp"
-#include "util/env.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 
 namespace {
 

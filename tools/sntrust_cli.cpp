@@ -43,38 +43,40 @@
 //                        Same as SNTRUST_TELEMETRY.
 //   --diag               Record estimator diagnostics (convergence traces,
 //                        CI95s) in the run report (same as SNTRUST_DIAG=1).
+// Each flag sets the field of its SNTRUST_* knob in the run's RunConfig
+// (exec/run_config.hpp) and is read by the same rule; the flag wins over
+// the variable, and the run report's config records the value either way.
 // Any other argument starting with "--" is a usage error, and so is a
-// number that is not a whole decimal string in range (util/env.hpp's
-// parse_count and parse_nonnegative): threads, deadline, sources, Sybils
-// and attack edges at least 1, scale above 0.
+// number that is not a whole decimal string in range (util/parse.hpp's
+// parse_count and parse_nonnegative): threads in [1, 256], deadline in
+// [1, 10^12], sources, Sybils and attack edges at least 1, scale above 0.
 //
-// Exit codes: 0 success, 64 usage error, 65 bad input (unreadable or
-// malformed graph files), 75 interrupted (signal or deadline), 1 internal
-// error.
+// Exit codes (exec::guarded_main): 0 success, 64 usage error, 65 bad input
+// (unreadable or malformed graph files), 75 interrupted (signal or
+// deadline), 1 internal error.
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/property_suite.hpp"
-#include "exec/cancel.hpp"
-#include "exec/checkpoint.hpp"
+#include "exec/run_config.hpp"
 #include "gen/datasets.hpp"
 #include "graph/components.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
-#include "obs/diag.hpp"
 #include "obs/run_report.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "report/table.hpp"
 #include "sybil/gatekeeper.hpp"
 #include "sybil/sybillimit.hpp"
-#include "util/env.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -106,9 +108,6 @@ int usage() {
 
 constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint64_t kMaxVertices = std::numeric_limits<VertexId>::max();
-// A deadline is added to the steady clock in nanoseconds; 10^12 ms (about
-// 31 years) keeps that sum within its 64-bit range.
-constexpr std::uint64_t kMaxDeadlineMs = 1'000'000'000'000;
 
 int cmd_datasets() {
   Table table{{"id", "name", "paper n", "paper m", "class"}};
@@ -132,7 +131,7 @@ int cmd_generate(const std::string& id, double scale,
 int cmd_measure(const std::string& path, std::uint32_t sources) {
   // Per-phase timings are part of the measure report, so tracing is always
   // on for this command; --trace / SNTRUST_TRACE additionally export the
-  // full span tree as JSON.
+  // full span tree as JSON at exit.
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.enable();
   const obs::Span root{"cli.measure", "cli"};
@@ -236,131 +235,85 @@ int cmd_attack(const std::string& path, VertexId sybils,
   return 0;
 }
 
+/// The flags that take a value, and the knob each one sets.
+struct ValueFlag {
+  std::string_view flag;
+  std::string_view knob;
+};
+constexpr ValueFlag kValueFlags[] = {
+    {"--trace", "SNTRUST_TRACE"},
+    {"--threads", "SNTRUST_THREADS"},
+    {"--report", "SNTRUST_REPORT"},
+    {"--deadline", "SNTRUST_DEADLINE_MS"},
+    {"--checkpoint", "SNTRUST_CHECKPOINT"},
+    {"--resume", "SNTRUST_CHECKPOINT"},
+    {"--telemetry", "SNTRUST_TELEMETRY"},
+};
+
+/// Peels the global flags off argv into `config`; returns the positionals.
+std::vector<std::string> parse_flags(int argc, char** argv,
+                                     exec::RunConfig& config) {
+  std::vector<std::string> args;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--diag") {
+      exec::set_knob(config, "SNTRUST_DIAG", "1", arg);
+      continue;
+    }
+    const auto flag =
+        std::find_if(std::begin(kValueFlags), std::end(kValueFlags),
+                     [&](const ValueFlag& f) { return f.flag == arg; });
+    if (flag != std::end(kValueFlags)) {
+      if (i + 1 >= argc) {
+        usage();
+        throw exec::UsageError(std::string{arg} + " needs a value");
+      }
+      exec::set_knob(config, flag->knob, argv[++i], arg);
+      continue;
+    }
+    // An unknown flag would otherwise land among the positionals, where
+    // `measure g.txt --flag` reads it as the source count.
+    if (arg.starts_with("--")) {
+      usage();
+      throw exec::UsageError("unknown flag " + std::string{arg});
+    }
+    args.emplace_back(arg);
+  }
+  return args;
+}
+
+int run_command(const std::vector<std::string>& args) {
+  if (args.empty()) return usage();
+  const std::string& command = args[0];
+  const std::size_t n = args.size();
+  if (command == "datasets" && n == 1) return cmd_datasets();
+  if (command == "generate" && n == 4) {
+    const auto scale = parse_nonnegative(args[2]);
+    return scale && *scale > 0.0 ? cmd_generate(args[1], *scale, args[3])
+                                 : usage();
+  }
+  if (command == "measure" && (n == 2 || n == 3)) {
+    const std::optional<std::uint64_t> sources =
+        n == 3 ? parse_count(args[2], 1, kMaxU32) : 20;
+    return sources ? cmd_measure(args[1], static_cast<std::uint32_t>(*sources))
+                   : usage();
+  }
+  if (command == "attack" && n == 4) {
+    const auto sybils = parse_count(args[2], 1, kMaxVertices);
+    const auto attack_edges = parse_count(args[3], 1, kMaxU32);
+    return sybils && attack_edges
+               ? cmd_attack(args[1], static_cast<VertexId>(*sybils),
+                            static_cast<std::uint32_t>(*attack_edges))
+               : usage();
+  }
+  return usage();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Cooperative SIGINT/SIGTERM from the first instruction: a signal drains
-  // the in-flight sweep, persists its checkpoint, and still writes the run
-  // report at exit. A second signal force-kills the classic way.
-  exec::install_signal_handlers();
-  try {
-    // Peel the global --trace / --threads / --report flags off before
-    // dispatching.
-    std::vector<std::string> args;
-    std::string trace_path;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--trace") {
-        if (i + 1 >= argc) return usage();
-        trace_path = argv[++i];
-        continue;
-      }
-      if (arg == "--threads") {
-        if (i + 1 >= argc) return usage();
-        const auto threads = parse_count(argv[++i], 1, kMaxU32);
-        if (!threads) return usage();
-        parallel::set_thread_count(static_cast<std::uint32_t>(*threads));
-        continue;
-      }
-      if (arg == "--report") {
-        if (i + 1 >= argc) return usage();
-        // Arms the atexit export (and enables the tracer so the report's
-        // span table is populated).
-        obs::RunReporter::instance().set_export_path(argv[++i]);
-        continue;
-      }
-      if (arg == "--deadline") {
-        if (i + 1 >= argc) return usage();
-        const auto ms = parse_count(argv[++i], 1, kMaxDeadlineMs);
-        if (!ms) return usage();
-        exec::set_process_deadline(
-            exec::Deadline::after_ms(static_cast<std::int64_t>(*ms)));
-        obs::RunReporter::instance().set_config(
-            "deadline_ms", static_cast<std::int64_t>(*ms));
-        continue;
-      }
-      if (arg == "--checkpoint" || arg == "--resume") {
-        if (i + 1 >= argc) return usage();
-        const std::string path = argv[++i];
-        exec::CheckpointStore::instance().set_path(path);
-        obs::RunReporter::instance().set_config("checkpoint", path);
-        continue;
-      }
-      if (arg == "--diag") {
-        // Same as SNTRUST_DIAG=1: record convergence traces, CI95s, and
-        // non-convergence flags into the report's "diag" section. Bitwise
-        // neutral to every measured output.
-        obs::set_diag_enabled(true);
-        obs::RunReporter::instance().set_config("diag", true);
-        continue;
-      }
-      if (arg == "--telemetry") {
-        if (i + 1 >= argc) return usage();
-        // Same "path[:period_ms]" shape as SNTRUST_TELEMETRY; the exporter
-        // writes frame 0 immediately and a final frame at exit.
-        const obs::TelemetryOptions options =
-            obs::parse_telemetry_spec(argv[++i]);
-        if (options.jsonl_path.empty()) return usage();
-        obs::RunReporter::instance();  // report hook first, exporter stop second
-        obs::TelemetryExporter::instance().start(options);
-        obs::RunReporter::instance().set_config("telemetry",
-                                                options.jsonl_path);
-        continue;
-      }
-      // An unknown flag would otherwise land among the positionals, where
-      // `measure g.txt --flag` reads it as the source count.
-      if (arg.starts_with("--")) return usage();
-      args.push_back(arg);
-    }
-    if (!trace_path.empty()) obs::Tracer::instance().enable();
-
-    int status = 64;
-    if (args.empty()) {
-      status = usage();
-    } else {
-      const std::string& command = args[0];
-      const std::size_t n = args.size();
-      if (command == "datasets" && n == 1) {
-        status = cmd_datasets();
-      } else if (command == "generate" && n == 4) {
-        const auto scale = parse_nonnegative(args[2]);
-        status = scale && *scale > 0.0 ? cmd_generate(args[1], *scale, args[3])
-                                       : usage();
-      } else if (command == "measure" && (n == 2 || n == 3)) {
-        const std::optional<std::uint64_t> sources =
-            n == 3 ? parse_count(args[2], 1, kMaxU32) : 20;
-        status = sources ? cmd_measure(args[1],
-                                       static_cast<std::uint32_t>(*sources))
-                         : usage();
-      } else if (command == "attack" && n == 4) {
-        const auto sybils = parse_count(args[2], 1, kMaxVertices);
-        const auto attack_edges = parse_count(args[3], 1, kMaxU32);
-        status = sybils && attack_edges
-                     ? cmd_attack(args[1], static_cast<VertexId>(*sybils),
-                                  static_cast<std::uint32_t>(*attack_edges))
-                     : usage();
-      } else {
-        status = usage();
-      }
-    }
-
-    if (!trace_path.empty()) {
-      obs::Tracer::instance().write_chrome_trace_file(trace_path);
-      std::cerr << "trace written to " << trace_path << "\n";
-    }
-    return status;
-  } catch (const exec::CancelledError& error) {
-    // Drained cleanly: the checkpoint (if armed) holds the completed work
-    // and the atexit run report records the interruption.
-    return exec::interrupted_exit(error.what());
-  } catch (const IoError& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 65;  // EX_DATAERR: unreadable or malformed input
-  } catch (const std::invalid_argument& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 65;
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 1;
-  }
+  std::vector<std::string> args;
+  return exec::guarded_main(
+      [&] { return run_command(args); },
+      [&](exec::RunConfig& config) { args = parse_flags(argc, argv, config); });
 }

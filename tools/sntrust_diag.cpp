@@ -28,9 +28,9 @@
 
 #include "report/run_compare.hpp"
 #include "report/table.hpp"
-#include "util/env.hpp"
 #include "util/format.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 
 namespace {
 

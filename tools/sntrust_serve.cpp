@@ -25,8 +25,9 @@
 // cancellation report status=cancelled and the process exits 75 with
 // whatever completed.
 //
-// Exit codes: 0 success, 64 usage error (also a vertex, seed or scale that
-// is not a whole decimal string in range), 65 bad input (unreadable graph,
+// Exit codes (exec::guarded_main): 0 success, 64 usage error (also a
+// vertex, seed or scale that is not a whole decimal string in range, and a
+// malformed SNTRUST_* value), 65 bad input (unreadable graph,
 // out-of-range vertex/seed, unknown command), 75 interrupted,
 // 1 internal error. In the REPL a bad line prints an error and the loop
 // goes on.
@@ -38,12 +39,13 @@
 #include <vector>
 
 #include "exec/cancel.hpp"
+#include "exec/run_config.hpp"
 #include "gen/datasets.hpp"
 #include "graph/io.hpp"
 #include "obs/metrics.hpp"
 #include "serve/trust_service.hpp"
-#include "util/env.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -69,15 +71,10 @@ int usage() {
   return 64;  // EX_USAGE
 }
 
-/// A malformed number: exit 64 from main, one bad line in the REPL.
-struct UsageError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
-
 VertexId parse_vertex(const std::string& text) {
   const auto vertex =
       parse_count(text, 0, std::numeric_limits<VertexId>::max());
-  if (!vertex) throw UsageError("not a vertex id: " + text);
+  if (!vertex) throw exec::UsageError("not a vertex id: " + text);
   return static_cast<VertexId>(*vertex);
 }
 
@@ -86,7 +83,7 @@ std::vector<VertexId> parse_seeds(const std::string& text) {
   std::istringstream in{text};
   std::string item;
   while (std::getline(in, item, ',')) seeds.push_back(parse_vertex(item));
-  if (seeds.empty()) throw UsageError("empty seed list");
+  if (seeds.empty()) throw exec::UsageError("empty seed list");
   return seeds;
 }
 
@@ -236,9 +233,8 @@ std::vector<std::vector<std::string>> split_script(
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::install_signal_handlers();
-  try {
-    std::vector<std::string> args(argv + 1, argv + argc);
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  return exec::guarded_main([&] {
     if (args.empty()) return usage();
     const std::string& command = args[0];
     if (command == "query" && args.size() >= 4)
@@ -257,19 +253,5 @@ int main(int argc, char** argv) {
                             split_script(args, 4), /*repl=*/false);
     }
     return usage();
-  } catch (const sntrust::exec::CancelledError& error) {
-    return exec::interrupted_exit(error.what());
-  } catch (const UsageError& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return usage();
-  } catch (const sntrust::IoError& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 65;  // EX_DATAERR
-  } catch (const std::invalid_argument& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 65;
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -26,8 +26,8 @@
 #include "graph/io.hpp"
 #include "graph/snapshot.hpp"
 #include "obs/trace.hpp"
-#include "util/env.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
