@@ -79,7 +79,8 @@ constexpr Knob kKnobs[] = {
        c.trace = text;
        return true;
      }},
-    {"SNTRUST_TELEMETRY", "path[:period_ms], the period in [0, 10^12]",
+    {"SNTRUST_TELEMETRY",
+     "path[:period_ms], the period a whole number in [0, 10^12]",
      [](RunConfig& c, std::string_view text) {
        const auto telemetry = obs::parse_telemetry_spec(text);
        if (telemetry) c.telemetry = *telemetry;
@@ -178,9 +179,11 @@ void apply(const RunConfig& config) {
 
 const RunConfig& applied_config() { return applied(); }
 
-int guarded_main(const std::function<int()>& body,
-                 const std::function<void(RunConfig&)>& configure) {
-  install_signal_handlers();
+namespace {
+
+/// The body's exit code, as the header comment maps how it ends.
+int run_body(const std::function<int()>& body,
+             const std::function<void(RunConfig&)>& configure) {
   try {
     RunConfig config = run_config_from_environment();
     if (configure) configure(config);
@@ -191,7 +194,7 @@ int guarded_main(const std::function<int()>& body,
     return 64;  // EX_USAGE
   } catch (const CancelledError& error) {
     // Drained cleanly: the checkpoint, if armed, holds the completed work,
-    // and the run report at exit names the interruption.
+    // and the run report names the interruption.
     return interrupted_exit(error.what());
   } catch (const IoError& error) {
     std::cerr << "error: " << error.what() << "\n";
@@ -203,6 +206,23 @@ int guarded_main(const std::function<int()>& body,
     std::cerr << "error: " << error.what() << "\n";
     return 1;
   }
+}
+
+}  // namespace
+
+int guarded_main(const std::function<int()>& body,
+                 const std::function<void(RunConfig&)>& configure) {
+  install_signal_handlers();
+  const int code = run_body(body, configure);
+  // Telemetry's last frame lands first, since the report counts it.
+  try {
+    obs::TelemetryExporter::instance().stop();
+    obs::RunReporter::instance().export_now();
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return code == 0 ? 74 : code;  // EX_IOERR
+  }
+  return code;
 }
 
 }  // namespace sntrust::exec

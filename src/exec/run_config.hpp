@@ -26,7 +26,10 @@
 // and applies the config, runs the body, and maps how it ends to a
 // sysexits-style code: 64 for a usage or config error, 75 for an
 // interrupted run (exec::interrupted_exit), 65 for bad input (IoError,
-// std::invalid_argument), 1 for anything else.
+// std::invalid_argument), 1 for anything else. It then writes the run
+// report, when one is armed, before it returns: a report that cannot be
+// written turns exit 0 into 74 (EX_IOERR), and leaves any other code, which
+// names the first failure.
 #pragma once
 
 #include <cstdint>

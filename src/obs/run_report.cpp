@@ -5,6 +5,7 @@
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
@@ -47,9 +48,7 @@ RunReporter::RunReporter() : wall_start_(std::chrono::steady_clock::now()) {
   std::atexit([] {
     // Throwing from an atexit handler is std::terminate; report instead.
     try {
-      RunReporter& reporter = RunReporter::instance();
-      const std::string path = reporter.export_path();
-      if (!path.empty()) reporter.write_file(path);
+      RunReporter::instance().export_now();
     } catch (const std::exception& error) {
       std::fputs(error.what(), stderr);
       std::fputc('\n', stderr);
@@ -268,6 +267,15 @@ void RunReporter::write_file(const std::string& path) const {
   write(out);
   if (!out)
     throw std::runtime_error("RunReporter: report write failed " + path);
+}
+
+void RunReporter::export_now() {
+  std::string path;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    path = std::exchange(export_path_, std::string{});
+  }
+  if (!path.empty()) write_file(path);
 }
 
 }  // namespace sntrust::obs

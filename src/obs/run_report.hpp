@@ -4,7 +4,8 @@
 // (wall/cpu/alloc/rss from obs/resource.hpp), and wall/CPU/peak-RSS totals.
 //
 // Arm with SNTRUST_REPORT=<path> or `sntrust_cli --report <path>`: exec::
-// apply sets the export path, and the report is written at process exit.
+// apply sets the export path, and exec::guarded_main writes the report when
+// the run ends (export_now), or the exit hook at process exit.
 // Arming the reporter also enables the tracer so the span table is
 // populated. Reports from two
 // runs diff with `tools/sntrust_benchdiff` (alignment by span path / metric
@@ -91,6 +92,13 @@ class RunReporter {
 
   void write(std::ostream& out) const;
   void write_file(const std::string& path) const;
+
+  /// Writes the report to the export path, when one is set, and clears the
+  /// path, so the exit hook writes nothing more. Throws std::runtime_error
+  /// when the file cannot be written. exec::guarded_main calls it before it
+  /// returns, so that failure sets the exit code (74); the exit hook covers
+  /// a process that leaves any other way.
+  void export_now();
 
  private:
   RunReporter();

@@ -61,14 +61,17 @@ std::optional<TelemetryOptions> parse_telemetry_spec(std::string_view spec) {
   TelemetryOptions options;
   options.jsonl_path = spec;
   const std::size_t colon = spec.rfind(':');
-  if (colon != std::string_view::npos &&
-      spec.find_first_not_of("0123456789", colon + 1) ==
-          std::string_view::npos) {
-    const auto period =
-        parse_count(spec.substr(colon + 1), 0, kTelemetryMaxPeriodMs);
-    if (!period) return std::nullopt;
-    options.jsonl_path = spec.substr(0, colon);
-    options.period_ms = std::max<std::uint64_t>(1, *period);  // 0 would spin
+  if (colon != std::string_view::npos) {
+    const std::string_view suffix = spec.substr(colon + 1);
+    const bool period =
+        suffix.find('/') == std::string_view::npos &&
+        (suffix.empty() || (suffix[0] >= '0' && suffix[0] <= '9'));
+    if (period) {
+      const auto ms = parse_count(suffix, 0, kTelemetryMaxPeriodMs);
+      if (!ms) return std::nullopt;
+      options.jsonl_path = spec.substr(0, colon);
+      options.period_ms = std::max<std::uint64_t>(1, *ms);  // 0 would spin
+    }
   }
   if (options.jsonl_path.empty()) return std::nullopt;
   return options;

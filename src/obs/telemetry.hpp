@@ -63,11 +63,13 @@ struct TelemetryOptions {
   bool operator==(const TelemetryOptions&) const = default;
 };
 
-/// Parses one "path" or "path:period_ms" JSONL spec: the text after the
-/// last colon is the period when it is all digits (paths may contain
-/// colons), read whole with parse_count in [0, kTelemetryMaxPeriodMs], 0
-/// meaning 1. nullopt for an empty or out-of-range period or an empty path. Shared by
-/// SNTRUST_TELEMETRY and the CLI --telemetry flag (exec/run_config.hpp).
+/// Parses one "path" or "path:period_ms" JSONL spec. Paths may contain
+/// colons: the text after the last colon is the period when it holds no
+/// '/' and is empty or starts with a digit, and then it must be a whole
+/// number, read with parse_count in [0, kTelemetryMaxPeriodMs], 0 meaning 1.
+/// So "t.jsonl:5s" is a malformed period and "run:1/t.jsonl" a path. nullopt
+/// for a malformed period or an empty path. Shared by SNTRUST_TELEMETRY and
+/// the CLI --telemetry flag (exec/run_config.hpp).
 std::optional<TelemetryOptions> parse_telemetry_spec(std::string_view spec);
 
 /// The quantile summary frames and the run report share: {"count", "p50",

@@ -29,10 +29,13 @@ namespace {
 /// forward children, its next-level neighbours in adjacency order, are
 /// stored as positions. Order within a level cannot change a flood: a
 /// level's holdings are integer sums of grants from the level above. A flood
-/// is one forward pass over a position-indexed holding array. The buffers
-/// are sized once for any DAG of the graph and reused across builds; they
-/// are left uninitialized, so a worker's memory grows only with the DAGs it
-/// builds.
+/// is one forward pass over a position-indexed holding array, level by
+/// level. Bitmaps over positions mark those with children and those that
+/// hold tickets, so a flood counts a word of reached positions at once and
+/// visits only those that can forward tickets. The buffers are sized once
+/// for any DAG of the graph and reused across builds; the ones a build
+/// fills are left uninitialized, so a worker's memory grows only with the
+/// DAGs it builds.
 class LevelDag {
  public:
   explicit LevelDag(const Graph& g)
@@ -43,6 +46,11 @@ class LevelDag {
             g.num_vertices() + std::size_t{1})),
         children_(std::make_unique_for_overwrite<std::uint32_t[]>(
             g.targets().size())),
+        level_begin_(std::make_unique_for_overwrite<std::uint32_t[]>(
+            g.num_vertices() + std::size_t{1})),
+        parents_(std::make_unique_for_overwrite<std::uint64_t[]>(
+            words(g.num_vertices()))),
+        occupied_(words(g.num_vertices()), 0),
         ticket_runs_(obs::metrics_counter("gatekeeper.ticket_runs")),
         tickets_sent_(obs::metrics_counter("gatekeeper.tickets_sent")),
         ticket_walks_(obs::metrics_counter("gatekeeper.ticket_walks")) {}
@@ -63,10 +71,18 @@ class LevelDag {
     child_begin_[0] = 0;
     std::size_t reachable = 1;
     EdgeIndex num_children = 0;
+    std::uint64_t parents = 0;  // bits of the word of parents_ being filled
     levels_ = 0;
     for (std::size_t begin = 0; begin < reachable; ++levels_) {
+      level_begin_[levels_] = static_cast<std::uint32_t>(begin);
       const auto next = static_cast<std::uint32_t>(reachable);
       for (std::size_t p = begin; p < next; ++p) {
+        // Rows are read in position order, a random order in the CSR:
+        // fetch the offsets of the vertex 16 positions ahead and the row of
+        // the vertex 8 ahead, of the positions discovered so far.
+        __builtin_prefetch(offsets + order[std::min(p + 16, reachable - 1)]);
+        __builtin_prefetch(
+            targets + offsets[order[std::min(p + 8, reachable - 1)]]);
         const VertexId u = order[p];
         for (EdgeIndex e = offsets[u]; e < offsets[u + 1]; ++e) {
           const VertexId w = targets[e];
@@ -80,10 +96,14 @@ class LevelDag {
           children[num_children] = q;
           num_children += q >= next;
         }
+        parents |= std::uint64_t{num_children != child_begin_[p]} << (p % 64);
+        parents_[p / 64] = parents;
+        if (p % 64 == 63) parents = 0;
         child_begin_[p + 1] = num_children;
       }
       begin = next;
     }
+    level_begin_[levels_] = static_cast<std::uint32_t>(reachable);
     reachable_ = reachable;
     num_children_ = num_children;
     holding_.assign(reachable, 0);
@@ -159,9 +179,12 @@ class LevelDag {
   /// tickets consumes one and splits the other h - 1 evenly over its
   /// children, the first (h - 1) mod k of its k children getting one more;
   /// tickets that reach a vertex without children are lost. Returns the
-  /// number of vertices that consume a ticket. A probe (kHold false) clears
-  /// each holding as it passes and stops once `stop_at` vertices are
-  /// reached; a held flood keeps every holding.
+  /// number of vertices that consume a ticket. A level's holdings are final
+  /// once the level above has granted, so each word of a level's positions
+  /// counts its holders at once and grants from those with children, in
+  /// position order. A probe (kHold false) stops once `stop_at` vertices
+  /// are reached, and returns `stop_at` then; it leaves every holding zero.
+  /// A held flood keeps every holding.
   template <bool kHold>
   std::uint64_t flood(std::uint64_t tickets, std::uint64_t stop_at) {
     if (held_) std::fill(holding_.begin(), holding_.end(), 0);
@@ -169,39 +192,65 @@ class LevelDag {
     ticket_runs_.add(1);
     tickets_sent_.add(tickets);
     std::uint64_t* const holding = holding_.data();
+    std::uint64_t* const occupied = occupied_.data();
+    const EdgeIndex* const child_begin = child_begin_.get();
+    const std::uint32_t* const children = children_.get();
     holding[0] = tickets;
+    occupied[0] = tickets != 0;
     std::uint64_t reached = 0;
-    std::size_t last = 0;  // furthest position that holds tickets
-    std::size_t p = 0;
-    for (; p <= last; ++p) {
-      std::uint64_t budget = holding[p];
-      if (budget == 0) continue;
-      if constexpr (!kHold) holding[p] = 0;
-      if (++reached == stop_at) break;
-      --budget;
-      const EdgeIndex begin = child_begin_[p];
-      const std::uint64_t k = child_begin_[p + 1] - begin;
-      if (budget == 0 || k == 0) continue;
-      const std::uint64_t share = budget / k;
-      const std::uint64_t extra = budget % k;
-      const std::uint64_t granted = share == 0 ? extra : k;
-      for (std::uint64_t i = 0; i < granted; ++i) {
-        const std::uint32_t child = children_[begin + i];
-        holding[child] += share + (i < extra ? 1 : 0);
-        last = std::max<std::size_t>(last, child);
+    std::uint32_t last = 0;  // furthest position that holds tickets
+    for (std::uint64_t level = 0;
+         level < levels_ && level_begin_[level] <= last; ++level) {
+      const std::size_t end = level_begin_[level + 1];
+      for (std::size_t word = level_begin_[level] / 64; word * 64 < end;
+           ++word) {
+        // The word's positions in this level; the rest are the next one's.
+        const std::uint64_t in_level =
+            end - word * 64 >= 64 ? ~std::uint64_t{0}
+                                  : (std::uint64_t{1} << (end % 64)) - 1;
+        const std::uint64_t holders = occupied[word] & in_level;
+        if (holders == 0) continue;
+        occupied[word] &= ~in_level;
+        reached += static_cast<std::uint64_t>(std::popcount(holders));
+        if (!kHold && reached >= stop_at) {
+          std::fill(occupied + word, occupied + last / 64 + 1, 0);
+          std::fill(holding, holding + last + 1, 0);
+          return stop_at;
+        }
+        for (std::uint64_t forwarders = holders & parents_[word];
+             forwarders != 0; forwarders &= forwarders - 1) {
+          const auto p = static_cast<std::uint32_t>(
+              word * 64 + static_cast<unsigned>(std::countr_zero(forwarders)));
+          const std::uint64_t budget = holding[p] - 1;  // one is consumed
+          if (budget == 0) continue;
+          const EdgeIndex begin = child_begin[p];
+          const std::uint64_t k = child_begin[p + 1] - begin;
+          const std::uint64_t share = budget / k;
+          const std::uint64_t extra = budget % k;
+          const std::uint64_t granted = share == 0 ? extra : k;
+          for (std::uint64_t i = 0; i < granted; ++i) {
+            const std::uint32_t child = children[begin + i];
+            holding[child] += share + (i < extra ? 1 : 0);
+            occupied[child / 64] |= std::uint64_t{1} << (child % 64);
+            last = std::max(last, child);
+          }
+        }
       }
     }
-    // A probe's holdings are zero after it, but an early stop leaves some
-    // ahead of p.
-    if (!kHold && p < last) std::fill(holding + p + 1, holding + last + 1, 0);
+    if constexpr (!kHold) std::fill(holding, holding + last + 1, 0);
     return reached;
   }
+
+  static std::size_t words(VertexId n) { return (std::size_t{n} + 63) / 64; }
 
   const Graph& graph_;
   std::vector<std::uint32_t> position_;      // vertex -> position, or kUnseen
   std::unique_ptr<VertexId[]> order_;        // position -> vertex
   std::unique_ptr<EdgeIndex[]> child_begin_; // p's children: [p] to [p + 1]
   std::unique_ptr<std::uint32_t[]> children_;  // child positions
+  std::unique_ptr<std::uint32_t[]> level_begin_;  // level l: [l] to [l + 1]
+  std::unique_ptr<std::uint64_t[]> parents_;  // bit p: p has children
+  std::vector<std::uint64_t> occupied_;  // bit p: position p holds tickets
   std::vector<std::uint64_t> holding_;       // tickets held, per position
   std::size_t reachable_ = 0;                // positions of the built DAG
   EdgeIndex num_children_ = 0;

@@ -138,6 +138,41 @@ Graph broom() {
   return b.build();
 }
 
+// Vertices with 0 through 9 children at several levels, shared children and
+// neighbours within a level, a source whose row ends the CSR, and an
+// isolated source. Levels of a few to a few hundred positions start and end
+// inside the flood's 64-position words. From vertex 0, the t-th vertex in
+// BFS order gets (t + 9) mod 10 children of its own, down to level 4. Every
+// odd child below level 1 also has the next vertex of its parent's level
+// as a parent, and every seventh is linked to the vertex before it on its
+// level. Vertex n - 2 is isolated, and vertex n - 1, whose row ends the
+// CSR, links 10 vertices on level 4.
+Graph fans() {
+  std::vector<Edge> edges;
+  std::vector<VertexId> level{0};
+  VertexId count = 1;
+  std::uint32_t t = 0;
+  for (int depth = 0; depth < 4; ++depth) {
+    std::vector<VertexId> below;
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      for (std::uint32_t c = (t++ + 9) % 10; c > 0; --c) {
+        const VertexId v = count++;
+        edges.push_back({level[i], v});
+        if (v % 2 == 1 && i + 1 < level.size())
+          edges.push_back({level[i + 1], v});
+        if (v % 7 == 0 && !below.empty()) edges.push_back({below.back(), v});
+        below.push_back(v);
+      }
+    }
+    level = std::move(below);
+  }
+  GraphBuilder b{count + 2};
+  for (const Edge& e : edges) b.add_edge(e.u, e.v);
+  for (std::size_t i = 0; i < 10; ++i)
+    b.add_edge(count + 1, level[i * level.size() / 10]);
+  return b.build();
+}
+
 struct OracleCase {
   const char* name;
   Graph graph;
@@ -154,7 +189,34 @@ std::vector<OracleCase> oracle_cases() {
   cases.push_back({"star", star_graph(12), {0, 5}});
   cases.push_back({"disconnected", disconnected_graph(), {0, 3, 5}});
   cases.push_back({"broom", broom(), {0, 5}});
+  Graph fan_graph = fans();
+  const VertexId n = fan_graph.num_vertices();
+  cases.push_back({"fans", std::move(fan_graph), {0, 12, n - 2, n - 1}});
   return cases;
+}
+
+TEST(TicketDistribution, FansCoverEveryChildCountOnSeveralLevels) {
+  // The oracle graph's promise: from vertex 0, each child count 0 to 9
+  // occurs on at least two levels; the last row is no isolated vertex's.
+  const Graph g = fans();
+  const BfsResult levels = bfs(g, 0);
+  std::vector<std::vector<std::uint8_t>> seen(10);
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    if (levels.distances[u] >= levels.level_sizes.size()) continue;
+    std::uint32_t children = 0;
+    for (const VertexId w : g.neighbors(u))
+      children += levels.distances[w] == levels.distances[u] + 1;
+    if (children < 10) {
+      seen[children].resize(levels.level_sizes.size(), 0);
+      seen[children][levels.distances[u]] = 1;
+    }
+  }
+  for (std::uint32_t k = 0; k < 10; ++k) {
+    SCOPED_TRACE("children " + std::to_string(k));
+    EXPECT_GE(std::accumulate(seen[k].begin(), seen[k].end(), 0), 2);
+  }
+  EXPECT_EQ(g.degree(g.num_vertices() - 2), 0u);
+  EXPECT_EQ(g.degree(g.num_vertices() - 1), 10u);
 }
 
 void expect_same_run(const TicketRun& got, const TicketRun& want) {

@@ -604,10 +604,12 @@ TEST(Telemetry, ParsesSpecWithOptionalPeriod) {
         parse_telemetry_spec("out.jsonl:0").value();
     EXPECT_EQ(options.period_ms, 1u);
   }
-  // An empty path, an empty period, or one past the range is not a spec.
+  // An empty path, an empty period, one past the range, or a suffix that
+  // starts with a digit but is no whole number is not a spec.
   for (const char* bad : {"", ":250", "out.jsonl:",
                           "out.jsonl:1000000000001",
-                          "out.jsonl:99999999999999999999"})
+                          "out.jsonl:99999999999999999999", "out.jsonl:5s",
+                          "out.jsonl:2.5"})
     EXPECT_FALSE(parse_telemetry_spec(bad).has_value()) << bad;
 }
 

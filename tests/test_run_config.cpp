@@ -9,8 +9,10 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <initializer_list>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -94,7 +96,7 @@ TEST(RunConfig, EachKnobParsesByOneRule) {
          return c.telemetry.jsonl_path == "t.jsonl" &&
                 c.telemetry.period_ms == 500;
        },
-       {"t.jsonl:99999999999999999999"}},
+       {"t.jsonl:99999999999999999999", "t.jsonl:5s", "t.jsonl:1e3"}},
       {"SNTRUST_DIAG", "1", [](const exec::RunConfig& c) { return c.diag; },
        booleans},
       {"SNTRUST_ALLOC_STATS", "1",
@@ -119,6 +121,28 @@ TEST(RunConfig, EachKnobParsesByOneRule) {
       }
     }
   }
+}
+
+TEST(RunConfig, TelemetryPeriodIsAWholeNumberOrPartOfThePath) {
+  // After the last colon, text that starts with a digit and holds no '/' is
+  // a period: a mistyped one is a usage error, not a file named after it.
+  EXPECT_THROW(parse({"SNTRUST_TELEMETRY=t.jsonl:5s"}), exec::UsageError);
+  EXPECT_EQ(exec::guarded_main([] { return 0; },
+                               [](exec::RunConfig& config) {
+                                 exec::set_knob(config, "SNTRUST_TELEMETRY",
+                                                "t.jsonl:5s", "--telemetry");
+                               }),
+            64);
+  // A '/' after the colon, or a first character that is no digit, keeps
+  // the colon in the path.
+  const exec::RunConfig directory = parse({"SNTRUST_TELEMETRY=run:1/t.jsonl"});
+  EXPECT_EQ(directory.telemetry.jsonl_path, "run:1/t.jsonl");
+  EXPECT_EQ(directory.telemetry.period_ms, obs::kTelemetryDefaultPeriodMs);
+  const exec::RunConfig named = parse({"SNTRUST_TELEMETRY=run:t.jsonl"});
+  EXPECT_EQ(named.telemetry.jsonl_path, "run:t.jsonl");
+  const exec::RunConfig timed = parse({"SNTRUST_TELEMETRY=run:1/t.jsonl:20"});
+  EXPECT_EQ(timed.telemetry.jsonl_path, "run:1/t.jsonl");
+  EXPECT_EQ(timed.telemetry.period_ms, 20u);
 }
 
 TEST(RunConfig, UnknownNameWarnsOnceAndChangesNothing) {
@@ -222,6 +246,40 @@ TEST(RunConfig, GuardedMainMapsHowTheBodyEnds) {
                 }),
             64);
   EXPECT_FALSE(ran);
+}
+
+TEST(RunConfig, GuardedMainWritesTheReportBeforeItReturns) {
+  AppliedConfigGuard guard;
+  const auto report_at = [](const std::string& path) {
+    return [path](exec::RunConfig& config) {
+      exec::set_knob(config, "SNTRUST_REPORT", path, "--report");
+    };
+  };
+  const std::string report = temp_path("sntrust_run_config_exit_report.json");
+  std::filesystem::remove(report);
+  EXPECT_EQ(exec::guarded_main([] { return 0; }, report_at(report)), 0);
+  ASSERT_TRUE(std::filesystem::exists(report));
+  std::ifstream in{report};
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
+  const json::Value parsed = json::Value::parse(text);
+  EXPECT_EQ(parsed.find("config")->find("report")->as_string(), report);
+  // Written once: the exit hook has nothing left to write.
+  EXPECT_EQ(obs::RunReporter::instance().export_path(), "");
+  std::filesystem::remove(report);
+
+  // A report that cannot be written fails a clean run with EX_IOERR (74),
+  // and leaves the code of a run that already failed.
+  const std::filesystem::path missing =
+      std::filesystem::temp_directory_path() / "sntrust_run_config_no_dir";
+  std::filesystem::remove_all(missing);
+  const std::string unwritable = (missing / "r.json").string();
+  EXPECT_EQ(exec::guarded_main([] { return 0; }, report_at(unwritable)), 74);
+  EXPECT_EQ(exec::guarded_main([] { return 3; }, report_at(unwritable)), 3);
+  EXPECT_EQ(exec::guarded_main(
+                []() -> int { throw exec::CancelledError("stopped"); },
+                report_at(unwritable)),
+            75);
+  EXPECT_FALSE(std::filesystem::exists(missing));
 }
 
 }  // namespace
