@@ -53,9 +53,7 @@ static int run_bench() {
     const Graph g =
         bench::dataset_graph(spec, 0.25);
 
-    SlemOptions slem_options;
-    slem_options.seed = bench::kBenchSeed;
-    const double m = second_largest_eigenvalue(g, slem_options).mu;
+    const SlemResult slem = second_largest_eigenvalue(g);
     const DegreeStats degrees = degree_stats(g);
     const double cluster = average_local_clustering(g);
     const double diam = double_sweep_diameter(g);
@@ -66,7 +64,7 @@ static int run_bench() {
     for (const CoreLevel& level : levels)
       cores = std::max(cores, static_cast<double>(level.num_components));
 
-    mu.push_back(m);
+    mu.push_back(slem.mu);
     size.push_back(g.num_vertices());
     density.push_back(degrees.mean);
     clustering.push_back(cluster);
@@ -75,7 +73,8 @@ static int run_bench() {
     top_core_nu.push_back(nu_top);
     core_count.push_back(cores);
 
-    table.add_row({spec.name, fixed(m, 4), with_thousands(g.num_vertices()),
+    table.add_row({spec.name, format_mu(slem.mu, slem.certified, 4),
+                   with_thousands(g.num_vertices()),
                    fixed(degrees.mean, 1), fixed(cluster, 3),
                    fixed(diam, 0), fixed(degen, 0), fixed(nu_top, 3),
                    fixed(cores, 0)});

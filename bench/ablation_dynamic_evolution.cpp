@@ -7,6 +7,7 @@
 
 #include "bench_common.hpp"
 #include "dynamic/evolution.hpp"
+#include "markov/spectral.hpp"
 #include "report/table.hpp"
 #include "util/format.hpp"
 
@@ -24,7 +25,8 @@ void run(const std::string& title, const sntrust::GrowthTrace& trace,
   for (const EvolutionPoint& p : points) {
     table.add_row({with_thousands(p.snapshot_vertices),
                    with_thousands(p.nodes), with_thousands(p.edges),
-                   fixed(p.mu, 4), std::to_string(p.degeneracy),
+                   format_mu(p.mu, p.mu_certified, 4),
+                   std::to_string(p.degeneracy),
                    std::to_string(p.max_core_count),
                    fixed(p.min_expansion_factor, 3)});
   }

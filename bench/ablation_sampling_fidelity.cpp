@@ -59,12 +59,11 @@ static int run_bench() {
     const DegreeStats degrees = degree_stats(row.graph);
     const double clustering = average_local_clustering(row.graph);
     const std::uint32_t degeneracy = core_decomposition(row.graph).degeneracy;
-    SlemOptions slem_options;
-    slem_options.seed = bench::kBenchSeed;
-    const double mu = second_largest_eigenvalue(row.graph, slem_options).mu;
+    const SlemResult slem = second_largest_eigenvalue(row.graph);
     table.add_row({row.name, with_thousands(row.graph.num_vertices()),
                    fixed(degrees.mean, 2), fixed(clustering, 3),
-                   std::to_string(degeneracy), fixed(mu, 4)});
+                   std::to_string(degeneracy),
+                   format_mu(slem.mu, slem.certified, 4)});
     std::cerr << "  " << row.name << " done\n";
   }
   table.print(std::cout);

@@ -21,11 +21,10 @@ static int run_bench() {
   for (const DatasetSpec& spec : all_datasets()) {
     bench::DatasetTimer dataset_timer;
     const Graph g = bench::dataset_graph(spec);
-    SlemOptions options;
-    options.seed = bench::kBenchSeed;
-    const SlemResult slem = second_largest_eigenvalue(g, options);
+    const SlemResult slem = second_largest_eigenvalue(g);
     table.add_row({spec.name, with_thousands(g.num_vertices()),
-                   with_thousands(g.num_edges()), fixed(slem.mu, 4),
+                   with_thousands(g.num_edges()),
+                   format_mu(slem.mu, slem.certified, 4),
                    spec.paper_mu ? fixed(*spec.paper_mu, 3) : "n/a",
                    to_string(spec.expected_class)});
     std::cerr << "  measured " << spec.id << "\n";

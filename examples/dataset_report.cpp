@@ -39,10 +39,10 @@ int run(bool measure) {
     const Graph g = spec.generate(0.1, 4);
     const DegreeStats degrees = degree_stats(g);
     const double clustering = average_local_clustering(g);
-    const double mu = second_largest_eigenvalue(g).mu;
+    const SlemResult slem = second_largest_eigenvalue(g);
     table.add_row({spec.name, with_thousands(g.num_vertices()),
                    with_thousands(g.num_edges()), fixed(degrees.mean, 1),
-                   fixed(clustering, 3), fixed(mu, 4),
+                   fixed(clustering, 3), format_mu(slem.mu, slem.certified, 4),
                    to_string(spec.expected_class)});
     std::cout << "measured " << spec.name << "\n";
   }

@@ -11,6 +11,7 @@
 
 #include "dynamic/evolution.hpp"
 #include "example_main.hpp"
+#include "markov/spectral.hpp"
 #include "report/table.hpp"
 #include "util/format.hpp"
 #include "util/parse.hpp"
@@ -24,7 +25,8 @@ void report(const std::string& title,
   Table table{{"snapshot n", "mu", "degeneracy", "max cores",
                "min expansion"}};
   for (const EvolutionPoint& p : points)
-    table.add_row({with_thousands(p.snapshot_vertices), fixed(p.mu, 4),
+    table.add_row({with_thousands(p.snapshot_vertices),
+                   format_mu(p.mu, p.mu_certified, 4),
                    std::to_string(p.degeneracy),
                    std::to_string(p.max_core_count),
                    fixed(p.min_expansion_factor, 3)});

@@ -42,7 +42,7 @@ int run(sntrust::VertexId n) {
     const Graph g =
         largest_component(planted_partition(n, 10, p_in, p_out, 99)).graph;
 
-    const double mu = second_largest_eigenvalue(g).mu;
+    const SlemResult slem = second_largest_eigenvalue(g);
 
     MixingOptions mixing_options;
     mixing_options.num_sources = 10;
@@ -55,9 +55,10 @@ int run(sntrust::VertexId n) {
     for (const CoreLevel& level : core_profile(g))
       max_cores = std::max(max_cores, level.num_components);
 
-    const SweepResult sweep = conductance_sweep(g, fiedler_vector(g));
+    const SweepResult sweep = conductance_sweep(g, slem.lambda2_vector);
 
-    table.add_row({fixed(cross_degree, 1), fixed(mu, 4),
+    table.add_row({fixed(cross_degree, 1),
+                   format_mu(slem.mu, slem.certified, 4),
                    t == 0xFFFFFFFFu ? "> 200" : std::to_string(t),
                    std::to_string(max_cores),
                    fixed(sweep.best_conductance, 4)});

@@ -11,6 +11,7 @@
 #include "core/property_suite.hpp"
 #include "example_main.hpp"
 #include "gen/datasets.hpp"
+#include "markov/spectral.hpp"
 #include "report/table.hpp"
 #include "util/format.hpp"
 #include "util/parse.hpp"
@@ -35,7 +36,8 @@ int run(const std::string& id, double scale) {
   Table table{{"property", "value"}};
   table.add_row({"nodes", with_thousands(report.nodes)});
   table.add_row({"edges", with_thousands(report.edges)});
-  table.add_row({"second largest eigenvalue (mu)", fixed(report.slem.mu, 4)});
+  table.add_row({"second largest eigenvalue (mu)",
+                 format_mu(report.slem.mu, report.slem.certified, 4)});
   table.add_row({"Sinclair lower bound T(eps)", fixed(report.bounds.lower, 1)});
   table.add_row({"Sinclair upper bound T(eps)", fixed(report.bounds.upper, 1)});
   table.add_row({"sampled mixing time T(eps)",

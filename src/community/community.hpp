@@ -2,7 +2,8 @@
 // showed walk-based Sybil defenses are sensitive to community structure and
 // reduce to community detection around the trusted node).
 //
-// Provides: a spectral (Fiedler-ordering) conductance sweep and the Cheeger
+// Provides: a spectral conductance sweep over the lambda_2 eigenvector that
+// second_largest_eigenvalue returns (markov/spectral.hpp), and the Cheeger
 // bounds that tie it to the spectral gap.
 #pragma once
 
@@ -13,14 +14,9 @@
 
 namespace sntrust {
 
-/// Approximate Fiedler vector (second eigenvector of the normalized
-/// Laplacian) by power iteration with deflation; returns per-vertex values.
-std::vector<double> fiedler_vector(const Graph& g,
-                                   std::uint32_t max_iterations = 1500,
-                                   std::uint64_t seed = 7);
-
-/// Sweep cut: order vertices by Fiedler value and return the minimum
-/// conductance over all prefixes (the spectral partitioning heuristic).
+/// Sweep cut: order vertices by their value (SlemResult::lambda2_vector,
+/// the Fiedler ordering) and return the minimum conductance over all
+/// prefixes (the spectral partitioning heuristic).
 struct SweepResult {
   double best_conductance = 1.0;
   std::uint64_t best_prefix = 0;     ///< |S| at the minimum

@@ -4,72 +4,8 @@
 #include <stdexcept>
 
 #include "community/community.hpp"
-#include "util/rng.hpp"
 
 namespace sntrust {
-
-std::vector<double> fiedler_vector(const Graph& g,
-                                   std::uint32_t max_iterations,
-                                   std::uint64_t seed) {
-  const VertexId n = g.num_vertices();
-  if (n < 2 || g.num_edges() == 0)
-    throw std::invalid_argument("fiedler_vector: graph too small");
-
-  // Second eigenvector of N = D^{-1/2} A D^{-1/2}. Power-iterate the shifted
-  // operator (I + N)/2 (spectrum in [0, 1]) with the principal direction
-  // phi = D^{1/2} 1 deflated; the dominant remaining eigenvector is the
-  // Fiedler direction of the normalized Laplacian.
-  std::vector<double> inv_sqrt_deg(n), phi(n);
-  for (VertexId v = 0; v < n; ++v) {
-    const double d = static_cast<double>(g.degree(v));
-    inv_sqrt_deg[v] = d > 0.0 ? 1.0 / std::sqrt(d) : 0.0;
-    phi[v] = std::sqrt(d);
-  }
-  {
-    double norm = std::sqrt(std::inner_product(phi.begin(), phi.end(),
-                                               phi.begin(), 0.0));
-    for (double& x : phi) x /= norm;
-  }
-
-  Rng rng{seed};
-  std::vector<double> x(n), y(n);
-  for (double& value : x) value = rng.uniform_real() - 0.5;
-
-  const auto deflate = [&](std::vector<double>& vec) {
-    const double proj =
-        std::inner_product(vec.begin(), vec.end(), phi.begin(), 0.0);
-    for (VertexId v = 0; v < n; ++v) vec[v] -= proj * phi[v];
-  };
-  const auto normalize = [&](std::vector<double>& vec) {
-    const double norm = std::sqrt(
-        std::inner_product(vec.begin(), vec.end(), vec.begin(), 0.0));
-    if (norm > 0.0)
-      for (double& value : vec) value /= norm;
-  };
-
-  deflate(x);
-  normalize(x);
-  const auto& offsets = g.offsets();
-  const auto& targets = g.targets();
-  for (std::uint32_t it = 0; it < max_iterations; ++it) {
-    std::fill(y.begin(), y.end(), 0.0);
-    for (VertexId v = 0; v < n; ++v) {
-      const double xv = x[v] * inv_sqrt_deg[v];
-      if (xv == 0.0) continue;
-      for (EdgeIndex e = offsets[v]; e < offsets[v + 1]; ++e)
-        y[targets[e]] += xv * inv_sqrt_deg[targets[e]];
-    }
-    for (VertexId v = 0; v < n; ++v) y[v] = 0.5 * (y[v] + x[v]);
-    deflate(y);
-    normalize(y);
-    x.swap(y);
-  }
-
-  // Return in vertex space: u = D^{-1/2} x, the smooth labeling.
-  std::vector<double> out(n);
-  for (VertexId v = 0; v < n; ++v) out[v] = x[v] * inv_sqrt_deg[v];
-  return out;
-}
 
 CheegerBounds cheeger_bounds(double lambda_2) {
   if (lambda_2 < -1.0 - 1e-12 || lambda_2 > 1.0 + 1e-12)

@@ -46,9 +46,7 @@ PropertyReport measure_properties(const Graph& g,
   exec::check_process_cancel();  // phase boundary
   {  // Spectral side.
     const obs::Span span{"spectral"};
-    SlemOptions slem_options;
-    slem_options.seed = options.seed ^ 0xa076bc9af7d1c8e3ULL;
-    report.slem = second_largest_eigenvalue(g, slem_options);
+    report.slem = second_largest_eigenvalue(g);
     if (report.slem.mu > 0.0 && report.slem.mu < 1.0)
       report.bounds =
           sinclair_bounds(report.slem.mu, report.epsilon, g.num_vertices());

@@ -47,7 +47,7 @@ struct PropertyReport {
   std::uint32_t diameter_lb = 0; ///< double-sweep lower bound
 
   // Mixing.
-  SlemResult slem;                  ///< second largest eigenvalue modulus
+  SlemResult slem;                  ///< certified SLEM and lambda_2 vector
   MixingBounds bounds;              ///< Sinclair bounds at epsilon
   MixingCurves mixing;              ///< TVD-vs-length curves
   double epsilon = 0.0;

@@ -130,9 +130,9 @@ std::vector<EvolutionPoint> measure_evolution(
       points.push_back(point);
       continue;
     }
-    SlemOptions slem_options;
-    slem_options.seed = options.seed;
-    point.mu = second_largest_eigenvalue(g, slem_options).mu;
+    const SlemResult slem = second_largest_eigenvalue(g);
+    point.mu = slem.mu;
+    point.mu_certified = slem.certified;
 
     const CoreDecomposition cores = core_decomposition(g);
     point.degeneracy = cores.degeneracy;

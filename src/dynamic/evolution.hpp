@@ -72,6 +72,7 @@ struct EvolutionPoint {
   std::uint64_t nodes = 0;         ///< largest-component size measured
   std::uint64_t edges = 0;
   double mu = 0.0;
+  bool mu_certified = false;       ///< SlemResult::certified
   std::uint32_t degeneracy = 0;
   std::uint32_t max_core_count = 0;
   double min_expansion_factor = 0.0;

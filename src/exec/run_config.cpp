@@ -173,7 +173,11 @@ void apply(const RunConfig& config) {
                        : std::string{});
   reporter.set_config("diag", config.diag);
   reporter.set_config("alloc_stats", config.alloc_stats);
-  obs::TelemetryExporter::instance().start(config.telemetry);
+  try {
+    obs::TelemetryExporter::instance().start(config.telemetry);
+  } catch (const std::runtime_error& error) {
+    throw OutputError(error.what());
+  }
   applied() = config;
 }
 
@@ -196,6 +200,9 @@ int run_body(const std::function<int()>& body,
     // Drained cleanly: the checkpoint, if armed, holds the completed work,
     // and the run report names the interruption.
     return interrupted_exit(error.what());
+  } catch (const OutputError& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 74;  // EX_IOERR
   } catch (const IoError& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 65;  // EX_DATAERR: unreadable or malformed input
@@ -218,6 +225,7 @@ int guarded_main(const std::function<int()>& body,
   try {
     obs::TelemetryExporter::instance().stop();
     obs::RunReporter::instance().export_now();
+    obs::Tracer::instance().export_now();
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return code == 0 ? 74 : code;  // EX_IOERR

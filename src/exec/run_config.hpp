@@ -26,10 +26,11 @@
 // and applies the config, runs the body, and maps how it ends to a
 // sysexits-style code: 64 for a usage or config error, 75 for an
 // interrupted run (exec::interrupted_exit), 65 for bad input (IoError,
-// std::invalid_argument), 1 for anything else. It then writes the run
-// report, when one is armed, before it returns: a report that cannot be
-// written turns exit 0 into 74 (EX_IOERR), and leaves any other code, which
-// names the first failure.
+// std::invalid_argument), 74 (EX_IOERR) for an output that cannot be opened
+// (OutputError: the telemetry sink, before any work), 1 for anything else.
+// It then writes the run report and the trace, when armed, before it
+// returns: one that cannot be written turns exit 0 into 74, and leaves any
+// other code, which names the first failure.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +48,12 @@ namespace sntrust::exec {
 class UsageError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
+};
+
+/// An output of the run that cannot be opened or written: exit 74.
+class OutputError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 /// One field per SNTRUST_* knob; the defaults are the unset values.
@@ -87,6 +94,7 @@ RunConfig run_config_from_environment();
 /// the trace export, the report export and the telemetry exporter, in that
 /// order, so at exit telemetry's final frame lands before the report is
 /// assembled. Records every knob's effective value in the report's config.
+/// Throws OutputError when the telemetry sink cannot be opened.
 void apply(const RunConfig& config);
 
 /// The config the last apply armed; the defaults before any.

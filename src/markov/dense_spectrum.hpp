@@ -1,7 +1,7 @@
 // Dense (cyclic Jacobi) eigendecomposition of the normalized adjacency
 // operator for small graphs — the exact oracle behind the iterative
-// machinery: tests cross-check power-iteration SLEM and Lanczos against it,
-// and the full decomposition yields the *exact* walk distribution at any t
+// machinery: tests check the Lanczos SLEM's bracket and lambda_2 vector
+// against it, and the full decomposition yields the *exact* walk distribution at any t
 // (P^t via the spectral expansion), pinning the sampling-method TVD curves.
 #pragma once
 

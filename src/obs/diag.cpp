@@ -28,8 +28,8 @@ ConvergenceTrace::ConvergenceTrace(std::size_t capacity)
   samples_.reserve(capacity_ + 1);
 }
 
-void ConvergenceTrace::add(double value) {
-  const std::uint64_t iteration = next_iteration_++;
+void ConvergenceTrace::add_at(std::uint64_t iteration, double value) {
+  next_iteration_ = iteration + 1;
   last_value_ = value;
   if (iteration % stride_ != 0) return;
   samples_.emplace_back(iteration, value);

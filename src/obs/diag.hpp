@@ -2,7 +2,7 @@
 // non-convergence flags for every measured property.
 //
 // The pipeline's outputs are statistical estimates — mixing time from TVD
-// decay, SLEM from power iteration, expansion ratios from sampled sweeps,
+// decay, SLEM from a Lanczos recurrence, expansion ratios from sampled sweeps,
 // GateKeeper acceptance rates from Bernoulli trials — but the run report
 // historically carried only the final point values. This layer records the
 // evidence behind them: per-source convergence trajectories (bounded via
@@ -58,7 +58,10 @@ class ConvergenceTrace {
  public:
   explicit ConvergenceTrace(std::size_t capacity = 64);
 
-  void add(double value);
+  void add(double value) { add_at(next_iteration_, value); }
+  /// Appends `value` at `iteration`, which must exceed every earlier one:
+  /// for an estimator evaluated on some iterations only.
+  void add_at(std::uint64_t iteration, double value);
 
   std::uint64_t iterations() const { return next_iteration_; }
   double final_value() const { return last_value_; }
@@ -112,7 +115,7 @@ ConfidenceInterval wilson_ci95(std::uint64_t successes, std::uint64_t trials);
 
 /// One recorded trajectory, ready for the report.
 struct TraceSummary {
-  std::string kind;          // "mixing.tvd", "slem.power_iteration", ...
+  std::string kind;          // "mixing.tvd", "slem.lanczos", ...
   std::uint64_t source = 0;  // vertex id / trial index the trace belongs to
   std::uint64_t iterations = 0;
   bool converged = true;

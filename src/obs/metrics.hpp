@@ -1,5 +1,5 @@
 // Process-wide metrics registry: named counters, gauges, and power-of-two
-// histograms instrumenting the measurement pipeline (power-iteration counts,
+// histograms instrumenting the measurement pipeline (SLEM matvec counts,
 // walk steps, BFS frontier sizes, GateKeeper ticket totals, ...).
 //
 // Counters and gauges are lock-free after the first lookup; hot paths cache

@@ -7,6 +7,7 @@
 #include <map>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/format.hpp"
 #include "util/json.hpp"
@@ -49,10 +50,7 @@ void Tracer::set_export_path(std::string path) {
   std::atexit([] {
     // Throwing from an atexit handler is std::terminate; report instead.
     try {
-      Tracer& tracer = Tracer::instance();
-      const std::string path = tracer.export_path();
-      if (!path.empty() && tracer.enabled())
-        tracer.write_chrome_trace_file(path);
+      Tracer::instance().export_now();
     } catch (const std::exception& error) {
       std::fputs(error.what(), stderr);
       std::fputc('\n', stderr);
@@ -63,6 +61,15 @@ void Tracer::set_export_path(std::string path) {
 std::string Tracer::export_path() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return export_path_;
+}
+
+void Tracer::export_now() {
+  std::string path;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    path = std::exchange(export_path_, std::string{});
+  }
+  if (!path.empty() && enabled()) write_chrome_trace_file(path);
 }
 
 std::uint64_t Tracer::now_ns_locked() const {

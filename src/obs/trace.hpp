@@ -102,6 +102,12 @@ class Tracer {
   void set_export_path(std::string path);
   std::string export_path() const;
 
+  /// Writes the trace to the export path, when one is set and tracing is
+  /// on, and clears the path, so the exit hook writes nothing more. Throws
+  /// std::runtime_error when the file cannot be written; exec::guarded_main
+  /// calls it before it returns, as it does RunReporter::export_now.
+  void export_now();
+
   /// Snapshot of all events in begin order (open spans have closed=false and
   /// a duration up to "now").
   std::vector<TraceEvent> events() const;

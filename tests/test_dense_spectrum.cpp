@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
-#include "markov/lanczos.hpp"
 #include "markov/mixing.hpp"
 #include "markov/spectral.hpp"
 #include "markov/transition.hpp"
@@ -20,6 +20,28 @@ using testing::cycle_graph;
 using testing::path_graph;
 using testing::petersen_graph;
 using testing::two_cliques;
+
+/// The oracle's graphs: the fixture graphs, one where lambda_n sets mu
+/// and lambda_2's end converges last, and 48 generated ones with
+/// 40 <= n <= 128 (largest components).
+std::vector<Graph> oracle_graphs() {
+  std::vector<Graph> graphs{
+      petersen_graph(),  two_cliques(6),
+      cycle_graph(9),    cycle_graph(12),
+      complete_graph(8), path_graph(40),
+      testing::barbell_graph(),
+      largest_component(barabasi_albert(148, 3, 6)).graph};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto n = static_cast<VertexId>(32 + 8 * seed);
+    const auto m = static_cast<VertexId>(2 + seed % 3);
+    for (Graph g : {erdos_renyi(n, 6.0 / n, seed),
+                    barabasi_albert(n, m, seed),
+                    planted_partition(n, 2 + seed % 4, 0.3, 0.01, seed),
+                    powerlaw_cluster(n, m, 0.5, seed)})
+      graphs.push_back(largest_component(g).graph);
+  }
+  return graphs;
+}
 
 TEST(DenseSpectrum, CompleteGraphEigenvalues) {
   const DenseSpectrum s = dense_spectrum(complete_graph(6));
@@ -57,26 +79,43 @@ TEST(DenseSpectrum, EigenvectorsOrthonormal) {
   }
 }
 
-TEST(DenseSpectrum, ExactSlemMatchesPowerIteration) {
-  for (const Graph& g :
-       {petersen_graph(), two_cliques(6), cycle_graph(9),
-        largest_component(barabasi_albert(80, 3, 5)).graph}) {
+TEST(DenseSpectrum, ExactSlemInsideBracket) {
+  // The exact SLEM lies in the solver's certified bracket, up to the
+  // rounding of the two computations.
+  for (const Graph& g : oracle_graphs()) {
     const double exact = exact_slem(dense_spectrum(g));
-    const double iterative = second_largest_eigenvalue(g).mu;
-    EXPECT_NEAR(exact, iterative, 1e-5);
+    const SlemResult slem = second_largest_eigenvalue(g);
+    EXPECT_TRUE(slem.certified);
+    EXPECT_GE(exact, slem.lo - 1e-12) << "n=" << g.num_vertices();
+    EXPECT_LE(exact, slem.hi + 1e-12) << "n=" << g.num_vertices();
   }
 }
 
 TEST(DenseSpectrum, LanczosMatchesDenseTopEigenvalues) {
-  const Graph g = largest_component(barabasi_albert(100, 3, 7)).graph;
-  const DenseSpectrum dense = dense_spectrum(g);
-  LanczosOptions options;
-  options.num_eigenvalues = 4;
-  options.subspace = 60;
-  const LanczosResult lanczos = lanczos_spectrum(g, options);
-  for (std::size_t k = 0; k < lanczos.eigenvalues.size(); ++k)
-    EXPECT_NEAR(lanczos.eigenvalues[k], dense.eigenvalues[k], 1e-6)
-        << "eigenvalue " << k;
+  // The solver's lambda_2 matches the dense one, also where lambda_n sets
+  // mu, and where lambda_2 is simple its vector, mapped back to N's space,
+  // is parallel to the dense eigenvector.
+  std::size_t graphs = 0, simple = 0;
+  for (const Graph& g : oracle_graphs()) {
+    ++graphs;
+    const DenseSpectrum dense = dense_spectrum(g);
+    const std::vector<double>& eigenvalues = dense.eigenvalues;
+    const SlemResult slem = second_largest_eigenvalue(g);
+    EXPECT_NEAR(slem.lambda2, eigenvalues[1], kSlemBracketWidth);
+    if (eigenvalues.size() < 3 || eigenvalues[1] - eigenvalues[2] < 1e-3)
+      continue;
+    ++simple;
+    double dot = 0.0, norm_sq = 0.0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      const double y = slem.lambda2_vector[v] *
+                       std::sqrt(static_cast<double>(g.degree(v)));
+      dot += y * dense.eigenvectors[1][v];
+      norm_sq += y * y;
+    }
+    EXPECT_GT(std::fabs(dot) / std::sqrt(norm_sq), 1.0 - 1e-6)
+        << "n=" << g.num_vertices();
+  }
+  EXPECT_GE(2 * simple, graphs);
 }
 
 TEST(DenseSpectrum, ExactWalkDistributionMatchesEvolution) {

@@ -314,20 +314,33 @@ TEST_F(DiagTest, MixingOutputIsBitwiseIdenticalDiagOnAndOff) {
 
 TEST_F(DiagTest, SlemCapExitIsFlaggedAsNonconverged) {
   obs::set_diag_enabled(true);
-  const Graph g = two_cliques(4);
-  SlemOptions options;
-  options.max_iterations = 2;  // force a cap exit: 2 steps cannot hit 1e-9
-  const SlemResult result = second_largest_eigenvalue(g, options);
-  EXPECT_FALSE(result.converged);
+  // C_20001's SLEM is cos(pi / 20001), 1.2e-8 below 1, with the next
+  // eigenvalues about 1e-7 apart: no bracket under 1e-6 within the cap.
+  const SlemResult result =
+      second_largest_eigenvalue(testing::cycle_graph(20001));
+  EXPECT_FALSE(result.certified);
+  EXPECT_EQ(result.steps, kSlemMaxSteps);
+  EXPECT_GE(result.hi - result.lo, kSlemBracketWidth);
+  EXPECT_EQ(format_mu(result.mu, result.certified, 4), "1.0000 uncertified");
 
   const json::Value diag = DiagRegistry::instance().build();
   EXPECT_FALSE(diag.find("converged")->as_bool());
   EXPECT_GE(diag.find("nonconverged")->as_int(), 1);
   const json::Value& flag = diag.find("flagged_sources")->as_array().at(0);
-  EXPECT_EQ(flag.find("kind")->as_string(), "slem.power_iteration");
-  // The point estimates still land, CI and all, alongside the flag.
-  EXPECT_NE(diag.find("estimates")->find("slem.mu"), nullptr);
+  EXPECT_EQ(flag.find("kind")->as_string(), "slem.lanczos");
+  EXPECT_EQ(flag.find("iterations")->as_int(),
+            static_cast<std::int64_t>(kSlemMaxSteps));
+  // The bracket still lands beside the flag.
+  const json::Value* mu = diag.find("estimates")->find("slem.mu");
+  ASSERT_NE(mu, nullptr);
+  EXPECT_EQ(mu->find("ci95_lo")->as_number(), result.lo);
+  EXPECT_EQ(mu->find("ci95_hi")->as_number(), result.hi);
   EXPECT_NE(diag.find("estimates")->find("slem.spectral_gap"), nullptr);
+  // The trajectory's x-axis is the Lanczos step.
+  const json::Value& trace =
+      diag.find("traces")->find("slem.lanczos")->as_array().at(0);
+  EXPECT_EQ(trace.find("iterations")->as_int(),
+            static_cast<std::int64_t>(kSlemMaxSteps));
 }
 
 TEST_F(DiagTest, ReportCarriesDiagSectionOnlyWhenPopulated) {

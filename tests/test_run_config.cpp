@@ -282,5 +282,61 @@ TEST(RunConfig, GuardedMainWritesTheReportBeforeItReturns) {
   EXPECT_FALSE(std::filesystem::exists(missing));
 }
 
+TEST(RunConfig, GuardedMainWritesTheTraceBeforeItReturns) {
+  AppliedConfigGuard guard;
+  const auto trace_at = [](const std::string& path) {
+    return [path](exec::RunConfig& config) {
+      exec::set_knob(config, "SNTRUST_TRACE", path, "--trace");
+    };
+  };
+  const auto traced_work = [] {
+    const obs::Span span{"run_config.traced_work"};
+    return 0;
+  };
+  const std::string trace = temp_path("sntrust_run_config_exit_trace.json");
+  std::filesystem::remove(trace);
+  EXPECT_EQ(exec::guarded_main(traced_work, trace_at(trace)), 0);
+  ASSERT_TRUE(std::filesystem::exists(trace));
+  std::ifstream in{trace};
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_NE(text.find("run_config.traced_work"), std::string::npos);
+  const json::Value parsed = json::Value::parse(text);
+  EXPECT_FALSE(parsed.find("traceEvents")->as_array().empty());
+  // Written once: the exit hook has nothing left to write.
+  EXPECT_EQ(obs::Tracer::instance().export_path(), "");
+  std::filesystem::remove(trace);
+
+  // A trace that cannot be written fails a clean run with EX_IOERR (74),
+  // and leaves the code of a run that already failed.
+  const std::filesystem::path missing =
+      std::filesystem::temp_directory_path() / "sntrust_run_config_no_dir";
+  std::filesystem::remove_all(missing);
+  const std::string unwritable = (missing / "t.json").string();
+  EXPECT_EQ(exec::guarded_main(traced_work, trace_at(unwritable)), 74);
+  EXPECT_EQ(exec::guarded_main([] { return 3; }, trace_at(unwritable)), 3);
+  EXPECT_FALSE(std::filesystem::exists(missing));
+}
+
+TEST(RunConfig, UnopenableTelemetrySinkExits74BeforeAnyWork) {
+  AppliedConfigGuard guard;
+  const std::filesystem::path missing =
+      std::filesystem::temp_directory_path() / "sntrust_run_config_no_dir";
+  std::filesystem::remove_all(missing);
+  const std::string unwritable = (missing / "t.jsonl").string();
+  bool ran = false;
+  EXPECT_EQ(exec::guarded_main(
+                [&] {
+                  ran = true;
+                  return 0;
+                },
+                [&](exec::RunConfig& config) {
+                  exec::set_knob(config, "SNTRUST_TELEMETRY", unwritable,
+                                 "--telemetry");
+                }),
+            74);
+  EXPECT_FALSE(ran);
+  EXPECT_FALSE(std::filesystem::exists(missing));
+}
+
 }  // namespace
 }  // namespace sntrust

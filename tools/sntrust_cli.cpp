@@ -70,6 +70,7 @@
 #include "graph/components.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
+#include "markov/spectral.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
 #include "report/table.hpp"
@@ -171,7 +172,7 @@ int cmd_measure(const std::string& path, std::uint32_t sources) {
   table.add_row({"assortativity", fixed(degree_assortativity(g), 4)});
   table.add_row({"diameter (>=)",
                  std::to_string(double_sweep_diameter(g))});
-  table.add_row({"mu (SLEM)", fixed(report.slem.mu, 5)});
+  table.add_row({"mu (SLEM)", format_mu(report.slem.mu, report.slem.certified, 5)});
   table.add_row({"T(1/n) sampled",
                  report.mixing_time == 0xFFFFFFFFu
                      ? "> " + std::to_string(options.mixing_max_walk)
